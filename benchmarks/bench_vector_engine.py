@@ -3,8 +3,8 @@
 Three claims of :mod:`repro.core.engine` are asserted here on paper-scale
 batches of the encoder system (1,189 actions, 7 quality levels):
 
-* **every** registered manager lowers to a kernel spec and compiles on the
-  active backend — zero scalar fallbacks across the registry;
+* **every** registered manager lowers to a kernel spec and compiles to its
+  NumPy program — zero scalar fallbacks across the registry;
 * the vectorised batch execution of ``PS || Γ`` is **>= 5x** faster than the
   scalar per-action loop for every registered manager (the historical gate
   manager is relaxation on a 256-cycle batch; the full registry is gated on
@@ -13,10 +13,9 @@ batches of the encoder system (1,189 actions, 7 quality levels):
   pure interpreter-overhead removal, not a semantics change.
 
 The measurements are additionally written to ``BENCH_engine.json`` (cycles
-per second for each path, speedups, backend, environment info) so the
-performance trajectory is machine-readable across commits; CI uploads the
-file as an artifact.  Set ``$BENCH_ENGINE_JSON`` to redirect the output
-path, ``$REPRO_BACKEND`` to measure an alternative kernel backend.
+per second for each path, speedups, environment info) so the performance
+trajectory is machine-readable across commits; CI uploads the file as an
+artifact.  Set ``$BENCH_ENGINE_JSON`` to redirect the output path.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ import pytest
 from repro.api.registry import BuildContext, available_managers, build_manager
 from repro.core import (
     compile_decision_kernel,
-    get_backend,
     run_cycle,
     run_cycles_vectorized,
     run_fixed_quality,
@@ -103,7 +101,6 @@ def _measure(system, manager, scenarios, overhead_model) -> dict[str, float]:
 
 def bench_vector_engine_speedup(paper_system, paper_deadlines, paper_controllers):
     """Paper-scale cycles: every registered manager vectorises and beats 5x."""
-    backend = get_backend()
     overhead_model = LinearOverheadModel(IPOD_LIKE)
     scenarios = paper_system.draw_scenarios(_N_CYCLES, np.random.default_rng(0))
     grid_scenarios = paper_system.draw_scenarios(
@@ -157,7 +154,6 @@ def bench_vector_engine_speedup(paper_system, paper_deadlines, paper_controllers
             "n_cycles_grid": _N_CYCLES_GRID,
             "n_actions": paper_system.n_actions,
             "n_levels": len(paper_system.qualities),
-            "backend": backend.name,
             "gate_manager": "relaxation",
             "min_speedup_gate": _MIN_SPEEDUP,
             "scalar_fallbacks": scalar_fallbacks,
@@ -172,10 +168,7 @@ def bench_vector_engine_speedup(paper_system, paper_deadlines, paper_controllers
         }
     )
 
-    assert not scalar_fallbacks, (
-        f"registry entries without a kernel on backend {backend.name!r}: "
-        f"{scalar_fallbacks}"
-    )
+    assert not scalar_fallbacks, f"registry entries without a kernel: {scalar_fallbacks}"
 
     gated = {key: measurements[key] for key in ("relaxation", *grid_keys)}
     skipped: list[str] = []

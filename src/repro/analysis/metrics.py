@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.core.deadlines import DeadlineFunction
-from repro.core.streaming import StreamingMetrics
+from repro.core.streaming import StreamingMetrics, outcome_arrays
 from repro.core.system import CycleOutcome
 
 __all__ = ["QualityMetrics", "compute_metrics", "smoothness_index", "compare_outcomes"]
@@ -74,16 +74,16 @@ def compute_metrics(
 ) -> QualityMetrics:
     """Aggregate metrics over a collection of cycle traces.
 
-    Delegates to the streaming accumulator
-    (:class:`~repro.core.streaming.StreamingMetrics`), so the materialised
-    and chunked-streaming execution paths share one fold and their metrics
-    are bit-identical by construction.
+    Stacks the traces into one chunk (:func:`~repro.core.streaming.outcome_arrays`)
+    and folds it through the streaming accumulator
+    (:meth:`~repro.core.streaming.StreamingMetrics.update_chunk`), so the
+    materialised and chunked-streaming execution paths share one fold and
+    their metrics are bit-identical by construction.  Raises
+    :class:`ValueError` on an empty collection or on traces of different
+    lengths.
     """
     accumulator = StreamingMetrics(deadlines)
-    for outcome in outcomes:
-        accumulator.update_outcome(outcome)
-    if not accumulator.n_cycles:
-        raise ValueError("compute_metrics needs at least one cycle outcome")
+    accumulator.update_chunk(*outcome_arrays(outcomes))
     return accumulator.metrics()
 
 

@@ -23,9 +23,6 @@ Quick start::
 
     result = Session().system("small").manager("relaxation").seed(0).run(cycles=6)
     print(result.metrics.as_row())
-
-The pre-facade call patterns remain available as deprecation shims
-(:func:`compile_controllers`, :func:`build_baseline`, :func:`run_controlled`).
 """
 
 from .registry import (
@@ -44,13 +41,6 @@ from .registry import (
 from .fleet import run_fleet
 from .results import BatchResult, RunResult
 from .session import ScenarioSpec, Session, SessionError
-from .shims import (
-    build_baseline,
-    compile_controllers,
-    draw_scenarios_tuple,
-    run_controlled,
-    sample_scenarios_tuple,
-)
 
 __all__ = [
     # registry
@@ -73,10 +63,4 @@ __all__ = [
     # results
     "RunResult",
     "BatchResult",
-    # deprecation shims
-    "compile_controllers",
-    "build_baseline",
-    "run_controlled",
-    "draw_scenarios_tuple",
-    "sample_scenarios_tuple",
 ]

@@ -101,15 +101,13 @@ def run_fleet(
     cycles: int | None = None,
     seed: int | None = None,
     chunk_size: int | None = None,
-    backend: str | None = None,
 ) -> BatchResult:
     """Advance every session together, one action per NumPy step.
 
     ``cycles`` overrides every session's configured cycle count for this
     fleet run; ``chunk_size`` overrides every member's lane width per
     chunk (default: each session's own :meth:`~Session.chunk_size`, else
-    the core's :data:`~repro.core.fleet.DEFAULT_FLEET_CHUNK`);
-    ``backend`` overrides the kernel compute backend for every member.
+    the core's :data:`~repro.core.fleet.DEFAULT_FLEET_CHUNK`).
 
     ``seed`` derives one well-separated child seed per member via
     :class:`numpy.random.SeedSequence` spawning (the same
@@ -147,8 +145,6 @@ def run_fleet(
                 seed=member_seed,
                 chunk_size=chunk,
                 overhead_model=session._resolve_overhead_model(),
-                vectorize=session._effective_vectorize(None),
-                backend=backend if backend is not None else session._effective_backend(None),
             )
         )
 

@@ -30,14 +30,13 @@ Design contract (the three facade guarantees):
   :meth:`Session.run_many` sweeps scenario specs; :meth:`Session.stream`
   yields :class:`~repro.core.system.CycleOutcome` objects one at a time.
 
-By default (``vectorize="auto"``) the batched run methods execute
-table-driven managers through the vectorised cycle engine
+The batched run methods execute every manager that lowers to a kernel spec
+(all registry keys do) through the vectorised cycle engine
 (:mod:`repro.core.engine`): scenarios are drawn as one columnar
 :class:`~repro.core.timing.ScenarioBatch` tensor and the cycles run as NumPy
 kernels, bit-identical to the scalar loop but without its per-action Python
-cost.  Managers without a decision kernel (numeric, the adaptive baselines,
-the extensions) transparently use the scalar loop; :meth:`Session.vectorize`
-or the per-call ``vectorize=`` keyword force either path.  Parallel
+cost.  A manager without a kernel, or an overhead model whose charges are not
+deterministic, transparently runs the scalar ``run_cycle`` loop.  Parallel
 :meth:`Session.compare` ships its shared scenarios per work unit either by
 value (the batch tensor) or, with ``scenario_transport="redraw"``, as a
 draw recipe the workers replay — no scenario bytes cross the process
@@ -80,7 +79,7 @@ from repro.obs import trace as obs_trace
 from repro.core.compiler import CompiledControllers, QualityManagerCompiler
 from repro.core.controller import OverheadModelProtocol, run_cycle
 from repro.core.deadlines import DeadlineFunction
-from repro.core.engine import coerce_vectorize_mode, run_cycles_batch
+from repro.core.engine import run_cycles_batch
 from repro.core.manager import QualityManager
 from repro.core.policy import AveragePolicy, MixedPolicy, QualityManagementPolicy, SafePolicy
 from repro.core.relaxation import DEFAULT_RELAXATION_STEPS
@@ -238,8 +237,6 @@ class Session:
         self._parallel: dict[str, Any] | None = None
         self._remote: dict[str, Any] | None = None
         self._service: dict[str, Any] | None = None
-        self._vectorize: str = "auto"
-        self._backend: str | None = None
         self._chunk_size: int | None = None
 
     # ------------------------------------------------------------------ #
@@ -445,51 +442,6 @@ class Session:
         """The configured :class:`~repro.runtime.artifacts.CompiledArtifactCache`,
         or ``None``."""
         return self._artifacts
-
-    def vectorize(self, mode: Any = "auto") -> "Session":
-        """Select the cycle execution engine for ``run``/``compare``/``run_many``.
-
-        ``"auto"`` (the default) routes table-driven managers — constant,
-        region, relaxation — through the vectorised batch engine
-        (:mod:`repro.core.engine`) and everything else through the scalar
-        loop; outcomes are bit-identical either way.  ``"always"``/``True``
-        raises when the selected manager has no kernel; ``"never"``/``False``
-        forces the scalar loop.  The per-call ``vectorize=`` keyword on the
-        run methods overrides this builder setting.
-        """
-        self._vectorize = coerce_vectorize_mode(mode)
-        return self
-
-    def _effective_vectorize(self, override: Any) -> str:
-        return self._vectorize if override is None else coerce_vectorize_mode(override)
-
-    def backend(self, name: str | None = None) -> "Session":
-        """Select the compute backend compiling the decision kernels.
-
-        ``"numpy"`` is the default; ``"numba"`` JIT-compiles the
-        comparison-bound kernel primitives when numba is installed (install
-        the ``numba`` extra).  ``None`` restores the default resolution
-        (``$REPRO_BACKEND``, else numpy).  Outcomes are bit-identical across
-        backends; naming an unknown or unavailable backend raises
-        immediately.  The per-call ``backend=`` keyword on the run methods
-        overrides this builder setting.
-        """
-        if name is not None:
-            from repro.core.backend import get_backend
-
-            get_backend(str(name))  # eager validation
-            self._backend = str(name)
-        else:
-            self._backend = None
-        return self
-
-    def _effective_backend(self, override: Any) -> str | None:
-        if override is None:
-            return self._backend
-        from repro.core.backend import get_backend
-
-        get_backend(str(override))
-        return str(override)
 
     def chunk_size(self, cycles: int | None) -> "Session":
         """Stream executions in fixed-size chunks of ``cycles`` each.
@@ -896,19 +848,14 @@ class Session:
         *,
         seed: int | None = None,
         scenarios: ScenarioBatch | Sequence[ActualTimeScenario] | None = None,
-        vectorize: Any = None,
-        backend: Any = None,
         chunk_size: Any = _UNSET,
     ) -> RunResult:
         """Execute N cycles with the selected manager and collect the result.
 
-        ``vectorize`` overrides the :meth:`vectorize` builder setting for
-        this run; ``backend`` overrides the :meth:`backend` builder setting
-        (kernel compute backend, e.g. ``"numpy"``).  ``chunk_size`` overrides
-        the :meth:`chunk_size` builder setting: an integer streams the run in
-        constant memory and returns a summary-only result, an explicit
-        ``None`` forces the materialised path.  Results are bit-identical
-        across engines, backends and chunk sizes for fixed seeds.
+        ``chunk_size`` overrides the :meth:`chunk_size` builder setting: an
+        integer streams the run in constant memory and returns a
+        summary-only result, an explicit ``None`` forces the materialised
+        path.  Results are bit-identical across chunk sizes for fixed seeds.
         """
         n_cycles = self._default_cycles if cycles is None else int(cycles)
         used_seed = self._seed if seed is None else int(seed)
@@ -930,8 +877,6 @@ class Session:
                         scenarios=scenarios,
                         rng=np.random.default_rng(used_seed),
                         overhead_model=self._resolve_overhead_model(),
-                        vectorize=self._effective_vectorize(vectorize),
-                        backend=self._effective_backend(backend),
                     )
                 else:
                     outcomes = run_cycles_batch(
@@ -941,8 +886,6 @@ class Session:
                         scenarios=scenarios,
                         rng=np.random.default_rng(used_seed),
                         overhead_model=self._resolve_overhead_model(),
-                        vectorize=self._effective_vectorize(vectorize),
-                        backend=self._effective_backend(backend),
                     )
         obs_export.flush()
         return RunResult(
@@ -963,8 +906,6 @@ class Session:
         parallel: bool | None = None,
         workers: int | None = None,
         progress: Any = None,
-        vectorize: Any = None,
-        backend: Any = None,
         scenario_transport: str | None = None,
         stream: bool = False,
         chunk_size: Any = _UNSET,
@@ -1016,8 +957,6 @@ class Session:
         deadlines = self.resolved_deadlines()
         machine_name = self._machine.name if self._machine is not None else None
 
-        mode = self._effective_vectorize(vectorize)
-        chosen_backend = self._effective_backend(backend)
         chunk = self._effective_chunk_size(chunk_size)
         pool_config = self._pool_config(parallel, workers)
         self._check_stream(stream, pool_config)
@@ -1041,9 +980,7 @@ class Session:
                     used_seed,
                     pool_config,
                     progress,
-                    mode,
                     stream,
-                    backend=chosen_backend,
                     chunk_size=chunk,
                 )
         with obs_trace.span("session.draw", cycles=n_cycles):
@@ -1057,9 +994,7 @@ class Session:
                 used_seed,
                 pool_config,
                 progress,
-                mode,
                 stream,
-                backend=chosen_backend,
                 chunk_size=chunk,
             )
 
@@ -1077,8 +1012,6 @@ class Session:
                         deadlines=deadlines,
                         chunk_size=chunk,
                         overhead_model=overhead_model,
-                        vectorize=mode,
-                        backend=chosen_backend,
                     )
                 else:
                     tail = run_cycles_batch(
@@ -1086,8 +1019,6 @@ class Session:
                         manager,
                         scenarios=scenarios,
                         overhead_model=overhead_model,
-                        vectorize=mode,
-                        backend=chosen_backend,
                     )
             label = unique_label(runs, manager.name, index)
             runs[label] = RunResult(
@@ -1116,8 +1047,6 @@ class Session:
         parallel: bool | None = None,
         workers: int | None = None,
         progress: Any = None,
-        vectorize: Any = None,
-        backend: Any = None,
         scenario_transport: str | None = None,
         stream: bool = False,
         chunk_size: Any = _UNSET,
@@ -1165,8 +1094,6 @@ class Session:
 
         self._check_transport(scenario_transport)
         entries = self._coerce_run_many_entries(scenarios)
-        mode = self._effective_vectorize(vectorize)
-        chosen_backend = self._effective_backend(backend)
         chunk = self._effective_chunk_size(chunk_size)
         pool_config = self._pool_config(parallel, workers)
         self._check_stream(stream, pool_config)
@@ -1175,10 +1102,8 @@ class Session:
                 entries,
                 pool_config,
                 progress,
-                mode,
                 scenario_transport,
                 stream,
-                backend=chosen_backend,
                 chunk_size=chunk,
             )
 
@@ -1200,8 +1125,6 @@ class Session:
                         chunk_size=chunk,
                         rng=np.random.default_rng(used_seed),
                         overhead_model=overhead_model,
-                        vectorize=mode,
-                        backend=chosen_backend,
                     )
                 else:
                     tail = run_cycles_batch(
@@ -1210,8 +1133,6 @@ class Session:
                         n_cycles,
                         rng=np.random.default_rng(used_seed),
                         overhead_model=overhead_model,
-                        vectorize=mode,
-                        backend=chosen_backend,
                     )
             final_label = unique_label(runs, label, index)
             runs[final_label] = RunResult(
@@ -1284,7 +1205,6 @@ class Session:
         cycles: int | None = None,
         seed: int | None = None,
         chunk_size: int | None = None,
-        backend: Any = None,
     ) -> "BatchResult":
         """Run many configured sessions as one vectorised fleet.
 
@@ -1300,9 +1220,7 @@ class Session:
         """
         from .fleet import run_fleet
 
-        return run_fleet(
-            sessions, cycles=cycles, seed=seed, chunk_size=chunk_size, backend=backend
-        )
+        return run_fleet(sessions, cycles=cycles, seed=seed, chunk_size=chunk_size)
 
     def sweep_plan(
         self,
@@ -1532,13 +1450,7 @@ class Session:
             except OSError:  # pragma: no cover - read-only cache location
                 pass
 
-    def _execution_payload(
-        self,
-        cache: Any,
-        vectorize: str | None = None,
-        backend: str | None = None,
-        chunk_size: int | None = None,
-    ) -> Any:
+    def _execution_payload(self, cache: Any, chunk_size: int | None = None) -> Any:
         from repro.runtime.plan import ExecutionPayload
 
         return ExecutionPayload(
@@ -1550,8 +1462,6 @@ class Session:
             machine=self._machine,
             overhead=self._overhead,
             cache_dir=str(cache.root) if cache is not None else None,
-            vectorize=self._vectorize if vectorize is None else vectorize,
-            backend=self._backend if backend is None else backend,
             chunk_size=chunk_size,
         )
 
@@ -1682,10 +1592,8 @@ class Session:
         entries: Sequence[tuple[str, ManagerSpec, int, int]],
         config: dict[str, Any],
         progress: Any,
-        vectorize: str | None = None,
         scenario_transport: str | None = None,
         stream: bool = False,
-        backend: str | None = None,
         chunk_size: int | None = None,
     ) -> BatchResult | Iterator[tuple[str, RunResult]]:
         from repro.runtime.plan import plan_run_many
@@ -1694,7 +1602,7 @@ class Session:
             with obs_trace.span("session.plan"):
                 cache = self._parallel_artifact_cache()
                 self._prepare_parallel_cache(cache, [spec for _, spec, _, _ in entries])
-                payload = self._execution_payload(cache, vectorize, backend, chunk_size)
+                payload = self._execution_payload(cache, chunk_size)
                 sampler = payload.system.timing.scenario_sampler
                 track = supports_replay(sampler)
                 batches = None
@@ -1751,9 +1659,7 @@ class Session:
         used_seed: int | None,
         config: dict[str, Any],
         progress: Any,
-        vectorize: str | None = None,
         stream: bool = False,
-        backend: str | None = None,
         chunk_size: int | None = None,
     ) -> BatchResult | Iterator[tuple[str, RunResult]]:
         """Ship-by-value compare: every unit carries the pre-drawn batch tensor."""
@@ -1763,7 +1669,7 @@ class Session:
             with obs_trace.span("session.plan"):
                 cache = self._parallel_artifact_cache()
                 self._prepare_parallel_cache(cache, list(chosen))
-                payload = self._execution_payload(cache, vectorize, backend, chunk_size)
+                payload = self._execution_payload(cache, chunk_size)
                 plan = plan_compare(payload, list(chosen), scenarios)
             executor = self._executor_for(config)
             if stream:
@@ -1780,9 +1686,7 @@ class Session:
         used_seed: int,
         config: dict[str, Any],
         progress: Any,
-        vectorize: str | None = None,
         stream: bool = False,
-        backend: str | None = None,
         chunk_size: int | None = None,
     ) -> BatchResult | Iterator[tuple[str, RunResult]]:
         """Re-draw compare: units ship no scenario data, workers re-draw them.
@@ -1799,7 +1703,7 @@ class Session:
             with obs_trace.span("session.plan"):
                 cache = self._parallel_artifact_cache()
                 self._prepare_parallel_cache(cache, list(chosen))
-                payload = self._execution_payload(cache, vectorize, backend, chunk_size)
+                payload = self._execution_payload(cache, chunk_size)
                 plan = plan_compare_redraw(payload, list(chosen), n_cycles, used_seed)
             executor = self._executor_for(config)
             if stream:

@@ -69,8 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="list the registered Quality Manager keys",
         epilog=(
             "No options (and so no defaults); prints the live registry table, "
-            "including which managers lower to vectorised kernels on the "
-            "active compute backend ($REPRO_BACKEND, else numpy)."
+            "including the kernel primitive each manager lowers to (managers "
+            "that do not lower run the scalar run_cycle loop)."
         ),
     )
 
@@ -80,8 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "Defaults: --manager relaxation, --cycles 6, --seed 0, the paper's "
             "CIF workload (use --small for QCIF) on the 'ipod' virtual machine, "
-            "the default kernel backend ($REPRO_BACKEND, else numpy), and "
-            "--chunk-size $REPRO_CHUNK, else off (materialised execution; a "
+            "and --chunk-size $REPRO_CHUNK, else off (materialised execution; a "
             "chunk size streams the run in constant memory and prints "
             "summary metrics only)."
         ),
@@ -95,11 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0, help="random seed")
     run.add_argument(
         "--small", action="store_true", help="use the QCIF workload instead of the paper's CIF"
-    )
-    run.add_argument(
-        "--backend",
-        default=None,
-        help="kernel compute backend, e.g. numpy or numba (default: $REPRO_BACKEND, else numpy)",
     )
     run.add_argument(
         "--chunk-size",
@@ -117,8 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             f"Defaults: --managers {_DEFAULT_COMPARE}, --frames 6, --seed 0, the "
             "paper's CIF workload (use --small for QCIF) on the 'ipod' virtual "
-            "machine, the default kernel backend ($REPRO_BACKEND, else "
-            "numpy), and --chunk-size $REPRO_CHUNK, else off (materialised); "
+            "machine, and --chunk-size $REPRO_CHUNK, else off (materialised); "
             "every manager sees identical scenarios."
         ),
     )
@@ -131,11 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--managers",
         default=_DEFAULT_COMPARE,
         help="comma-separated registry specs to compare (see 'managers')",
-    )
-    compare.add_argument(
-        "--backend",
-        default=None,
-        help="kernel compute backend, e.g. numpy or numba (default: $REPRO_BACKEND, else numpy)",
     )
     compare.add_argument(
         "--chunk-size",
@@ -154,8 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Defaults: --sessions 16, --managers relaxation,numeric,skip,constant "
             "(cycled across the fleet), --cycles 6, --seed 0 (one spawned child "
             "seed per session), the paper's CIF workload (use --small for QCIF) "
-            "on the 'ipod' virtual machine, the default kernel backend "
-            "($REPRO_BACKEND, else numpy), and --chunk-size unset (the fleet "
+            "on the 'ipod' virtual machine, and --chunk-size unset (the fleet "
             "default lane width per chunk); results are bit-identical to "
             "running every session alone."
         ),
@@ -174,11 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--small", action="store_true", help="use the QCIF workload instead of the paper's CIF"
-    )
-    fleet.add_argument(
-        "--backend",
-        default=None,
-        help="kernel compute backend, e.g. numpy or numba (default: $REPRO_BACKEND, else numpy)",
     )
     fleet.add_argument(
         "--chunk-size",
@@ -268,11 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
             "overall wall-clock bound in seconds for a --spool run "
             "(default: wait forever; set it when no workers may be attached)"
         ),
-    )
-    sweep.add_argument(
-        "--backend",
-        default=None,
-        help="kernel compute backend, e.g. numpy or numba (default: $REPRO_BACKEND, else numpy)",
     )
     sweep.add_argument(
         "--chunk-size",
@@ -459,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "Defaults: the paper-scale CIF workload (use --fast for QCIF), "
             "--seed 0, serial comparisons (--workers routes E2/E3 through the "
-            "sweep pool), --vectorize auto, the scenario transport of the "
+            "sweep pool), the scenario transport of the "
             "chosen mode (value on the pool, redraw on a spool), no spool "
             "(--spool fans comparisons out over a shared spool; --workers "
             "then spawns local spool workers), and --chunk-size $REPRO_CHUNK, "
@@ -475,17 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="run the manager comparisons through the sweep pool with N workers",
-    )
-    experiments.add_argument(
-        "--vectorize",
-        choices=("auto", "always", "never"),
-        default="auto",
-        help="cycle engine: vectorised NumPy kernels (auto/always) or the scalar loop",
-    )
-    experiments.add_argument(
-        "--backend",
-        default=None,
-        help="kernel compute backend, e.g. numpy or numba (default: $REPRO_BACKEND, else numpy)",
     )
     experiments.add_argument(
         "--scenario-transport",
@@ -583,19 +549,16 @@ def _run_info() -> int:
     return 0
 
 
-def _kernel_lowering() -> tuple[str, dict[str, str]]:
+def _kernel_lowering() -> dict[str, str]:
     """Probe every registry key's kernel lowering on a tiny workload.
 
-    Returns the active backend name and a ``key -> primitive op`` map for
-    the keys whose managers lower to a kernel spec (the rest run through
-    the scalar loop).
+    Returns a ``key -> primitive op`` map for the keys whose managers lower
+    to a kernel spec (the rest run through the scalar loop).
     """
     from repro.api import available_managers, build_manager
     from repro.api.registry import BuildContext
-    from repro.core.backend import get_backend
     from repro.media import small_encoder
 
-    backend = get_backend()
     workload = small_encoder(seed=0, n_frames=1)
     context = BuildContext.create(workload.build_system(), workload.deadlines())
     ops: dict[str, str] = {}
@@ -603,14 +566,14 @@ def _kernel_lowering() -> tuple[str, dict[str, str]]:
         spec = build_manager(key, context).lower()
         if spec is not None:
             ops[key] = spec.op
-    return backend.name, ops
+    return ops
 
 
 def _run_managers() -> int:
     from repro.analysis import format_table
     from repro.api import registry_table
 
-    backend_name, ops = _kernel_lowering()
+    ops = _kernel_lowering()
     rows = [
         (key, params, "yes (" + ops[key] + ")" if key in ops else "no", description)
         for key, params, description in registry_table()
@@ -619,7 +582,7 @@ def _run_managers() -> int:
         format_table(
             ["key", "parameters", "vectorized", "description"],
             rows,
-            title=f"Registered Quality Managers (repro.api, backend: {backend_name})",
+            title="Registered Quality Managers (repro.api)",
         )
     )
     print("\nusage: python -m repro run --manager <key>[:param=value,...]")
@@ -644,15 +607,12 @@ def _run_run(
     cycles: int,
     seed: int,
     small: bool,
-    backend: str | None = None,
     chunk_size: int | None = None,
 ) -> int:
     from repro.analysis import sparkline
 
     try:
         session = _session(seed, small, cycles).manager(manager)
-        if backend is not None:
-            session.backend(backend)
         if chunk_size is not None:
             session.chunk_size(chunk_size)
         result = session.run(cycles=cycles)
@@ -679,7 +639,6 @@ def _run_compare(
     seed: int,
     small: bool,
     managers: str = _DEFAULT_COMPARE,
-    backend: str | None = None,
     chunk_size: int | None = None,
 ) -> int:
     from repro.analysis import memory_report, metrics_report, sparkline
@@ -687,8 +646,6 @@ def _run_compare(
     specs = [spec.strip() for spec in managers.split(",") if spec.strip()]
     try:
         session = _session(seed, small, frames)
-        if backend is not None:
-            session.backend(backend)
         if chunk_size is not None:
             session.chunk_size(chunk_size)
         print(memory_report(session.compile().report))
@@ -714,7 +671,6 @@ def _run_fleet(
     cycles: int,
     seed: int,
     small: bool,
-    backend: str | None = None,
     chunk_size: int | None = None,
 ) -> int:
     import time
@@ -731,8 +687,6 @@ def _run_fleet(
         return 2
     try:
         base = _session(seed, small, cycles)
-        if backend is not None:
-            base.backend(backend)
         members = []
         for index in range(sessions):
             spec = specs[index % len(specs)]
@@ -767,7 +721,6 @@ def _run_sweep(
     spool: str | None = None,
     lease_timeout: float | None = None,
     timeout: float | None = None,
-    backend: str | None = None,
     chunk_size: int | None = None,
 ) -> int:
     import time
@@ -784,8 +737,6 @@ def _run_sweep(
     specs = [spec.strip() for spec in managers.split(",") if spec.strip()]
     try:
         session = _session(seed, small, cycles)
-        if backend is not None:
-            session.backend(backend)
         if chunk_size is not None:
             session.chunk_size(chunk_size)
         # an explicit opt-out also keeps the *pool* from using its default
@@ -927,11 +878,9 @@ def _run_experiments(
     fast: bool,
     seed: int,
     workers: int | None = None,
-    vectorize: str = "auto",
     scenario_transport: str | None = None,
     spool: str | None = None,
     spool_timeout: float | None = None,
-    backend: str | None = None,
     chunk_size: int | None = None,
 ) -> int:
     from repro.experiments import run_all_experiments
@@ -941,8 +890,6 @@ def _run_experiments(
             fast=fast,
             seed=seed,
             workers=workers,
-            vectorize=vectorize,
-            backend=backend,
             scenario_transport=scenario_transport,
             spool=spool,
             spool_timeout=spool_timeout,
@@ -1012,7 +959,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             arguments.cycles,
             arguments.seed,
             arguments.small,
-            arguments.backend,
             arguments.chunk_size,
         )
     if arguments.command == "compare":
@@ -1021,7 +967,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             arguments.seed,
             arguments.small,
             arguments.managers,
-            arguments.backend,
             arguments.chunk_size,
         )
     if arguments.command == "fleet":
@@ -1031,7 +976,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             arguments.cycles,
             arguments.seed,
             arguments.small,
-            arguments.backend,
             arguments.chunk_size,
         )
     if arguments.command == "sweep":
@@ -1048,7 +992,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             arguments.spool,
             arguments.lease_timeout,
             arguments.timeout,
-            arguments.backend,
             arguments.chunk_size,
         )
     if arguments.command == "worker":
@@ -1071,11 +1014,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             arguments.fast,
             arguments.seed,
             arguments.workers,
-            arguments.vectorize,
             arguments.scenario_transport,
             arguments.spool,
             arguments.timeout,
-            arguments.backend,
             arguments.chunk_size,
         )
     if arguments.command == "diagram":

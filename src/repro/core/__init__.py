@@ -7,13 +7,6 @@ control relaxation regions) together with the compiler that pre-computes
 them.
 """
 
-from .backend import (
-    BackendError,
-    available_backends,
-    backend_available,
-    get_backend,
-    registered_backends,
-)
 from .compiler import CompilationReport, CompiledControllers, QualityManagerCompiler
 from .controller import (
     ControlledSystem,
@@ -25,9 +18,9 @@ from .deadlines import DeadlineFunction
 from .engine import (
     EngineError,
     compile_decision_kernel,
+    kernel_spec,
     run_cycles_batch,
     run_cycles_vectorized,
-    supports_vectorized,
 )
 from .kernelspec import PRIMITIVE_OPS, KernelSpec
 from .manager import (
@@ -139,21 +132,16 @@ __all__ = [
     # vectorised batch engine
     "EngineError",
     "compile_decision_kernel",
-    "supports_vectorized",
+    "kernel_spec",
     "run_cycles_vectorized",
     "run_cycles_batch",
     # streaming chunked execution
     "QuantileSketch",
     "StreamingMetrics",
     "run_cycles_streamed",
-    # kernel specs and compute backends
+    # kernel specs
     "KernelSpec",
     "PRIMITIVE_OPS",
-    "BackendError",
-    "get_backend",
-    "backend_available",
-    "available_backends",
-    "registered_backends",
     # validation
     "audit_trace",
     "assert_trace_safe",

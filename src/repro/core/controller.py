@@ -263,17 +263,16 @@ class ControlledSystem:
         *,
         rng: np.random.Generator | None = None,
         scenarios: ScenarioBatch | Sequence[ActualTimeScenario] | None = None,
-        vectorize: object = "auto",
     ) -> list[CycleOutcome]:
         """Execute several consecutive cycles and return their traces.
 
         Each cycle restarts the clock at zero (deadlines are relative to the
         cycle start).  ``scenarios`` fixes the actual times of every cycle,
-        which allows comparing different managers on identical inputs.
-        ``vectorize`` selects the batch engine (:mod:`repro.core.engine`):
-        ``"auto"`` (default) runs table-driven managers through the
-        vectorised kernels — bit-identical outcomes, one NumPy step per
-        action instead of a Python iteration per action per cycle.
+        which allows comparing different managers on identical inputs.  The
+        cycles run through the batch engine (:mod:`repro.core.engine`):
+        managers that lower run as vectorised kernels — bit-identical
+        outcomes, one NumPy step per action instead of a Python iteration
+        per action per cycle.
         """
         from .engine import run_cycles_batch
 
@@ -292,6 +291,5 @@ class ControlledSystem:
                 scenarios=scenarios,
                 rng=generator,
                 overhead_model=self._overhead_model,
-                vectorize=vectorize,
             )
         )

@@ -12,11 +12,11 @@ The engine works in three parts:
 
 * **decision kernels** — each manager lowers itself once into a declarative
   :class:`~repro.core.kernelspec.KernelSpec` (pre-computed tables plus one
-  primitive op) via :meth:`~repro.core.manager.QualityManager.lower`; a
-  compute backend (:mod:`repro.core.backend` — NumPy by default, numba
-  optionally) compiles the spec into a batch program, and the engine binds
-  overhead charges and invocation accounting around it
-  (:class:`DecisionKernel`).  The engine never branches on manager classes:
+  primitive op) via :meth:`~repro.core.manager.QualityManager.lower`; the
+  spec's NumPy program (:func:`~repro.core.kernelspec.build_program`, one
+  per primitive) answers the batch decisions, and the engine binds overhead
+  charges and invocation accounting around it (:class:`DecisionKernel`).
+  The engine never branches on manager classes:
   every registered manager — numeric, the adaptive baselines (skip, elastic,
   feedback), the symbolic managers and the extensions (dvfs, multitask,
   linear-approx) — runs through the same spec protocol;
@@ -28,11 +28,11 @@ The engine works in three parts:
 * **the dispatcher** — :func:`run_cycles_batch` draws scenarios through the
   batched :meth:`~repro.core.system.ParameterizedSystem.draw_scenarios` API
   (a columnar :class:`~repro.core.timing.ScenarioBatch` whose tensor the
-  executor consumes directly, no re-stacking) and picks the vectorised path
-  when a kernel exists, falling back to the scalar loop (same results,
-  slower, counted under ``engine.scalar_fallback`` in :mod:`repro.obs`) for
-  managers that do not lower or overhead models that do not declare
-  deterministic charges.
+  executor consumes directly, no re-stacking) and runs the kernel when
+  :func:`kernel_spec` grants one; otherwise the scalar
+  :func:`~repro.core.controller.run_cycle` loop — the reference oracle —
+  runs instead (same results, slower, counted under
+  ``engine.scalar_fallback`` in :mod:`repro.obs`).
 
 Determinism contract: for any manager/overhead/scenario combination, the
 outcomes returned by this module are bit-identical to a sequence of scalar
@@ -54,9 +54,8 @@ import numpy as np
 from repro.obs.metrics import registry as _obs_registry
 from repro.obs.state import enabled as _obs_enabled
 
-from .backend import get_backend
 from .controller import OverheadModelProtocol, run_cycle
-from .kernelspec import KernelSpec
+from .kernelspec import KernelSpec, build_program
 from .manager import ManagerWork, QualityManager
 from .system import CycleOutcome, ParameterizedSystem
 from .timing import ActualTimeScenario, ScenarioBatch
@@ -64,42 +63,18 @@ from .timing import ActualTimeScenario, ScenarioBatch
 __all__ = [
     "EngineError",
     "DecisionKernel",
-    "coerce_vectorize_mode",
     "overhead_model_vectorizable",
+    "kernel_spec",
     "compile_decision_kernel",
-    "supports_vectorized",
     "scenarios_vectorizable",
     "run_cycles_vectorized",
     "run_lockstep_arrays",
     "run_cycles_batch",
 ]
 
-#: accepted values of the ``vectorize`` switch after coercion
-_MODES = ("auto", "always", "never")
-
 
 class EngineError(ValueError):
-    """Invalid engine input, or ``vectorize="always"`` without a kernel."""
-
-
-def coerce_vectorize_mode(value: object) -> str:
-    """Normalise a ``vectorize`` switch to ``"auto"``/``"always"``/``"never"``.
-
-    ``True`` means ``"always"`` (raise when no kernel exists), ``False`` means
-    ``"never"`` (scalar loop), ``None`` means ``"auto"`` (vectorise when the
-    manager/overhead pair supports it — the recommended default).
-    """
-    if value is None:
-        return "auto"
-    if value is True:
-        return "always"
-    if value is False:
-        return "never"
-    if isinstance(value, str) and value in _MODES:
-        return value
-    raise EngineError(
-        f"vectorize must be one of {_MODES}, True, False or None, got {value!r}"
-    )
+    """Invalid engine input, or a kernel-only call for a manager without one."""
 
 
 @runtime_checkable
@@ -143,23 +118,22 @@ def _charge_for(model: OverheadModelProtocol | None, work: ManagerWork) -> float
 
 
 class _SpecKernel:
-    """A compiled spec bound to overhead charges and invocation accounting.
+    """A spec's NumPy program bound to overhead charges and accounting.
 
-    The backend program answers the pure decisions ``(rows, steps, late)``;
-    this wrapper adds what the engine owes the overhead model: the
-    pre-computed charge of each invocation (per-state when the spec carries
-    one work record per state, late-split when the spec has a distinct late
-    record, fixed otherwise) and the exact invocation counts replayed through
+    The program answers the pure decisions ``(rows, steps, late)``; this
+    wrapper adds what the engine owes the overhead model: the pre-computed
+    charge of each invocation (per-state when the spec carries one work
+    record per state, late-split when the spec has a distinct late record,
+    fixed otherwise) and the exact invocation counts replayed through
     ``charge_batch`` after the batch.
     """
 
     def __init__(
         self,
         spec: KernelSpec,
-        program: object,
         overhead_model: OverheadModelProtocol | None,
     ) -> None:
-        self._program = program
+        self._program = build_program(spec)
         work = spec.work
         self._per_state = isinstance(work, tuple)
         if self._per_state:
@@ -205,7 +179,7 @@ class _SpecKernel:
     def decide_batch(
         self, state_index: int, times: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        rows, steps, late = self._program.decide(state_index, times)  # type: ignore[attr-defined]
+        rows, steps, late = self._program.decide(state_index, times)
         count = times.shape[0]
         if self._per_state:
             self._counts[state_index] += count
@@ -221,41 +195,6 @@ class _SpecKernel:
         return rows, steps, overheads
 
 
-def compile_decision_kernel(
-    manager: QualityManager,
-    overhead_model: OverheadModelProtocol | None = None,
-    backend: str | None = None,
-) -> DecisionKernel | None:
-    """Lower a manager into a :class:`DecisionKernel`, or ``None``.
-
-    Asks the manager for its declarative spec
-    (:meth:`~repro.core.manager.QualityManager.lower`), compiles it on the
-    selected compute backend (explicit name, else ``$REPRO_BACKEND``, else
-    numpy) and binds overhead charges around the program.  ``None`` means the
-    scalar loop must be used: the manager does not lower (no spec, or
-    non-monotone tables) or the overhead model's charges cannot be
-    pre-computed.  Naming an unknown or unavailable backend raises
-    :class:`~repro.core.backend.BackendError` — a requested backend is never
-    silently substituted.
-    """
-    if not overhead_model_vectorizable(overhead_model):
-        return None
-    spec = manager.lower()
-    if spec is None:
-        return None
-    program = get_backend(backend).compile(spec)
-    return _SpecKernel(spec, program, overhead_model)
-
-
-def supports_vectorized(
-    manager: QualityManager,
-    overhead_model: OverheadModelProtocol | None = None,
-    backend: str | None = None,
-) -> bool:
-    """True when the manager/overhead pair lowers to a decision kernel."""
-    return compile_decision_kernel(manager, overhead_model, backend) is not None
-
-
 def scenarios_vectorizable(
     system: ParameterizedSystem,
     scenarios: ScenarioBatch | Sequence[ActualTimeScenario],
@@ -269,6 +208,52 @@ def scenarios_vectorizable(
     if isinstance(scenarios, ScenarioBatch):
         return scenarios.qualities == system.qualities
     return all(scenario.qualities == system.qualities for scenario in scenarios)
+
+
+def kernel_spec(
+    manager: QualityManager,
+    overhead_model: OverheadModelProtocol | None = None,
+    *,
+    system: ParameterizedSystem | None = None,
+    scenarios: ScenarioBatch | Sequence[ActualTimeScenario] | None = None,
+) -> KernelSpec | None:
+    """The kernel-or-oracle rule: the spec the kernel path executes, or ``None``.
+
+    The kernel runs when the manager lowers
+    (:meth:`~repro.core.manager.QualityManager.lower` returns a spec), the
+    overhead model's charges are deterministic and any shipped
+    ``scenarios`` index ``system``'s own quality set.  ``None`` means the
+    scalar :func:`~repro.core.controller.run_cycle` loop must run — same
+    outcomes, slower.  The one rule behind :func:`run_cycles_batch`,
+    :func:`~repro.core.streaming.run_cycles_streamed` and
+    :meth:`~repro.core.fleet.FleetPlan.plan`.
+    """
+    if not overhead_model_vectorizable(overhead_model):
+        return None
+    if scenarios is not None and not scenarios_vectorizable(system, scenarios):
+        return None
+    return manager.lower()
+
+
+def compile_decision_kernel(
+    manager: QualityManager,
+    overhead_model: OverheadModelProtocol | None = None,
+    *,
+    system: ParameterizedSystem | None = None,
+    scenarios: ScenarioBatch | Sequence[ActualTimeScenario] | None = None,
+) -> DecisionKernel | None:
+    """Lower a manager into a :class:`DecisionKernel`, or ``None``.
+
+    Applies :func:`kernel_spec` and binds overhead charges around the spec's
+    NumPy program.  ``None`` means the scalar loop must be used: the manager
+    does not lower (no spec, or non-monotone tables), the overhead model's
+    charges cannot be pre-computed, or the shipped scenarios index a foreign
+    quality set.
+    """
+    spec = kernel_spec(manager, overhead_model, system=system, scenarios=scenarios)
+    if spec is None:
+        return None
+    return _SpecKernel(spec, overhead_model)
 
 
 def _scenario_tensor(
@@ -314,7 +299,6 @@ def run_cycles_vectorized(
     *,
     overhead_model: OverheadModelProtocol | None = None,
     kernel: DecisionKernel | None = None,
-    backend: str | None = None,
 ) -> tuple[CycleOutcome, ...]:
     """Execute a batch of cycles through the lockstep vectorised engine.
 
@@ -328,7 +312,7 @@ def run_cycles_vectorized(
     :class:`EngineError` when the manager has no kernel.
     """
     if kernel is None:
-        kernel = compile_decision_kernel(manager, overhead_model, backend)
+        kernel = compile_decision_kernel(manager, overhead_model)
         if kernel is None:
             raise EngineError(
                 f"manager {manager.name!r} (with this overhead model) has no "
@@ -431,6 +415,42 @@ def run_lockstep_arrays(
     return qualities, durations, completion, invoked, invocation_overheads
 
 
+def _check_batch_input(
+    cycles: int | None,
+    scenarios: ScenarioBatch | Sequence[ActualTimeScenario] | None,
+) -> tuple[ScenarioBatch | tuple[ActualTimeScenario, ...] | None, int]:
+    """Validate a driver's ``cycles``/``scenarios`` pair.
+
+    Returns the scenarios (a batch as given, any other sequence as a tuple;
+    ``None`` when the driver draws its own) and the cycle count.
+    """
+    if scenarios is None:
+        if cycles is None:
+            raise EngineError("pass a cycle count or an explicit scenario batch")
+        if int(cycles) < 0:
+            raise EngineError(f"cycles must be >= 0, got {cycles}")
+        return None, int(cycles)
+    if not isinstance(scenarios, ScenarioBatch):
+        scenarios = tuple(scenarios)
+    if cycles is not None and len(scenarios) != int(cycles):
+        raise EngineError(f"expected {cycles} scenarios, got {len(scenarios)}")
+    return scenarios, len(scenarios)
+
+
+def _count_dispatch(
+    manager: QualityManager, kernel: DecisionKernel | None, n_cycles: int
+) -> None:
+    """Record a driver's kernel-or-oracle outcome in :mod:`repro.obs`."""
+    if not _obs_enabled():
+        return
+    label = "vectorized" if kernel is not None else "scalar"
+    registry = _obs_registry()
+    registry.inc(f"engine.batches.{label}.{type(manager).__name__}")
+    registry.inc(f"engine.cycles.{label}", n_cycles)
+    if kernel is None:
+        registry.inc(f"engine.scalar_fallback.{type(manager).__name__}")
+
+
 def run_cycles_batch(
     system: ParameterizedSystem,
     manager: QualityManager,
@@ -439,10 +459,8 @@ def run_cycles_batch(
     scenarios: ScenarioBatch | Sequence[ActualTimeScenario] | None = None,
     rng: np.random.Generator | None = None,
     overhead_model: OverheadModelProtocol | None = None,
-    vectorize: object = "auto",
-    backend: str | None = None,
 ) -> tuple[CycleOutcome, ...]:
-    """Execute a batch of cycles, vectorised when possible.
+    """Execute a batch of cycles: the kernel when one exists, else the oracle.
 
     The batch entry point used by :class:`~repro.api.session.Session` and the
     :mod:`~repro.runtime.pool` workers.  ``scenarios`` fixes the actual times
@@ -451,49 +469,18 @@ def run_cycles_batch(
     when omitted, ``cycles`` scenarios are drawn up-front as one batch via
     :meth:`~repro.core.system.ParameterizedSystem.draw_scenarios`
     (bit-identical to the scalar loop's per-cycle draws, including the
-    sampler-state advancement).  ``vectorize`` is ``"auto"`` (kernel when
-    available, scalar otherwise), ``"always"``/``True`` (raise without a
-    kernel) or ``"never"``/``False`` (scalar loop).  ``backend`` names the
-    compute backend compiling the kernel (``None``: ``$REPRO_BACKEND``, else
-    numpy).
+    sampler-state advancement).  :func:`kernel_spec` decides between the
+    lockstep kernel and the scalar :func:`~repro.core.controller.run_cycle`
+    loop; the outcomes are bit-identical either way.
     """
-    mode = coerce_vectorize_mode(vectorize)
+    scenarios, n_cycles = _check_batch_input(cycles, scenarios)
     if scenarios is None:
-        if cycles is None:
-            raise EngineError("pass a cycle count or an explicit scenario batch")
-        if int(cycles) < 0:
-            raise EngineError(f"cycles must be >= 0, got {cycles}")
         generator = rng if rng is not None else np.random.default_rng(0)
-        scenarios = system.draw_scenarios(int(cycles), generator)
-    else:
-        if not isinstance(scenarios, ScenarioBatch):
-            scenarios = tuple(scenarios)
-        if cycles is not None and len(scenarios) != int(cycles):
-            raise EngineError(
-                f"expected {cycles} scenarios, got {len(scenarios)}"
-            )
-    kernel = None
-    if mode != "never":
-        kernel = compile_decision_kernel(manager, overhead_model, backend)
-        if kernel is None and mode == "always":
-            raise EngineError(
-                f"manager {manager.name!r} (with this overhead model) has no "
-                "vectorised decision kernel"
-            )
-        if kernel is not None and not scenarios_vectorizable(system, scenarios):
-            if mode == "always":
-                raise EngineError(
-                    "vectorised execution requires scenarios drawn for the "
-                    "system's quality set"
-                )
-            kernel = None  # the scalar loop handles foreign quality sets
-    if _obs_enabled():
-        mode_label = "vectorized" if kernel is not None else "scalar"
-        registry = _obs_registry()
-        registry.inc(f"engine.batches.{mode_label}.{type(manager).__name__}")
-        registry.inc(f"engine.cycles.{mode_label}", len(scenarios))
-        if kernel is None:
-            registry.inc(f"engine.scalar_fallback.{type(manager).__name__}")
+        scenarios = system.draw_scenarios(n_cycles, generator)
+    kernel = compile_decision_kernel(
+        manager, overhead_model, system=system, scenarios=scenarios
+    )
+    _count_dispatch(manager, kernel, n_cycles)
     if kernel is not None:
         return run_cycles_vectorized(
             system, manager, scenarios, overhead_model=overhead_model, kernel=kernel

@@ -49,16 +49,9 @@ import numpy as np
 from repro.obs.metrics import registry as _obs_registry
 from repro.obs.state import enabled as _obs_enabled
 
-from .backend import get_backend
 from .controller import OverheadModelProtocol
 from .deadlines import DeadlineFunction
-from .engine import (
-    EngineError,
-    _charge_for,
-    coerce_vectorize_mode,
-    overhead_model_vectorizable,
-    scenarios_vectorizable,
-)
+from .engine import _charge_for, kernel_spec
 from .kernelspec import KernelSpec
 from .manager import QualityManager
 from .streaming import StreamingMetrics, run_cycles_streamed
@@ -104,8 +97,6 @@ class FleetMember:
     scenarios: ScenarioBatch | None = None
     chunk_size: int | None = None
     overhead_model: OverheadModelProtocol | None = None
-    vectorize: Any = "auto"
-    backend: str | None = None
 
     def __post_init__(self) -> None:
         cycles = int(self.cycles)
@@ -130,7 +121,6 @@ class FleetMember:
                     f"for {cycles} cycles"
                 )
             object.__setattr__(self, "scenarios", batch)
-        coerce_vectorize_mode(self.vectorize)
 
     def effective_chunk(self) -> int:
         """The member's streaming chunk size (its own, else the fleet default)."""
@@ -194,12 +184,12 @@ class FleetPlan:
     def plan(cls, members: Sequence[FleetMember]) -> "FleetPlan":
         """Bucket ``members`` by kernel-spec shape.
 
-        A member joins a bucket when its manager lowers, its overhead
-        model declares deterministic charges and its scenarios (when
-        shipped by value) index the system's own quality set; otherwise
-        it is routed to the solo streamed fallback.  ``vectorize="never"``
-        forces the fallback, ``"always"`` raises when no kernel exists —
-        the same contract as the engine's dispatcher.
+        A member joins a bucket when the engine's kernel-or-oracle rule
+        (:func:`~repro.core.engine.kernel_spec`) grants it a spec: its
+        manager lowers, its overhead model declares deterministic charges
+        and its scenarios (when shipped by value) index the system's own
+        quality set.  Otherwise it is routed to the solo streamed fallback,
+        which runs the scalar oracle.
         """
         members = tuple(members)
         if not members:
@@ -213,25 +203,13 @@ class FleetPlan:
         specs: dict[tuple, list[KernelSpec]] = {}
         fallback: list[int] = []
         for index, member in enumerate(members):
-            mode = coerce_vectorize_mode(member.vectorize)
-            # validate the backend name up front — never silently substituted
-            get_backend(member.backend)
-            spec = member.manager.lower() if mode != "never" else None
-            stackable = (
-                spec is not None
-                and overhead_model_vectorizable(member.overhead_model)
-                and (
-                    member.scenarios is None
-                    or scenarios_vectorizable(member.system, member.scenarios)
-                )
+            spec = kernel_spec(
+                member.manager,
+                member.overhead_model,
+                system=member.system,
+                scenarios=member.scenarios,
             )
-            if mode == "always" and not stackable:
-                raise EngineError(
-                    f"fleet member {member.label!r} ({member.manager.name!r}) has "
-                    "no vectorised decision kernel for this overhead model and "
-                    "scenario set"
-                )
-            if mode == "never" or not stackable:
+            if spec is None:
                 fallback.append(index)
                 continue
             key = bucket_key(spec, member.system.n_actions)
@@ -247,7 +225,8 @@ class FleetPlan:
 # --------------------------------------------------------------------- #
 # fused per-bucket programs
 #
-# Each mirrors its numpy-backend counterpart with a leading member axis:
+# Each mirrors its solo program (repro.core.kernelspec) with a leading
+# member axis:
 # ``decide(state_index, times, members)`` receives, per deciding lane,
 # the elapsed time and the lane's member index into the stacked tables.
 # Every operation is element-wise per lane with the member's own
@@ -788,8 +767,6 @@ def run_fleet(
             scenarios=member.scenarios,
             rng=member.make_rng() if member.scenarios is None else None,
             overhead_model=member.overhead_model,
-            vectorize=member.vectorize,
-            backend=member.backend,
         )
     padded_lanes = 0
     total_lanes = 0

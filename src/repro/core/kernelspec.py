@@ -4,9 +4,9 @@ Every :class:`~repro.core.manager.QualityManager` can describe its decision
 rule as a :class:`KernelSpec` — pre-computed boundary/bound/coefficient
 arrays plus the name of one *primitive operation* from a small closed set —
 via :meth:`~repro.core.manager.QualityManager.lower`.  The vectorised engine
-(:mod:`repro.core.engine`) never needs to know the manager class: it hands
-the spec to a compute backend (:mod:`repro.core.backend`), which returns an
-executable program for the primitive, and binds overhead charges and
+(:mod:`repro.core.engine`) never needs to know the manager class: it builds
+the primitive's NumPy program from the spec (:func:`build_program`, one
+program per primitive, defined below) and binds overhead charges and
 invocation accounting around it.
 
 The primitive ops (:data:`PRIMITIVE_OPS`):
@@ -45,7 +45,7 @@ wrapper's reporting name.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -55,6 +55,7 @@ __all__ = [
     "PRIMITIVE_OPS",
     "KernelSpec",
     "ascending_boundaries",
+    "build_program",
     "interval_spec",
 ]
 
@@ -76,7 +77,7 @@ class KernelSpec:
     n_levels:
         Number of quality levels (rows are 0-based level indices).
     tables:
-        The op's pre-computed arrays and scalars (see the backend programs
+        The op's pre-computed arrays and scalars (see the programs below
         for the exact keys each op consumes).
     work:
         One work record for every invocation, or a tuple with one record per
@@ -158,3 +159,234 @@ def interval_spec(
         tables={"boundaries": boundaries},
         work=work,
     )
+
+
+# --------------------------------------------------------------------- #
+# the executable programs: one vectorised NumPy program per primitive
+#
+# Every program's ``decide(state_index, times)`` performs, for the whole
+# batch at once, the exact floating-point operation sequence the scalar
+# manager performs per cycle — same operands, same order — so outcomes are
+# bit-identical to the scalar loop by construction.  Stateful primitives
+# (``skip``/``feedback``) keep per-cycle state vectors and re-initialise
+# them when a batch starts deciding at state 0 (their specs always answer
+# ``steps=1``, so every cycle of the batch decides at every state and the
+# batch width is constant).
+# --------------------------------------------------------------------- #
+
+
+def _choose_rows(
+    boundaries: np.ndarray, n_levels: int, state_index: int, times: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Quality rows by interval lookup: ``max { q | t^D(s_i, q) >= t }``.
+
+    ``boundaries[state_index]`` is ascending, so the eligible levels form a
+    suffix; ``searchsorted`` finds its first entry ``>= t`` and the count of
+    eligible levels follows.  Returns ``(rows, late)`` where late cycles
+    (no eligible level) fall back to row 0 — the minimal quality, exactly
+    :meth:`~repro.core.tdtable.TDTable.choose_quality`'s best-effort rule.
+    """
+    first = np.searchsorted(boundaries[state_index], times, side="left")
+    counts = n_levels - first
+    late = counts == 0
+    rows = np.where(late, 0, counts - 1)
+    return rows, late
+
+
+class _ConstantProgram:
+    """``constant``: fixed row; one consultation per action or per cycle."""
+
+    def __init__(self, spec: KernelSpec) -> None:
+        tables = spec.tables
+        self._row = int(tables["row"])
+        self._consult = bool(tables["consult"])
+        self._horizon = tables["horizon"]
+
+    def decide(self, state_index: int, times: np.ndarray):
+        count = times.shape[0]
+        rows = np.full(count, self._row, dtype=np.intp)
+        if self._consult:
+            steps = np.ones(count, dtype=np.int64)
+        else:
+            remaining = (self._horizon - state_index) if self._horizon else 10**9
+            steps = np.full(count, max(1, remaining), dtype=np.int64)
+        return rows, steps, None
+
+
+class _LookupProgram:
+    """``lookup``: one searchsorted interval lookup per invocation."""
+
+    def __init__(self, spec: KernelSpec) -> None:
+        self._boundaries = spec.tables["boundaries"]
+        self._n_levels = int(spec.n_levels)
+
+    def decide(self, state_index: int, times: np.ndarray):
+        rows, late = _choose_rows(self._boundaries, self._n_levels, state_index, times)
+        steps = np.ones(times.shape[0], dtype=np.int64)
+        return rows, steps, late
+
+
+class _RelaxationProgram:
+    """``relaxation``: interval lookup + stored ``R^r_q`` bound comparisons.
+
+    ``lower``/``upper`` hold one ``(n_states, n_levels)`` array per step of
+    ``steps`` (ascending); the scan keeps the largest containing region,
+    exactly :meth:`~repro.core.relaxation.RelaxationTable.max_relaxation`.
+    """
+
+    def __init__(self, spec: KernelSpec) -> None:
+        tables = spec.tables
+        self._boundaries = tables["boundaries"]
+        self._n_levels = int(spec.n_levels)
+        self._steps = tuple(int(r) for r in tables["steps"])
+        self._lower = tuple(tables["lower"])
+        self._upper = tuple(tables["upper"])
+
+    def decide(self, state_index: int, times: np.ndarray):
+        rows, late = _choose_rows(self._boundaries, self._n_levels, state_index, times)
+        steps = np.ones(times.shape[0], dtype=np.int64)
+        live = ~late
+        for r, lower, upper in zip(self._steps, self._lower, self._upper):
+            if r <= 1:
+                continue  # the scalar scan never improves on the initial best of 1
+            low = lower[state_index][rows]
+            high = upper[state_index][rows]
+            contained = live & (low < times) & (times <= high)
+            steps[contained] = r
+        return rows, steps, late
+
+
+class _AffineProgram:
+    """``affine``: interval lookup + affine bound evaluation per step count.
+
+    Mirrors :meth:`~repro.extensions.linear_approx.LinearRelaxationTable.bounds`:
+    ``upper = u_slope * i + u_intercept``; a non-finite lower intercept means
+    the lower bound is ``-inf``; states past ``valid_until[r]`` have an empty
+    region and are skipped.
+    """
+
+    def __init__(self, spec: KernelSpec) -> None:
+        tables = spec.tables
+        self._boundaries = tables["boundaries"]
+        self._n_levels = int(spec.n_levels)
+        self._steps = tuple(int(r) for r in tables["steps"])
+        self._u_slope = tables["u_slope"]
+        self._u_intercept = tables["u_intercept"]
+        self._l_slope = tables["l_slope"]
+        self._l_intercept = tables["l_intercept"]
+        self._valid_until = tables["valid_until"]
+
+    def decide(self, state_index: int, times: np.ndarray):
+        rows, late = _choose_rows(self._boundaries, self._n_levels, state_index, times)
+        steps = np.ones(times.shape[0], dtype=np.int64)
+        live = ~late
+        for index, r in enumerate(self._steps):
+            if r <= 1:
+                continue
+            if state_index > self._valid_until[index]:
+                continue  # fewer than r actions remain: the region is empty
+            upper = self._u_slope[index][rows] * state_index + self._u_intercept[index][rows]
+            l_intercept = self._l_intercept[index][rows]
+            low_raw = self._l_slope[index][rows] * state_index + l_intercept
+            low = np.where(np.isfinite(l_intercept), low_raw, -np.inf)
+            contained = live & (low < times) & (times <= upper)
+            steps[contained] = r
+        return rows, steps, late
+
+
+class _SkipProgram:
+    """``skip``: per-cycle countdown + average-time deadline projections.
+
+    The countdown vector re-initialises at state 0 (the scalar manager's
+    ``reset()`` per cycle); every invocation covers one action, so the batch
+    always decides in lockstep and the vector stays aligned with the batch.
+    """
+
+    def __init__(self, spec: KernelSpec) -> None:
+        tables = spec.tables
+        self._nominal_row = int(tables["nominal_row"])
+        self._window = int(tables["window"])
+        self._costs = tables["costs"]
+        self._deadlines = tables["deadlines"]
+        self._counts = tables["counts"]
+        self._skip_remaining: np.ndarray | None = None
+
+    def decide(self, state_index: int, times: np.ndarray):
+        count = times.shape[0]
+        if state_index == 0 or self._skip_remaining is None:
+            self._skip_remaining = np.zeros(count, dtype=np.int64)
+        late = np.zeros(count, dtype=bool)
+        for j in range(int(self._counts[state_index])):
+            late |= (times + self._costs[state_index, j]) > self._deadlines[
+                state_index, j
+            ]
+        counting = self._skip_remaining > 0
+        rows = np.where(counting | late, 0, self._nominal_row).astype(np.intp)
+        self._skip_remaining = np.where(
+            counting,
+            self._skip_remaining - 1,
+            np.where(late, self._window - 1, 0),
+        )
+        steps = np.ones(count, dtype=np.int64)
+        return rows, steps, None
+
+
+class _FeedbackProgram:
+    """``feedback``: the PID recurrence over the pre-computed reference schedule.
+
+    Integral/previous-error vectors re-initialise at state 0 (the scalar
+    manager's ``reset()`` per cycle); arithmetic order matches the scalar
+    ``decide`` exactly, and ``np.rint`` matches Python's banker's rounding
+    on float64.
+    """
+
+    def __init__(self, spec: KernelSpec) -> None:
+        tables = spec.tables
+        self._expected = tables["expected"]
+        self._step_scale = float(tables["step_scale"])
+        self._kp = float(tables["kp"])
+        self._ki = float(tables["ki"])
+        self._kd = float(tables["kd"])
+        self._reference = float(tables["reference"])
+        self._minimum = int(tables["minimum"])
+        self._maximum = int(tables["maximum"])
+        self._integral: np.ndarray | None = None
+        self._previous: np.ndarray | None = None
+
+    def decide(self, state_index: int, times: np.ndarray):
+        count = times.shape[0]
+        if state_index == 0 or self._integral is None:
+            self._integral = np.zeros(count, dtype=np.float64)
+            self._previous = np.zeros(count, dtype=np.float64)
+        if self._step_scale > 0:
+            error = (times - self._expected[state_index]) / self._step_scale
+        else:
+            error = np.zeros(count, dtype=np.float64)
+        self._integral += error
+        derivative = error - self._previous
+        self._previous = error
+        correction = self._kp * error + self._ki * self._integral + self._kd * derivative
+        level = np.clip(np.rint(self._reference - correction), self._minimum, self._maximum)
+        rows = (level.astype(np.int64) - self._minimum).astype(np.intp)
+        steps = np.ones(count, dtype=np.int64)
+        return rows, steps, None
+
+
+_PROGRAMS: dict[str, Callable[[KernelSpec], Any]] = {
+    "constant": _ConstantProgram,
+    "lookup": _LookupProgram,
+    "relaxation": _RelaxationProgram,
+    "affine": _AffineProgram,
+    "skip": _SkipProgram,
+    "feedback": _FeedbackProgram,
+}
+
+
+def build_program(spec: KernelSpec) -> Any:
+    """The executable program of one spec.
+
+    Its ``decide(state_index, times)`` returns ``(rows, steps, late)`` for
+    one lockstep invocation (``late`` is ``None`` for ops without a late
+    path).  One instance per spec: stateful primitives own their state.
+    """
+    return _PROGRAMS[spec.op](spec)

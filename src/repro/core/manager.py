@@ -147,11 +147,11 @@ class QualityManager(ABC):
 
         The "tables in, kernel out" protocol of :mod:`repro.core.kernelspec`:
         a returned spec names one primitive op plus the pre-computed tables it
-        consumes, and a compute backend (:mod:`repro.core.backend`) turns it
-        into a batch program whose decisions are bit-identical to
-        :meth:`decide`.  ``None`` means the rule cannot be expressed as a
-        primitive (or its tables are not monotone) and the scalar loop must be
-        used.  A subclass that overrides :meth:`decide` MUST override this
+        consumes, and the primitive's NumPy program
+        (:func:`~repro.core.kernelspec.build_program`) turns it into batch
+        decisions bit-identical to :meth:`decide`.  ``None`` means the rule
+        cannot be expressed as a primitive (or its tables are not monotone)
+        and the scalar loop must be used.  A subclass that overrides :meth:`decide` MUST override this
         too — an inherited spec would describe the parent's rule.
         """
         return None

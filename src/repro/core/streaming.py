@@ -21,10 +21,11 @@ materialised path at any ``chunk_size``.  Exactness comes in three flavours:
 * floating-point folds (total time, total overhead, per-cycle smoothness)
   are strict left-to-right folds over per-cycle scalars, and a left fold
   over concatenated chunks equals the fold over the whole stream;
-* the per-cycle scalars themselves are computed by the same NumPy
-  expressions in the chunked and materialised paths
-  (:func:`repro.analysis.metrics.compute_metrics` delegates to this
-  accumulator), so both paths share one code path by construction.
+* the per-cycle scalars themselves are computed by one fold,
+  :meth:`StreamingMetrics.update_chunk`, on every path: the materialised
+  path (:func:`repro.analysis.metrics.compute_metrics`) and the scalar
+  oracle fallback stack their outcomes into the same chunk arrays first
+  (:func:`outcome_arrays`).
 
 Quantiles are the exception: the sketch answers them within a gated
 relative error (:attr:`QuantileSketch.relative_error`), never exactly.
@@ -41,7 +42,7 @@ semantics — so no decision state survives a cycle, let alone a chunk.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -52,11 +53,11 @@ from .controller import OverheadModelProtocol, run_cycle
 from .deadlines import DeadlineFunction
 from .engine import (
     EngineError,
-    coerce_vectorize_mode,
+    _check_batch_input,
+    _count_dispatch,
+    _scenario_tensor,
     compile_decision_kernel,
     run_lockstep_arrays,
-    scenarios_vectorizable,
-    _scenario_tensor,
 )
 from .manager import QualityManager
 from .system import CycleOutcome, ParameterizedSystem
@@ -65,6 +66,7 @@ from .timing import ActualTimeScenario, ScenarioBatch
 __all__ = [
     "QuantileSketch",
     "StreamingMetrics",
+    "outcome_arrays",
     "run_cycles_streamed",
 ]
 
@@ -186,13 +188,12 @@ class StreamingMetrics:
     """A mergeable, deadline-aware accumulator over executed cycles.
 
     The streaming analogue of a ``tuple[CycleOutcome, ...]``: chunks of
-    outcome arrays (or individual outcomes) fold into running aggregates
-    from which :meth:`metrics` derives the exact
-    :class:`~repro.analysis.metrics.QualityMetrics` of the run.  The
-    materialised path delegates here too
-    (:func:`repro.analysis.metrics.compute_metrics` folds its outcomes
-    through :meth:`update_outcome`), so streamed and materialised metrics
-    are bit-identical by construction.
+    outcome arrays fold into running aggregates from which :meth:`metrics`
+    derives the exact :class:`~repro.analysis.metrics.QualityMetrics` of the
+    run.  The materialised path delegates here too
+    (:func:`repro.analysis.metrics.compute_metrics` stacks its outcomes with
+    :func:`outcome_arrays` and folds them through :meth:`update_chunk`), so
+    streamed and materialised metrics are bit-identical by construction.
 
     Picklable: a worker streams a million cycles and ships back this
     accumulator — a few integers, floats, one small histogram and one
@@ -294,7 +295,10 @@ class StreamingMetrics:
         ``qualities``/``completion`` have shape ``(n_cycles, n_actions)``;
         ``invoked``/``invocation_overheads`` have shape
         ``(n_actions, n_cycles)`` — the layout produced by
-        :func:`repro.core.engine.run_lockstep_arrays`.
+        :func:`repro.core.engine.run_lockstep_arrays` and
+        :func:`outcome_arrays`.  A non-finite completion time at a deadline
+        counts as a miss with infinite lateness: a run whose times cannot be
+        checked never reads as safe.
         """
         n_cycles, n_actions = qualities.shape
         if not n_cycles:
@@ -339,43 +343,16 @@ class StreamingMetrics:
         indices, values = self._audit_columns(n_actions)
         if indices.size:
             checked = completion[:, indices - 1]
-            late = checked > values + 1e-9
+            finite = np.isfinite(checked)
+            late = (checked > values + 1e-9) | ~finite
             n_late = int(np.count_nonzero(late))
             if n_late:
                 self._misses += n_late
-                lateness = (checked - values)[late]
+                lateness = np.where(finite, checked - values, np.inf)[late]
                 self._worst_lateness = max(
                     self._worst_lateness, float(lateness.max())
                 )
         self._manager_calls += int(np.count_nonzero(invoked))
-
-    def update_outcome(self, outcome: CycleOutcome) -> None:
-        """Fold one executed cycle (the scalar and materialised paths)."""
-        self._fold_actions(outcome.n_actions)
-        self._n_cycles += 1
-        self._fold_levels(outcome.qualities)
-        qualities = outcome.qualities
-        if qualities.shape[0] >= 2:
-            smoothness = float(np.abs(np.diff(qualities.astype(np.float64))).mean())
-        else:
-            smoothness = 0.0
-        self._smoothness_sum += smoothness
-        makespan = outcome.makespan
-        self._total_time += makespan
-        self._makespans.add(makespan)
-        self._total_overhead += outcome.total_overhead
-        indices, values = self._audit_columns(outcome.n_actions)
-        if indices.size:
-            checked = outcome.completion_times[indices - 1]
-            late = checked > values + 1e-9
-            n_late = int(np.count_nonzero(late))
-            if n_late:
-                self._misses += n_late
-                lateness = (checked - values)[late]
-                self._worst_lateness = max(
-                    self._worst_lateness, float(lateness.max())
-                )
-        self._manager_calls += int(outcome.manager_invocations.shape[0])
 
     def merge(self, other: "StreamingMetrics") -> None:
         """Fold another accumulator (a disjoint cycle range) into this one."""
@@ -413,9 +390,9 @@ class StreamingMetrics:
 
         if not self._n_cycles:
             raise ValueError("compute_metrics needs at least one cycle outcome")
-        # iterate the histogram sorted by level: the chunked and per-cycle
-        # folds insert keys in different orders, and the float variance sum
-        # must run in one canonical order to stay bit-identical
+        # iterate the histogram sorted by level: chunks folded or merged in a
+        # different order insert keys in a different order, and the float
+        # variance sum must run in one canonical order to stay bit-identical
         ordered = sorted(self._level_counts.items())
         count = sum(n for _, n in ordered)
         total = sum(level * n for level, n in ordered)
@@ -443,6 +420,42 @@ class StreamingMetrics:
         )
 
 
+def outcome_arrays(
+    outcomes: Iterable[CycleOutcome],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Stack executed cycles into the chunk arrays :meth:`StreamingMetrics.update_chunk` folds.
+
+    Returns ``qualities``/``completion`` of shape ``(n_cycles, n_actions)``
+    and ``invoked``/``invocation_overheads`` of shape ``(n_actions,
+    n_cycles)`` — the layout of :func:`repro.core.engine.run_lockstep_arrays`.
+    Raises :class:`ValueError` when the outcomes differ in length.
+    """
+    outcomes = tuple(outcomes)
+    lengths = sorted({outcome.n_actions for outcome in outcomes})
+    if len(lengths) > 1:
+        raise ValueError(
+            f"cannot fold cycle outcomes of different lengths {lengths} into one chunk"
+        )
+    n_cycles, n_actions = len(outcomes), (lengths[0] if lengths else 0)
+    invoked = np.zeros((n_actions, n_cycles), dtype=bool)
+    invocation_overheads = np.zeros((n_actions, n_cycles), dtype=np.float64)
+    if not n_cycles:
+        empty = np.empty((0, n_actions))
+        return empty.astype(np.int64), empty, invoked, invocation_overheads
+    qualities = np.stack([outcome.qualities for outcome in outcomes])
+    completion = np.stack([outcome.completion_times for outcome in outcomes])
+    states = np.concatenate([outcome.manager_invocations for outcome in outcomes])
+    cycles = np.repeat(
+        np.arange(n_cycles),
+        [outcome.manager_invocations.shape[0] for outcome in outcomes],
+    )
+    invoked[states, cycles] = True
+    invocation_overheads[states, cycles] = np.concatenate(
+        [outcome.manager_overheads for outcome in outcomes]
+    )
+    return qualities, completion, invoked, invocation_overheads
+
+
 def run_cycles_streamed(
     system: ParameterizedSystem,
     manager: QualityManager,
@@ -453,68 +466,34 @@ def run_cycles_streamed(
     scenarios: ScenarioBatch | Sequence[ActualTimeScenario] | None = None,
     rng: np.random.Generator | None = None,
     overhead_model: OverheadModelProtocol | None = None,
-    vectorize: object = "auto",
-    backend: str | None = None,
 ) -> StreamingMetrics:
     """Execute cycles in fixed-size chunks, folding into a stream summary.
 
     The streaming counterpart of :func:`~repro.core.engine.run_cycles_batch`:
     same draw semantics (one RNG threaded through per-chunk
     :meth:`~repro.core.system.ParameterizedSystem.draw_scenarios` calls is
-    bit-identical to one up-front draw), same ``vectorize``/``backend``
-    switches, same scalar fallback — but at no point does the full scenario
-    tensor or a per-cycle outcome list exist.  Caller-supplied ``scenarios``
-    are consumed chunk by chunk as zero-copy slices.  Returns the
-    :class:`StreamingMetrics` accumulator; its :meth:`~StreamingMetrics.metrics`
-    are bit-identical to the materialised path at any ``chunk_size``.
+    bit-identical to one up-front draw), same kernel-or-oracle rule
+    (:func:`~repro.core.engine.kernel_spec`) — but at no point does the full
+    scenario tensor or a per-cycle outcome list exist.  Caller-supplied
+    ``scenarios`` are consumed chunk by chunk as zero-copy slices.  Returns
+    the :class:`StreamingMetrics` accumulator; its
+    :meth:`~StreamingMetrics.metrics` are bit-identical to the materialised
+    path at any ``chunk_size``.
     """
-    mode = coerce_vectorize_mode(vectorize)
     chunk = int(chunk_size)
     if chunk < 1:
         raise EngineError(f"chunk_size must be >= 1, got {chunk_size}")
+    scenarios, n_cycles = _check_batch_input(cycles, scenarios)
     generator = rng
-    if scenarios is None:
-        if cycles is None:
-            raise EngineError("pass a cycle count or an explicit scenario batch")
-        if int(cycles) < 0:
-            raise EngineError(f"cycles must be >= 0, got {cycles}")
-        n_cycles = int(cycles)
-        if generator is None:
-            generator = np.random.default_rng(0)
-    else:
-        if not isinstance(scenarios, ScenarioBatch):
-            scenarios = tuple(scenarios)
-        n_cycles = len(scenarios)
-        if cycles is not None and n_cycles != int(cycles):
-            raise EngineError(f"expected {cycles} scenarios, got {n_cycles}")
-    kernel = None
-    if mode != "never":
-        kernel = compile_decision_kernel(manager, overhead_model, backend)
-        if kernel is None and mode == "always":
-            raise EngineError(
-                f"manager {manager.name!r} (with this overhead model) has no "
-                "vectorised decision kernel"
-            )
-        if (
-            kernel is not None
-            and scenarios is not None
-            and not scenarios_vectorizable(system, scenarios)
-        ):
-            if mode == "always":
-                raise EngineError(
-                    "vectorised execution requires scenarios drawn for the "
-                    "system's quality set"
-                )
-            kernel = None  # the scalar loop handles foreign quality sets
+    if scenarios is None and generator is None:
+        generator = np.random.default_rng(0)
+    kernel = compile_decision_kernel(
+        manager, overhead_model, system=system, scenarios=scenarios
+    )
     accumulator = StreamingMetrics(deadlines)
-    mode_label = "vectorized" if kernel is not None else "scalar"
+    _count_dispatch(manager, kernel, n_cycles)
     if _obs_enabled():
-        registry = _obs_registry()
-        registry.inc(f"engine.batches.{mode_label}.{type(manager).__name__}")
-        registry.inc(f"engine.cycles.{mode_label}", n_cycles)
-        registry.inc("engine.cycles.streamed", n_cycles)
-        if kernel is None:
-            registry.inc(f"engine.scalar_fallback.{type(manager).__name__}")
+        _obs_registry().inc("engine.cycles.streamed", n_cycles)
     chunks = 0
     peak_chunk_bytes = 0
     start = 0
@@ -532,17 +511,16 @@ def run_cycles_streamed(
             qualities, _, completion, invoked, overheads = run_lockstep_arrays(
                 system, manager, kernel, matrices, overhead_model
             )
-            accumulator.update_chunk(qualities, completion, invoked, overheads)
         else:
-            for scenario in batch:
-                accumulator.update_outcome(
+            qualities, completion, invoked, overheads = outcome_arrays(
+                [
                     run_cycle(
-                        system,
-                        manager,
-                        scenario=scenario,
-                        overhead_model=overhead_model,
+                        system, manager, scenario=scenario, overhead_model=overhead_model
                     )
-                )
+                    for scenario in batch
+                ]
+            )
+        accumulator.update_chunk(qualities, completion, invoked, overheads)
         start = stop
     if _obs_enabled():
         registry = _obs_registry()

@@ -539,6 +539,18 @@ def _broadcast_batch(
     return ScenarioBatch.shared(qualities, matrix, count)
 
 
+def _reject_nan(enforced: np.ndarray) -> None:
+    """Raise when a Definition-1-enforced draw holds NaN.
+
+    Clipping maps ±inf into ``[0, C^wc]`` but passes NaN, and the running
+    maximum along the quality axis carries a NaN at any level up to the top
+    one — so scanning the top quality row (the second-to-last axis) finds
+    every NaN of the draw at a fraction of a full pass.
+    """
+    if np.isnan(enforced[..., -1, :]).any():
+        raise InvalidTimingError("the scenario sampler drew NaN actual times")
+
+
 class TimingModel:
     """A pair of (worst-case, average) timing tables plus an actual-time sampler.
 
@@ -597,6 +609,7 @@ class TimingModel:
 
         The raw sample is clipped into ``[0, C^wc]`` and forced non-decreasing
         along the quality axis (a running maximum), enforcing Definition 1.
+        Raises :class:`InvalidTimingError` when the sampler draws NaN.
         """
         if self._sampler is None:
             raw = self.average.values
@@ -611,6 +624,7 @@ class TimingModel:
         # the running maximum can push values above Cwc at higher levels when
         # the worst case itself is not strictly increasing; clip again.
         monotone = np.minimum(monotone, self.worst_case.values)
+        _reject_nan(monotone)
         return ActualTimeScenario(self.qualities, monotone)
 
     def sample_scenarios(
@@ -638,7 +652,8 @@ class TimingModel:
         its buffer is never corrupted behind its back.  Without a sampler
         the batch is a zero-copy broadcast of the single shared
         average-times matrix (frozen, so no consumer can corrupt the
-        siblings).
+        siblings).  Raises :class:`InvalidTimingError` when the sampler draws
+        NaN.
         """
         count = int(count)
         if count < 0:
@@ -675,6 +690,7 @@ class TimingModel:
         np.clip(raw, 0.0, ceiling, out=raw)
         np.maximum.accumulate(raw, axis=1, out=raw)
         np.minimum(raw, ceiling, out=raw)
+        _reject_nan(raw)
         return ScenarioBatch(self.qualities, raw)
 
     def sample_actual(

@@ -58,8 +58,6 @@ def run_all_experiments(
     seed: int = 0,
     workload: EncoderWorkload | None = None,
     workers: int | None = None,
-    vectorize: str = "auto",
-    backend: str | None = None,
     scenario_transport: str | None = None,
     spool: str | None = None,
     spool_timeout: float | None = None,
@@ -75,16 +73,9 @@ def run_all_experiments(
     instead (:meth:`repro.api.Session.remote`); ``workers`` then counts the
     local ``repro worker`` subprocesses to spawn (0/None waits for external
     workers attached to the spool — set ``spool_timeout`` to bound the wait
-    when none may be attached).
-    ``vectorize`` selects the cycle engine for the session-driven
-    experiments — ``"auto"`` (default) batch-executes the table-driven
-    managers through :mod:`repro.core.engine`, ``"never"`` forces the scalar
-    loop; either way the artefacts are bit-identical.  ``backend`` selects
-    the kernel compute backend (default ``$REPRO_BACKEND``, else
-    ``"numpy"``); every registered backend is bit-identical too.
-    ``scenario_transport``
-    selects how a parallel comparison ships its shared scenarios to the
-    workers (``"value"`` pre-draws and ships the
+    when none may be attached).  ``scenario_transport`` selects how a
+    parallel comparison ships its shared scenarios to the workers
+    (``"value"`` pre-draws and ships the
     :class:`~repro.core.timing.ScenarioBatch` tensor, ``"redraw"`` ships no
     scenario data and workers re-draw it); ``None`` keeps each mode's
     default — ``"value"`` on the process pool, ``"redraw"`` on a spool.
@@ -106,9 +97,7 @@ def run_all_experiments(
     memory = run_memory_experiment(paper_encoder(seed=seed), seed=seed)
     # E2 and E3 share one facade session: the symbolic tables are compiled
     # once and reused from the session's cache across both experiments.
-    session = Session().system(wl).seed(seed).vectorize(vectorize)
-    if backend is not None:
-        session.backend(backend)
+    session = Session().system(wl).seed(seed)
     if chunk_size is not None:
         session.chunk_size(chunk_size)
     if spool is not None:
@@ -139,17 +128,6 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         help="run the manager comparisons through the sweep pool with N workers",
-    )
-    parser.add_argument(
-        "--vectorize",
-        choices=("auto", "always", "never"),
-        default="auto",
-        help="cycle engine: vectorised NumPy kernels (auto/always) or the scalar loop",
-    )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        help="kernel compute backend, e.g. numpy or numba (default: $REPRO_BACKEND, else numpy)",
     )
     parser.add_argument(
         "--scenario-transport",
@@ -186,8 +164,6 @@ def main(argv: list[str] | None = None) -> int:
         fast=arguments.fast,
         seed=arguments.seed,
         workers=arguments.workers,
-        vectorize=arguments.vectorize,
-        backend=arguments.backend,
         scenario_transport=arguments.scenario_transport,
         spool=arguments.spool,
         spool_timeout=arguments.timeout,

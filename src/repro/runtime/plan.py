@@ -96,15 +96,11 @@ class ExecutionPayload:
     or a custom model) and is resolved worker-side with the same rules the
     session uses.  ``cache_dir`` points at the compiled-artifact cache the
     workers hydrate from; ``None`` means each worker compiles locally.
-    ``vectorize`` carries the session's engine selection
-    (``"auto"``/``"always"``/``"never"``) and ``backend`` its compute-backend
-    choice (``None``: resolve worker-side from ``$REPRO_BACKEND``, else
-    numpy), so every worker runs its chunk through the same
-    vectorised-or-scalar path the serial baseline would.  ``chunk_size``
-    (cycles per streamed execution chunk, *not* the pool's units-per-task
-    chunking) switches workers to the constant-memory streaming engine:
-    units come back as mergeable :class:`~repro.core.streaming.StreamingMetrics`
-    summaries instead of per-cycle outcome tuples.
+    ``chunk_size`` (cycles per streamed execution chunk, *not* the pool's
+    units-per-task chunking) switches workers to the constant-memory
+    streaming engine: units come back as mergeable
+    :class:`~repro.core.streaming.StreamingMetrics` summaries instead of
+    per-cycle outcome tuples.
     """
 
     system: ParameterizedSystem
@@ -115,8 +111,6 @@ class ExecutionPayload:
     machine: Any = None  # repro.platform.machine.Machine | None
     overhead: Any = None
     cache_dir: str | None = None
-    vectorize: str = "auto"
-    backend: str | None = None
     chunk_size: int | None = None
 
 

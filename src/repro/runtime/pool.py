@@ -224,8 +224,6 @@ class _WorkerRuntime:
         if unit.fleet is not None:
             return self._execute_fleet(unit)
         manager = build_manager(unit.manager, self._context())
-        vectorize = getattr(self._payload, "vectorize", "auto")
-        backend = getattr(self._payload, "backend", None)
         chunk_size = getattr(self._payload, "chunk_size", None)
         if unit.scenarios is not None:
             self._check_unit_scenarios(unit)
@@ -237,8 +235,6 @@ class _WorkerRuntime:
                     deadlines=self._payload.deadlines,
                     chunk_size=chunk_size,
                     overhead_model=self._overhead_model,
-                    vectorize=vectorize,
-                    backend=backend,
                 )
                 return manager.name, summary
             outcomes = run_cycles_batch(
@@ -246,8 +242,6 @@ class _WorkerRuntime:
                 manager,
                 scenarios=unit.scenarios,
                 overhead_model=self._overhead_model,
-                vectorize=vectorize,
-                backend=backend,
             )
             return manager.name, outcomes
         if (
@@ -265,8 +259,6 @@ class _WorkerRuntime:
                 chunk_size=chunk_size,
                 rng=np.random.default_rng(unit.seed),
                 overhead_model=self._overhead_model,
-                vectorize=vectorize,
-                backend=backend,
             )
             return manager.name, summary
         outcomes = run_cycles_batch(
@@ -275,8 +267,6 @@ class _WorkerRuntime:
             unit.cycles,
             rng=np.random.default_rng(unit.seed),
             overhead_model=self._overhead_model,
-            vectorize=vectorize,
-            backend=backend,
         )
         return manager.name, outcomes
 
@@ -323,8 +313,6 @@ class _WorkerRuntime:
                     seed=record.seed,
                     chunk_size=getattr(self._payload, "chunk_size", None),
                     overhead_model=self._overhead_model,
-                    vectorize=getattr(self._payload, "vectorize", "auto"),
-                    backend=getattr(self._payload, "backend", None),
                 )
             )
         summaries = run_fleet(members)

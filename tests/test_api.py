@@ -17,13 +17,10 @@ from repro.api import (
     Session,
     SessionError,
     available_managers,
-    build_baseline,
     build_manager,
-    compile_controllers,
     manager_info,
     register_manager,
     registry_table,
-    run_controlled,
     unregister_manager,
     validate_spec,
 )
@@ -426,27 +423,6 @@ class TestLazyPackageSurface:
     def test_dir_lists_submodules(self):
         listed = dir(repro)
         assert "api" in listed and "media" in listed
-
-
-class TestDeprecationShims:
-    def test_compile_controllers_warns_and_works(self, system, deadlines):
-        with pytest.warns(DeprecationWarning, match="Session"):
-            controllers = compile_controllers(system, deadlines)
-        assert controllers.numeric.name == "numeric"
-
-    def test_build_baseline_warns_and_uses_registry(self, system, deadlines):
-        with pytest.warns(DeprecationWarning, match="build_manager"):
-            manager = build_baseline("skip", system, deadlines, skip_window=4)
-        assert manager.name == "skip"
-
-    def test_run_controlled_warns_and_matches_session(self, system, deadlines):
-        session = Session().system(system).deadlines(deadlines).manager("region").seed(9)
-        manager = session.build()
-        with pytest.warns(DeprecationWarning, match="Session.run"):
-            outcomes = run_controlled(system, deadlines, manager, n_cycles=2, seed=9)
-        result = session.run(cycles=2, seed=9)
-        for old, new in zip(outcomes, result.outcomes):
-            np.testing.assert_array_equal(old.qualities, new.qualities)
 
 
 class TestDeadlinePeriod:

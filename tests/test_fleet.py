@@ -15,7 +15,6 @@ import pytest
 from repro.api import Session, run_fleet as api_run_fleet
 from repro.api.registry import available_managers
 from repro.core import QualityManager
-from repro.core.engine import EngineError
 from repro.core.fleet import (
     DEFAULT_FLEET_CHUNK,
     FleetBucket,
@@ -74,8 +73,6 @@ def solo_summary(member: FleetMember):
         scenarios=member.scenarios,
         rng=member.make_rng() if member.scenarios is None else None,
         overhead_model=member.overhead_model,
-        vectorize=member.vectorize,
-        backend=member.backend,
     )
 
 
@@ -99,6 +96,19 @@ class OpaqueManager(QualityManager):
 
     def memory_footprint(self):
         return self._inner.memory_footprint()
+
+
+def opaque_member(key: str, label: str, **extra) -> FleetMember:
+    """A member whose manager cannot lower, so the plan routes it to the oracle."""
+    inner = make_member(key, label, **extra)
+    return FleetMember(
+        label=label,
+        system=inner.system,
+        manager=OpaqueManager(inner.manager),
+        deadlines=inner.deadlines,
+        cycles=inner.cycles,
+        seed=inner.seed,
+    )
 
 
 class TestFleetMemberValidation:
@@ -184,37 +194,10 @@ class TestBucketing:
         with pytest.raises(FleetError, match="duplicate fleet member label"):
             FleetPlan.plan([make_member("numeric", "m"), make_member("skip", "m")])
 
-    def test_vectorize_never_routes_to_fallback(self):
-        member = make_member("numeric", "m", vectorize="never")
-        plan = FleetPlan.plan([member])
+    def test_opaque_manager_routes_to_fallback(self):
+        plan = FleetPlan.plan([opaque_member("region", "m")])
         assert plan.buckets == ()
         assert plan.fallback == (0,)
-
-    def test_opaque_manager_routes_to_fallback(self):
-        inner = make_member("region", "m")
-        member = FleetMember(
-            label="m",
-            system=inner.system,
-            manager=OpaqueManager(inner.manager),
-            deadlines=inner.deadlines,
-            cycles=inner.cycles,
-            seed=inner.seed,
-        )
-        plan = FleetPlan.plan([member])
-        assert plan.fallback == (0,)
-
-    def test_vectorize_always_rejects_opaque_manager(self):
-        inner = make_member("region", "m")
-        member = FleetMember(
-            label="m",
-            system=inner.system,
-            manager=OpaqueManager(inner.manager),
-            deadlines=inner.deadlines,
-            cycles=inner.cycles,
-            vectorize="always",
-        )
-        with pytest.raises(EngineError, match="no vectorised decision kernel"):
-            FleetPlan.plan([member])
 
     def test_stateful_overhead_model_routes_to_fallback(self):
         class StatefulModel:
@@ -225,10 +208,17 @@ class TestBucketing:
         plan = FleetPlan.plan([member])
         assert plan.fallback == (0,)
 
-    def test_unknown_backend_rejected_at_plan_time(self):
-        member = make_member("numeric", "m", backend="no-such-backend")
-        with pytest.raises(Exception, match="no-such-backend"):
-            FleetPlan.plan([member])
+    def test_foreign_scenarios_route_to_fallback(self):
+        """Shipped scenarios of a wider quality set run the oracle, not a bucket."""
+        wide = make_synthetic_system(12, 6)
+        member = make_member(
+            "numeric",
+            "m",
+            cycles=3,
+            scenarios=wide.draw_scenarios(3, np.random.default_rng(0)),
+        )
+        plan = FleetPlan.plan([member])
+        assert plan.fallback == (0,)
 
 
 class TestRunFleet:
@@ -260,7 +250,7 @@ class TestRunFleet:
 
     def test_fallback_members_interleaved_with_buckets(self):
         stacked = make_member("relaxation", "a", seed=3)
-        solo = make_member("numeric", "b", seed=4, vectorize="never")
+        solo = opaque_member("numeric", "b", seed=4)
         summaries = run_fleet([solo, stacked])
         assert summaries[0].metrics() == solo_summary(solo).metrics()
         assert summaries[1].metrics() == solo_summary(stacked).metrics()
@@ -324,7 +314,7 @@ class TestRunFleet:
             members = [
                 make_member("numeric", "a", cycles=10, seed=1),
                 make_member("numeric", "b", cycles=4, seed=2),
-                make_member("region", "c", cycles=6, seed=3, vectorize="never"),
+                opaque_member("region", "c", cycles=6, seed=3),
             ]
             run_fleet(members)
             snap = obs_metrics.registry().snapshot()["metrics"]

@@ -11,9 +11,6 @@ same fleet on every machine and every run.
 CI runs the bounded 200-case grid; set ``REPRO_FUZZ_CASES`` to widen it::
 
     REPRO_FUZZ_CASES=5000 pytest tests/test_fleet_differential.py
-
-A second leg re-runs a slice of the grid on the numba backend when it is
-installed (skipped otherwise).
 """
 
 from __future__ import annotations
@@ -26,7 +23,6 @@ import pytest
 
 from repro.api import Session
 from repro.api.registry import available_managers
-from repro.core import backend_available
 from repro.core.fleet import FleetMember, run_fleet
 from repro.core.streaming import run_cycles_streamed
 
@@ -37,8 +33,6 @@ N_CASES = int(os.environ.get("REPRO_FUZZ_CASES", "200"))
 CASES_PER_ITEM = 10
 CHUNK_CHOICES = (1, 7, None)  # None -> the fleet default chunk
 _ENTROPY = 987654321
-
-NUMBA_CASES = min(N_CASES, 30)
 
 
 @lru_cache(maxsize=None)
@@ -73,7 +67,7 @@ def _case_rng(case: int) -> np.random.Generator:
     )
 
 
-def case_members(case: int, *, backend: str | None = None) -> list[FleetMember]:
+def case_members(case: int) -> list[FleetMember]:
     """The deterministic random fleet of case ``case``."""
     rng = _case_rng(case)
     size = int(rng.integers(3, 7))
@@ -95,7 +89,6 @@ def case_members(case: int, *, backend: str | None = None) -> list[FleetMember]:
                 cycles=int(rng.integers(1, 41)),
                 seed=int(rng.integers(0, 2**31)),
                 chunk_size=CHUNK_CHOICES[int(rng.integers(0, len(CHUNK_CHOICES)))],
-                backend=backend,
             )
         )
     return members
@@ -111,13 +104,11 @@ def solo_baseline(member: FleetMember):
         chunk_size=member.effective_chunk(),
         rng=member.make_rng(),
         overhead_model=member.overhead_model,
-        vectorize=member.vectorize,
-        backend=member.backend,
     )
 
 
-def assert_case_parity(case: int, *, backend: str | None = None) -> None:
-    members = case_members(case, backend=backend)
+def assert_case_parity(case: int) -> None:
+    members = case_members(case)
     summaries = run_fleet(members)
     assert len(summaries) == len(members)
     for member, summary in zip(members, summaries):
@@ -137,7 +128,7 @@ def _batches(n_cases: int) -> list[range]:
 
 
 class TestDifferentialGrid:
-    """The bounded CI grid (numpy backend)."""
+    """The bounded CI grid."""
 
     @pytest.mark.parametrize(
         "batch", _batches(N_CASES), ids=lambda r: f"cases-{r.start}-{r.stop - 1}"
@@ -166,14 +157,3 @@ class TestDifferentialGrid:
             assert a.chunk_size == b.chunk_size
             assert a.system is b.system  # same grid cell
 
-
-@pytest.mark.skipif(not backend_available("numba"), reason="numba not installed")
-class TestDifferentialGridNumba:
-    """A slice of the same grid on the numba backend."""
-
-    @pytest.mark.parametrize(
-        "batch", _batches(NUMBA_CASES), ids=lambda r: f"cases-{r.start}-{r.stop - 1}"
-    )
-    def test_fleet_bit_identical_to_solo(self, batch):
-        for case in batch:
-            assert_case_parity(case, backend="numba")

@@ -329,6 +329,7 @@ class TestMergeAlgebraProperties:
         """``a.merge(b)`` equals ``b.merge(a)`` bit-for-bit: every float fold
         is a single commutative addition (or max) at the merge boundary."""
         from repro.core import StreamingMetrics, run_cycles_batch
+        from repro.core.streaming import outcome_arrays
 
         system, deadlines = data.draw(systems_with_deadlines(feasible=True))
         controllers = QualityManagerCompiler().compile(system, deadlines)
@@ -337,8 +338,7 @@ class TestMergeAlgebraProperties:
 
         def accumulate(slice_):
             acc = StreamingMetrics(deadlines)
-            for outcome in slice_:
-                acc.update_outcome(outcome)
+            acc.update_chunk(*outcome_arrays(slice_))
             return acc
 
         ab = accumulate(outcomes[:3])
@@ -354,14 +354,14 @@ class TestMergeAlgebraProperties:
         """Padding chunks (zero real cycles) must never move a summary —
         neither folded as empty arrays nor merged as empty accumulators."""
         from repro.core import StreamingMetrics, run_cycles_batch
+        from repro.core.streaming import outcome_arrays
 
         system, deadlines = data.draw(systems_with_deadlines(feasible=True))
         controllers = QualityManagerCompiler().compile(system, deadlines)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
         outcomes = run_cycles_batch(system, controllers.numeric, 4, rng=rng)
         acc = StreamingMetrics(deadlines)
-        for outcome in outcomes:
-            acc.update_outcome(outcome)
+        acc.update_chunk(*outcome_arrays(outcomes))
         reference = acc.metrics()
         n_actions = system.n_actions
         acc.update_chunk(

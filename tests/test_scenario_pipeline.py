@@ -591,31 +591,3 @@ class TestSweepUnitValidation:
         assert "scenario tensor" in failure.error
         assert "(levels, actions)" in failure.error
         assert "broadcast" not in failure.error.lower()
-
-
-# --------------------------------------------------------------------------- #
-# deprecation shims
-# --------------------------------------------------------------------------- #
-
-
-class TestTupleShims:
-    def test_draw_scenarios_tuple(self):
-        from repro.api import draw_scenarios_tuple
-
-        system = make_synthetic_system(n_actions=6, n_levels=3)
-        with pytest.warns(DeprecationWarning):
-            legacy = draw_scenarios_tuple(system, 3, np.random.default_rng(7))
-        assert isinstance(legacy, tuple) and len(legacy) == 3
-        fresh = make_synthetic_system(n_actions=6, n_levels=3)
-        batch = fresh.draw_scenarios(3, np.random.default_rng(7))
-        for left, right in zip(legacy, batch):
-            assert np.array_equal(left.matrix, right.matrix)
-
-    def test_sample_scenarios_tuple(self):
-        from repro.api import sample_scenarios_tuple
-
-        system = make_synthetic_system(n_actions=6, n_levels=3)
-        with pytest.warns(DeprecationWarning):
-            legacy = sample_scenarios_tuple(system.timing, 2, np.random.default_rng(1))
-        assert isinstance(legacy, tuple) and len(legacy) == 2
-        assert all(isinstance(item, ActualTimeScenario) for item in legacy)

@@ -1,11 +1,12 @@
 """Tests for chunked streaming execution (:mod:`repro.core.streaming`).
 
 The streaming contract is chunk-boundary bit-identity: for any manager,
-overhead model, backend and ``chunk_size``, a streamed run's metrics must
-equal the materialised path's :class:`~repro.analysis.metrics.QualityMetrics`
-field for field — including runs whose chunk edges land mid-way through a
-frame sampler's wrap-around — and pool/spool/service fan-in of streamed
-accumulators must match serial execution exactly.
+overhead model and ``chunk_size``, a streamed run's metrics must equal the
+:class:`~repro.analysis.metrics.QualityMetrics` of the scalar ``run_cycle``
+oracle and of the materialised path field for field — including runs whose
+chunk edges land mid-way through a frame sampler's wrap-around — and
+pool/spool/service fan-in of streamed accumulators must match serial
+execution exactly.
 """
 
 from __future__ import annotations
@@ -23,30 +24,19 @@ from repro.core import (
     QuantileSketch,
     ScenarioBatch,
     StreamingMetrics,
-    backend_available,
     run_cycles_batch,
     run_cycles_streamed,
 )
+from repro.core.streaming import outcome_arrays
 from repro.analysis.metrics import compute_metrics
 from repro.api.session import SessionError
 from repro.media import small_encoder
-from repro.platform.overhead import IPOD_LIKE, LinearOverheadModel
 
 from helpers import make_deadline, make_synthetic_system
 
 ALL_KEYS = sorted(available_managers())
 N_CYCLES = 10
 CHUNK_SIZES = (1, 7, 64, N_CYCLES, N_CYCLES + 1)
-
-BACKENDS = [
-    None,
-    pytest.param(
-        "numba",
-        marks=pytest.mark.skipif(
-            not backend_available("numba"), reason="numba not installed"
-        ),
-    ),
-]
 
 
 @pytest.fixture(scope="module")
@@ -64,22 +54,18 @@ def assert_metrics_identical(expected, actual, context=""):
 
 
 class TestChunkParityGrid:
-    """Every registry key x chunk size x backend matches the materialised path."""
+    """Every registry key x overhead model x chunk size matches the oracle."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("overhead", [None, "ipod"])
     @pytest.mark.parametrize("key", ALL_KEYS)
-    def test_streamed_metrics_bit_identical(self, parity_setup, key, backend):
+    def test_streamed_metrics_bit_identical(self, parity_setup, key, overhead):
         system, deadlines, scenarios = parity_setup
         session = (
-            Session()
-            .system(system)
-            .deadlines(deadlines)
-            .manager(key)
-            .overhead(LinearOverheadModel(IPOD_LIKE))
+            Session().system(system).deadlines(deadlines).manager(key).overhead(overhead)
         )
-        if backend is not None:
-            session.backend(backend)
+        oracle = compute_metrics(list(session.stream(N_CYCLES, scenarios=scenarios)), deadlines)
         baseline = session.run(scenarios=scenarios, cycles=N_CYCLES)
+        assert_metrics_identical(oracle, baseline.metrics, f"{key} materialised")
         for chunk in CHUNK_SIZES:
             streamed = session.run(
                 scenarios=scenarios, cycles=N_CYCLES, chunk_size=chunk
@@ -270,13 +256,10 @@ class TestStreamingMetricsAccumulator:
     def test_merge_combines_halves(self, halves):
         deadlines, outcomes = halves
         whole = StreamingMetrics(deadlines)
-        for outcome in outcomes:
-            whole.update_outcome(outcome)
+        whole.update_chunk(*outcome_arrays(outcomes))
         first, second = StreamingMetrics(deadlines), StreamingMetrics(deadlines)
-        for outcome in outcomes[:3]:
-            first.update_outcome(outcome)
-        for outcome in outcomes[3:]:
-            second.update_outcome(outcome)
+        first.update_chunk(*outcome_arrays(outcomes[:3]))
+        second.update_chunk(*outcome_arrays(outcomes[3:]))
         first.merge(second)
         assert first.n_cycles == whole.n_cycles
         assert first.quality_level_counts == whole.quality_level_counts
@@ -292,16 +275,16 @@ class TestStreamingMetricsAccumulator:
         )
 
     def test_std_quality_is_insertion_order_invariant(self, halves):
-        # the chunked fold inserts histogram keys sorted (np.unique), the
-        # per-cycle fold in encounter order; the float variance sum must not
-        # depend on which order the levels arrived in
+        # one-cycle chunks folded in opposite orders insert the histogram
+        # keys in different orders; the float variance sum must not depend
+        # on which order the levels arrived in
         deadlines, outcomes = halves
         forward = StreamingMetrics(deadlines)
         backward = StreamingMetrics(deadlines)
         for outcome in outcomes:
-            forward.update_outcome(outcome)
+            forward.update_chunk(*outcome_arrays([outcome]))
         for outcome in reversed(outcomes):
-            backward.update_outcome(outcome)
+            backward.update_chunk(*outcome_arrays([outcome]))
         assert forward.metrics().std_quality == backward.metrics().std_quality
         assert forward.metrics().mean_quality == backward.metrics().mean_quality
 
@@ -310,10 +293,23 @@ class TestStreamingMetricsAccumulator:
         other_system = make_synthetic_system(n_actions=12)
         other = StreamingMetrics(make_deadline(other_system, slack=2.0))
         accumulator = StreamingMetrics(deadlines)
-        accumulator.update_outcome(outcomes[0])
-        other.update_outcome(outcomes[0])
+        accumulator.update_chunk(*outcome_arrays(outcomes[:1]))
+        other.update_chunk(*outcome_arrays(outcomes[:1]))
         with pytest.raises(ValueError, match="deadline"):
             accumulator.merge(other)
+
+    def test_outcomes_of_different_lengths_raise(self, halves):
+        deadlines, outcomes = halves
+        short = make_synthetic_system(n_actions=5)
+        other = run_cycles_batch(
+            short,
+            Session().system(short).deadlines(make_deadline(short)).manager("region").build(),
+            scenarios=short.draw_scenarios(1, np.random.default_rng(0)),
+        )
+        with pytest.raises(ValueError, match="different lengths"):
+            outcome_arrays([outcomes[0], other[0]])
+        with pytest.raises(ValueError, match="different lengths"):
+            compute_metrics([outcomes[0], other[0]], deadlines)
 
     def test_empty_metrics_raises(self, halves):
         deadlines, _ = halves
@@ -323,8 +319,7 @@ class TestStreamingMetricsAccumulator:
     def test_pickle_roundtrip(self, halves):
         deadlines, outcomes = halves
         accumulator = StreamingMetrics(deadlines)
-        for outcome in outcomes:
-            accumulator.update_outcome(outcome)
+        accumulator.update_chunk(*outcome_arrays(outcomes))
         clone = pickle.loads(pickle.dumps(accumulator))
         assert clone.metrics() == accumulator.metrics()
         assert clone.quality_level_counts == accumulator.quality_level_counts
