@@ -357,7 +357,10 @@ def run_lockstep_arrays(
     — ``qualities``/``durations``/``completion`` of shape ``(n_cycles,
     n_actions)`` plus ``invoked``/``invocation_overheads`` of shape
     ``(n_actions, n_cycles)`` — without building per-cycle
-    :class:`~repro.core.system.CycleOutcome` objects.
+    :class:`~repro.core.system.CycleOutcome` objects.  Every buffer is
+    action-major, ``(n_actions, n_cycles)``, so step ``i`` writes one
+    contiguous row; the first three are returned as transposed (``.T``)
+    views of those buffers.
     :func:`run_cycles_vectorized` wraps the arrays into outcomes; the
     streaming driver (:mod:`repro.core.streaming`) folds them into an
     accumulator chunk by chunk instead.  Overhead-model accounting is
@@ -366,16 +369,16 @@ def run_lockstep_arrays(
     """
     n_cycles = matrices.shape[0]
     n_actions = system.n_actions
-    level_minimum = system.qualities.minimum
     manager.reset()
     reset_accounting = getattr(kernel, "reset_accounting", None)
     if reset_accounting is not None:
         reset_accounting()
 
-    qualities = np.empty((n_cycles, n_actions), dtype=np.int64)
-    durations = np.empty((n_cycles, n_actions), dtype=np.float64)
-    completion = np.empty((n_cycles, n_actions), dtype=np.float64)
-    invoked = np.zeros((n_actions, n_cycles), dtype=bool)
+    # quality rows until the loop ends; the level minimum is added in place
+    qualities = np.empty((n_actions, n_cycles), dtype=np.int64)
+    durations = np.empty((n_actions, n_cycles), dtype=np.float64)
+    completion = np.empty((n_actions, n_cycles), dtype=np.float64)
+    invoked = np.empty((n_actions, n_cycles), dtype=bool)
     invocation_overheads = np.zeros((n_actions, n_cycles), dtype=np.float64)
 
     elapsed = np.zeros(n_cycles, dtype=np.float64)
@@ -384,7 +387,7 @@ def run_lockstep_arrays(
     cycle_index = np.arange(n_cycles)
 
     for i in range(n_actions):
-        deciding = remaining == 0
+        deciding = np.equal(remaining, 0, out=invoked[i])
         if deciding.any():
             times = elapsed[deciding]
             decided_rows, decided_steps, decided_overheads = kernel.decide_batch(
@@ -393,14 +396,14 @@ def run_lockstep_arrays(
             rows[deciding] = decided_rows
             remaining[deciding] = np.minimum(decided_steps, n_actions - i)
             elapsed[deciding] = times + decided_overheads
-            invoked[i] = deciding
             invocation_overheads[i, deciding] = decided_overheads
         step_durations = matrices[cycle_index, rows, i]
         elapsed += step_durations
-        durations[:, i] = step_durations
-        completion[:, i] = elapsed
-        qualities[:, i] = level_minimum + rows
+        durations[i] = step_durations
+        completion[i] = elapsed
+        qualities[i] = rows
         remaining -= 1
+    qualities += system.qualities.minimum
 
     if overhead_model is not None:
         # replay the invocation accounting in bulk: models exposing the
@@ -412,7 +415,7 @@ def run_lockstep_arrays(
                 if count:
                     charge_batch(work, count)
 
-    return qualities, durations, completion, invoked, invocation_overheads
+    return qualities.T, durations.T, completion.T, invoked, invocation_overheads
 
 
 def _check_batch_input(

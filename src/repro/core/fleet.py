@@ -621,14 +621,18 @@ def _fleet_lockstep(
     stacked tables, and quality rows translate through a per-lane level
     minimum (members keep their own quality sets).  Per lane, the
     floating-point sequence — overhead add at each invocation, one
-    duration add per action — is identical to the solo loop.
+    duration add per action — is identical to the solo loop.  The buffers
+    are action-major, ``(n_actions, n_lanes)``, like the solo loop's;
+    ``qualities`` and ``completion`` are returned as transposed (``.T``)
+    views, shape ``(n_lanes, n_actions)``.
     """
     n_lanes, _, n_actions = tensor.shape
     kernel.reset_accounting()
 
-    qualities = np.empty((n_lanes, n_actions), dtype=np.int64)
-    completion = np.empty((n_lanes, n_actions), dtype=np.float64)
-    invoked = np.zeros((n_actions, n_lanes), dtype=bool)
+    # quality rows until the loop ends; the level minima are added in place
+    qualities = np.empty((n_actions, n_lanes), dtype=np.int64)
+    completion = np.empty((n_actions, n_lanes), dtype=np.float64)
+    invoked = np.empty((n_actions, n_lanes), dtype=bool)
     invocation_overheads = np.zeros((n_actions, n_lanes), dtype=np.float64)
 
     elapsed = np.zeros(n_lanes, dtype=np.float64)
@@ -637,7 +641,7 @@ def _fleet_lockstep(
     lane_index = np.arange(n_lanes)
 
     for i in range(n_actions):
-        deciding = remaining == 0
+        deciding = np.equal(remaining, 0, out=invoked[i])
         if deciding.any():
             times = elapsed[deciding]
             decided_rows, decided_steps, decided_overheads = kernel.decide_fleet(
@@ -646,15 +650,15 @@ def _fleet_lockstep(
             rows[deciding] = decided_rows
             remaining[deciding] = np.minimum(decided_steps, n_actions - i)
             elapsed[deciding] = times + decided_overheads
-            invoked[i] = deciding
             invocation_overheads[i, deciding] = decided_overheads
         step_durations = tensor[lane_index, rows, i]
         elapsed += step_durations
-        completion[:, i] = elapsed
-        qualities[:, i] = lane_level_min + rows
+        completion[i] = elapsed
+        qualities[i] = rows
         remaining -= 1
+    qualities += lane_level_min
 
-    return qualities, completion, invoked, invocation_overheads
+    return qualities.T, completion.T, invoked, invocation_overheads
 
 
 def _run_bucket(

@@ -273,7 +273,9 @@ class StreamingMetrics:
             self._n_actions = int(n_actions)
 
     def _fold_levels(self, qualities: np.ndarray) -> None:
-        levels, counts = np.unique(qualities, return_counts=True)
+        # counted in memory order: on the lockstep's transposed views a plain
+        # np.unique would first copy the chunk into C order
+        levels, counts = np.unique(qualities.ravel(order="K"), return_counts=True)
         level_counts = self._level_counts
         for level, count in zip(levels.tolist(), counts.tolist()):
             level_counts[level] = level_counts.get(level, 0) + count

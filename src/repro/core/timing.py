@@ -283,7 +283,9 @@ class ActualTimeScenario:
     Manager, a scenario stores the actual time the action *would* take at
     every quality level (a ``(levels, actions)`` matrix, already clipped into
     ``[0, C^wc]`` and forced non-decreasing in quality).  The executor reads
-    the row matching the chosen level as the cycle unfolds.
+    the row matching the chosen level as the cycle unfolds.  A caller-built
+    matrix holding a NaN, infinite or negative time raises
+    :class:`~repro.core.types.InvalidTimingError`.
     """
 
     __slots__ = ("_qualities", "_matrix")
@@ -294,9 +296,18 @@ class ActualTimeScenario:
             raise InvalidTimingError(
                 f"scenario matrix must have shape (levels, actions), got {array.shape}"
             )
+        _reject_invalid_times(array)
         self._qualities = qualities
         self._matrix = array
         self._matrix.setflags(write=False)
+
+    @classmethod
+    def _adopt(cls, qualities: QualitySet, matrix: np.ndarray) -> "ActualTimeScenario":
+        """Wrap a frozen matrix that is already checked: no second pass."""
+        scenario = cls.__new__(cls)
+        scenario._qualities = qualities
+        scenario._matrix = matrix
+        return scenario
 
     @property
     def qualities(self) -> QualitySet:
@@ -343,6 +354,39 @@ def _without_writable_aliases(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array`` made read-only, copied first when a writable base aliases it."""
+    array = _without_writable_aliases(array)
+    array.setflags(write=False)
+    return array
+
+
+def _reject_invalid_times(times: np.ndarray) -> None:
+    """Raise unless every actual time of a caller-built tensor is finite and >= 0.
+
+    Definition 1 bounds actual times to ``[0, C^wc]``.  A NaN would only
+    surface as a deadline miss, and a negative time is caught nowhere
+    downstream: it pulls the completion times back under the deadlines, so
+    a cycle that missed reads as safe.  One ``min`` and one ``max`` decide
+    the valid case (a NaN propagates into both); only a failing tensor pays
+    for naming the fault.
+    """
+    if not times.size:
+        return
+    low, high = times.min(), times.max()
+    if low >= 0.0 and high < np.inf:
+        return
+    if np.isnan(low):
+        fault = "NaN"
+    elif np.isinf(low) or np.isinf(high):
+        fault = "infinite"
+    else:
+        fault = "negative"
+    raise InvalidTimingError(
+        f"scenario actual times must be finite and non-negative, got {fault} times"
+    )
+
+
 class ScenarioBatch:
     """The actual execution times of many consecutive cycles, columnar.
 
@@ -357,7 +401,10 @@ class ScenarioBatch:
     ``batch[i]`` returns an :class:`ActualTimeScenario` *view* of cycle ``i``
     (zero-copy, read-only), slices return sub-batches, and iteration yields
     the per-cycle views in order.  The tensor is frozen on construction so a
-    consumer of one view can never corrupt its siblings.
+    consumer of one view can never corrupt its siblings.  A caller-built
+    tensor holding a NaN, infinite or negative time raises
+    :class:`~repro.core.types.InvalidTimingError` — at construction, so
+    also when a pickled batch is rebuilt on a worker.
     """
 
     __slots__ = ("_qualities", "_tensor")
@@ -369,15 +416,22 @@ class ScenarioBatch:
                 "scenario batch tensor must have shape (n_cycles, levels, actions) "
                 f"with {len(qualities)} levels, got shape {array.shape}"
             )
+        _reject_invalid_times(array)
         # an owned writable array is adopted and frozen in place (the same
         # ownership-transfer convention as TimingTable/ActualTimeScenario);
         # a *view* whose base chain is still writable is copied instead —
         # freezing only the view would leave a writable alias that could
         # corrupt the batch behind its back
-        array = _without_writable_aliases(array)
-        array.setflags(write=False)
         self._qualities = qualities
-        self._tensor = array
+        self._tensor = _frozen(array)
+
+    @classmethod
+    def _adopt(cls, qualities: QualitySet, tensor: np.ndarray) -> "ScenarioBatch":
+        """Wrap a frozen tensor that is already checked: no copy, no second pass."""
+        batch = cls.__new__(cls)
+        batch._qualities = qualities
+        batch._tensor = tensor
+        return batch
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -398,7 +452,8 @@ class ScenarioBatch:
         constructor's writable-alias inspection); the same alias rule as
         ``__init__`` applies to the matrix — an owned array is adopted and
         frozen, a view over still-writable memory is copied first — so no
-        caller-visible alias can mutate the batch.
+        caller-visible alias can mutate the batch; so does the check for
+        NaN, infinite and negative times.
         """
         matrix = np.asarray(matrix, dtype=np.float64)
         count = int(count)
@@ -409,12 +464,9 @@ class ScenarioBatch:
             )
         if count < 0:
             raise ValueError(f"scenario count must be >= 0, got {count}")
-        matrix = _without_writable_aliases(matrix)
-        matrix.setflags(write=False)
-        batch = cls.__new__(cls)
-        batch._qualities = qualities
-        batch._tensor = np.broadcast_to(matrix, (count, *matrix.shape))
-        return batch
+        _reject_invalid_times(matrix)
+        matrix = _frozen(matrix)
+        return cls._adopt(qualities, np.broadcast_to(matrix, (count, *matrix.shape)))
 
     @classmethod
     def from_scenarios(
@@ -488,15 +540,12 @@ class ScenarioBatch:
                     (0,) + self._tensor.shape[1:], dtype=self._tensor.dtype
                 )
                 view.setflags(write=False)
-            batch = ScenarioBatch.__new__(ScenarioBatch)
-            batch._qualities = self._qualities
-            batch._tensor = view
-            return batch
-        return ActualTimeScenario(self._qualities, self._tensor[int(index)])
+            return ScenarioBatch._adopt(self._qualities, view)
+        return ActualTimeScenario._adopt(self._qualities, self._tensor[int(index)])
 
     def __iter__(self):
         for cycle in range(len(self)):
-            yield ActualTimeScenario(self._qualities, self._tensor[cycle])
+            yield ActualTimeScenario._adopt(self._qualities, self._tensor[cycle])
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -625,7 +674,8 @@ class TimingModel:
         # the worst case itself is not strictly increasing; clip again.
         monotone = np.minimum(monotone, self.worst_case.values)
         _reject_nan(monotone)
-        return ActualTimeScenario(self.qualities, monotone)
+        monotone.setflags(write=False)
+        return ActualTimeScenario._adopt(self.qualities, monotone)
 
     def sample_scenarios(
         self,
@@ -641,9 +691,14 @@ class TimingModel:
         never ``count`` separate per-cycle objects.  Samplers exposing a
         ``sample_batch(count, rng)`` method (e.g.
         :class:`~repro.media.timing_model.FrameScenarioSampler`) produce the
-        raw tensor in one NumPy kernel and the Definition 1 enforcement (clip
-        into ``[0, C^wc]``, running maximum along quality) is applied to the
-        whole tensor in one pass.  Samplers declaring
+        raw tensor in one NumPy kernel and the Definition 1 enforcement is
+        applied to the whole tensor: clip into ``[0, C^wc]``, a running
+        maximum along quality taken one level at a time over ``(cycles,
+        actions)`` slabs, then a min against ``C^wc``.  One accumulate along
+        the short middle axis would be stride-bound; the per-level loop
+        gives the same bits as the ``np.maximum.accumulate`` of
+        :meth:`sample_scenario`, the reference, because it keeps the
+        previous level as the first argument.  Samplers declaring
         ``returns_fresh_batches = True`` (the built-in
         :class:`~repro.media.timing_model.FrameScenarioSampler` and the
         derived-system wrappers) hand over ownership of that array and the
@@ -652,8 +707,9 @@ class TimingModel:
         its buffer is never corrupted behind its back.  Without a sampler
         the batch is a zero-copy broadcast of the single shared
         average-times matrix (frozen, so no consumer can corrupt the
-        siblings).  Raises :class:`InvalidTimingError` when the sampler draws
-        NaN.
+        siblings).  The batch sampler's enforced tensor is adopted as it is:
+        the caller-input check of :class:`ScenarioBatch` is not repeated on
+        it.  Raises :class:`InvalidTimingError` when the sampler draws NaN.
         """
         count = int(count)
         if count < 0:
@@ -688,10 +744,11 @@ class TimingModel:
         # Definition 1 on the whole tensor, in place (one buffer at paper scale)
         ceiling = self.worst_case.values[None, :, :]
         np.clip(raw, 0.0, ceiling, out=raw)
-        np.maximum.accumulate(raw, axis=1, out=raw)
+        for q in range(1, shape[0]):
+            np.maximum(raw[:, q - 1, :], raw[:, q, :], out=raw[:, q, :])
         np.minimum(raw, ceiling, out=raw)
         _reject_nan(raw)
-        return ScenarioBatch(self.qualities, raw)
+        return ScenarioBatch._adopt(self.qualities, _frozen(raw))
 
     def sample_actual(
         self,

@@ -261,3 +261,123 @@ class TestTimingModel:
         model = self.make_model(qualities)
         with pytest.raises(ValueError):
             model.sample_actual(np.array([0]), np.random.default_rng(0))
+
+
+# --------------------------------------------------------------------------- #
+# Definition 1 on batches: the per-level running max against the reference
+# --------------------------------------------------------------------------- #
+
+
+def dipping_worst_case(n_levels: int = 5, n_actions: int = 96) -> np.ndarray:
+    """A ``C^wc`` table at the edge of validity.
+
+    A quarter of the columns dip by the tolerated 1e-12 from each level to
+    the next (so the running max overshoots ``C^wc`` and the final min must
+    clip it back), and another quarter start with random signed zeros below
+    positive upper levels: a ``-0.0`` carried up into a level whose ceiling
+    is positive keeps its sign only under the reference argument order.
+    """
+    rng = np.random.default_rng(11)
+    worst = np.sort(rng.uniform(0.5, 2.0, size=(n_levels, n_actions)), axis=0)
+    dips = np.arange(0, n_actions, 4)
+    for level in range(1, n_levels):
+        lower = worst[level - 1, dips]
+        dipped = lower - 1e-12
+        while np.any(dipped - lower < -1e-12):
+            dipped = np.where(dipped - lower < -1e-12, np.nextafter(dipped, 2.0), dipped)
+        worst[level, dips] = dipped
+    zeros = np.arange(1, n_actions, 4)
+    signs = rng.choice([-0.0, 0.0], size=(n_levels, zeros.size))
+    zero_levels = rng.integers(1, n_levels, size=zeros.size)
+    below = np.arange(n_levels)[:, None] < zero_levels
+    worst[:, zeros] = np.where(below, signs, worst[:, zeros])
+    return worst
+
+
+class AdversarialSampler:
+    """Raw draws that tell a reordered running max from the reference.
+
+    Every cell picks one of: a signed zero, ``±inf``, a value above
+    ``C^wc``, ``C^wc`` itself or a value inside ``[0, C^wc]``; some columns
+    then repeat one value at every level and some decrease in quality.
+    ``poison_lowest`` puts a NaN at the lowest level of one action.
+    """
+
+    #: hand the batch over, so the enforcement runs in place on it
+    returns_fresh_batches = True
+
+    def __init__(self, worst: np.ndarray, *, poison_lowest: bool = False) -> None:
+        self._worst = worst
+        self._poison_lowest = poison_lowest
+
+    def __call__(self, rng: np.random.Generator) -> np.ndarray:
+        worst = self._worst
+        n_levels, n_actions = worst.shape
+        choices = np.stack(
+            [
+                np.full_like(worst, -0.0),
+                np.zeros_like(worst),
+                np.full_like(worst, np.inf),
+                np.full_like(worst, -np.inf),
+                3.0 * worst,
+                worst + 1e-12,
+                worst,
+                worst * rng.uniform(0.0, 1.0, size=worst.shape),
+            ]
+        )
+        pick = rng.integers(len(choices), size=worst.shape)
+        raw = np.take_along_axis(choices, pick[None], axis=0)[0]
+        equal = rng.random(n_actions) < 0.25
+        raw[:, equal] = raw[0, equal]
+        decreasing = rng.random(n_actions) < 0.25
+        raw[:, decreasing] = np.sort(raw[:, decreasing], axis=0)[::-1]
+        if self._poison_lowest:
+            raw[0, rng.integers(n_actions)] = np.nan
+        return raw
+
+    def sample_batch(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        return np.stack([self(rng) for _ in range(count)])
+
+
+def adversarial_model(**sampler_options) -> TimingModel:
+    qualities = QualitySet.of_size(5)
+    worst = dipping_worst_case()
+    return TimingModel(
+        TimingTable(qualities, worst, name="Cwc"),
+        TimingTable(qualities, 0.5 * worst, name="Cav"),
+        AdversarialSampler(worst, **sampler_options),
+    )
+
+
+class TestPerLevelRunningMax:
+    @pytest.mark.parametrize("count", [1, 2, 7, 64])
+    def test_batch_matches_stacked_reference_draws(self, count):
+        model = adversarial_model()
+        batch = model.sample_scenarios(count, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        reference = np.stack([model.sample_scenario(rng).matrix for _ in range(count)])
+        assert np.array_equal(batch.tensor, reference)
+        assert np.array_equal(np.signbit(batch.tensor), np.signbit(reference))
+
+    def test_reference_draws_exercise_every_edge(self):
+        model = adversarial_model()
+        rng = np.random.default_rng(5)
+        reference = np.stack([model.sample_scenario(rng).matrix for _ in range(64)])
+        worst = model.worst_case.values
+        zero = reference == 0.0
+        assert np.any(zero & np.signbit(reference))  # -0.0 survives
+        assert np.any(zero & ~np.signbit(reference))  # +0.0 too
+        # a zero carried up from a signed-zero ceiling into a positive one
+        carried = zero[:, 1:] & (worst[1:] > 0.0) & (worst[:-1] == 0.0)
+        assert np.any(carried)
+        assert np.any(reference == worst)  # clipped to the ceiling
+        # the running max overshoots a dipping C^wc row, the final min clips
+        dips = np.diff(worst, axis=0) < 0
+        assert np.any(reference[:, 1:][:, dips] == worst[1:][dips])
+
+    def test_nan_at_the_lowest_level_still_raises(self):
+        model = adversarial_model(poison_lowest=True)
+        with pytest.raises(InvalidTimingError, match="NaN"):
+            model.sample_scenarios(3, np.random.default_rng(0))
+        with pytest.raises(InvalidTimingError, match="NaN"):
+            model.sample_scenario(np.random.default_rng(0))
