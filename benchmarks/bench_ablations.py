@@ -10,17 +10,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis import compute_metrics, smoothness_index
+from repro.analysis import smoothness_index
+from repro.api import Session
 from repro.baselines import average_only_manager, safe_only_manager
 from repro.core import (
     ActualTimeScenario,
     QualityManagerCompiler,
-    RelaxationQualityManager,
-    RelaxationTable,
     audit_trace,
     run_cycle,
 )
-from repro.platform import PlatformExecutor, ipod_video
+from repro.platform import ipod_video
 
 
 def bench_ablation_policy_choice(benchmark, fast_workload):
@@ -66,25 +65,18 @@ def bench_ablation_policy_choice(benchmark, fast_workload):
 
 def bench_ablation_relaxation_step_sets(benchmark, fast_workload):
     """A2: sweep the relaxation step set ρ (memory vs manager invocations)."""
-    system = fast_workload.build_system()
-    deadlines = fast_workload.deadlines()
-    base = QualityManagerCompiler().compile(system, deadlines)
-    executor = PlatformExecutor(ipod_video())
+    session = Session().system(fast_workload).machine("ipod").manager("relaxation")
     step_sets = [(1,), (1, 10), (1, 10, 20, 30, 40, 50), (1, 5, 10, 25, 50, 100, 200)]
 
     def sweep():
         records = []
         for steps in step_sets:
-            relaxation = RelaxationTable(base.td_table, steps)
-            manager = RelaxationQualityManager(base.region.regions, relaxation)
-            result = executor.run(
-                system, deadlines, manager, n_cycles=2, rng=np.random.default_rng(0)
-            )
-            metrics = compute_metrics(result.outcomes, deadlines)
+            # a new step set rebuilds the system, so every set sees the same frames
+            metrics = session.relaxation_steps(*steps).run(cycles=2, seed=0).metrics
             records.append(
                 {
                     "rho": list(steps),
-                    "table_integers": relaxation.memory_footprint().integers,
+                    "table_integers": session.compile().report.relaxation_integers,
                     "manager_calls": metrics.manager_calls,
                     "overhead_pct": round(100 * metrics.overhead_fraction, 3),
                     "misses": metrics.deadline_misses,
@@ -103,17 +95,19 @@ def bench_ablation_relaxation_step_sets(benchmark, fast_workload):
 def bench_ablation_overhead_free_platform(benchmark, fast_workload):
     """A1b: with overhead charging disabled, all three managers coincide —
     demonstrating that the quality gap of Figure 7 is purely an overhead effect."""
-    system = fast_workload.build_system()
-    deadlines = fast_workload.deadlines()
-    controllers = QualityManagerCompiler().compile(system, deadlines)
-    executor = PlatformExecutor(ipod_video(), charge_overhead=False)
+    # the platform's timing without a configured machine: nothing charges overhead
+    session = (
+        Session()
+        .system(ipod_video().deploy(fast_workload.build_system()))
+        .deadlines(fast_workload.deadlines())
+        .seed(1)
+    )
 
     def run_all():
-        return executor.compare(
-            system, deadlines, controllers.managers(), n_cycles=3, seed=1
-        )
+        return session.compare(cycles=3, chunk_size=None)
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    assert all(seconds == 0.0 for seconds in results.overhead_seconds.values())
     numeric = results["numeric"].mean_quality_per_cycle
     for name in ("region", "relaxation"):
         assert np.allclose(results[name].mean_quality_per_cycle, numeric)

@@ -8,38 +8,26 @@ mean quality and smoothness for each.
 
 from __future__ import annotations
 
-from repro.analysis import compute_metrics
-from repro.baselines import (
-    ConstantQualityManager,
-    ElasticQualityManager,
-    FeedbackQualityManager,
-    SkipQualityManager,
-)
-from repro.core import QualityManagerCompiler
-from repro.platform import PlatformExecutor, ipod_video
+from repro.api import Session
 
 
 def bench_baseline_comparison(benchmark, fast_workload):
     """Run all managers on identical scenarios and tabulate the QoS metrics."""
-    system = fast_workload.build_system()
-    deadlines = fast_workload.deadlines()
-    controllers = QualityManagerCompiler().compile(system, deadlines)
-    qualities = system.qualities
-    managers = {
-        "mixed-relaxation": controllers.relaxation,
-        "constant-low": ConstantQualityManager(qualities, qualities.minimum),
-        "constant-high": ConstantQualityManager(qualities, qualities.maximum),
-        "skip-over": SkipQualityManager(system, deadlines, nominal_level=qualities.maximum),
-        "pid-feedback": FeedbackQualityManager(system, deadlines),
-        "elastic": ElasticQualityManager(system, deadlines),
+    session = Session().system(fast_workload).machine("ipod").seed(2)
+    qualities = session.resolved_system().qualities
+    specs = {
+        "mixed-relaxation": "relaxation",
+        "constant-low": f"constant:level={qualities.minimum}",
+        "constant-high": f"constant:level={qualities.maximum}",
+        "skip-over": f"skip:nominal_level={qualities.maximum}",
+        "pid-feedback": "feedback",
+        "elastic": "elastic",
     }
-    executor = PlatformExecutor(ipod_video())
 
     def run_all():
-        results = executor.compare(system, deadlines, managers, n_cycles=4, seed=2)
-        return {
-            name: compute_metrics(result.outcomes, deadlines) for name, result in results.items()
-        }
+        batch = session.compare(*specs.values(), cycles=4)
+        # runs keep spec order; labels are manager names, which repeat here
+        return dict(zip(specs, batch.metrics.values()))
 
     metrics = benchmark.pedantic(run_all, rounds=1, iterations=1)
 

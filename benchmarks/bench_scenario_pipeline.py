@@ -13,8 +13,14 @@ levels):
   it replaced, and the re-draw recipe (`plan_compare_redraw`) that ships no
   scenario data at all.
 
+Next to the bytes, one 256-cycle, three-manager plan of each kind runs
+through ``SweepExecutor(max_workers=2)``, three times each, alternating.  The
+two plans must give identical outcomes; their wall times are the numbers
+behind ``Session.compare``'s transport rule (re-draw whenever the sampler
+can seek).  Times are recorded, not gated: the host is noisy.
+
 The measurements are written to ``BENCH_scenarios.json`` (cycles per second
-for each path, speedups, transport bytes per unit, environment info) in the
+for each path, speedups, transport bytes and times, environment info) in the
 same schema spirit as ``BENCH_engine.json``; CI uploads the file as an
 artifact.  Set ``$BENCH_SCENARIOS_JSON`` to redirect the output path.
 """
@@ -25,6 +31,7 @@ import json
 import os
 import pickle
 import platform
+import statistics
 import sys
 import time
 
@@ -32,10 +39,20 @@ import numpy as np
 import pytest
 
 from repro.api.registry import ManagerSpec
+from repro.runtime.artifacts import CompiledArtifactCache
 from repro.runtime.plan import ExecutionPayload, plan_compare, plan_compare_redraw
+from repro.runtime.pool import SweepExecutor
 
 _N_CYCLES = 4096
 _N_TRANSPORT_CYCLES = 256  # pickling a 4k-cycle tensor would measure only RAM
+_TIMED_REPEATS = 3
+_OUTCOME_FIELDS = (
+    "qualities",
+    "durations",
+    "completion_times",
+    "manager_invocations",
+    "manager_overheads",
+)
 _MIN_SPEEDUP = 5.0
 #: scalar baselines below this are timer noise — the ratio would be meaningless
 _MIN_MEASURABLE_SCALAR_S = 0.050
@@ -51,7 +68,70 @@ def _write_report(payload: dict) -> None:
         handle.write("\n")
 
 
-def bench_scenario_pipeline(paper_workload, paper_deadlines):
+def _time_compare_plans(system, deadlines, cache_dir) -> dict:
+    """Run a value and a re-draw compare plan through a 2-worker pool.
+
+    The value side is timed from its parent-side draw, as ``Session.compare``
+    pays it.  Both sides start from the same sampler position, so their
+    outcomes must match exactly.
+    """
+    specs = [ManagerSpec("numeric"), ManagerSpec("region"), ManagerSpec("relaxation")]
+    payload = ExecutionPayload(
+        system=system,
+        deadlines=deadlines,
+        policy=None,
+        relaxation_steps=(1, 10),
+        require_feasible=True,
+        cache_dir=str(cache_dir),
+    )
+    CompiledArtifactCache(cache_dir).fetch_or_compile(
+        system, deadlines, relaxation_steps=payload.relaxation_steps
+    )
+    sampler = system.timing.scenario_sampler
+    start = sampler.cursor
+    executor = SweepExecutor(max_workers=2)
+
+    def value():
+        sampler.seek(start)
+        batch = system.draw_scenarios(_N_TRANSPORT_CYCLES, np.random.default_rng(0))
+        return executor.run(plan_compare(payload, specs, batch))
+
+    def redraw():
+        sampler.seek(start)
+        plan = plan_compare_redraw(payload, specs, _N_TRANSPORT_CYCLES, 0)
+        return executor.run(plan)
+
+    seconds: dict[str, list[float]] = {"value": [], "redraw": []}
+    outcomes = {}
+    for repeat in range(_TIMED_REPEATS):
+        order = ("value", "redraw") if repeat % 2 == 0 else ("redraw", "value")
+        for name in order:
+            started = time.perf_counter()
+            outcomes[name] = (value if name == "value" else redraw)()
+            seconds[name].append(time.perf_counter() - started)
+    for index in range(len(specs)):
+        for left, right in zip(
+            outcomes["value"].outcomes[index],
+            outcomes["redraw"].outcomes[index],
+            strict=True,
+        ):
+            for field in _OUTCOME_FIELDS:
+                assert np.array_equal(getattr(left, field), getattr(right, field)), (
+                    f"{specs[index]}: {field} differs between the value and "
+                    "re-draw plans"
+                )
+    return {
+        "workers": executor.max_workers,
+        "managers": [str(spec) for spec in specs],
+        "repeats": _TIMED_REPEATS,
+        "value_seconds": seconds["value"],
+        "redraw_seconds": seconds["redraw"],
+        "value_median_seconds": statistics.median(seconds["value"]),
+        "redraw_median_seconds": statistics.median(seconds["redraw"]),
+    }
+
+
+def bench_scenario_pipeline(paper_workload, paper_deadlines, tmp_path):
     """4,096 paper-scale draws: the batched kernel beats the per-cycle loop >= 5x."""
     batched_system = paper_workload.build_system()
     scalar_system = paper_workload.build_system()
@@ -109,6 +189,9 @@ def bench_scenario_pipeline(paper_workload, paper_deadlines):
         "value_unit_bytes": value_bytes,
         "redraw_unit_bytes": redraw_bytes,
         "value_vs_redraw_ratio": value_bytes / redraw_bytes,
+        "timed_plans": _time_compare_plans(
+            batched_system, paper_deadlines, tmp_path / "artifacts"
+        ),
     }
 
     _write_report(

@@ -37,10 +37,10 @@ The batched run methods execute every manager that lowers to a kernel spec
 kernels, bit-identical to the scalar loop but without its per-action Python
 cost.  A manager without a kernel, or an overhead model whose charges are not
 deterministic, transparently runs the scalar ``run_cycle`` loop.  Parallel
-:meth:`Session.compare` ships its shared scenarios per work unit either by
-value (the batch tensor) or, with ``scenario_transport="redraw"``, as a
-draw recipe the workers replay — no scenario bytes cross the process
-boundary, results identical either way.
+:meth:`Session.compare` ships its shared scenarios as a draw recipe the
+workers replay whenever the sampler is absent or can seek; only a sampler
+that cannot seek gets its batch drawn here and shipped by value.  Results
+are identical either way.
 
 Two optional :mod:`repro.runtime` integrations scale the run layer beyond one
 process:
@@ -149,7 +149,7 @@ def resolve_overhead_model(machine: Any, overhead: Any) -> OverheadModelProtocol
     )
 
     if machine is not None:
-        # mirror PlatformExecutor: per-call clock read is charged on top
+        # every manager invocation reads the real-time clock once
         params = machine.overhead
         if machine.clock_read_overhead > 0.0:
             params = OverheadParameters(
@@ -182,8 +182,6 @@ _POLICIES: dict[str, type[QualityManagementPolicy]] = {
 _MACHINES = ("ipod", "fast-embedded", "desktop")
 
 _OVERHEADS = ("none", "ipod", "fast-embedded", "desktop")
-
-_TRANSPORTS = ("value", "redraw")
 
 
 @dataclass(frozen=True)
@@ -485,7 +483,6 @@ class Session:
         *,
         chunk_size: int | None = None,
         mp_context: str | None = None,
-        scenario_transport: str | None = None,
         enabled: bool = True,
     ) -> "Session":
         """Make :meth:`run_many` and :meth:`compare` default to the sweep pool.
@@ -494,28 +491,18 @@ class Session:
         bit-identical to the serial path for fixed seeds; call
         ``.parallel(enabled=False)`` to return to the serial default.  See
         :class:`~repro.runtime.pool.SweepExecutor` for ``chunk_size`` and
-        ``mp_context``.
-
-        ``scenario_transport`` selects how parallel :meth:`compare` ships its
-        shared scenarios to the workers: ``"value"`` (the default) pre-draws
-        them once and ships the :class:`~repro.core.timing.ScenarioBatch`
-        tensor per unit; ``"redraw"`` ships no scenario data at all — each
-        worker re-draws the identical batch from the unit's seed and
-        scenario-stream offset (requires a sampler that is stateless, absent
-        or ``seek``/``cursor``-capable; ship-by-value is used otherwise).
-        Both transports are bit-identical to the serial path.
+        ``mp_context``, and :meth:`compare` for how its shared scenarios
+        reach the workers.
         """
         if not enabled:
             self._parallel = None
             return self
         if workers is not None and int(workers) < 1:
             raise SessionError(f"workers must be >= 1, got {workers}")
-        self._check_transport(scenario_transport)
         self._parallel = {
             "workers": int(workers) if workers is not None else None,
             "chunk_size": chunk_size,
             "mp_context": mp_context,
-            "scenario_transport": scenario_transport,
         }
         return self
 
@@ -528,7 +515,6 @@ class Session:
         max_requeues: int | None = None,
         timeout: float | None = None,
         local_workers: int = 0,
-        scenario_transport: str | None = None,
         enabled: bool = True,
     ) -> "Session":
         """Fan :meth:`run_many` and :meth:`compare` out over a shared spool.
@@ -548,11 +534,8 @@ class Session:
         the duration of each run — the zero-setup way to use the spool
         transport (and what the tests do); with ``local_workers=0`` the run
         blocks until external workers drain the plan (set ``timeout`` when
-        workers might not be attached).  ``scenario_transport`` defaults to
-        ``"redraw"`` here — remote units ship ~200 bytes each, no scenario
-        tensors cross the wire (samplers that cannot replay fall back to
-        ship-by-value).  ``run_many(..., stream=True)`` / ``compare(...,
-        stream=True)`` then yield ``(label, RunResult)`` pairs incrementally
+        workers might not be attached).  ``run_many(..., stream=True)`` /
+        ``compare(..., stream=True)`` then yield ``(label, RunResult)`` pairs incrementally
         as workers finish.  A configured :meth:`remote` takes precedence over
         :meth:`parallel`; disable with ``.remote(enabled=False)``.
         """
@@ -571,7 +554,6 @@ class Session:
             raise SessionError(f"timeout must be > 0, got {timeout}")
         if local_workers < 0:
             raise SessionError(f"local_workers must be >= 0, got {local_workers}")
-        self._check_transport(scenario_transport)
         self._remote = {
             "spool": os.fspath(spool),
             "lease_timeout": lease_timeout,
@@ -579,7 +561,6 @@ class Session:
             "max_requeues": max_requeues,
             "timeout": timeout,
             "local_workers": int(local_workers),
-            "scenario_transport": scenario_transport,
         }
         return self
 
@@ -596,7 +577,6 @@ class Session:
         max_requeues: int | None = None,
         timeout: float | None = None,
         local_workers: int = 0,
-        scenario_transport: str | None = None,
         pump: bool = True,
         enabled: bool = True,
     ) -> "Session":
@@ -617,10 +597,9 @@ class Session:
         the duration of each run as the zero-setup form.  ``pump=False``
         leaves dispatch entirely to an external ``repro service start``
         daemon (strict quotas need a single dispatcher; see
-        ``docs/service.md``).  ``scenario_transport`` defaults to
-        ``"redraw"``, like :meth:`remote`.  A configured service takes
-        precedence over both :meth:`remote` and :meth:`parallel`; disable
-        with ``.service(enabled=False)``.
+        ``docs/service.md``).  A configured service takes precedence over
+        both :meth:`remote` and :meth:`parallel`; disable with
+        ``.service(enabled=False)``.
         """
         if not enabled:
             self._service = None
@@ -639,7 +618,6 @@ class Session:
             raise SessionError(f"local_workers must be >= 0, got {local_workers}")
         if quota is not None and int(quota) < 1:
             raise SessionError(f"quota must be >= 1, got {quota}")
-        self._check_transport(scenario_transport)
         from repro.service.queue import _check_token
 
         try:
@@ -658,7 +636,6 @@ class Session:
             "max_requeues": max_requeues,
             "timeout": timeout,
             "local_workers": int(local_workers),
-            "scenario_transport": scenario_transport,
             "pump": bool(pump),
         }
         return self
@@ -906,7 +883,6 @@ class Session:
         parallel: bool | None = None,
         workers: int | None = None,
         progress: Any = None,
-        scenario_transport: str | None = None,
         stream: bool = False,
         chunk_size: Any = _UNSET,
     ) -> BatchResult | Iterator[tuple[str, RunResult]]:
@@ -920,18 +896,18 @@ class Session:
 
         ``parallel=True`` (or a configured :meth:`parallel` builder step, or
         an explicit ``workers`` count) runs one manager per pool work unit.
-        ``scenario_transport`` (default from :meth:`parallel`, else
-        ``"value"``) selects how the shared scenarios reach the workers:
-        ``"value"`` draws them here and ships the batch tensor, ``"redraw"``
-        ships only the draw recipe and each worker reproduces the identical
-        batch — both bit-identical to the serial path.  ``progress`` is
-        called as ``progress(done, total, spec)`` after each completed
-        manager, where ``spec`` is the manager spec string (the *result*
-        labels are the managers' reporting names, de-duplicated).
+        The shared scenarios reach the workers by one rule: when the
+        system's sampler is absent or can seek (``seek``/``cursor``), each
+        unit ships only the draw recipe and the worker re-draws the
+        identical batch; otherwise the batch is drawn here and shipped by
+        value.  Either way the results are bit-identical to the serial path
+        and the session's sampler ends where the serial draw leaves it.
+        ``progress`` is called as ``progress(done, total, spec)`` after each
+        completed manager, where ``spec`` is the manager spec string (the
+        *result* labels are the managers' reporting names, de-duplicated).
 
         With a configured :meth:`remote` spool the comparison fans out over
-        the spool instead of the in-process pool (scenarios default to the
-        re-draw transport there), and ``stream=True`` returns an iterator of
+        the spool instead of the in-process pool, and ``stream=True`` returns an iterator of
         ``(label, RunResult)`` pairs yielded incrementally as workers finish
         — completion order, not spec order.  Failed units raise a collective
         :class:`~repro.runtime.pool.SweepExecutionError` after the stream
@@ -943,9 +919,6 @@ class Session:
         """
         from repro.runtime.plan import unique_label
 
-        # validated even for serial runs: a typo'd transport should fail
-        # here, not months later when workers= is added to the call
-        self._check_transport(scenario_transport)
         chosen = [validate_spec(ManagerSpec.coerce(spec)) for spec in specs] or [
             ManagerSpec("numeric"),
             ManagerSpec("region"),
@@ -960,42 +933,19 @@ class Session:
         chunk = self._effective_chunk_size(chunk_size)
         pool_config = self._pool_config(parallel, workers)
         self._check_stream(stream, pool_config)
-        use_pool = pool_config is not None and n_cycles > 0
-        if use_pool:
-            # spool-transported units (remote or service) default to the
-            # re-draw transport: ~200 bytes per unit instead of a scenario
-            # tensor crossing the spool
-            default = (
-                "redraw"
-                if pool_config.get("remote") or pool_config.get("service")
-                else "value"
-            )
-            transport = self._effective_transport(
-                scenario_transport, pool_config, default=default
-            )
-            if transport == "redraw" and self._redraw_supported():
-                return self._compare_parallel_redraw(
-                    chosen,
-                    n_cycles,
-                    used_seed,
-                    pool_config,
-                    progress,
-                    stream,
-                    chunk_size=chunk,
-                )
-        with obs_trace.span("session.draw", cycles=n_cycles):
-            scenarios = system.draw_scenarios(
-                n_cycles, np.random.default_rng(used_seed)
-            )
-        if use_pool:
+        if pool_config is not None and n_cycles > 0:
             return self._compare_parallel(
                 chosen,
-                scenarios,
+                n_cycles,
                 used_seed,
                 pool_config,
                 progress,
                 stream,
                 chunk_size=chunk,
+            )
+        with obs_trace.span("session.draw", cycles=n_cycles):
+            scenarios = system.draw_scenarios(
+                n_cycles, np.random.default_rng(used_seed)
             )
 
         context = self.build_context()
@@ -1047,7 +997,6 @@ class Session:
         parallel: bool | None = None,
         workers: int | None = None,
         progress: Any = None,
-        scenario_transport: str | None = None,
         stream: bool = False,
         chunk_size: Any = _UNSET,
     ) -> BatchResult | Iterator[tuple[str, RunResult]]:
@@ -1069,12 +1018,8 @@ class Session:
         order).  A *custom stateful* sampler must expose the same
         ``seek``/``cursor`` pair to keep the guarantee — without it, units
         sharing a worker see the sampler state in scheduling order.
-        ``scenario_transport`` (default from :meth:`parallel`, else
-        ``"redraw"`` — grid units historically draw worker-side) selects how
-        parallel units obtain their scenarios: ``"redraw"`` ships no
-        scenario data, ``"value"`` pre-draws every unit's slice here and
-        ships the :class:`~repro.core.timing.ScenarioBatch` tensors; results
-        are bit-identical either way.  ``progress`` is called as
+        Parallel units ship no scenario data: each worker draws its own
+        slice of the scenario stream.  ``progress`` is called as
         ``progress(done, total, label)`` after each scenario.
 
         With a configured :meth:`remote` spool the sweep fans out over the
@@ -1092,19 +1037,13 @@ class Session:
         """
         from repro.runtime.plan import unique_label
 
-        self._check_transport(scenario_transport)
         entries = self._coerce_run_many_entries(scenarios)
         chunk = self._effective_chunk_size(chunk_size)
         pool_config = self._pool_config(parallel, workers)
         self._check_stream(stream, pool_config)
         if pool_config is not None and entries:
             return self._run_many_parallel(
-                entries,
-                pool_config,
-                progress,
-                scenario_transport,
-                stream,
-                chunk_size=chunk,
+                entries, pool_config, progress, stream, chunk_size=chunk
             )
 
         context = self.build_context()
@@ -1226,7 +1165,6 @@ class Session:
         self,
         scenarios: Iterable[ScenarioSpec | dict | str | int | ManagerSpec],
         *,
-        scenario_transport: str | None = None,
         chunk_size: Any = _UNSET,
     ) -> Any:
         """Build (but do not run) the :class:`~repro.runtime.plan.SweepPlan`
@@ -1238,34 +1176,22 @@ class Session:
         exactly like a parallel run, so executors submitting this plan find
         the compiled tables ready to push.
 
-        ``scenario_transport`` defaults to ``"redraw"``: units carry a draw
-        recipe, no scenario tensors, and building the plan leaves the
-        session's scenario sampler untouched.  ``"value"`` pre-draws every
-        unit's batch here — *advancing* the session sampler exactly as the
-        serial draw order would — and ships the tensors in the units.
+        Units carry a draw recipe, no scenario tensors, and building the
+        plan leaves the session's scenario sampler untouched.
         ``chunk_size`` (per-call override of :meth:`chunk_size`) marks the
         plan for streamed execution: workers fold chunks into accumulators
         and the spooled results are summary-only.
         """
         from repro.runtime.plan import plan_run_many
 
-        self._check_transport(scenario_transport)
         entries = self._coerce_run_many_entries(scenarios)
         cache = self._parallel_artifact_cache()
         self._prepare_parallel_cache(cache, [spec for _, spec, _, _ in entries])
         payload = self._execution_payload(
             cache, chunk_size=self._effective_chunk_size(chunk_size)
         )
-        sampler = payload.system.timing.scenario_sampler
-        track = supports_replay(sampler)
-        batches = None
-        if scenario_transport == "value":
-            exec_system = self._execution_system()
-            batches = [
-                exec_system.draw_scenarios(n_cycles, np.random.default_rng(seed))
-                for _, _, n_cycles, seed in entries
-            ]
-        return plan_run_many(payload, entries, track_sampler=track, scenarios=batches)
+        track = supports_replay(payload.system.timing.scenario_sampler)
+        return plan_run_many(payload, entries, track_sampler=track)
 
     # ------------------------------------------------------------------ #
     # the parallel sweep engine (repro.runtime)
@@ -1289,7 +1215,6 @@ class Session:
                 "workers": int(workers) if workers is not None else None,
                 "chunk_size": None,
                 "mp_context": None,
-                "scenario_transport": self._service.get("scenario_transport"),
                 "service": self._service,
             }
             # 0 is meaningful on a spool: rely on external workers
@@ -1301,7 +1226,6 @@ class Session:
                 "workers": int(workers) if workers is not None else None,
                 "chunk_size": None,
                 "mp_context": None,
-                "scenario_transport": self._remote.get("scenario_transport"),
                 "remote": self._remote,
             }
             # 0 is meaningful on the spool transport: no local workers,
@@ -1314,12 +1238,7 @@ class Session:
         config = dict(
             self._parallel
             if self._parallel is not None
-            else {
-                "workers": None,
-                "chunk_size": None,
-                "mp_context": None,
-                "scenario_transport": None,
-            }
+            else {"workers": None, "chunk_size": None, "mp_context": None}
         )
         if workers is not None:
             if int(workers) < 1:
@@ -1347,49 +1266,6 @@ class Session:
             "stream=True needs the spool transport — configure "
             "Session.remote(spool=...) or Session.service(spool=...) first"
         )
-
-    @staticmethod
-    def _check_transport(value: str | None) -> None:
-        """Reject anything but ``None`` or a known scenario transport name."""
-        if value is not None and value not in _TRANSPORTS:
-            raise SessionError(
-                f"unknown scenario transport {value!r}; "
-                f"expected one of {sorted(_TRANSPORTS)}"
-            )
-
-    def _effective_transport(
-        self,
-        override: str | None,
-        pool_config: dict[str, Any],
-        default: str = "value",
-    ) -> str:
-        """The scenario transport a parallel run should use.
-
-        Both sources are validated where they enter the session (the run
-        methods for the override, :meth:`parallel` for the builder
-        configuration), so this only resolves precedence.  ``default``
-        preserves each run shape's historical transport: ``"value"`` for
-        ``compare`` (scenarios were always pre-drawn), ``"redraw"`` for
-        ``run_many`` (units always drew worker-side).
-        """
-        transport = (
-            override
-            if override is not None
-            else pool_config.get("scenario_transport")
-        )
-        return transport if transport is not None else default
-
-    def _redraw_supported(self) -> bool:
-        """True when workers can re-draw the compare scenarios bit-identically.
-
-        Requires a scenario sampler that is absent (actual times equal the
-        averages), or exposes the ``seek``/``cursor`` replay interface (the
-        :class:`~repro.media.timing_model.FrameScenarioSampler` contract) so
-        a worker running several units can re-position the stream between
-        them.  Anything else falls back to ship-by-value.
-        """
-        sampler = self.resolved_system().timing.scenario_sampler
-        return sampler is None or supports_replay(sampler)
 
     def _parallel_artifact_cache(self):
         """The artifact cache pool workers hydrate from, or ``None``.
@@ -1592,7 +1468,6 @@ class Session:
         entries: Sequence[tuple[str, ManagerSpec, int, int]],
         config: dict[str, Any],
         progress: Any,
-        scenario_transport: str | None = None,
         stream: bool = False,
         chunk_size: int | None = None,
     ) -> BatchResult | Iterator[tuple[str, RunResult]]:
@@ -1605,23 +1480,7 @@ class Session:
                 payload = self._execution_payload(cache, chunk_size)
                 sampler = payload.system.timing.scenario_sampler
                 track = supports_replay(sampler)
-                batches = None
-                if (
-                    self._effective_transport(scenario_transport, config, default="redraw")
-                    == "value"
-                ):
-                    # ship-by-value: draw every unit's slice here, in entry
-                    # order — exactly the serial draw order, so the parent
-                    # sampler ends where a serial run would and the units
-                    # carry their tensors
-                    exec_system = self._execution_system()
-                    batches = [
-                        exec_system.draw_scenarios(n_cycles, np.random.default_rng(seed))
-                        for _, _, n_cycles, seed in entries
-                    ]
-                plan = plan_run_many(
-                    payload, entries, track_sampler=track, scenarios=batches
-                )
+                plan = plan_run_many(payload, entries, track_sampler=track)
             executor = self._executor_for(config)
             if stream:
                 # the generator outlives this frame, so worker spans become
@@ -1655,33 +1514,6 @@ class Session:
     def _compare_parallel(
         self,
         chosen: Sequence[ManagerSpec],
-        scenarios: ScenarioBatch | Sequence[ActualTimeScenario],
-        used_seed: int | None,
-        config: dict[str, Any],
-        progress: Any,
-        stream: bool = False,
-        chunk_size: int | None = None,
-    ) -> BatchResult | Iterator[tuple[str, RunResult]]:
-        """Ship-by-value compare: every unit carries the pre-drawn batch tensor."""
-        from repro.runtime.plan import plan_compare
-
-        with obs_trace.span("session.compare", managers=len(chosen), transport="value"):
-            with obs_trace.span("session.plan"):
-                cache = self._parallel_artifact_cache()
-                self._prepare_parallel_cache(cache, list(chosen))
-                payload = self._execution_payload(cache, chunk_size)
-                plan = plan_compare(payload, list(chosen), scenarios)
-            executor = self._executor_for(config)
-            if stream:
-                return self._stream_plan(plan, executor, progress, fixed_seed=used_seed)
-            with obs_trace.span("session.fan_in"):
-                outcome = executor.run(plan, progress=self._adapt_progress(progress))
-        obs_export.flush()
-        return self._collect_compare_runs(plan, outcome, used_seed)
-
-    def _compare_parallel_redraw(
-        self,
-        chosen: Sequence[ManagerSpec],
         n_cycles: int,
         used_seed: int,
         config: dict[str, Any],
@@ -1689,31 +1521,46 @@ class Session:
         stream: bool = False,
         chunk_size: int | None = None,
     ) -> BatchResult | Iterator[tuple[str, RunResult]]:
-        """Re-draw compare: units ship no scenario data, workers re-draw them.
+        """Run a compare plan, shipping its scenarios by the transport rule.
 
-        The payload's system still carries the sampler position the serial
-        draw would start from, so each worker reproduces exactly the batch
-        :meth:`compare` would have drawn here; afterwards the parent sampler
-        is advanced past the shared window, leaving the scenario stream
-        exactly where the serial path would.
+        A sampler that is absent or can seek lets every worker re-draw the
+        shared window: units ship only the draw recipe, and the parent
+        sampler is advanced past the window afterwards, exactly where the
+        serial draw would leave it.  Any other sampler cannot be
+        re-positioned on a worker, so the batch is drawn here (advancing the
+        sampler as the serial path does) and every unit carries it.
         """
-        from repro.runtime.plan import plan_compare_redraw
+        from repro.runtime.plan import plan_compare, plan_compare_redraw
 
-        with obs_trace.span("session.compare", managers=len(chosen), transport="redraw"):
+        sampler = self.resolved_system().timing.scenario_sampler
+        redraw = sampler is None or supports_replay(sampler)
+        transport = "redraw" if redraw else "value"
+        with obs_trace.span("session.compare", managers=len(chosen), transport=transport):
             with obs_trace.span("session.plan"):
                 cache = self._parallel_artifact_cache()
                 self._prepare_parallel_cache(cache, list(chosen))
                 payload = self._execution_payload(cache, chunk_size)
-                plan = plan_compare_redraw(payload, list(chosen), n_cycles, used_seed)
+                if redraw:
+                    plan = plan_compare_redraw(payload, list(chosen), n_cycles, used_seed)
+                else:
+                    scenarios = self._execution_system().draw_scenarios(
+                        n_cycles, np.random.default_rng(used_seed)
+                    )
+                    plan = plan_compare(payload, list(chosen), scenarios)
             executor = self._executor_for(config)
+            advance_cycles = n_cycles if redraw and sampler is not None else 0
             if stream:
                 return self._stream_plan(
-                    plan, executor, progress, fixed_seed=used_seed, advance_cycles=n_cycles
+                    plan,
+                    executor,
+                    progress,
+                    fixed_seed=used_seed,
+                    advance_cycles=advance_cycles,
                 )
+
             def advance() -> None:
-                sampler = payload.system.timing.scenario_sampler
-                if supports_replay(sampler):
-                    sampler.seek(sampler.cursor + n_cycles)
+                if advance_cycles:
+                    sampler.seek(sampler.cursor + advance_cycles)
 
             with obs_trace.span("session.fan_in"):
                 outcome = self._run_plan_advancing(executor, plan, progress, advance)
@@ -1740,7 +1587,7 @@ class Session:
         de-duplicated in arrival order — otherwise (``compare``).  After the
         stream drains, the parent's scenario sampler is advanced to where a
         serial run would leave it (``advance_draws`` for ``run_many`` plans,
-        ``advance_cycles`` for re-draw compare windows), and any failed units
+        ``advance_cycles`` for a re-drawn compare window), and any failed units
         are raised collectively as a
         :class:`~repro.runtime.pool.SweepExecutionError`.  The sampler
         advance also happens when the consumer abandons the iterator early
@@ -1793,7 +1640,7 @@ class Session:
             if advance:
                 if advance_draws and plan.total_draws and supports_replay(sampler):
                     sampler.seek(sampler.cursor + plan.total_draws)
-                if advance_cycles and supports_replay(sampler):
+                if advance_cycles:
                     sampler.seek(sampler.cursor + advance_cycles)
         if failures:
             from repro.runtime.pool import SweepExecutionError
@@ -1804,7 +1651,7 @@ class Session:
     def _collect_compare_runs(
         self, plan: Any, outcome: Any, used_seed: int | None
     ) -> BatchResult:
-        """Label and wrap the pool outcomes of a compare plan (either transport)."""
+        """Label and wrap the pool outcomes of a compare plan."""
         from repro.runtime.plan import unique_label
 
         deadlines = self.resolved_deadlines()

@@ -174,9 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a manager x seed scenario grid (optionally in parallel)",
         epilog=(
             "Defaults: --managers relaxation, --scenarios 8, --cycles 4, --seed 0, "
-            "serial execution (--workers 0), the persistent artifact cache at "
-            "$REPRO_CACHE_DIR else ~/.cache/repro/compiled, and the re-draw "
-            "scenario transport.  --spool fans the grid out over a shared spool "
+            "serial execution (--workers 0) and the persistent artifact cache at "
+            "$REPRO_CACHE_DIR else ~/.cache/repro/compiled.  Parallel grid units "
+            "ship no scenario data: each worker draws its own slice of the "
+            "scenario stream.  --spool fans the grid out over a shared spool "
             "directory instead of the in-process pool (--workers then spawns that "
             "many local spool workers; 0 waits for external 'repro worker' "
             "processes).  --chunk-size defaults to $REPRO_CHUNK, else off "
@@ -214,18 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache",
         action="store_true",
         help="disable the persistent compiled-artifact cache",
-    )
-    sweep.add_argument(
-        "--scenario-transport",
-        choices=("value", "redraw"),
-        default="redraw",
-        help=(
-            "how parallel sweep units obtain their scenarios: redraw (the "
-            "default) ships no scenario data and each worker re-draws its "
-            "slice of the stream; value pre-draws every unit's slice in the "
-            "parent and ships the ScenarioBatch tensors — results are "
-            "bit-identical either way"
-        ),
     )
     sweep.add_argument(
         "--spool",
@@ -436,8 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "Defaults: the paper-scale CIF workload (use --fast for QCIF), "
             "--seed 0, serial comparisons (--workers routes E2/E3 through the "
-            "sweep pool), the scenario transport of the "
-            "chosen mode (value on the pool, redraw on a spool), no spool "
+            "sweep pool, whose workers re-draw the shared scenarios), no spool "
             "(--spool fans comparisons out over a shared spool; --workers "
             "then spawns local spool workers), and --chunk-size $REPRO_CHUNK, "
             "else off (materialised; a chunk size streams the metric-only "
@@ -452,16 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="run the manager comparisons through the sweep pool with N workers",
-    )
-    experiments.add_argument(
-        "--scenario-transport",
-        choices=("value", "redraw"),
-        default=None,
-        help=(
-            "parallel compare scenario transport (default: value on the "
-            "process pool, redraw on a spool; only meaningful with "
-            "--workers/--spool)"
-        ),
     )
     experiments.add_argument(
         "--spool",
@@ -717,7 +695,6 @@ def _run_sweep(
     workers: int,
     cache_dir: str | None,
     no_cache: bool,
-    scenario_transport: str = "redraw",
     spool: str | None = None,
     lease_timeout: float | None = None,
     timeout: float | None = None,
@@ -748,10 +725,9 @@ def _run_sweep(
                 lease_timeout=lease_timeout,
                 timeout=timeout,
                 local_workers=workers,
-                scenario_transport=scenario_transport,
             )
         elif workers >= 1:
-            session.parallel(workers, scenario_transport=scenario_transport)
+            session.parallel(workers)
         grid = grid_specs(
             managers=specs, seeds=spawn_seeds(seed, scenarios), cycles=cycles
         )
@@ -878,7 +854,6 @@ def _run_experiments(
     fast: bool,
     seed: int,
     workers: int | None = None,
-    scenario_transport: str | None = None,
     spool: str | None = None,
     spool_timeout: float | None = None,
     chunk_size: int | None = None,
@@ -890,7 +865,6 @@ def _run_experiments(
             fast=fast,
             seed=seed,
             workers=workers,
-            scenario_transport=scenario_transport,
             spool=spool,
             spool_timeout=spool_timeout,
             chunk_size=chunk_size,
@@ -988,7 +962,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             arguments.workers,
             arguments.cache_dir,
             arguments.no_cache,
-            arguments.scenario_transport,
             arguments.spool,
             arguments.lease_timeout,
             arguments.timeout,
@@ -1014,7 +987,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             arguments.fast,
             arguments.seed,
             arguments.workers,
-            arguments.scenario_transport,
             arguments.spool,
             arguments.timeout,
             arguments.chunk_size,

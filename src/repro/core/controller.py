@@ -8,9 +8,10 @@ overhead model — that charge is exactly the quantity the symbolic managers
 reduce.
 
 The execution loop lives here, in the core package, so that it can be used
-without the platform layer (zero overhead, ideal clock).  The platform
-executor (:mod:`repro.platform.executor`) wraps this loop with a calibrated
-overhead model and clock effects.
+without the platform layer (zero overhead, ideal clock).  Running on a
+virtual machine (:meth:`repro.api.Session.machine`) supplies a calibrated
+overhead model and clock effects; this loop stays the reference oracle the
+vectorised engine is checked against.
 """
 
 from __future__ import annotations

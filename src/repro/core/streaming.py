@@ -80,10 +80,11 @@ class QuantileSketch:
     linear sub-buckets per octave, so any answered quantile lies within a
     relative error of ``1 / resolution`` of a true order statistic.  Counts
     are exact integers, which makes merging two sketches exact and
-    order-independent.
+    order-independent.  ``+inf`` (a makespan charged an infinite cost) is
+    counted in its own tally and answered as ``inf``; NaN is rejected.
     """
 
-    __slots__ = ("_resolution", "_buckets", "_nonpositive", "_count")
+    __slots__ = ("_resolution", "_buckets", "_nonpositive", "_infinite", "_count")
 
     def __init__(self, resolution: int = 512) -> None:
         resolution = int(resolution)
@@ -94,6 +95,7 @@ class QuantileSketch:
         self._resolution = resolution
         self._buckets: dict[int, int] = {}
         self._nonpositive = 0
+        self._infinite = 0
         self._count = 0
 
     @property
@@ -116,14 +118,22 @@ class QuantileSketch:
         self.add_array(np.array([value], dtype=np.float64))
 
     def add_array(self, values: np.ndarray) -> None:
-        """Add a batch of values in one vectorised pass."""
+        """Add a batch of values in one vectorised pass.
+
+        Raises :class:`ValueError` on NaN, which has no rank.
+        """
         values = np.asarray(values, dtype=np.float64).ravel()
         if values.size == 0:
             return
-        positive = values > 0.0
+        if np.isnan(values).any():
+            raise ValueError("cannot add NaN to a quantile sketch")
+        infinite = values == np.inf
+        n_infinite = int(np.count_nonzero(infinite))
+        positive = (values > 0.0) & ~infinite
         n_positive = int(np.count_nonzero(positive))
         self._count += int(values.size)
-        self._nonpositive += int(values.size) - n_positive
+        self._infinite += n_infinite
+        self._nonpositive += int(values.size) - n_positive - n_infinite
         if not n_positive:
             return
         mantissa, exponent = np.frexp(values[positive])
@@ -144,6 +154,7 @@ class QuantileSketch:
             )
         self._count += other._count
         self._nonpositive += other._nonpositive
+        self._infinite += other._infinite
         buckets = self._buckets
         for key, count in other._buckets.items():
             buckets[key] = buckets.get(key, 0) + count
@@ -160,6 +171,8 @@ class QuantileSketch:
                 lower = math.ldexp(0.5 * (1.0 + sub / self._resolution), exponent)
                 width = math.ldexp(0.5 / self._resolution, exponent)
                 return lower + 0.5 * width
+        if k < running + self._infinite:
+            return math.inf
         raise AssertionError("order statistic beyond accumulated count")
 
     def quantile(self, q: float) -> float:
@@ -178,9 +191,11 @@ class QuantileSketch:
         low = int(math.floor(rank))
         high = min(low + 1, self._count - 1)
         value_low = self._order_stat(low, ordered)
-        if high == low:
+        if high == low or rank == low:
             return value_low
         value_high = self._order_stat(high, ordered)
+        if value_high == math.inf:
+            return math.inf
         return value_low + (rank - low) * (value_high - value_low)
 
 
@@ -329,7 +344,9 @@ class StreamingMetrics:
         for value in makespans.tolist():
             total_time += value
         self._total_time = total_time
-        self._makespans.add_array(makespans)
+        # a NaN makespan has no rank; like the audit below, a completion that
+        # cannot be checked reads as infinitely late
+        self._makespans.add_array(np.where(np.isnan(makespans), np.inf, makespans))
         # per-cycle overhead: sum the compressed invocation column exactly as
         # CycleOutcome.total_overhead does (masked order matters for the
         # pairwise summation); an all-zero chunk folds +0.0 per cycle, which

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.compiler import QualityManagerCompiler
+from repro.api.session import Session
 from repro.media.workload import EncoderWorkload, paper_encoder
-from repro.platform.executor import PlatformExecutor
 from repro.platform.machine import Machine, ipod_video
 from repro.platform.tracing import per_action_overhead, relaxation_steps_used
 
@@ -89,19 +88,22 @@ def run_fig8_experiment(
 ) -> Fig8Result:
     """Measure per-action overhead with and without relaxation over one frame window."""
     wl = workload if workload is not None else paper_encoder(seed=seed)
-    system = wl.build_system()
-    deadlines = wl.deadlines()
-    n = system.n_actions
+    session = (
+        Session()
+        .system(wl)
+        .machine(machine if machine is not None else ipod_video())
+        .seed(seed)
+    )
+    n = session.resolved_system().n_actions
     lo = first_action if first_action is not None else min(PAPER_REFERENCE.fig8_first_action, n // 4)
     hi = last_action if last_action is not None else min(PAPER_REFERENCE.fig8_last_action, n - 1)
     if not 1 <= lo < hi <= n:
         raise ValueError(f"invalid action window {lo}..{hi} for {n} actions")
 
-    compiled = QualityManagerCompiler().compile(system, deadlines)
-    executor = PlatformExecutor(machine if machine is not None else ipod_video())
-    managers = {"region": compiled.region, "relaxation": compiled.relaxation}
-    runs = executor.compare(
-        system, deadlines, managers, n_cycles=frame_index + 1, seed=seed
+    # per-action traces are the point: chunk_size=None keeps $REPRO_CHUNK
+    # from turning the comparison summary-only
+    runs = session.compare(
+        "region", "relaxation", cycles=frame_index + 1, chunk_size=None
     )
     region_outcome = runs["region"].outcomes[frame_index]
     relaxation_outcome = runs["relaxation"].outcomes[frame_index]

@@ -58,7 +58,6 @@ def run_all_experiments(
     seed: int = 0,
     workload: EncoderWorkload | None = None,
     workers: int | None = None,
-    scenario_transport: str | None = None,
     spool: str | None = None,
     spool_timeout: float | None = None,
     chunk_size: int | None = None,
@@ -73,13 +72,7 @@ def run_all_experiments(
     instead (:meth:`repro.api.Session.remote`); ``workers`` then counts the
     local ``repro worker`` subprocesses to spawn (0/None waits for external
     workers attached to the spool — set ``spool_timeout`` to bound the wait
-    when none may be attached).  ``scenario_transport`` selects how a
-    parallel comparison ships its shared scenarios to the workers
-    (``"value"`` pre-draws and ships the
-    :class:`~repro.core.timing.ScenarioBatch` tensor, ``"redraw"`` ships no
-    scenario data and workers re-draw it); ``None`` keeps each mode's
-    default — ``"value"`` on the process pool, ``"redraw"`` on a spool.
-    Only meaningful with ``workers``/``spool``.  ``chunk_size`` streams the
+    when none may be attached).  ``chunk_size`` streams the
     metric-only comparisons (E2) in constant memory through the chunked
     engine; the Figure 7 experiment needs per-cycle traces and always forces
     the materialised path for its own runs.
@@ -101,14 +94,9 @@ def run_all_experiments(
     if chunk_size is not None:
         session.chunk_size(chunk_size)
     if spool is not None:
-        session.remote(
-            spool,
-            timeout=spool_timeout,
-            local_workers=workers or 0,
-            scenario_transport=scenario_transport,
-        )
+        session.remote(spool, timeout=spool_timeout, local_workers=workers or 0)
     elif workers is not None:
-        session.parallel(workers, scenario_transport=scenario_transport)
+        session.parallel(workers)
     overhead = run_overhead_experiment(wl, n_frames=n_frames, seed=seed, session=session)
     fig7 = run_fig7_experiment(wl, n_frames=n_frames, seed=seed, session=session)
     fig8 = run_fig8_experiment(wl, seed=seed)
@@ -128,16 +116,6 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         help="run the manager comparisons through the sweep pool with N workers",
-    )
-    parser.add_argument(
-        "--scenario-transport",
-        choices=("value", "redraw"),
-        default=None,
-        help=(
-            "parallel compare scenario transport (default: value on the "
-            "process pool, redraw on a spool; only meaningful with "
-            "--workers/--spool)"
-        ),
     )
     parser.add_argument(
         "--spool",
@@ -164,7 +142,6 @@ def main(argv: list[str] | None = None) -> int:
         fast=arguments.fast,
         seed=arguments.seed,
         workers=arguments.workers,
-        scenario_transport=arguments.scenario_transport,
         spool=arguments.spool,
         spool_timeout=arguments.timeout,
         chunk_size=arguments.chunk_size,

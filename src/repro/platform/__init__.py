@@ -3,12 +3,13 @@
 Models everything the paper's bare-metal iPod target contributes to the
 experiments: the real-time clock, the per-invocation Quality-Manager overhead
 (the quantity symbolic management reduces), the profiling step that produces
-the ``C^av`` / ``C^wc`` estimates, and the executor that runs controlled
-software while charging overhead.
+the ``C^av`` / ``C^wc`` estimates, and the execution traces the experiments
+read.  Controlled software runs on a machine through
+:meth:`repro.api.Session.machine`, which deploys the system on the machine
+and charges its overhead model, with one clock read per manager invocation.
 """
 
 from .clock import VirtualClock
-from .executor import CycleStatistics, PlatformExecutor, RunResult
 from .machine import Machine, desktop, fast_embedded, ipod_video
 from .overhead import (
     DESKTOP_LIKE,
@@ -39,9 +40,6 @@ __all__ = [
     "IPOD_LIKE",
     "FAST_EMBEDDED",
     "DESKTOP_LIKE",
-    "PlatformExecutor",
-    "RunResult",
-    "CycleStatistics",
     "Profiler",
     "ProfileReport",
     "ExecutionEvent",

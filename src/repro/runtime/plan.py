@@ -269,7 +269,6 @@ def plan_run_many(
     entries: Sequence[tuple[str, ManagerSpec, int, int | None]],
     *,
     track_sampler: bool = True,
-    scenarios: Sequence[ScenarioBatch] | None = None,
 ) -> SweepPlan:
     """Build the plan of a ``run_many`` sweep.
 
@@ -279,17 +278,10 @@ def plan_run_many(
     units before it.  ``track_sampler=False`` drops the offsets (for systems
     whose sampler is stateless or absent).
 
-    By default units ship no scenario data — each worker re-draws its slice
-    of the stream (seek to the offset, then ``default_rng(seed)``), exactly
-    what the serial loop does.  ``scenarios`` switches the plan to
-    ship-by-value: one pre-drawn :class:`~repro.core.timing.ScenarioBatch`
-    per entry (the caller drew them in entry order, so the parent sampler
-    already stands where the serial run would leave it).
+    Units ship no scenario data: each worker re-draws its slice of the
+    stream (seek to the offset, then ``default_rng(seed)``), exactly what
+    the serial loop does.
     """
-    if scenarios is not None and len(scenarios) != len(entries):
-        raise PlanError(
-            f"{len(entries)} entries but {len(scenarios)} pre-drawn scenario batches"
-        )
     units: list[SweepUnit] = []
     taken: set[str] = set()
     offset = 0
@@ -304,7 +296,6 @@ def plan_run_many(
                 cycles=int(cycles),
                 seed=seed,
                 sampler_offset=offset if track_sampler else None,
-                scenarios=scenarios[index] if scenarios is not None else None,
             )
         )
         offset += int(cycles)
@@ -352,18 +343,18 @@ def plan_compare_redraw(
 ) -> SweepPlan:
     """Build a compare plan whose workers re-draw the shared scenarios.
 
-    The ROADMAP's named fix for compare-transport cost: instead of shipping
-    the pre-drawn scenario tensor to every worker, each unit records only the
-    draw recipe — the scenario-stream offset (0: the window starts where the
-    payload system's sampler stands) and the base seed — and the worker
-    reproduces the exact batch the parent would have drawn.  Requires a
-    system whose sampler is absent or exposes ``seek``/``cursor`` (the
+    Instead of shipping the pre-drawn scenario tensor to every worker, each
+    unit records only the draw recipe — the scenario-stream offset (0: the
+    window starts where the payload system's sampler stands) and the base
+    seed — and the worker reproduces the exact batch the parent would have
+    drawn.  Requires a system whose sampler is absent or exposes
+    ``seek``/``cursor`` (the
     :class:`~repro.media.timing_model.FrameScenarioSampler` contract);
     anything else is rejected here — a worker running several re-draw units
     could not re-position such a sampler between them, so the units would
-    silently compare managers on *different* scenario windows.  The compare
-    layer checks the same precondition up front and falls back to
-    ship-by-value.
+    silently compare managers on *different* scenario windows.
+    ``Session.compare`` applies the same rule up front and ships such
+    scenarios by value (:func:`plan_compare`) instead.
     """
     cycles = int(cycles)
     if cycles < 1:

@@ -924,9 +924,13 @@ class RemoteSweepExecutor:
 
         One directory listing per scan (not one stat per outstanding unit):
         on a big plan over NFS, per-unit ``stat`` calls would be a sustained
-        metadata storm against the share.
+        metadata storm against the share.  A result file that cannot be read
+        is retried on later scans while it is younger than a lease (it may
+        be half-visible on a laggy share); an older one is deleted and its
+        unit recorded as failed, since no worker will ever rewrite it.
         """
         records: list[tuple] = []
+        now: float | None = None  # probe lazily: unreadable results are rare
         prefix = f"{plan_id}.u"
         try:
             entries = list(self.spool.done.iterdir())
@@ -944,8 +948,26 @@ class RemoteSweepExecutor:
                 continue
             try:
                 record = pickle.loads(path.read_bytes())
-            except (OSError, pickle.UnpicklingError, EOFError):
-                continue  # half-visible on a laggy share: retry next scan
+            except (OSError, pickle.UnpicklingError, EOFError) as error:
+                if now is None:
+                    now = self._spool_now()
+                try:
+                    age = now - path.stat().st_mtime
+                except OSError:  # consumed or unlinked under us
+                    continue
+                if age <= self._lease_timeout:
+                    continue  # half-visible on a laggy share: retry next scan
+                logger.warning(
+                    "unit %d of plan %s has an unreadable result file: %r",
+                    index, plan_id, error,
+                )
+                record = (
+                    index,
+                    False,
+                    f"unreadable result file ({error!r}), still unreadable "
+                    f"{age:.1f}s after it was written",
+                    "",
+                )
             outstanding.discard(index)
             try:
                 path.unlink(missing_ok=True)

@@ -147,8 +147,6 @@ class ServiceClient:
         self,
         session: Any,
         scenarios: Iterable[Any],
-        *,
-        scenario_transport: str | None = None,
     ) -> SweepHandle:
         """Plan and enqueue one sweep; returns an awaitable handle.
 
@@ -170,7 +168,7 @@ class ServiceClient:
         future: asyncio.Future[BatchResult] = loop.create_future()
         try:
             plan, plan_id = await asyncio.to_thread(
-                self._submit_sync, session, list(scenarios), scenario_transport
+                self._submit_sync, session, list(scenarios)
             )
         except BaseException:
             self._release_slot()
@@ -186,10 +184,8 @@ class ServiceClient:
             self._ensure_poller()
         return SweepHandle(plan_id, future)
 
-    def _submit_sync(
-        self, session: Any, scenarios: list, transport: str | None
-    ) -> tuple[Any, str | None]:
-        plan = session.sweep_plan(scenarios, scenario_transport=transport)
+    def _submit_sync(self, session: Any, scenarios: list) -> tuple[Any, str | None]:
+        plan = session.sweep_plan(scenarios)
         if not plan.units:
             return plan, None
         return plan, self._executor.submit(plan)

@@ -17,7 +17,7 @@ from repro.core import (  # noqa: E402
     QualitySet,
 )
 
-__all__ = ["make_synthetic_system", "make_deadline"]
+__all__ = ["NoiseSampler", "make_synthetic_system", "make_seekless_system", "make_deadline"]
 
 
 def make_synthetic_system(
@@ -52,6 +52,33 @@ def make_synthetic_system(
         worst,
         average,
         scenario_sampler=sampler,
+    )
+
+
+class NoiseSampler:
+    """A stateless, picklable scenario sampler without ``seek``/``cursor``.
+
+    Workers cannot re-position it, so a parallel compare on a system drawing
+    from it ships its scenarios by value.
+    """
+
+    def __init__(self, average: np.ndarray) -> None:
+        self._average = average
+
+    def __call__(self, generator: np.random.Generator) -> np.ndarray:
+        noise = generator.uniform(0.6, 1.8, size=(1, self._average.shape[1]))
+        return self._average * noise
+
+
+def make_seekless_system(n_actions: int = 12, n_levels: int = 4) -> ParameterizedSystem:
+    """:func:`make_synthetic_system`'s tables, drawing from a :class:`NoiseSampler`."""
+    base = make_synthetic_system(n_actions, n_levels)
+    return ParameterizedSystem.from_tables(
+        [f"a{i}" for i in range(1, n_actions + 1)],
+        base.qualities,
+        base.worst_case.values,
+        base.average.values,
+        scenario_sampler=NoiseSampler(base.average.values),
     )
 
 

@@ -22,8 +22,8 @@ from repro.analysis import (
     sparkline,
     sweep_table,
 )
-from repro.core import QualityManagerCompiler, SpeedDiagram, run_cycle
-from repro.platform import PlatformExecutor, ipod_video
+from repro.api import Session
+from repro.core import SpeedDiagram, run_cycle
 
 from helpers import make_deadline, make_synthetic_system
 
@@ -35,11 +35,9 @@ def setup():
     # relaxation actually fires (the regime the paper's encoder is in)
     system = make_synthetic_system(n_actions=150, n_levels=6, seed=41, wc_ratio=1.4)
     deadlines = make_deadline(system, slack=1.3)
-    controllers = QualityManagerCompiler(relaxation_steps=(1, 2, 4, 8, 16)).compile(
-        system, deadlines
-    )
-    executor = PlatformExecutor(ipod_video())
-    results = executor.compare(system, deadlines, controllers.managers(), n_cycles=3, seed=0)
+    session = Session().system(system).deadlines(deadlines).relaxation_steps(1, 2, 4, 8, 16)
+    controllers = session.compile()
+    results = session.machine("ipod").compare(cycles=3, seed=0).runs
     return system, deadlines, controllers, results
 
 

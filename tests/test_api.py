@@ -306,23 +306,53 @@ class TestRunLayer:
         # numeric and region managers make identical choices, so durations match
         np.testing.assert_array_equal(durations["numeric"], durations["region"])
 
-    def test_compare_matches_platform_executor(self):
-        """The facade reproduces the pre-facade executor numbers bit-exactly."""
-        from repro.analysis import compute_metrics
-        from repro.core import QualityManagerCompiler
+    def test_compare_matches_run_cycle_oracle(self):
+        """The facade's compare on a machine equals the scalar ``run_cycle``
+        loop over the deployed system, bit for bit.
+
+        The oracle's overhead model is built here, independently of
+        :func:`~repro.api.session.resolve_overhead_model`: the machine's
+        per-call cost plus one clock read per invocation.  The second machine
+        reads its clock at a cost, so that rule is checked too.
+        """
+        from dataclasses import replace
+
+        from repro.core import QualityManagerCompiler, run_cycle
         from repro.media import small_encoder
-        from repro.platform import PlatformExecutor, ipod_video
+        from repro.platform import LinearOverheadModel, ipod_video
 
         workload = small_encoder(seed=0, n_frames=2)
-        system = workload.build_system()
-        deadlines = workload.deadlines()
-        compiled = QualityManagerCompiler().compile(system, deadlines)
-        old = PlatformExecutor(ipod_video()).compare(
-            system, deadlines, compiled.managers(), n_cycles=2, seed=1
+        compiled = QualityManagerCompiler().compile(
+            workload.build_system(), workload.deadlines()
         )
-        new = Session().system(workload).machine("ipod").compare(cycles=2, seed=1)
-        for name in ("numeric", "region", "relaxation"):
-            assert compute_metrics(old[name].outcomes, deadlines) == new[name].metrics
+        for machine in ("ipod", replace(ipod_video(), clock_read_overhead=4e-5)):
+            session = Session().system(workload).machine(machine)
+            platform = session.current_machine
+            cost = platform.overhead
+            model = LinearOverheadModel(
+                replace(cost, per_call=cost.per_call + platform.clock_read_overhead)
+            )
+            deployed = platform.deploy(workload.build_system())
+            scenarios = deployed.draw_scenarios(2, np.random.default_rng(1))
+            batch = session.compare(cycles=2, seed=1, chunk_size=None)
+            assert batch.labels == tuple(compiled.managers())
+            for name, manager in compiled.managers().items():
+                oracle = [
+                    run_cycle(deployed, manager, scenario=scenario, overhead_model=model)
+                    for scenario in scenarios
+                ]
+                assert len(batch[name].outcomes) == len(oracle)
+                for left, right in zip(batch[name].outcomes, oracle):
+                    for field in (
+                        "qualities",
+                        "durations",
+                        "completion_times",
+                        "manager_invocations",
+                        "manager_overheads",
+                    ):
+                        assert np.array_equal(
+                            getattr(left, field), getattr(right, field)
+                        ), f"{machine}: {name}.{field}"
 
     def test_run_many_determinism_and_labels(self, system, deadlines):
         def sweep():

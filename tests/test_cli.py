@@ -37,21 +37,6 @@ class TestParser:
         args = build_parser().parse_args(["compare", "--managers", "numeric,skip"])
         assert args.managers == "numeric,skip"
 
-    def test_sweep_scenario_transport_flag(self):
-        # redraw is the grid sweep's historical behavior (workers draw)
-        args = build_parser().parse_args(["sweep"])
-        assert args.scenario_transport == "redraw"
-        args = build_parser().parse_args(["sweep", "--scenario-transport", "value"])
-        assert args.scenario_transport == "value"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["sweep", "--scenario-transport", "telegraph"])
-
-    def test_experiments_scenario_transport_flag(self):
-        args = build_parser().parse_args(
-            ["experiments", "--scenario-transport", "redraw"]
-        )
-        assert args.scenario_transport == "redraw"
-
 
 class TestCommands:
     def test_info_prints_paper_numbers(self, capsys):
@@ -96,10 +81,7 @@ class TestCommands:
         assert main(["compare", "--small", "--frames", "2", "--managers", "bogus"]) == 2
         assert "unknown manager key" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("transport", ["redraw", "value"])
-    def test_sweep_runs_with_both_transports(
-        self, capsys, tmp_path, monkeypatch, transport
-    ):
+    def test_sweep_runs_on_the_pool(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         assert (
             main(
@@ -114,8 +96,6 @@ class TestCommands:
                     "2",
                     "--workers",
                     "1",
-                    "--scenario-transport",
-                    transport,
                 ]
             )
             == 0
@@ -189,10 +169,6 @@ class TestCommands:
         )
         output = capsys.readouterr().out
         assert "spool" in output and "Sweep: 2 scenarios x 2 cycles" in output
-
-    def test_experiments_transport_defaults_to_mode_default(self):
-        args = build_parser().parse_args(["experiments"])
-        assert args.scenario_transport is None
 
     def test_worker_defaults_match_the_library_constants(self):
         """Drift guard: the CLI's hardcoded defaults must track remote.py."""

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import compute_metrics, metrics_report, render_speed_diagram
-from repro.baselines import ConstantQualityManager, ElasticQualityManager
+from repro.api import Session
 from repro.core import (
     ControlledSystem,
     QualityManagerCompiler,
@@ -19,7 +19,7 @@ from repro.core import (
     audit_trace,
 )
 from repro.media import small_encoder
-from repro.platform import PlatformExecutor, Profiler, desktop, ipod_video
+from repro.platform import Profiler
 
 
 class TestFullToolchain:
@@ -28,21 +28,20 @@ class TestFullToolchain:
         return small_encoder(seed=5, n_frames=3)
 
     def test_compile_execute_audit_report(self, workload):
-        system = workload.build_system()
-        deadlines = workload.deadlines()
+        session = Session().system(workload).machine("ipod").seed(0)
+        system = session.resolved_system()
+        deadlines = session.resolved_deadlines()
 
         # 1. compile the symbolic controllers
-        controllers = QualityManagerCompiler().compile(system, deadlines)
+        controllers = session.compile()
         assert controllers.report.region_integers == system.n_actions * 7
 
         # 2. run on the iPod-like platform, identical scenarios across managers
-        executor = PlatformExecutor(ipod_video())
-        results = executor.compare(
-            system, deadlines, controllers.managers(), n_cycles=3, seed=0
-        )
+        results = session.compare(cycles=3).runs
 
         # 3. audit every trace
         for result in results.values():
+            assert all(audit_trace(outcome, deadlines).is_safe for outcome in result.outcomes)
             assert result.all_deadlines_met
 
         # 4. the paper's headline shape
@@ -92,19 +91,17 @@ class TestFullToolchain:
     def test_adaptive_beats_static_configuration(self, workload):
         """The motivation of the paper's introduction: a static quality either
         wastes budget or misses deadlines, the adaptive manager does neither."""
-        system = workload.build_system()
-        deadlines = workload.deadlines()
-        controllers = QualityManagerCompiler().compile(system, deadlines)
-        executor = PlatformExecutor(ipod_video())
-        qualities = system.qualities
-
-        managers = {
-            "adaptive": controllers.relaxation,
-            "static-low": ConstantQualityManager(qualities, qualities.minimum),
-            "static-high": ConstantQualityManager(qualities, qualities.maximum),
-            "elastic": ElasticQualityManager(system, deadlines),
+        session = Session().system(workload).machine("ipod").seed(7)
+        qualities = session.resolved_system().qualities
+        specs = {
+            "adaptive": "relaxation",
+            "static-low": f"constant:level={qualities.minimum}",
+            "static-high": f"constant:level={qualities.maximum}",
+            "elastic": "elastic",
         }
-        results = executor.compare(system, deadlines, managers, n_cycles=3, seed=7)
+        # runs keep spec order; labels are manager names, which repeat here
+        batch = session.compare(*specs.values(), cycles=3)
+        results = dict(zip(specs, batch.runs.values()))
 
         adaptive = results["adaptive"]
         assert adaptive.all_deadlines_met
@@ -120,15 +117,13 @@ class TestFullToolchain:
         both platforms it stays safe."""
         system = workload.build_system()
         deadlines = workload.deadlines()
-        controllers = QualityManagerCompiler().compile(system, deadlines)
-        slow_result = PlatformExecutor(ipod_video()).run(
-            system, deadlines, controllers.region, n_cycles=2, rng=np.random.default_rng(0)
+        slow_result = (
+            Session().system(system).deadlines(deadlines).machine("ipod").manager("region")
+            .run(cycles=2, seed=0)
         )
-        fast_system = system.rescaled(0.25)
-        fast_controllers = QualityManagerCompiler().compile(fast_system, deadlines)
-        fast_result = PlatformExecutor(desktop()).run(
-            fast_system, deadlines, fast_controllers.region, n_cycles=2,
-            rng=np.random.default_rng(0),
+        fast_result = (
+            Session().system(system.rescaled(0.25)).deadlines(deadlines).machine("desktop")
+            .manager("region").run(cycles=2, seed=0)
         )
         assert slow_result.all_deadlines_met
         assert fast_result.all_deadlines_met

@@ -180,6 +180,32 @@ def test_caller_built_invalid_times_are_rejected(value, fault):
             run(session, tensor)
 
 
+class InfiniteCost:
+    """A deterministic overhead model charging an infinite cost per call."""
+
+    deterministic_charges = True
+
+    def cost_of(self, work) -> float:
+        return np.inf
+
+    def charge(self, work) -> float:
+        return np.inf
+
+
+def test_infinite_makespans_answer_infinite_quantiles():
+    """An infinitely late run must not report a finite worst makespan."""
+    result = (
+        Session()
+        .system("small")
+        .overhead(InfiniteCost())
+        .manager("constant:level=2,consult_every_action=False")
+        .run(cycles=4, chunk_size=4)
+    )
+    assert result.metrics.deadline_misses == 4
+    assert result.metrics.worst_lateness == np.inf
+    assert result.summary.makespan_quantile(1.0) == np.inf
+
+
 def test_nonfinite_completion_folds_as_a_miss():
     """The fold's own guard: a completion it cannot check counts as missed."""
     system = make_synthetic_system(n_actions=4)
@@ -196,3 +222,4 @@ def test_nonfinite_completion_folds_as_a_miss():
     assert metrics.deadline_misses == 1
     assert metrics.worst_lateness == float("inf")
     assert not metrics.is_safe
+    assert summary.makespan_quantile(1.0) == float("inf")

@@ -1,15 +1,15 @@
-"""Tests for the platform executor, tracing and the profiler."""
+"""Tests for runs on the virtual platform, tracing and the profiler."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.api import Session
 from repro.core import QualityManagerCompiler, run_cycle
 from repro.platform import (
     Machine,
     OverheadParameters,
-    PlatformExecutor,
     Profiler,
     build_event_log,
     invocation_density,
@@ -20,6 +20,8 @@ from repro.platform import (
 
 from helpers import make_deadline, make_synthetic_system
 
+STEPS = (1, 4, 8)
+
 
 @pytest.fixture(scope="module")
 def setup():
@@ -27,42 +29,50 @@ def setup():
     # the fixed invocation cost (the regime the paper's encoder is in)
     system = make_synthetic_system(n_actions=120, n_levels=5, seed=15, wc_ratio=1.5)
     deadlines = make_deadline(system, slack=1.4)
-    controllers = QualityManagerCompiler(relaxation_steps=(1, 4, 8)).compile(system, deadlines)
+    controllers = QualityManagerCompiler(relaxation_steps=STEPS).compile(system, deadlines)
     return system, deadlines, controllers
 
 
-class TestPlatformExecutor:
+def on_machine(setup, machine="ipod") -> Session:
+    """A session running the fixture system on ``machine``."""
+    system, deadlines, _ = setup
+    return Session().system(system).deadlines(deadlines).relaxation_steps(*STEPS).machine(machine)
+
+
+def overhead_free(setup) -> Session:
+    """The iPod's timing with no machine configured: nothing charges overhead."""
+    system, deadlines, _ = setup
+    return (
+        Session()
+        .system(ipod_video().deploy(system))
+        .deadlines(deadlines)
+        .relaxation_steps(*STEPS)
+    )
+
+
+class TestPlatformRuns:
     def test_run_produces_statistics(self, setup):
-        system, deadlines, controllers = setup
-        executor = PlatformExecutor(ipod_video())
-        result = executor.run(system, deadlines, controllers.numeric, n_cycles=3, rng=np.random.default_rng(0))
+        system, _, _ = setup
+        result = on_machine(setup).manager("numeric").run(cycles=3, seed=0)
         assert result.n_cycles == 3
         assert result.manager_name == "numeric"
-        assert all(s.manager_calls == system.n_actions for s in result.statistics)
+        assert result.total_manager_calls == 3 * system.n_actions
         assert result.overhead_fraction > 0.0
 
-    def test_charge_overhead_can_be_disabled(self, setup):
-        system, deadlines, controllers = setup
-        executor = PlatformExecutor(ipod_video(), charge_overhead=False)
-        result = executor.run(system, deadlines, controllers.numeric, n_cycles=1)
+    def test_overhead_free_platform_charges_nothing(self, setup):
+        result = overhead_free(setup).manager("numeric").run(cycles=1)
         assert result.overhead_fraction == 0.0
+        assert result.total_manager_calls > 0
 
     def test_compare_uses_identical_scenarios(self, setup):
-        system, deadlines, controllers = setup
-        executor = PlatformExecutor(ipod_video(), charge_overhead=False)
-        results = executor.compare(
-            system, deadlines, {"numeric": controllers.numeric, "region": controllers.region},
-            n_cycles=2, seed=5,
-        )
+        results = overhead_free(setup).compare("numeric", "region", cycles=2, seed=5)
         # without overhead the two managers produce identical traces
         for a, b in zip(results["numeric"].outcomes, results["region"].outcomes):
             assert np.array_equal(a.qualities, b.qualities)
             assert np.allclose(a.completion_times, b.completion_times)
 
     def test_overhead_ordering_between_managers(self, setup):
-        system, deadlines, controllers = setup
-        executor = PlatformExecutor(ipod_video())
-        results = executor.compare(system, deadlines, controllers.managers(), n_cycles=2, seed=1)
+        results = on_machine(setup).compare(cycles=2, seed=1)
         assert (
             results["numeric"].overhead_fraction
             > results["region"].overhead_fraction
@@ -70,41 +80,32 @@ class TestPlatformExecutor:
         )
 
     def test_all_managers_safe_on_platform(self, setup):
-        system, deadlines, controllers = setup
-        executor = PlatformExecutor(ipod_video())
-        results = executor.compare(system, deadlines, controllers.managers(), n_cycles=3, seed=2)
-        for result in results.values():
-            assert result.all_deadlines_met
+        assert on_machine(setup).compare(cycles=3, seed=2).all_deadlines_met
 
     def test_invalid_cycle_counts(self, setup):
-        system, deadlines, controllers = setup
-        executor = PlatformExecutor()
         with pytest.raises(ValueError):
-            executor.run(system, deadlines, controllers.numeric, n_cycles=0)
+            on_machine(setup).manager("numeric").run(cycles=0)
 
     def test_clock_read_overhead_added_to_calls(self, setup):
-        system, deadlines, controllers = setup
         base = Machine(name="base", overhead=OverheadParameters(per_call=1e-4))
         with_clock = Machine(
             name="clocked", overhead=OverheadParameters(per_call=1e-4), clock_read_overhead=1e-4
         )
-        r1 = PlatformExecutor(base).run(system, deadlines, controllers.region, n_cycles=1)
-        r2 = PlatformExecutor(with_clock).run(system, deadlines, controllers.region, n_cycles=1)
-        assert r2.statistics[0].overhead_seconds > r1.statistics[0].overhead_seconds
+        r1 = on_machine(setup, base).manager("region").run(cycles=1)
+        r2 = on_machine(setup, with_clock).manager("region").run(cycles=1)
+        assert r2.total_overhead_seconds > r1.total_overhead_seconds
 
     def test_run_result_quality_series_length(self, setup):
-        system, deadlines, controllers = setup
-        executor = PlatformExecutor(ipod_video())
-        result = executor.run(system, deadlines, controllers.region, n_cycles=4, rng=np.random.default_rng(3))
+        system, _, _ = setup
+        result = on_machine(setup).manager("region").run(cycles=4, seed=3)
         assert result.mean_quality_per_cycle.shape == (4,)
         assert result.total_manager_calls == 4 * system.n_actions
 
 
 class TestTracing:
     def test_event_log_alternates_manager_and_actions(self, setup):
-        system, deadlines, controllers = setup
-        executor = PlatformExecutor(ipod_video())
-        outcome = executor.run(system, deadlines, controllers.numeric, n_cycles=1).outcomes[0]
+        system, _, _ = setup
+        outcome = on_machine(setup).manager("numeric").run(cycles=1).outcomes[0]
         events = build_event_log(outcome)
         kinds = [e.kind for e in events]
         assert kinds.count("action") == system.n_actions
@@ -114,16 +115,13 @@ class TestTracing:
             assert current.start == pytest.approx(previous.end)
 
     def test_event_log_total_time_matches_makespan(self, setup):
-        system, deadlines, controllers = setup
-        executor = PlatformExecutor(ipod_video())
-        outcome = executor.run(system, deadlines, controllers.relaxation, n_cycles=1).outcomes[0]
+        outcome = on_machine(setup).manager("relaxation").run(cycles=1).outcomes[0]
         events = build_event_log(outcome)
         assert events[-1].end == pytest.approx(outcome.makespan)
 
     def test_per_action_overhead_sparse_under_relaxation(self, setup):
-        system, deadlines, controllers = setup
-        executor = PlatformExecutor(ipod_video())
-        outcome = executor.run(system, deadlines, controllers.relaxation, n_cycles=1).outcomes[0]
+        system, _, _ = setup
+        outcome = on_machine(setup).manager("relaxation").run(cycles=1).outcomes[0]
         overhead = per_action_overhead(outcome)
         assert overhead.shape == (system.n_actions,)
         assert np.count_nonzero(overhead) == outcome.manager_invocations.shape[0]

@@ -295,15 +295,17 @@ class TestMergeAlgebraProperties:
     @given(data=st.data())
     def test_quantile_sketch_merge_is_permutation_invariant(self, data):
         """Sketch counts are exact integers, so any merge order (and any
-        grouping) of disjoint batches yields the identical sketch."""
+        grouping) of disjoint batches yields the identical sketch — ``+inf``
+        values (infinitely late makespans) included."""
         from repro.core import QuantileSketch
 
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
         n_parts = data.draw(st.integers(2, 6))
-        parts = [
-            rng.uniform(0.0, 10.0, size=int(rng.integers(0, 40)))
-            for _ in range(n_parts)
-        ]
+        parts = []
+        for _ in range(n_parts):
+            part = rng.uniform(0.0, 10.0, size=int(rng.integers(0, 40)))
+            part[rng.random(part.size) < 0.1] = np.inf
+            parts.append(part)
         order = data.draw(st.permutations(range(n_parts)))
 
         def merged(indices):
@@ -319,6 +321,9 @@ class TestMergeAlgebraProperties:
         assert forward.count == permuted.count
         assert forward._buckets == permuted._buckets
         assert forward._nonpositive == permuted._nonpositive
+        assert forward._infinite == permuted._infinite == sum(
+            int(np.count_nonzero(part == np.inf)) for part in parts
+        )
         if forward.count:
             for q in (0.0, 0.25, 0.5, 0.9, 1.0):
                 assert forward.quantile(q) == permuted.quantile(q)

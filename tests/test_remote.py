@@ -249,11 +249,28 @@ def test_compare_remote_redraw_matches_serial_inline(tmp_path):
 
 
 def test_compare_remote_value_transport_matches_serial(tmp_path):
-    serial = _session(tmp_path).compare(cycles=4)
-    session = _remote_session(tmp_path, scenario_transport="value")
+    """A sampler without seek/cursor ships its batch by value over the spool."""
+    from helpers import make_deadline, make_seekless_system
+
+    system = make_seekless_system()
+
+    def session():
+        return (
+            Session()
+            .system(system)
+            .deadlines(make_deadline(system))
+            .machine("ipod")
+            .seed(0)
+            .artifacts(tmp_path / "cache")
+        )
+
+    serial = session().compare(cycles=4)
+    remote = session().remote(
+        tmp_path / "spool", lease_timeout=15.0, poll_interval=0.02, timeout=120.0
+    )
     with _InlineWorker(tmp_path):
-        remote = session.compare(cycles=4)
-    _batches_identical(serial, remote)
+        spooled = remote.compare(cycles=4)
+    _batches_identical(serial, spooled)
 
 
 def test_remote_sweep_two_subprocess_workers_bit_identical(tmp_path):
@@ -394,8 +411,6 @@ def test_remote_builder_validates_eagerly(tmp_path):
         Session().remote(tmp_path, timeout=0)
     with pytest.raises(SessionError, match="spool"):
         Session().remote()
-    with pytest.raises(SessionError, match="transport"):
-        Session().remote(tmp_path, scenario_transport="telegraph")
 
 
 def test_worker_evicts_withdrawn_plan_runtimes(tmp_path):
@@ -728,6 +743,56 @@ def test_corrupt_plan_file_surfaces_failures_instead_of_hanging(tmp_path):
     assert not outstanding  # every unit produced a record
     assert all(record[1] is False for record in records)
     assert all("unreadable" in record[2] for record in records)
+
+
+def _torn_result(tmp_path: Path, lease_timeout: float):
+    """A submitted two-unit plan whose unit 0 left a torn result file behind.
+
+    Unit 0's pending file is gone, as when a worker finishes it, so nothing
+    will ever rewrite the result.
+    """
+    plan = _compare_plan(tmp_path)
+    executor = RemoteSweepExecutor(
+        tmp_path / "spool", lease_timeout=lease_timeout, poll_interval=0.02, timeout=60.0
+    )
+    plan_id = executor.submit(plan)
+    (executor.spool.pending / SpoolLayout.unit_name(plan_id, 0, 0)).unlink()
+    torn = executor.spool.result_path(plan_id, 0)
+    torn.write_bytes(b"\x80\x05\x95")
+    return plan, executor, plan_id, torn
+
+
+def test_aged_torn_result_file_becomes_a_unit_failure(tmp_path):
+    """An unreadable result older than a lease must not hang the fan-in."""
+    plan, executor, plan_id, torn = _torn_result(tmp_path, lease_timeout=0.3)
+    _age_file(torn, 5.0)
+    outstanding = {unit.index for unit in plan.units}
+    records = []
+    with _InlineWorker(tmp_path):
+        deadline = time.monotonic() + 30.0
+        while outstanding and time.monotonic() < deadline:
+            records.extend(executor._drain_done(plan_id, outstanding))
+            records.extend(executor._requeue_expired(plan_id, outstanding))
+            time.sleep(0.02)
+    assert not torn.exists()
+    executor._cleanup(plan_id)
+    assert not outstanding
+    by_index = {record[0]: record for record in records}
+    assert by_index[0][1] is False and "unreadable result file" in by_index[0][2]
+    assert by_index[1][1] is True  # the healthy unit still executed
+
+
+def test_fresh_torn_result_file_is_retried(tmp_path):
+    """A result younger than a lease may be half-visible: keep it for the
+    next scan instead of failing a unit that may have succeeded."""
+    plan, executor, plan_id, torn = _torn_result(tmp_path, lease_timeout=30.0)
+    outstanding = {unit.index for unit in plan.units}
+    assert executor._drain_done(plan_id, outstanding) == []
+    assert outstanding == {0, 1} and torn.exists()
+    torn.write_bytes(pickle.dumps((0, False, "delivered late", "")))
+    (record,) = executor._drain_done(plan_id, outstanding)
+    executor._cleanup(plan_id)
+    assert record[2] == "delivered late" and outstanding == {1}
 
 
 def test_worker_validates_intervals(tmp_path):

@@ -8,10 +8,10 @@ Four contracts are asserted:
   are bit-identical to serial draws;
 * **view semantics** — a :class:`ScenarioBatch` behaves like a read-only
   sequence of :class:`ActualTimeScenario` views over one frozen tensor;
-* **transport** — the parallel ``compare`` produces bit-identical results
-  under both scenario transports (ship-by-value tensors and per-worker
-  re-draw), and pool workers reject malformed shipped tensors with a clear
-  per-unit failure;
+* **transport** — the parallel ``compare`` is bit-identical to serial on
+  both branches of its transport rule (per-worker re-draw for samplers that
+  are absent or can seek, ship-by-value tensors otherwise), and pool
+  workers reject malformed shipped tensors with a clear per-unit failure;
 * **sharing safety** — the sampler-less path shares one frozen matrix across
   the batch; no consumer can corrupt the siblings.
 """
@@ -34,7 +34,7 @@ from repro.core import (
 from repro.core.types import InvalidTimingError
 from repro.media import paper_encoder, small_encoder
 
-from helpers import make_deadline, make_synthetic_system
+from helpers import make_deadline, make_seekless_system, make_synthetic_system
 
 _OUTCOME_FIELDS = (
     "qualities",
@@ -364,33 +364,65 @@ class TestSamplerlessSharing:
 # --------------------------------------------------------------------------- #
 
 
+def record_plans(monkeypatch) -> list:
+    """Record every plan the in-process pool executes."""
+    from repro.runtime.pool import SweepExecutor
+
+    plans: list = []
+    run = SweepExecutor.run
+
+    def recording(executor, plan, **kwargs):
+        plans.append(plan)
+        return run(executor, plan, **kwargs)
+
+    monkeypatch.setattr(SweepExecutor, "run", recording)
+    return plans
+
+
 class TestCompareTransport:
-    def _session(self, **parallel):
+    def _session(self, system=None):
         from repro.api import Session
 
-        session = (
+        if system is None:
+            return (
+                Session()
+                .system(small_encoder(seed=0, n_frames=4))
+                .overhead("ipod")
+                .seed(3)
+                .artifacts(False)
+            )
+        return (
             Session()
-            .system(small_encoder(seed=0, n_frames=4))
+            .system(system)
+            .deadlines(make_deadline(system))
             .overhead("ipod")
             .seed(3)
             .artifacts(False)
         )
-        if parallel:
-            session.parallel(**parallel)
-        return session
 
-    def test_redraw_matches_value_and_serial(self):
-        serial = self._session().compare("region", "relaxation", "numeric", cycles=6)
-        value = self._session().compare(
-            "region", "relaxation", "numeric", cycles=6, workers=1,
-            scenario_transport="value",
+    def test_redraw_matches_value_and_serial(self, monkeypatch):
+        """Both branches of the transport rule equal the serial compare.
+
+        The encoder's sampler can seek, so its units ship only the draw
+        recipe; a picklable sampler without ``seek``/``cursor`` cannot be
+        re-positioned on a worker, so every unit carries the drawn batch.
+        """
+        plans = record_plans(monkeypatch)
+        specs = ("region", "relaxation", "numeric")
+        assert_runs_identical(
+            self._session().compare(*specs, cycles=6),
+            self._session().compare(*specs, cycles=6, workers=1),
         )
-        redraw = self._session().compare(
-            "region", "relaxation", "numeric", cycles=6, workers=1,
-            scenario_transport="redraw",
+        assert all(unit.redraw and unit.scenarios is None for unit in plans[-1].units)
+
+        seekless = make_seekless_system()
+        assert_runs_identical(
+            self._session(seekless).compare(*specs, cycles=6),
+            self._session(seekless).parallel(workers=1).compare(*specs, cycles=6),
         )
-        assert_runs_identical(serial, value)
-        assert_runs_identical(serial, redraw)
+        units = plans[-1].units
+        assert all(not unit.redraw and len(unit.scenarios) == 6 for unit in units)
+        assert all(unit.scenarios is units[0].scenarios for unit in units)
 
     def test_redraw_leaves_the_stream_where_serial_would(self):
         """Back-to-back compares see consecutive frame windows in both modes."""
@@ -398,7 +430,7 @@ class TestCompareTransport:
         redraw = self._session()
         assert_runs_identical(
             serial.compare("region", cycles=5),
-            redraw.compare("region", cycles=5, workers=1, scenario_transport="redraw"),
+            redraw.compare("region", cycles=5, workers=1),
         )
         assert (
             serial.resolved_system().timing.scenario_sampler.cursor
@@ -407,77 +439,32 @@ class TestCompareTransport:
         )
         assert_runs_identical(
             serial.compare("relaxation", cycles=3),
-            redraw.compare(
-                "relaxation", cycles=3, workers=1, scenario_transport="redraw"
-            ),
+            redraw.compare("relaxation", cycles=3, workers=1),
         )
 
-    def test_run_many_value_transport_matches_redraw_and_serial(self):
-        """Grid units can ship pre-drawn tensors instead of drawing worker-side."""
+    def test_run_many_units_carry_no_scenarios(self, monkeypatch):
+        """Grid units draw worker-side, whatever the sampler."""
+        plans = record_plans(monkeypatch)
         specs = ["relaxation", "region", {"manager": "constant:level=2", "seed": 5}]
-        serial = self._session().run_many(specs)
-        redraw = self._session().run_many(specs, workers=1)  # historical default
-        value = self._session().run_many(
-            specs, workers=1, scenario_transport="value"
-        )
-        assert_runs_identical(serial, redraw)
-        assert_runs_identical(serial, value)
+        for system in (None, make_seekless_system()):
+            assert_runs_identical(
+                self._session(system).run_many(specs),
+                self._session(system).run_many(specs, workers=1),
+            )
+            assert all(
+                unit.scenarios is None and not unit.redraw for unit in plans[-1].units
+            )
 
-    def test_run_many_value_transport_preserves_stream_position(self):
-        """Parent-side draws leave the sampler exactly where serial would."""
-        serial = self._session()
-        value = self._session()
+    def test_samplerless_system_supports_redraw(self, monkeypatch):
+        plans = record_plans(monkeypatch)
+        system = TestSamplerlessSharing()._system()
         assert_runs_identical(
-            serial.run_many(["relaxation", "region"]),
-            value.run_many(
-                ["relaxation", "region"], workers=1, scenario_transport="value"
+            self._session(system).compare("region", "constant:level=1", cycles=3),
+            self._session(system).compare(
+                "region", "constant:level=1", cycles=3, workers=1
             ),
         )
-        assert (
-            serial.resolved_system().timing.scenario_sampler.cursor
-            == value.resolved_system().timing.scenario_sampler.cursor
-        )
-        assert_runs_identical(
-            serial.run_many(["relaxation"]),
-            value.run_many(["relaxation"], workers=1, scenario_transport="value"),
-        )
-
-    def test_transport_defaults_from_parallel_builder(self):
-        serial = self._session().compare("region", "constant:level=2", cycles=4)
-        configured = self._session(workers=1, scenario_transport="redraw").compare(
-            "region", "constant:level=2", cycles=4
-        )
-        assert_runs_identical(serial, configured)
-
-    def test_samplerless_system_supports_redraw(self):
-        from repro.api import Session
-
-        system = TestSamplerlessSharing()._system()
-        deadline = make_deadline(system)
-
-        def build(transport=None):
-            session = (
-                Session().system(system).deadlines(deadline).seed(0).artifacts(False)
-            )
-            kwargs = {} if transport is None else {
-                "workers": 1, "scenario_transport": transport,
-            }
-            return session.compare("region", "constant:level=1", cycles=3, **kwargs)
-
-        assert_runs_identical(build(), build("redraw"))
-
-    def test_invalid_transport_rejected(self):
-        from repro.api import SessionError
-
-        with pytest.raises(SessionError):
-            self._session(workers=1, scenario_transport="carrier-pigeon")
-        with pytest.raises(SessionError):
-            self._session().compare(
-                "region", cycles=2, workers=1, scenario_transport="morse"
-            )
-        with pytest.raises(SessionError):
-            # a typo must fail on serial runs too, not only once workers= appears
-            self._session().compare("region", cycles=2, scenario_transport="morse")
+        assert all(unit.redraw for unit in plans[-1].units)
 
     def test_redraw_units_ship_no_scenario_data(self):
         from repro.api.registry import ManagerSpec

@@ -593,8 +593,6 @@ def test_service_builder_validates_eagerly(tmp_path):
         Session().service(tmp_path, lease_timeout=0)
     with pytest.raises(SessionError, match="timeout"):
         Session().service(tmp_path, timeout=0)
-    with pytest.raises(SessionError, match="transport"):
-        Session().service(tmp_path, scenario_transport="telegraph")
 
 
 def test_sweep_plan_builds_without_spooling(tmp_path):

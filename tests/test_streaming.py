@@ -12,6 +12,7 @@ execution exactly.
 from __future__ import annotations
 
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from repro.analysis.metrics import compute_metrics
 from repro.api.session import SessionError
 from repro.media import small_encoder
 
-from helpers import make_deadline, make_synthetic_system
+from helpers import make_deadline, make_seekless_system, make_synthetic_system
 
 ALL_KEYS = sorted(available_managers())
 N_CYCLES = 10
@@ -156,15 +157,26 @@ class TestParallelFanIn:
             assert_metrics_identical(serial[label].metrics, pooled[label].metrics, label)
 
     def test_compare_both_transports(self, tmp_path):
-        serial = self._fresh(tmp_path).compare(cycles=4)
-        for transport in ("value", "redraw"):
-            streamed = self._fresh(tmp_path).compare(
-                cycles=4,
-                parallel=True,
-                workers=1,
-                scenario_transport=transport,
-                chunk_size=3,
+        """Workers fold identical summaries whether they re-draw the shared
+        scenarios (a seekable sampler) or receive them by value (a sampler
+        without seek/cursor)."""
+        seekless = make_seekless_system()
+
+        def fresh_seekless():
+            return (
+                Session()
+                .system(seekless)
+                .deadlines(make_deadline(seekless))
+                .seed(3)
+                .artifacts(tmp_path / "cache")
             )
+
+        for transport, fresh in (
+            ("redraw", lambda: self._fresh(tmp_path)),
+            ("value", fresh_seekless),
+        ):
+            serial = fresh().compare(cycles=4)
+            streamed = fresh().compare(cycles=4, parallel=True, workers=1, chunk_size=3)
             for label in serial.labels:
                 assert streamed[label].is_summary
                 assert_metrics_identical(
@@ -232,6 +244,29 @@ class TestQuantileSketch:
         sketch.add_array(np.array([-1.0, 0.0, 2.0, 4.0]))
         assert sketch.count == 4
         assert sketch.quantile(0.0) == 0.0
+
+    def test_infinite_values_keep_their_own_tally(self):
+        sketch = QuantileSketch()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no invalid-cast warning
+            sketch.add_array(np.array([1.0, 2.0, np.inf]))
+        assert sketch.count == 3
+        assert sketch.quantile(1.0) == np.inf
+        assert sketch.quantile(0.75) == np.inf
+        assert sketch.quantile(0.5) == pytest.approx(2.0, rel=sketch.relative_error)
+        other = QuantileSketch()
+        other.add_array(np.array([np.inf, 0.0]))
+        sketch.merge(other)
+        assert sketch.count == 5
+        assert sketch.quantile(0.0) == 0.0
+        assert sketch.quantile(0.5) == pytest.approx(2.0, rel=sketch.relative_error)
+        assert sketch.quantile(0.75) == np.inf
+
+    def test_nan_is_rejected(self):
+        sketch = QuantileSketch()
+        with pytest.raises(ValueError, match="NaN"):
+            sketch.add_array(np.array([1.0, np.nan]))
+        assert sketch.count == 0
 
     def test_pickle_roundtrip(self):
         sketch = QuantileSketch()
