@@ -9,9 +9,18 @@ levels):
   per-cycle `draw_scenario` loop on a 4,096-cycle batch, and bit-identical
   to it — the speedup is pure interpreter-overhead removal;
 * the parallel ``compare`` transports are measured per work unit: the
-  ship-by-value tensor (`plan_compare`), the legacy tuple-of-objects shape
+  ship-by-value batch (`plan_compare`), the legacy tuple-of-objects shape
   it replaced, and the re-draw recipe (`plan_compare_redraw`) that ships no
   scenario data at all.
+
+Recorded without a gate, at 1,024 paper cycles: the factored draw (one base
+row per cycle, ``ScenarioFactors``) against the enforced-tensor draw of the
+same sampler with its factor hook hidden, in seconds and bytes, and one
+lockstep gather pass over every action on each form.  The
+``timing.factored_fallback`` counters of draws on both built-in encoders
+on ``ipod`` and ``desktop`` are recorded too: CI fails when one of them
+fell back to the tensor path, which would keep every correctness test
+green and lose the whole gain.
 
 Next to the bytes, one 256-cycle, three-manager plan of each kind runs
 through ``SweepExecutor(max_workers=2)``, three times each, alternating.  The
@@ -38,12 +47,19 @@ import time
 import numpy as np
 import pytest
 
+from repro.api import Session
 from repro.api.registry import ManagerSpec
+from repro.core.engine import _duration_reader
+from repro.core.timing import TimingModel
+from repro.obs import enable as obs_enable
+from repro.obs import metrics as obs_metrics
+from repro.obs import reset_enabled as obs_reset
 from repro.runtime.artifacts import CompiledArtifactCache
 from repro.runtime.plan import ExecutionPayload, plan_compare, plan_compare_redraw
 from repro.runtime.pool import SweepExecutor
 
 _N_CYCLES = 4096
+_N_FACTORED_CYCLES = 1024  # one streamed paper chunk
 _N_TRANSPORT_CYCLES = 256  # pickling a 4k-cycle tensor would measure only RAM
 _TIMED_REPEATS = 3
 _OUTCOME_FIELDS = (
@@ -131,6 +147,99 @@ def _time_compare_plans(system, deadlines, cache_dir) -> dict:
     }
 
 
+class _TensorOnly:
+    """A sampler's draws without its factor hook: the enforced-tensor path."""
+
+    returns_fresh_batches = True
+
+    def __init__(self, sampler) -> None:
+        self._sampler = sampler
+
+    def __call__(self, rng):
+        return self._sampler(rng)
+
+    def sample_batch(self, count, rng):
+        return self._sampler.sample_batch(count, rng)
+
+
+def _best_of(repeats: int, measure) -> tuple[float, object]:
+    """The fastest of ``repeats`` timed calls, and the last call's result."""
+    best, result = float("inf"), None
+    for _ in range(repeats):
+        started = time.perf_counter()
+        result = measure()
+        best = min(best, time.perf_counter() - started)
+    return best, result
+
+
+def _gather_seconds(scenarios, rows: np.ndarray) -> float:
+    """One lockstep gather pass over every action at the given quality rows,
+    including the action-major copy the factored form makes first."""
+    started = time.perf_counter()
+    read = _duration_reader(scenarios)
+    for i in range(scenarios.shape[2]):
+        read(i, rows)
+    return time.perf_counter() - started
+
+
+def _factored_vs_tensor(system) -> dict:
+    """Draw and gather costs of one paper chunk in both batch forms."""
+    sampler = system.timing.scenario_sampler
+    tensor_model = TimingModel(system.worst_case, system.average, _TensorOnly(sampler))
+
+    def draw(model):
+        def measure():
+            sampler.seek(0)
+            return model.sample_scenarios(_N_FACTORED_CYCLES, np.random.default_rng(3))
+
+        return measure
+
+    factored_s, factored = _best_of(5, draw(system.timing))
+    tensor_s, tensor = _best_of(5, draw(tensor_model))
+    assert factored.factors is not None and tensor.factors is None
+    assert np.array_equal(factored.tensor, tensor.tensor), (
+        "the factored draw differs from the enforced tensor"
+    )
+    rows = np.random.default_rng(4).integers(
+        len(system.qualities), size=_N_FACTORED_CYCLES
+    ).astype(np.intp)
+    return {
+        "cycles": _N_FACTORED_CYCLES,
+        "factored_draw_seconds": factored_s,
+        "tensor_draw_seconds": tensor_s,
+        "draw_speedup": tensor_s / factored_s,
+        "factored_bytes": factored.nbytes(),
+        "tensor_bytes": tensor.nbytes(),
+        "factored_gather_seconds": min(_gather_seconds(factored, rows) for _ in range(5)),
+        "tensor_gather_seconds": min(_gather_seconds(tensor, rows) for _ in range(5)),
+    }
+
+
+def _factored_fallbacks() -> dict[str, float]:
+    """``timing.factored_fallback`` counts of built-in encoder draws, by label."""
+    obs_enable(True)
+    registry = obs_metrics.registry()
+    counts = {}
+    try:
+        for workload in ("paper", "small"):
+            for machine in ("ipod", "desktop"):
+                session = Session().system(workload).machine(machine)
+                system = session.current_machine.deploy(session.resolved_system())
+                registry.reset()
+                for seed in range(2):
+                    system.draw_scenarios(64, np.random.default_rng(seed))
+                metrics = registry.snapshot()["metrics"]
+                counts[f"{workload}/{machine}"] = sum(
+                    metric["value"]
+                    for name, metric in metrics.items()
+                    if name.startswith("timing.factored_fallback")
+                )
+    finally:
+        obs_reset()
+        registry.reset()
+    return counts
+
+
 def bench_scenario_pipeline(paper_workload, paper_deadlines, tmp_path):
     """4,096 paper-scale draws: the batched kernel beats the per-cycle loop >= 5x."""
     batched_system = paper_workload.build_system()
@@ -162,8 +271,10 @@ def bench_scenario_pipeline(paper_workload, paper_deadlines, tmp_path):
         "scalar_cycles_per_sec": _N_CYCLES / scalar_s,
         "batched_cycles_per_sec": _N_CYCLES / batched_s,
         "speedup": scalar_s / batched_s,
-        "tensor_mbytes": batch.nbytes() / 1e6,
+        "batch_mbytes": batch.nbytes() / 1e6,
     }
+    factored = _factored_vs_tensor(paper_workload.build_system())
+    fallbacks = _factored_fallbacks()
 
     # compare-transport cost per work unit, at a pickle-friendly cycle count
     payload = ExecutionPayload(
@@ -202,6 +313,11 @@ def bench_scenario_pipeline(paper_workload, paper_deadlines, tmp_path):
             "n_levels": len(batched_system.qualities),
             "min_speedup_gate": _MIN_SPEEDUP,
             "draw": draw,
+            "factored": factored,
+            "factored_fallbacks": sorted(
+                label for label, count in fallbacks.items() if count
+            ),
+            "factored_fallback_counts": fallbacks,
             "transport": transport,
             "env": {
                 "python": sys.version.split()[0],

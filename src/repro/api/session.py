@@ -67,6 +67,7 @@ explicit ``scenarios=[...]`` for bitwise-identical repeats.
 from __future__ import annotations
 
 import copy
+import math
 import os
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
@@ -279,8 +280,10 @@ class Session:
             raise SessionError("pass exactly one of a DeadlineFunction or period=<seconds>")
         if period is not None:
             period = float(period)
-            if period <= 0.0:
-                raise SessionError(f"deadline period must be > 0, got {period}")
+            if not (math.isfinite(period) and period > 0.0):
+                raise SessionError(
+                    f"deadline period must be finite and > 0, got {period}"
+                )
             self._deadlines, self._period = None, period
         else:
             if not isinstance(deadlines, DeadlineFunction):
@@ -375,10 +378,19 @@ class Session:
         return self
 
     def seed(self, seed: int) -> "Session":
-        """Default random seed for named workloads and scenario draws."""
-        if int(seed) == self._seed:
+        """Default random seed for named workloads and scenario draws.
+
+        Must be a non-negative integer (NumPy seeds ``default_rng`` with it).
+        """
+        try:
+            value = int(seed)
+        except (TypeError, ValueError, OverflowError):
+            value = None
+        if value is None or value != seed or value < 0:
+            raise SessionError(f"seed must be a non-negative integer, got {seed!r}")
+        if value == self._seed:
             return self
-        self._seed = int(seed)
+        self._seed = value
         if self._workload_name is not None:
             # a named workload derives its content from the session seed —
             # drop the resolved instance so it is rebuilt with the new seed

@@ -51,7 +51,13 @@ from repro.obs.state import enabled as _obs_enabled
 
 from .controller import OverheadModelProtocol
 from .deadlines import DeadlineFunction
-from .engine import _charge_for, kernel_spec
+from .engine import (
+    FACTORED_GATHER_MIN_LANES,
+    _charge_for,
+    _duration_reader,
+    _FactoredLanes,
+    kernel_spec,
+)
 from .kernelspec import KernelSpec
 from .manager import QualityManager
 from .streaming import StreamingMetrics, run_cycles_streamed
@@ -609,7 +615,7 @@ class _FleetKernel:
 
 def _fleet_lockstep(
     kernel: _FleetKernel,
-    tensor: np.ndarray,
+    lanes: np.ndarray | _FactoredLanes,
     lane_member: np.ndarray,
     real: np.ndarray,
     lane_level_min: np.ndarray,
@@ -621,12 +627,14 @@ def _fleet_lockstep(
     stacked tables, and quality rows translate through a per-lane level
     minimum (members keep their own quality sets).  Per lane, the
     floating-point sequence — overhead add at each invocation, one
-    duration add per action — is identical to the solo loop.  The buffers
-    are action-major, ``(n_actions, n_lanes)``, like the solo loop's;
-    ``qualities`` and ``completion`` are returned as transposed (``.T``)
-    views, shape ``(n_lanes, n_actions)``.
+    duration add per action — is identical to the solo loop, and so is
+    the duration hook that reads ``lanes``, a padded ``(n_lanes, levels,
+    actions)`` tensor or factored lanes.  The buffers are action-major,
+    ``(n_actions, n_lanes)``, like the solo loop's; ``qualities`` and
+    ``completion`` are returned as transposed (``.T``) views, shape
+    ``(n_lanes, n_actions)``.
     """
-    n_lanes, _, n_actions = tensor.shape
+    n_lanes, _, n_actions = lanes.shape
     kernel.reset_accounting()
 
     # quality rows until the loop ends; the level minima are added in place
@@ -638,7 +646,7 @@ def _fleet_lockstep(
     elapsed = np.zeros(n_lanes, dtype=np.float64)
     remaining = np.zeros(n_lanes, dtype=np.int64)
     rows = np.zeros(n_lanes, dtype=np.intp)
-    lane_index = np.arange(n_lanes)
+    read_durations = _duration_reader(lanes)
 
     for i in range(n_actions):
         deciding = np.equal(remaining, 0, out=invoked[i])
@@ -651,7 +659,7 @@ def _fleet_lockstep(
             remaining[deciding] = np.minimum(decided_steps, n_actions - i)
             elapsed[deciding] = times + decided_overheads
             invocation_overheads[i, deciding] = decided_overheads
-        step_durations = tensor[lane_index, rows, i]
+        step_durations = read_durations(i, rows)
         elapsed += step_durations
         completion[i] = elapsed
         qualities[i] = rows
@@ -659,6 +667,42 @@ def _fleet_lockstep(
     qualities += lane_level_min
 
     return qualities.T, completion.T, invoked, invocation_overheads
+
+
+def _lane_block(
+    batches: Sequence[ScenarioBatch], width: int, n_levels: int, n_actions: int
+) -> np.ndarray | _FactoredLanes:
+    """One chunk's lanes: ``width`` per batch, the padded lanes last in each.
+
+    When every batch is factored and the chunk reaches
+    :data:`~repro.core.engine.FACTORED_GATHER_MIN_LANES` lanes, only base
+    rows are copied, into one action-major block, beside each member's
+    level tables (padded lanes have a zero base, so they last zero);
+    otherwise the batches' tensors fill a zero-padded ``(lanes, levels,
+    actions)`` tensor.
+    """
+    n_lanes = len(batches) * width
+    factors = [batch.factors for batch in batches]
+    if n_lanes < FACTORED_GATHER_MIN_LANES or any(f is None for f in factors):
+        tensor = np.zeros((n_lanes, n_levels, n_actions), dtype=np.float64)
+        for slot, batch in enumerate(batches):
+            tensor[slot * width : slot * width + len(batch)] = batch.tensor
+        return tensor
+    base = np.zeros((n_actions, n_lanes), dtype=np.float64)
+    for slot, member in enumerate(factors):
+        base[:, slot * width : slot * width + member.base.shape[0]] = member.base.T
+    scale = None
+    if any(member.scale is not None for member in factors):
+        scales = [1.0 if member.scale is None else member.scale for member in factors]
+        scale = np.repeat(np.array(scales, dtype=np.float64), width)
+    return _FactoredLanes(
+        (n_lanes, n_levels, n_actions),
+        base,
+        np.concatenate([member.quality_factors for member in factors]).T.copy(),
+        np.concatenate([member.ceiling for member in factors]).T.copy(),
+        scale,
+        np.repeat(np.arange(len(batches)) * n_levels, width),
+    )
 
 
 def _run_bucket(
@@ -672,8 +716,8 @@ def _run_bucket(
     chunk is a rectangle: every still-running member owns ``width``
     lanes (``width`` = the bucket's chunk size capped by the longest
     remaining run), real lanes carry that member's next scenarios and
-    fold into its accumulator, padded lanes carry zeros and are masked
-    out of folds and accounting.
+    fold into its accumulator, padded lanes carry zero durations and are
+    masked out of folds and accounting.
     """
     group = [members[index] for index in bucket.indices]
     kernel = _FleetKernel(bucket.specs, [member.overhead_model for member in group])
@@ -698,9 +742,9 @@ def _run_bucket(
         width = int(min(bucket_chunk, int(remaining[active].max())))
         counts = np.minimum(remaining[active], width)
         n_lanes = len(active) * width
-        tensor = np.zeros((n_lanes, n_levels, n_actions), dtype=np.float64)
         real = np.zeros(n_lanes, dtype=bool)
         lane_member = np.repeat(active, width)
+        batches = []
         for slot, member_index in enumerate(active.tolist()):
             member = group[member_index]
             count = int(counts[slot])
@@ -710,12 +754,13 @@ def _run_bucket(
             else:
                 offset = int(position[member_index])
                 batch = member.scenarios[offset : offset + count]
-            tensor[start : start + count] = batch.tensor
+            batches.append(batch)
             real[start : start + count] = True
             member.manager.reset()
+        lanes = _lane_block(batches, width, n_levels, n_actions)
         lane_level_min = level_min[lane_member]
         qualities, completion, invoked, overheads = _fleet_lockstep(
-            kernel, tensor, lane_member, real, lane_level_min
+            kernel, lanes, lane_member, real, lane_level_min
         )
         for slot, member_index in enumerate(active.tolist()):
             count = int(counts[slot])

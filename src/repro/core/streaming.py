@@ -55,7 +55,7 @@ from .engine import (
     EngineError,
     _check_batch_input,
     _count_dispatch,
-    _scenario_tensor,
+    _lockstep_scenarios,
     compile_decision_kernel,
     run_lockstep_arrays,
 )
@@ -526,7 +526,7 @@ def run_cycles_streamed(
         if isinstance(batch, ScenarioBatch):
             peak_chunk_bytes = max(peak_chunk_bytes, batch.nbytes())
         if kernel is not None:
-            matrices = _scenario_tensor(system, batch)
+            matrices = _lockstep_scenarios(system, batch)
             qualities, _, completion, invoked, overheads = run_lockstep_arrays(
                 system, manager, kernel, matrices, overhead_model
             )

@@ -29,11 +29,18 @@ class _TransformedSampler:
     as :class:`~repro.media.timing_model.FrameScenarioSampler`) is delegated
     to the wrapped sampler, so derived systems keep the parallel sweep
     engine's replay guarantees; ``hasattr`` checks see exactly what the inner
-    sampler offers.  Instances are plain picklable objects — a derived system
-    built from a picklable sampler can cross a process boundary.
+    sampler offers, except the factored-draw hooks (``scenario_factors`` and
+    ``sample_base``), which a wrapper offers only by overriding them.
+    Instances are plain picklable objects — a derived system built from a
+    picklable sampler can cross a process boundary.
     """
 
     __slots__ = ("_inner",)
+
+    #: not forwarded: the inner sampler's base and level table would keep
+    #: their full width under a truncation, or skip a wrapper's transformation
+    scenario_factors = None
+    sample_base = None
 
     def __init__(self, inner: Callable[[np.random.Generator], np.ndarray]) -> None:
         self._inner = inner
@@ -81,6 +88,25 @@ class _ScaledSampler(_TransformedSampler):
 
     def sample_batch(self, count: int, rng: np.random.Generator) -> np.ndarray:
         return self._raw_batch(int(count), rng) * self._factor
+
+    def scenario_factors(self) -> tuple[np.ndarray, float] | None:
+        """The inner level table, scaled after the level product by the factor.
+
+        ``None`` (no factored draw) when the inner sampler offers no factors
+        or applies a scale of its own: a nested rescale keeps the tensor form.
+        """
+        offered = getattr(self._inner, "scenario_factors", None)
+        tables = offered() if offered is not None else None
+        if tables is None or tables[1] is not None:
+            return None
+        return tables[0], self._factor
+
+    def sample_base(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """The inner sampler's base rows: the factor applies after the level product."""
+        base = self._inner.sample_base(count, rng)
+        if getattr(self._inner, "returns_fresh_batches", False):
+            return base
+        return np.array(base, dtype=np.float64)
 
     def __getstate__(self):
         return (self._inner, self._factor)

@@ -18,9 +18,12 @@ rest of the library can assume the model's hypotheses hold.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
+
+from repro.obs.metrics import registry as _obs_registry
+from repro.obs.state import enabled as _obs_enabled
 
 from .types import InvalidTimingError, QualitySet
 
@@ -31,6 +34,7 @@ __all__ = [
     "blend_tables",
     "ActualTimeScenario",
     "ScenarioBatch",
+    "ScenarioFactors",
     "TimingModel",
     "supports_replay",
 ]
@@ -387,27 +391,117 @@ def _reject_invalid_times(times: np.ndarray) -> None:
     )
 
 
+class ScenarioFactors(NamedTuple):
+    """The factored form of a drawn batch: ``min(base * qf [* scale], C^wc)``.
+
+    ``base`` is ``(n_cycles, actions)``; ``quality_factors`` (``qf``) and
+    ``ceiling`` (``C^wc``) are ``(levels, actions)``; ``scale`` is the
+    factor a rescaled system applies after the level product, or ``None``.
+    Entry ``(c, q, i)`` of the tensor the factors stand for is
+    ``min((base[c, i] * qf[q, i]) * scale, ceiling[q, i])`` — the operation
+    order of the raw draw, so the expansion is bit-identical to it.
+    """
+
+    base: np.ndarray
+    quality_factors: np.ndarray
+    scale: float | None
+    ceiling: np.ndarray
+
+    def raw(self, base: np.ndarray) -> np.ndarray:
+        """The raw ``(..., levels, actions)`` draw of ``base`` rows, before Definition 1."""
+        raw = base[..., None, :] * self.quality_factors
+        if self.scale is not None:
+            raw *= self.scale
+        return raw
+
+    def expand(self, base: np.ndarray) -> np.ndarray:
+        """The ``(..., levels, actions)`` times of ``base`` rows (these or a slice)."""
+        raw = self.raw(base)
+        return np.minimum(raw, self.ceiling, out=raw)
+
+
+def _exact_factors(
+    quality_factors: np.ndarray, scale: float | None, ceiling: np.ndarray
+) -> bool:
+    """True when ``min(base * qf [* scale], C^wc)`` is Definition 1's enforcement.
+
+    Holds for every finite ``base >= 0`` (without negative zeros) when
+    ``qf`` is finite, positive and non-decreasing in quality, the scale
+    is finite and positive, and ``C^wc`` never decreases.  Rounding is
+    monotone, so the raw draw ``base * qf [* scale]`` is then already
+    non-negative and non-decreasing in quality: the clip at zero and the
+    running maximum change nothing, and only the min against ``C^wc``
+    remains.  The ``C^wc`` check has no tolerance: a row dipping by the
+    1e-12 :class:`TimingTable` accepts makes the running maximum overshoot
+    it, and only the full enforcement reproduces that.
+    """
+    if quality_factors.shape != ceiling.shape:
+        return False
+    if scale is not None and not (np.isfinite(scale) and scale > 0.0):
+        return False
+    if not (np.isfinite(quality_factors).all() and (quality_factors > 0.0).all()):
+        return False
+    return not (
+        (np.diff(quality_factors, axis=0) < 0.0).any()
+        or (np.diff(ceiling, axis=0) < 0.0).any()
+    )
+
+
+def _exact_base(base: np.ndarray) -> bool:
+    """True when a base draw is finite and ``>= 0``; raises when it holds NaN.
+
+    A negative zero counts as negative: the clip at zero turns its raw
+    products into ``+0.0``, which the factored min would keep as ``-0.0``.
+    One ``min`` and one ``max`` decide the common case (a NaN propagates
+    into both); only a base whose minimum is zero pays for the sign scan.
+    """
+    if not base.size:
+        return True
+    low, high = base.min(), base.max()
+    if np.isnan(low):
+        raise InvalidTimingError("the scenario sampler drew NaN actual times")
+    if not (low >= 0.0 and high < np.inf):
+        return False
+    return low != 0.0 or not np.signbit(base).any()
+
+
+def _count_factored_fallback(reason: str) -> None:
+    """Record a draw that took the tensor path although its sampler offers factors."""
+    if _obs_enabled():
+        _obs_registry().inc(f"timing.factored_fallback.{reason}")
+
+
 class ScenarioBatch:
     """The actual execution times of many consecutive cycles, columnar.
 
     One ``(n_cycles, levels, actions)`` float64 tensor plus the quality set —
     the batch analogue of :class:`ActualTimeScenario` and the native currency
     of the scenario pipeline: the batched samplers produce it, the vectorised
-    cycle engine (:mod:`repro.core.engine`) executes its tensor directly, and
-    the parallel sweep transport (:mod:`repro.runtime.plan`) ships it as a
-    single array instead of a tuple of per-cycle objects.
+    cycle engine (:mod:`repro.core.engine`) executes it directly, and the
+    parallel sweep transport (:mod:`repro.runtime.plan`) ships it as single
+    arrays instead of a tuple of per-cycle objects.
+
+    A batch holds its times in one of two forms.  A caller-built, shared or
+    custom-sampler batch holds the tensor itself.  A batch
+    :meth:`TimingModel.sample_scenarios` draws from a sampler offering
+    factors holds :class:`ScenarioFactors` instead (:attr:`factors`): one
+    ``(n_cycles, actions)`` base row per cycle plus the level tables, a
+    seventh of the data at seven quality levels.  Both forms answer every
+    question alike; a factored batch builds :attr:`tensor` on each read
+    and a cycle's matrix only when that cycle is indexed.
 
     Per-cycle consumers keep working: ``len(batch)`` is the cycle count,
-    ``batch[i]`` returns an :class:`ActualTimeScenario` *view* of cycle ``i``
-    (zero-copy, read-only), slices return sub-batches, and iteration yields
-    the per-cycle views in order.  The tensor is frozen on construction so a
-    consumer of one view can never corrupt its siblings.  A caller-built
-    tensor holding a NaN, infinite or negative time raises
+    ``batch[i]`` returns a read-only :class:`ActualTimeScenario` of cycle
+    ``i`` (a zero-copy view of a tensor batch), slices return sub-batches
+    of the same form, and iteration yields the per-cycle scenarios in
+    order.  The arrays are frozen on construction so a consumer of one
+    view can never corrupt its siblings.  A caller-built tensor holding a
+    NaN, infinite or negative time raises
     :class:`~repro.core.types.InvalidTimingError` — at construction, so
     also when a pickled batch is rebuilt on a worker.
     """
 
-    __slots__ = ("_qualities", "_tensor")
+    __slots__ = ("_qualities", "_tensor", "_factors")
 
     def __init__(self, qualities: QualitySet, tensor: np.ndarray) -> None:
         array = np.asarray(tensor, dtype=np.float64)
@@ -424,6 +518,7 @@ class ScenarioBatch:
         # corrupt the batch behind its back
         self._qualities = qualities
         self._tensor = _frozen(array)
+        self._factors = None
 
     @classmethod
     def _adopt(cls, qualities: QualitySet, tensor: np.ndarray) -> "ScenarioBatch":
@@ -431,6 +526,18 @@ class ScenarioBatch:
         batch = cls.__new__(cls)
         batch._qualities = qualities
         batch._tensor = tensor
+        batch._factors = None
+        return batch
+
+    @classmethod
+    def _adopt_factors(
+        cls, qualities: QualitySet, factors: ScenarioFactors
+    ) -> "ScenarioBatch":
+        """Wrap frozen, checked factors: the factored form of a drawn batch."""
+        batch = cls.__new__(cls)
+        batch._qualities = qualities
+        batch._tensor = None
+        batch._factors = factors
         return batch
 
     # ------------------------------------------------------------------ #
@@ -505,53 +612,81 @@ class ScenarioBatch:
         return self._qualities
 
     @property
+    def factors(self) -> ScenarioFactors | None:
+        """The factored form of a drawn batch, or ``None`` for a tensor batch."""
+        return self._factors
+
+    @property
     def tensor(self) -> np.ndarray:
-        """The read-only ``(n_cycles, levels, actions)`` tensor."""
-        return self._tensor
+        """The read-only ``(n_cycles, levels, actions)`` tensor.
+
+        A factored batch builds it on every read and keeps no copy.
+        """
+        if self._factors is None:
+            return self._tensor
+        tensor = self._factors.expand(self._factors.base)
+        tensor.setflags(write=False)
+        return tensor
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """``(n_cycles, levels, actions)``, in either form."""
+        if self._factors is None:
+            return self._tensor.shape
+        n_cycles, n_actions = self._factors.base.shape
+        return (n_cycles, len(self._qualities), n_actions)
 
     @property
     def n_cycles(self) -> int:
         """Number of cycles in the batch (also ``len(batch)``)."""
-        return int(self._tensor.shape[0])
+        return int(self.shape[0])
 
     @property
     def n_actions(self) -> int:
         """Number of actions per cycle."""
-        return int(self._tensor.shape[2])
+        return int(self.shape[2])
 
     def __len__(self) -> int:
-        return int(self._tensor.shape[0])
+        return int(self.shape[0])
 
     def __getitem__(
         self, index: "int | slice | np.integer"
     ) -> "ActualTimeScenario | ScenarioBatch":
+        factors = self._factors
         if isinstance(index, slice):
-            # the parent tensor is frozen on construction, so a slice is
+            # the parent arrays are frozen on construction, so a slice is
             # adopted as a zero-copy view: no re-validation, no alias walk,
             # no defensive copy — the invariant chunked streaming relies on
             # when it carves a caller-supplied batch into per-chunk slices
-            view = self._tensor[index]
+            rows = self._tensor if factors is None else factors.base
+            view = rows[index]
             if view.shape[0] == 0:
                 # an empty sub-batch (``batch[n:n]``, the degenerate case
                 # padding/masking code hits at chunk boundaries) must stand
                 # on its own: a zero-copy view would pin the whole parent
                 # buffer alive through ``.base`` for no data at all
-                view = np.empty(
-                    (0,) + self._tensor.shape[1:], dtype=self._tensor.dtype
-                )
+                view = np.empty((0,) + rows.shape[1:], dtype=rows.dtype)
                 view.setflags(write=False)
-            return ScenarioBatch._adopt(self._qualities, view)
-        return ActualTimeScenario._adopt(self._qualities, self._tensor[int(index)])
+            if factors is None:
+                return ScenarioBatch._adopt(self._qualities, view)
+            return ScenarioBatch._adopt_factors(
+                self._qualities, factors._replace(base=view)
+            )
+        if factors is None:
+            return ActualTimeScenario._adopt(self._qualities, self._tensor[int(index)])
+        matrix = factors.expand(factors.base[int(index)])
+        matrix.setflags(write=False)
+        return ActualTimeScenario._adopt(self._qualities, matrix)
 
     def __iter__(self):
         for cycle in range(len(self)):
-            yield ActualTimeScenario._adopt(self._qualities, self._tensor[cycle])
+            yield self[cycle]
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, ScenarioBatch)
             and other._qualities == self._qualities
-            and np.array_equal(other._tensor, self._tensor)
+            and np.array_equal(other.tensor, self.tensor)
         )
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
@@ -561,6 +696,18 @@ class ScenarioBatch:
         )
 
     def __reduce__(self):
+        if self._factors is not None:
+            base, quality_factors, scale, ceiling = self._factors
+            return (
+                _factored_batch,
+                (
+                    self._qualities,
+                    np.ascontiguousarray(base),
+                    quality_factors,
+                    scale,
+                    ceiling,
+                ),
+            )
         # shared-matrix batches (stride-0 cycle axis, the sampler-less draw
         # path) ship one matrix plus the count instead of n_cycles copies
         if len(self) > 1 and self._tensor.strides[0] == 0:
@@ -577,8 +724,11 @@ class ScenarioBatch:
         return tuple(self)
 
     def nbytes(self) -> int:
-        """Size of one contiguous copy of the tensor, in bytes."""
-        return int(self._tensor.size * self._tensor.itemsize)
+        """Bytes of the per-cycle data: one contiguous copy of the tensor, or
+        of the base rows for a factored batch (its level tables are shared
+        with the timing model)."""
+        rows = self._tensor if self._factors is None else self._factors.base
+        return int(rows.size * rows.itemsize)
 
 
 def _broadcast_batch(
@@ -586,6 +736,34 @@ def _broadcast_batch(
 ) -> ScenarioBatch:
     """Unpickle helper: rebuild a shared-matrix batch as a zero-copy broadcast."""
     return ScenarioBatch.shared(qualities, matrix, count)
+
+
+def _factored_batch(
+    qualities: QualitySet,
+    base: np.ndarray,
+    quality_factors: np.ndarray,
+    scale: float | None,
+    ceiling: np.ndarray,
+) -> ScenarioBatch:
+    """Unpickle helper: rebuild a factored batch, re-checking what made it exact."""
+    arrays = [np.asarray(array, dtype=np.float64) for array in (base, quality_factors, ceiling)]
+    base, quality_factors, ceiling = arrays
+    if (
+        base.ndim != 2
+        or quality_factors.shape != (len(qualities), base.shape[1])
+        or not _exact_factors(quality_factors, scale, ceiling)
+        or not _exact_base(base)
+    ):
+        raise InvalidTimingError("a pickled factored scenario batch failed its checks")
+    for array in arrays:
+        array.setflags(write=False)
+    return ScenarioBatch._adopt_factors(
+        qualities, ScenarioFactors(base, quality_factors, scale, ceiling)
+    )
+
+
+#: a model whose factor tables are not checked yet
+_UNCHECKED: object = object()
 
 
 def _reject_nan(enforced: np.ndarray) -> None:
@@ -620,7 +798,7 @@ class TimingModel:
         equal the average times (the paper's "ideal" case ``C = C^av``).
     """
 
-    __slots__ = ("worst_case", "average", "_sampler")
+    __slots__ = ("worst_case", "average", "_sampler", "_factor_tables")
 
     def __init__(
         self,
@@ -637,6 +815,15 @@ class TimingModel:
         self.worst_case = worst_case
         self.average = average
         self._sampler = scenario_sampler
+        self._factor_tables: tuple | bool | None = _UNCHECKED
+
+    def __getstate__(self):
+        # the factor check is re-run after unpickling, on the rebuilt arrays
+        return (self.worst_case, self.average, self._sampler)
+
+    def __setstate__(self, state) -> None:
+        self.worst_case, self.average, self._sampler = state
+        self._factor_tables = _UNCHECKED
 
     @property
     def qualities(self) -> QualitySet:
@@ -652,6 +839,37 @@ class TimingModel:
     def scenario_sampler(self) -> Callable[[np.random.Generator], np.ndarray] | None:
         """The raw scenario sampler, or ``None`` when actual times equal ``C^av``."""
         return self._sampler
+
+    def factor_tables(self) -> tuple[np.ndarray, float | None] | bool | None:
+        """The sampler's level tables when its draws can stay factored.
+
+        A sampler offers factors through two hooks: ``scenario_factors()``
+        returns ``(qf, scale)`` — the ``(levels, actions)`` level table and
+        the factor applied after the level product, or ``None`` — and
+        ``sample_base(count, rng)`` draws the ``(count, actions)`` base
+        rows, consuming the rng and advancing its state exactly like
+        ``sample_batch``, whose raw tensor is ``base[:, None, :] * qf [*
+        scale]``.  Returns ``(qf, scale)`` when the pair passes the strict
+        precondition of the factored form (finite, positive and monotone
+        ``qf``; finite positive scale; ``C^wc`` non-decreasing with no
+        tolerance), ``False`` when the sampler offers factors that fail it
+        and ``None`` when it offers none.  Checked once per model: a
+        model's sampler and ``C^wc`` never change.
+        """
+        if self._factor_tables is _UNCHECKED:
+            offered = getattr(self._sampler, "scenario_factors", None)
+            tables = offered() if offered is not None else None
+            if tables is not None:
+                quality_factors, scale = tables
+                quality_factors = np.asarray(quality_factors, dtype=np.float64)
+                if quality_factors.flags.writeable:
+                    quality_factors = quality_factors.copy()
+                exact = getattr(self._sampler, "sample_base", None) is not None and (
+                    _exact_factors(quality_factors, scale, self.worst_case.values)
+                )
+                tables = (_frozen(quality_factors), scale) if exact else False
+            self._factor_tables = tables
+        return self._factor_tables
 
     def sample_scenario(self, rng: np.random.Generator) -> ActualTimeScenario:
         """Draw the actual execution times of one cycle.
@@ -687,11 +905,24 @@ class TimingModel:
         Bit-identical to ``count`` successive :meth:`sample_scenario` calls —
         the same random variates in the same order, the same sampler-state
         advancement for stateful samplers — but columnar: the result is one
-        :class:`ScenarioBatch` holding a ``(count, levels, actions)`` tensor,
-        never ``count`` separate per-cycle objects.  Samplers exposing a
-        ``sample_batch(count, rng)`` method (e.g.
-        :class:`~repro.media.timing_model.FrameScenarioSampler`) produce the
-        raw tensor in one NumPy kernel and the Definition 1 enforcement is
+        :class:`ScenarioBatch`, never ``count`` separate per-cycle objects.
+
+        When the sampler offers factors that pass :meth:`factor_tables`
+        (the built-in :class:`~repro.media.timing_model.FrameScenarioSampler`
+        and its rescaled wrapper), only the ``(count, actions)`` base rows
+        are drawn and the batch stays factored (:class:`ScenarioFactors`):
+        its tensor is ``min(base * qf [* scale], C^wc)``, bit for bit the
+        enforced tensor below, at a seventh of the data for seven levels.
+        The base is checked instead of the tensor: NaN raises, and a base
+        holding an infinite or negative value (or a negative zero) is
+        expanded into the raw tensor and takes the full enforcement on the
+        same draw, counted under ``timing.factored_fallback.base`` in
+        :mod:`repro.obs` (``.tables`` counts draws whose sampler offers
+        factors that fail the precondition).
+
+        Otherwise, samplers exposing a ``sample_batch(count, rng)`` method
+        produce the raw ``(count, levels, actions)`` tensor in one NumPy
+        kernel and the Definition 1 enforcement is
         applied to the whole tensor: clip into ``[0, C^wc]``, a running
         maximum along quality taken one level at a time over ``(cycles,
         actions)`` slabs, then a min against ``C^wc``.  One accumulate along
@@ -725,22 +956,26 @@ class TimingModel:
             return ScenarioBatch.shared(
                 self.qualities, self.sample_scenario(rng).matrix, count
             )
-        batch_sampler = getattr(self._sampler, "sample_batch", None)
-        if batch_sampler is None:
-            return ScenarioBatch(
-                self.qualities,
-                np.stack([self.sample_scenario(rng).matrix for _ in range(count)]),
-            )
-        raw = np.asarray(batch_sampler(count, rng), dtype=np.float64)
-        expected = (count, *shape)
-        if raw.shape != expected:
-            raise InvalidTimingError(
-                f"batch scenario sampler must return a {expected} array, "
-                f"got shape {raw.shape}"
-            )
-        owned = bool(getattr(self._sampler, "returns_fresh_batches", False))
-        if not owned or not raw.flags.writeable:
-            raw = raw.copy()
+        tables = self.factor_tables()
+        if tables:
+            base = self._owned(self._sampler.sample_base(count, rng), (count, shape[1]))
+            factors = ScenarioFactors(base, *tables, self.worst_case.values)
+            if _exact_base(base):
+                base.setflags(write=False)
+                return ScenarioBatch._adopt_factors(self.qualities, factors)
+            # an infinite or negative base: the full enforcement on this draw
+            _count_factored_fallback("base")
+            raw = factors.raw(base)
+        else:
+            if tables is False:
+                _count_factored_fallback("tables")
+            batch_sampler = getattr(self._sampler, "sample_batch", None)
+            if batch_sampler is None:
+                return ScenarioBatch(
+                    self.qualities,
+                    np.stack([self.sample_scenario(rng).matrix for _ in range(count)]),
+                )
+            raw = self._owned(batch_sampler(count, rng), (count, *shape))
         # Definition 1 on the whole tensor, in place (one buffer at paper scale)
         ceiling = self.worst_case.values[None, :, :]
         np.clip(raw, 0.0, ceiling, out=raw)
@@ -749,6 +984,24 @@ class TimingModel:
         np.minimum(raw, ceiling, out=raw)
         _reject_nan(raw)
         return ScenarioBatch._adopt(self.qualities, _frozen(raw))
+
+    def _owned(self, drawn: np.ndarray, expected: tuple[int, ...]) -> np.ndarray:
+        """A sampler's batch draw, shape-checked, as an array this model owns.
+
+        Samplers declaring ``returns_fresh_batches = True`` hand their arrays
+        over; any other sampler's array is copied, so a custom sampler that
+        retains its buffer is never corrupted (or frozen) behind its back.
+        """
+        drawn = np.asarray(drawn, dtype=np.float64)
+        if drawn.shape != expected:
+            raise InvalidTimingError(
+                f"batch scenario sampler must return a {expected} array, "
+                f"got shape {drawn.shape}"
+            )
+        owned = bool(getattr(self._sampler, "returns_fresh_batches", False))
+        if not owned or not drawn.flags.writeable:
+            drawn = drawn.copy()
+        return drawn
 
     def sample_actual(
         self,

@@ -206,14 +206,16 @@ class FrameScenarioSampler:
 
     The deterministic per-frame cost structure (content and frame-type
     factors per action, quality multipliers per level) is precomputed at
-    construction, so :meth:`sample_batch` is a pure NumPy kernel: one
-    ``rng.normal`` call for all platform noise of the batch, one broadcast
-    multiply for the ``(count, levels, actions)`` tensor — bit-identical to
-    ``count`` scalar :meth:`EncoderTimingModel.frame_matrix` calls.
+    construction, so :meth:`sample_base` is a pure NumPy kernel: one
+    ``rng.normal`` call for all platform noise of the batch.  The raw
+    ``(count, levels, actions)`` tensor of :meth:`sample_batch` is that
+    base times the per-level factor table :meth:`scenario_factors` exposes
+    — bit-identical to ``count`` scalar
+    :meth:`EncoderTimingModel.frame_matrix` calls.
     """
 
-    #: every sample_batch result is a freshly-allocated array the sampler no
-    #: longer references — TimingModel may consume it in place
+    #: every sample_base/sample_batch result is a freshly-allocated array the
+    #: sampler no longer references — TimingModel may consume it in place
     returns_fresh_batches = True
 
     def __init__(
@@ -273,36 +275,52 @@ class FrameScenarioSampler:
         """The frame content a given cycle index will encode."""
         return self._frames[cycle_index % len(self._frames)]
 
-    def sample_batch(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Raw actual-time matrices of the next ``count`` frames, stacked.
+    def scenario_factors(self) -> tuple[np.ndarray, None]:
+        """The read-only ``(levels, actions)`` level table ``qf`` and no scale.
 
-        The batched draw API consumed by
-        :meth:`repro.core.timing.TimingModel.sample_scenarios`: one
-        ``(count, levels, actions)`` array covering the next ``count`` frames
-        of the sequence, consuming the rng and advancing the cursor exactly
-        like ``count`` single draws.  This is a true NumPy kernel over the
-        factor arrays precomputed at construction — no per-frame Python loop
-        — and draws all platform noise in a single ``rng.normal`` call whose
-        variate order matches the scalar loop bit-for-bit (NumPy generators
-        fill arrays element by element from one underlying bit stream).
+        :meth:`sample_batch` draws ``base[:, None, :] * qf``; the table is
+        what lets :meth:`~repro.core.timing.TimingModel.sample_scenarios`
+        keep a draw factored.
+        """
+        return self._quality_factors, None
+
+    def sample_base(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """Per-action base times of the next ``count`` frames, ``(count, actions)``.
+
+        Frame cost times platform noise times the global time scale: the
+        raw times of every quality level are these rows times the level
+        table of :meth:`scenario_factors`.  Consumes the rng and advances
+        the cursor exactly like ``count`` single draws, drawing all
+        platform noise in a single ``rng.normal`` call whose variate order
+        matches the scalar loop bit-for-bit (NumPy generators fill arrays
+        element by element from one underlying bit stream).
         """
         count = int(count)
         if count < 0:
             raise ValueError(f"batch size must be >= 0, got {count}")
-        n_actions = self._frame_base.shape[1]
         if count == 0:
-            return np.empty((0, self._quality_factors.shape[0], n_actions))
+            return np.empty((0, self._frame_base.shape[1]))
         rows = (self._cursor + np.arange(count)) % len(self._frames)
         self._cursor += count
         base = self._frame_base[rows]
         noise = self._model.platform_noise
         if noise > 0.0:
-            base = base * np.exp(rng.normal(0.0, noise, size=(count, n_actions)))
+            base *= np.exp(rng.normal(0.0, noise, size=base.shape))
         # multiplying by the all-ones noise of the noiseless scalar path is an
         # exact identity, so it is skipped; the time scale applies after noise
         # to preserve the scalar operation order
-        base = base * self._model.time_scale
-        return base[:, None, :] * self._quality_factors[None, :, :]
+        base *= self._model.time_scale
+        return base
+
+    def sample_batch(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """Raw actual-time matrices of the next ``count`` frames, stacked.
+
+        The ``(count, levels, actions)`` product of :meth:`sample_base` and
+        the level table, covering the next ``count`` frames of the sequence
+        and consuming the rng and the cursor exactly like ``count`` single
+        draws.
+        """
+        return self.sample_base(count, rng)[:, None, :] * self._quality_factors
 
     def __call__(self, rng: np.random.Generator) -> np.ndarray:
         frame = self._frames[self._cursor % len(self._frames)]

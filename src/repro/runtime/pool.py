@@ -197,11 +197,11 @@ class _WorkerRuntime:
         engine instead of a clear per-unit failure.
         """
         expected = (len(self._exec_system.qualities), self._exec_system.n_actions)
-        tensor = unit.scenarios.tensor
-        if tensor.shape[1:] != expected:
+        shape = unit.scenarios.shape
+        if shape[1:] != expected:
             raise ValueError(
                 f"unit {unit.index} ({unit.label!r}): scenario tensor has "
-                f"per-cycle shape {tensor.shape[1:]}, but the hydrated system "
+                f"per-cycle shape {shape[1:]}, but the hydrated system "
                 f"expects (levels, actions) = {expected}"
             )
 

@@ -998,7 +998,10 @@ class RemoteSweepExecutor:
                 age = now - claim.stat().st_mtime
             except (ValueError, OSError):  # foreign file / consumed under us
                 continue
-            if index not in outstanding or age <= self._lease_timeout:
+            # a lease more than lease_timeout *ahead* of the spool clock is
+            # dead too: a live worker's heartbeat re-stamps it to spool time,
+            # so only a dead worker's skewed stamp stays in the future
+            if index not in outstanding or abs(age) <= self._lease_timeout:
                 continue
             if self.spool.result_path(plan_id, index).is_file():
                 # a frozen-then-resumed worker just delivered after all:

@@ -17,7 +17,15 @@ from repro.core import (  # noqa: E402
     QualitySet,
 )
 
-__all__ = ["NoiseSampler", "make_synthetic_system", "make_seekless_system", "make_deadline"]
+__all__ = [
+    "BaseRowSampler",
+    "NoiseSampler",
+    "TensorOnlySampler",
+    "make_deadline",
+    "make_seekless_system",
+    "make_synthetic_system",
+    "system_from_sampler",
+]
 
 
 def make_synthetic_system(
@@ -87,3 +95,59 @@ def make_deadline(system: ParameterizedSystem, slack: float = 1.2) -> DeadlineFu
     qmin = system.qualities.minimum
     budget = system.worst_case.total(1, system.n_actions, qmin) * slack
     return DeadlineFunction.single(system.n_actions, float(budget))
+
+
+class BaseRowSampler:
+    """A sampler offering factors: one base row per cycle, raw times ``base * qf``.
+
+    Base entries are uniform in ``[0, high)``; those in the lowest tenth are
+    set to zero.  ``poison`` (when given) replaces the first action's base
+    in every row.  One ``rng.uniform`` call per draw, filled row by row, so
+    ``count`` single draws consume the variates of one batch draw.
+    """
+
+    #: sample_base/sample_batch hand over fresh arrays
+    returns_fresh_batches = True
+
+    def __init__(
+        self, quality_factors: np.ndarray, high: float, *, poison: float | None = None
+    ) -> None:
+        self._qf = np.asarray(quality_factors, dtype=np.float64)
+        self._high = high
+        self._poison = poison
+
+    def scenario_factors(self) -> tuple[np.ndarray, None]:
+        return self._qf, None
+
+    def sample_base(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        base = rng.uniform(0.0, self._high, size=(count, self._qf.shape[1]))
+        base[base < 0.1 * self._high] = 0.0
+        if self._poison is not None:
+            base[:, 0] = self._poison
+        return base
+
+    def sample_batch(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        return self.sample_base(count, rng)[:, None, :] * self._qf
+
+    def __call__(self, rng: np.random.Generator) -> np.ndarray:
+        return self.sample_batch(1, rng)[0]
+
+
+class TensorOnlySampler(BaseRowSampler):
+    """:class:`BaseRowSampler`'s draws without the factor hook: the tensor path."""
+
+    scenario_factors = None
+
+
+def system_from_sampler(
+    worst_case: np.ndarray, sampler: object
+) -> ParameterizedSystem:
+    """A system over ``worst_case`` (levels x actions), averages at half of it."""
+    n_levels, n_actions = worst_case.shape
+    return ParameterizedSystem.from_tables(
+        [f"a{i}" for i in range(1, n_actions + 1)],
+        QualitySet.of_size(n_levels),
+        worst_case,
+        0.5 * worst_case,
+        scenario_sampler=sampler,
+    )

@@ -171,6 +171,20 @@ class TestSessionValidation:
         with pytest.raises(SessionError, match="> 0"):
             Session().deadlines(period=-1.0)
 
+    @pytest.mark.parametrize(
+        "configure",
+        [
+            lambda session: session.deadlines(period=float("nan")),
+            lambda session: session.deadlines(period=float("inf")),
+            lambda session: session.seed(-1),
+            lambda session: session.seed(1.5),
+        ],
+        ids=["period-nan", "period-inf", "seed-negative", "seed-non-integral"],
+    )
+    def test_bad_setter_values_fail_at_the_setter(self, configure):
+        with pytest.raises(SessionError):
+            configure(Session())
+
     def test_deadlines_needs_exactly_one_argument(self, deadlines):
         with pytest.raises(SessionError, match="exactly one"):
             Session().deadlines(deadlines, period=3.0)

@@ -29,7 +29,13 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import reset_enabled as obs_reset
 from repro.platform.overhead import IPOD_LIKE, LinearOverheadModel
 
-from helpers import make_deadline, make_synthetic_system
+from helpers import (
+    BaseRowSampler,
+    TensorOnlySampler,
+    make_deadline,
+    make_synthetic_system,
+    system_from_sampler,
+)
 
 ALL_KEYS = sorted(available_managers())
 
@@ -273,6 +279,39 @@ class TestRunFleet:
         )
         (summary,) = run_fleet([member])
         assert summary.metrics() == solo_summary(member).metrics()
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["factored", "mixed-forms"])
+    def test_factored_lanes_match_solo_runs(self, mixed):
+        """Factored members (own tables, one rescaled) share lanes with
+        padding; one tensor-form member puts the bucket on the padded
+        tensor instead.  Both layouts match every member's solo run."""
+        rng = np.random.default_rng(6)
+        factors = np.sort(rng.uniform(0.5, 2.0, size=(4, 10)), axis=0)
+        worst = np.sort(rng.uniform(1.0, 5.0, size=(4, 10)), axis=0)
+        high = 2.0 * worst.max() / factors.min()
+        plain = system_from_sampler(worst, BaseRowSampler(factors, high))
+        systems = [plain, plain.rescaled(1.5)]
+        if mixed:
+            systems.append(system_from_sampler(worst, TensorOnlySampler(factors, high)))
+        members = []
+        for index, (system, cycles) in enumerate(zip(systems, (70, 41, 55))):
+            deadlines = make_deadline(system)
+            manager = Session().system(system).deadlines(deadlines).manager("relaxation").build()
+            members.append(
+                FleetMember(
+                    label=f"m{index}",
+                    system=system,
+                    manager=manager,
+                    deadlines=deadlines,
+                    cycles=cycles,
+                    seed=index,
+                )
+            )
+        summaries = run_fleet(members)
+        for member, summary in zip(members, summaries):
+            expected = solo_summary(member)
+            assert summary.metrics() == expected.metrics(), member.label
+            assert summary.quality_level_counts == expected.quality_level_counts
 
     def test_overhead_model_accounting_excludes_padding(self):
         model = LinearOverheadModel(IPOD_LIKE)

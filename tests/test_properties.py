@@ -410,3 +410,104 @@ class TestMergeAlgebraProperties:
                 permuted[position].quality_level_counts
                 == forward[index].quality_level_counts
             )
+
+
+# --------------------------------------------------------------------------- #
+# factored scenario draws
+# --------------------------------------------------------------------------- #
+@st.composite
+def factored_tables(draw):
+    """A monotone positive ``qf``, a monotone ``C^wc`` and a base range.
+
+    ``qf`` ties some levels; ``C^wc`` may hold zero rows at low levels; the
+    base range reaches twice the largest ``C^wc`` over the smallest factor,
+    so draws hold zeros (the lowest tenth of the range) and values above
+    ``C^wc``.
+    """
+    n_actions = draw(st.integers(2, 10))
+    n_levels = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    factors = np.sort(rng.uniform(0.25, 3.0, size=(n_levels, n_actions)), axis=0)
+    tied = rng.random(n_actions) < 0.3
+    factors[:, tied] = factors[0, tied]
+    worst = np.sort(rng.uniform(0.0, 4.0, size=(n_levels, n_actions)), axis=0)
+    worst[0, rng.random(n_actions) < 0.2] = 0.0
+    worst[:, 0] += 1.0  # a positive budget for the deadline
+    return factors, worst, 2.0 * worst.max() / factors.min()
+
+
+def _outcome_fields(outcome):
+    return (
+        outcome.qualities,
+        outcome.durations,
+        outcome.completion_times,
+        outcome.manager_invocations,
+        outcome.manager_overheads,
+    )
+
+
+class TestFactoredDrawProperties:
+    """``min(base * qf [* scale], C^wc)`` is Definition 1's enforcement.
+
+    Over random monotone tables, with and without a rescale factor, the
+    factored batch expands to the clip → running max → min tensor bit for
+    bit (sign bits included), and the solo and the fleet lockstep give the
+    same outputs over both forms, on both sides of the factored-gather
+    crossover.
+    """
+
+    @_SETTINGS
+    @given(
+        tables=factored_tables(),
+        scale=st.floats(0.25, 4.0),
+        cycles=st.sampled_from([1, 5, 70]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_factored_form_equals_the_enforced_tensor(self, tables, scale, cycles, seed):
+        from helpers import BaseRowSampler, TensorOnlySampler, system_from_sampler
+
+        from repro.analysis.metrics import compute_metrics
+        from repro.core import run_cycles_batch
+        from repro.core.fleet import FleetMember, run_fleet
+
+        factors, worst, high = tables
+        plain = system_from_sampler(worst, BaseRowSampler(factors, high))
+        reference = system_from_sampler(worst, TensorOnlySampler(factors, high))
+        forms = {"factored": [], "tensor": []}
+        members = {"factored": [], "tensor": []}
+        # without and with a rescale factor (applied after the level product)
+        for factored, tensor_system in ((plain, reference), (plain.rescaled(scale), reference.rescaled(scale))):
+            batch = factored.draw_scenarios(cycles, np.random.default_rng(seed))
+            tensor = tensor_system.draw_scenarios(cycles, np.random.default_rng(seed))
+            assert batch.factors is not None and tensor.factors is None
+            assert np.array_equal(batch.tensor, tensor.tensor)
+            assert np.array_equal(np.signbit(batch.tensor), np.signbit(tensor.tensor))
+
+            qmin = factored.qualities.minimum
+            budget = factored.worst_case.total(1, factored.n_actions, qmin)
+            deadlines = DeadlineFunction.single(factored.n_actions, 1.5 * budget)
+            manager = QualityManagerCompiler().compile(factored, deadlines).relaxation
+            for form, scenarios in (("factored", batch), ("tensor", tensor)):
+                forms[form].append(
+                    run_cycles_batch(factored, manager, scenarios=scenarios)
+                )
+                members[form].append(
+                    FleetMember(
+                        label=f"{form}-{len(members[form])}",
+                        system=factored,
+                        manager=manager,
+                        deadlines=deadlines,
+                        cycles=cycles,
+                        scenarios=scenarios,
+                        chunk_size=cycles,
+                    )
+                )
+            for left, right in zip(forms["factored"][-1], forms["tensor"][-1], strict=True):
+                for a, b in zip(_outcome_fields(left), _outcome_fields(right), strict=True):
+                    assert np.array_equal(a, b)
+
+        # one fleet per form; each member runs beside a member of other tables
+        for form in forms:
+            summaries = run_fleet(members[form])
+            for summary, member, outcomes in zip(summaries, members[form], forms[form]):
+                assert summary.metrics() == compute_metrics(outcomes, member.deadlines)

@@ -522,6 +522,35 @@ def test_stale_lease_is_requeued_and_completed(tmp_path):
     assert all(record[1] for record in records), records  # both succeeded
 
 
+def test_lease_stamped_in_the_future_is_requeued_and_completed(tmp_path):
+    """A dead worker's claim whose mtime lies an hour ahead of the spool
+    clock (a skewed stamp no heartbeat will ever correct) is recovered
+    too, and the fan-in still gets exactly one record per unit."""
+    plan = _compare_plan(tmp_path)
+    executor = RemoteSweepExecutor(
+        tmp_path / "spool", lease_timeout=0.3, poll_interval=0.02, timeout=60.0
+    )
+    plan_id = executor.submit(plan)
+    layout = executor.spool
+    pending = layout.pending / SpoolLayout.unit_name(plan_id, 0, 0)
+    dead_claim = layout.claimed / f"{pending.name}.dead-worker"
+    os.rename(pending, dead_claim)
+    _age_file(dead_claim, -3600.0)
+
+    outstanding = {unit.index for unit in plan.units}
+    records = []
+    with _InlineWorker(tmp_path):
+        deadline = time.monotonic() + 60.0
+        while outstanding and time.monotonic() < deadline:
+            records.extend(executor._drain_done(plan_id, outstanding))
+            records.extend(executor._requeue_expired(plan_id, outstanding))
+            time.sleep(0.02)
+    executor._cleanup(plan_id)
+    assert not outstanding
+    assert sorted(record[0] for record in records) == [0, 1]
+    assert all(record[1] for record in records), records
+
+
 def test_exhausted_lease_becomes_a_unit_failure(tmp_path):
     plan = _compare_plan(tmp_path)
     executor = RemoteSweepExecutor(

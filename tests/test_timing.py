@@ -1,6 +1,8 @@
-"""Tests for the timing tables and the timing model."""
+"""Tests for the timing tables, the timing model and its factored draws."""
 
 from __future__ import annotations
+
+import pickle
 
 import numpy as np
 import pytest
@@ -15,6 +17,9 @@ from repro.core import (
     build_table,
     scaled_table,
 )
+from repro.core.timing import _factored_batch
+
+from helpers import BaseRowSampler, TensorOnlySampler, system_from_sampler
 
 
 @pytest.fixture
@@ -381,3 +386,203 @@ class TestPerLevelRunningMax:
             model.sample_scenarios(3, np.random.default_rng(0))
         with pytest.raises(InvalidTimingError, match="NaN"):
             model.sample_scenario(np.random.default_rng(0))
+
+
+# --------------------------------------------------------------------------- #
+# factored draws: min(base * qf [* scale], C^wc) and when the tensor path runs
+# --------------------------------------------------------------------------- #
+
+
+def monotone_factors(n_levels: int = 4, n_actions: int = 24) -> np.ndarray:
+    """A positive ``qf`` table, non-decreasing in quality, with tied levels."""
+    rng = np.random.default_rng(3)
+    factors = np.sort(rng.uniform(0.5, 3.0, size=(n_levels, n_actions)), axis=0)
+    factors[:, ::5] = factors[0, ::5]
+    return factors
+
+
+def monotone_worst_case(n_levels: int = 4, n_actions: int = 24) -> np.ndarray:
+    rng = np.random.default_rng(4)
+    return np.sort(rng.uniform(0.5, 6.0, size=(n_levels, n_actions)), axis=0)
+
+
+def stacked_reference(model: TimingModel, count: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return np.stack([model.sample_scenario(rng).matrix for _ in range(count)])
+
+
+class BatchOnlySampler:
+    """A custom sampler offering ``sample_batch`` and nothing else."""
+
+    def __init__(self, inner: BaseRowSampler) -> None:
+        self._inner = inner
+
+    def __call__(self, rng: np.random.Generator) -> np.ndarray:
+        return self._inner(rng)
+
+    def sample_batch(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        return self._inner.sample_batch(count, rng)
+
+
+def _row_sampler(
+    poison=None, factors=None, worst=None, kind=BaseRowSampler
+) -> BaseRowSampler:
+    factors = monotone_factors() if factors is None else factors
+    worst = monotone_worst_case() if worst is None else worst
+    return kind(factors, 2.0 * worst.max() / factors.min(), poison=poison)
+
+
+def _system(poison=None, factors=None, worst=None):
+    worst = monotone_worst_case() if worst is None else worst
+    return system_from_sampler(worst, _row_sampler(poison, factors, worst))
+
+
+def _non_monotone_factors(poison=None):
+    factors = monotone_factors()
+    factors[2, 7] = 0.5 * factors[1, 7]
+    return _system(poison, factors=factors).timing
+
+
+def _dipping_worst_case(poison=None):
+    worst = dipping_worst_case(n_levels=4, n_actions=24)
+    return _system(poison, worst=worst).timing
+
+
+#: each builds a model whose draws take the tensor path; ``poison`` replaces
+#: the first action's base (NaN must still raise through every one of them)
+FALLBACKS = {
+    "non-monotone-qf": _non_monotone_factors,
+    "dipping-worst-case": _dipping_worst_case,
+    "nested-rescale": lambda poison=None: _system(poison).rescaled(2.0).rescaled(0.75).timing,
+    "truncated": lambda poison=None: _system(poison).truncated(9).timing,
+    "truncated-rescaled": lambda poison=None: _system(poison).truncated(9).rescaled(0.125).timing,
+    "batch-only-sampler": lambda poison=None: system_from_sampler(
+        monotone_worst_case(), BatchOnlySampler(_row_sampler(poison))
+    ).timing,
+    "infinite-base": lambda poison=np.inf: _system(poison).timing,
+    "negative-base": lambda poison=-1.0: _system(poison).timing,
+    # the clip at zero turns -0.0 into +0.0; a factored min would keep the sign
+    "negative-zero-base": lambda poison=-0.0: _system(poison).timing,
+}
+
+
+class TestFactoredDraws:
+    def test_encoder_draws_stay_factored_and_bit_identical(self):
+        from repro.api import Session
+
+        for workload in ("paper", "small"):
+            for machine in ("ipod", "desktop"):
+                session = Session().system(workload).machine(machine)
+                system = session.current_machine.deploy(session.resolved_system())
+                assert system.timing.factor_tables()
+                sampler = system.timing.scenario_sampler
+                batch = system.draw_scenarios(5, np.random.default_rng(2))
+                assert batch.factors is not None
+                sampler.seek(0)
+                reference = stacked_reference(system.timing, 5, 2)
+                assert np.array_equal(batch.tensor, reference)
+                assert np.array_equal(np.signbit(batch.tensor), np.signbit(reference))
+
+    def test_row_sampler_draws_are_factored(self):
+        model = _system().timing
+        batch = model.sample_scenarios(7, np.random.default_rng(1))
+        assert batch.factors is not None
+        reference = stacked_reference(model, 7, 1)
+        assert np.array_equal(batch.tensor, reference)
+        assert np.array_equal(np.signbit(batch.tensor), np.signbit(reference))
+
+    @pytest.mark.parametrize("case", FALLBACKS)
+    def test_fallback_takes_the_tensor_path(self, case):
+        model = FALLBACKS[case]()
+        batch = model.sample_scenarios(6, np.random.default_rng(8))
+        assert batch.factors is None
+        reference = stacked_reference(model, 6, 8)
+        assert batch.shape == reference.shape
+        assert np.array_equal(batch.tensor, reference)
+        assert np.array_equal(np.signbit(batch.tensor), np.signbit(reference))
+        with pytest.raises(InvalidTimingError, match="NaN"):
+            FALLBACKS[case](np.nan).sample_scenarios(6, np.random.default_rng(8))
+
+    def test_truncation_hides_the_inner_factors(self):
+        from repro.api import Session
+
+        system = Session().system("small").resolved_system().truncated(7)
+        sampler = system.timing.scenario_sampler
+        assert sampler.scenario_factors is None and sampler.sample_base is None
+        assert system.timing.factor_tables() is None
+        batch = system.draw_scenarios(3, np.random.default_rng(0))
+        assert batch.factors is None and batch.shape == (3, len(system.qualities), 7)
+
+    def test_fallback_draws_are_counted(self, tmp_path, monkeypatch):
+        from repro.obs import metrics, reset_enabled
+
+        monkeypatch.setenv("REPRO_OBS", "1")
+        monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path / "telemetry"))
+        reset_enabled()
+        metrics.registry().reset()
+        try:
+            for case in ("infinite-base", "negative-base", "non-monotone-qf", "truncated"):
+                FALLBACKS[case]().sample_scenarios(2, np.random.default_rng(0))
+            _system().timing.sample_scenarios(2, np.random.default_rng(0))
+            snap = metrics.registry().snapshot()["metrics"]
+            assert snap["timing.factored_fallback.base"]["value"] == 2
+            assert snap["timing.factored_fallback.tables"]["value"] == 1
+        finally:
+            reset_enabled()
+            metrics.registry().reset()
+
+
+class TestFactoredBatch:
+    @pytest.fixture
+    def pair(self):
+        """A factored batch and the tensor batch of the same draw."""
+        batch = _system().timing.sample_scenarios(6, np.random.default_rng(5))
+        tensor = system_from_sampler(
+            monotone_worst_case(), _row_sampler(kind=TensorOnlySampler)
+        ).timing.sample_scenarios(6, np.random.default_rng(5))
+        assert batch.factors is not None and tensor.factors is None
+        return batch, tensor
+
+    def test_tensor_is_read_only_and_not_kept(self, pair):
+        batch, tensor = pair
+        assert np.array_equal(batch.tensor, tensor.tensor)
+        assert not batch.tensor.flags.writeable
+        assert batch.tensor is not batch.tensor
+        assert not batch.factors.base.flags.writeable
+
+    def test_shape_and_sizes(self, pair):
+        batch, tensor = pair
+        assert batch.shape == tensor.shape == (6, 4, 24)
+        assert (len(batch), batch.n_cycles, batch.n_actions) == (6, 6, 24)
+        assert batch.nbytes() * 4 == tensor.nbytes()
+
+    def test_indexing_slicing_iteration_and_equality(self, pair):
+        batch, tensor = pair
+        assert batch == tensor and tensor == batch
+        for index in (0, 3, -1):
+            assert np.array_equal(batch[index].matrix, tensor[index].matrix)
+            assert not batch[index].matrix.flags.writeable
+        part = batch[1:4]
+        assert part.factors is not None and part == tensor[1:4]
+        empty = batch[2:2]
+        assert len(empty) == 0 and empty.factors.base.base is None
+        assert all(
+            np.array_equal(left.matrix, right.matrix)
+            for left, right in zip(batch, tensor, strict=True)
+        )
+
+    def test_pickle_round_trip_keeps_the_factored_form(self, pair):
+        batch, tensor = pair
+        clone = pickle.loads(pickle.dumps(batch))
+        assert clone.factors is not None and clone == tensor
+        assert not clone.factors.base.flags.writeable
+        assert len(pickle.dumps(batch)) < len(pickle.dumps(tensor))
+
+    def test_tampered_pickle_is_rejected(self, pair):
+        batch, _ = pair
+        base, factors, scale, ceiling = batch.factors
+        with pytest.raises(InvalidTimingError):
+            _factored_batch(batch.qualities, -np.ones_like(base), factors, scale, ceiling)
+        with pytest.raises(InvalidTimingError):
+            _factored_batch(batch.qualities, base, factors[::-1], scale, ceiling)
+
