@@ -82,7 +82,6 @@ def _measure_million_cycle_rss() -> dict:
     env["PYTHONPATH"] = os.pathsep.join(
         [str(_ROOT / "src"), env.get("PYTHONPATH", "")]
     ).rstrip(os.pathsep)
-    env.pop("REPRO_CHUNK", None)
     started = time.perf_counter()
     completed = subprocess.run(
         [sys.executable, "-c", _SUBPROCESS_SCRIPT, str(_N_CYCLES_STREAMED), str(_CHUNK_SIZE)],

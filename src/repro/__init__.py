@@ -23,10 +23,8 @@ The library provides:
 * :mod:`repro.extensions` — the paper's future-work directions (power
   management, multi-task control, linear region approximation).
 * :mod:`repro.runtime` — the scaling layer: a persistent compiled-controller
-  artifact cache and a process-based parallel sweep engine.
-* :mod:`repro.service` — the always-on sweep service: priority/tenant
-  queues over the spool, resident warm workers and an asyncio fan-in
-  client for hundreds of concurrent sweeps.
+  artifact cache, a process-based parallel sweep engine and its
+  multi-machine sibling over a shared spool directory.
 * :mod:`repro.obs` — unified telemetry: metrics registries, cross-process
   span tracing and JSONL export, off by default (``REPRO_OBS=1``).
 
@@ -66,7 +64,6 @@ _SUBMODULES = (
     "obs",
     "platform",
     "runtime",
-    "service",
 )
 
 __all__ = [*_SUBMODULES, "__version__"]

@@ -99,8 +99,8 @@ class SessionError(ValueError):
 
 
 #: per-call ``chunk_size=`` default: distinguishes "not given" (fall back to
-#: the builder setting / ``$REPRO_CHUNK``) from an explicit ``None`` (force
-#: the materialised path for this call)
+#: the builder setting) from an explicit ``None`` (force the materialised
+#: path for this call)
 _UNSET: Any = object()
 
 
@@ -235,7 +235,6 @@ class Session:
         self._artifacts_disabled: bool = False  # explicit .artifacts(False)
         self._parallel: dict[str, Any] | None = None
         self._remote: dict[str, Any] | None = None
-        self._service: dict[str, Any] | None = None
         self._chunk_size: int | None = None
 
     # ------------------------------------------------------------------ #
@@ -467,27 +466,21 @@ class Session:
         ``mean_quality_per_cycle`` raise.  ``None`` (the default) restores
         materialised execution.  The per-call ``chunk_size=`` keyword on the
         run methods overrides this setting (an explicit per-call ``None``
-        forces the materialised path even under ``$REPRO_CHUNK``); without
-        either, ``$REPRO_CHUNK`` supplies a process-wide default.
+        forces the materialised path).
 
         Not to be confused with :meth:`parallel`'s ``chunk_size`` (sweep
         units shipped per pool task) — this one counts *cycles per execution
-        chunk* and composes with every transport: pool, spool and service
-        workers all run streamed and ship summaries back.
+        chunk* and composes with every transport: pool and spool workers
+        both run streamed and ship summaries back.
         """
         self._chunk_size = _coerce_chunk_size(cycles)
         return self
 
     def _effective_chunk_size(self, override: Any) -> int | None:
-        """Resolve the streaming chunk size: per-call > builder > env."""
+        """Resolve the streaming chunk size: per-call > builder."""
         if override is not _UNSET:
             return _coerce_chunk_size(override)
-        if self._chunk_size is not None:
-            return self._chunk_size
-        env = os.environ.get("REPRO_CHUNK")
-        if env:
-            return _coerce_chunk_size(env)
-        return None
+        return self._chunk_size
 
     def parallel(
         self,
@@ -573,82 +566,6 @@ class Session:
             "max_requeues": max_requeues,
             "timeout": timeout,
             "local_workers": int(local_workers),
-        }
-        return self
-
-    def service(
-        self,
-        spool: str | os.PathLike | None = None,
-        *,
-        queue: str = "default",
-        tenant: str = "default",
-        priority: int = 0,
-        quota: int | None = None,
-        lease_timeout: float | None = None,
-        poll_interval: float | None = None,
-        max_requeues: int | None = None,
-        timeout: float | None = None,
-        local_workers: int = 0,
-        pump: bool = True,
-        enabled: bool = True,
-    ) -> "Session":
-        """Fan :meth:`run_many` and :meth:`compare` out through a sweep service.
-
-        The queue-backed sibling of :meth:`remote`: sweeps are submitted into
-        a named priority queue on the service spool (see
-        :mod:`repro.service`), where integer ``priority`` (higher first),
-        the ``tenant`` tag and a per-tenant in-flight ``quota`` govern
-        dispatch — round-robin across tenants within a priority band, so no
-        tenant starves another.  Execution, lease-requeue and results are
-        the spool transport's, bit-identical to serial for fixed seeds;
-        expired leases re-enter through the queue, under the same admission
-        control as fresh work.
-
-        Attach warm workers with ``repro service start`` (or ``repro worker
-        --resident``); ``local_workers=N`` spawns N *resident* workers for
-        the duration of each run as the zero-setup form.  ``pump=False``
-        leaves dispatch entirely to an external ``repro service start``
-        daemon (strict quotas need a single dispatcher; see
-        ``docs/service.md``).  A configured service takes precedence over
-        both :meth:`remote` and :meth:`parallel`; disable with
-        ``.service(enabled=False)``.
-        """
-        if not enabled:
-            self._service = None
-            return self
-        if spool is None:
-            raise SessionError("service(...) needs a spool directory")
-        if lease_timeout is not None and lease_timeout <= 0.0:
-            raise SessionError(f"lease_timeout must be > 0, got {lease_timeout}")
-        if poll_interval is not None and poll_interval <= 0.0:
-            raise SessionError(f"poll_interval must be > 0, got {poll_interval}")
-        if max_requeues is not None and max_requeues < 0:
-            raise SessionError(f"max_requeues must be >= 0, got {max_requeues}")
-        if timeout is not None and timeout <= 0.0:
-            raise SessionError(f"timeout must be > 0, got {timeout}")
-        if local_workers < 0:
-            raise SessionError(f"local_workers must be >= 0, got {local_workers}")
-        if quota is not None and int(quota) < 1:
-            raise SessionError(f"quota must be >= 1, got {quota}")
-        from repro.service.queue import _check_token
-
-        try:
-            _check_token(queue, "queue name")
-            _check_token(tenant, "tenant")
-        except ValueError as error:
-            raise SessionError(str(error)) from None
-        self._service = {
-            "spool": os.fspath(spool),
-            "queue": queue,
-            "tenant": tenant,
-            "priority": int(priority),
-            "quota": int(quota) if quota is not None else None,
-            "lease_timeout": lease_timeout,
-            "poll_interval": poll_interval,
-            "max_requeues": max_requeues,
-            "timeout": timeout,
-            "local_workers": int(local_workers),
-            "pump": bool(pump),
         }
         return self
 
@@ -1173,38 +1090,6 @@ class Session:
 
         return run_fleet(sessions, cycles=cycles, seed=seed, chunk_size=chunk_size)
 
-    def sweep_plan(
-        self,
-        scenarios: Iterable[ScenarioSpec | dict | str | int | ManagerSpec],
-        *,
-        chunk_size: Any = _UNSET,
-    ) -> Any:
-        """Build (but do not run) the :class:`~repro.runtime.plan.SweepPlan`
-        a :meth:`run_many` call would execute.
-
-        This is the submission surface of the async service client
-        (:class:`~repro.service.ServiceClient`), which spools plans itself
-        and fans many of them in concurrently.  The artifact cache is warmed
-        exactly like a parallel run, so executors submitting this plan find
-        the compiled tables ready to push.
-
-        Units carry a draw recipe, no scenario tensors, and building the
-        plan leaves the session's scenario sampler untouched.
-        ``chunk_size`` (per-call override of :meth:`chunk_size`) marks the
-        plan for streamed execution: workers fold chunks into accumulators
-        and the spooled results are summary-only.
-        """
-        from repro.runtime.plan import plan_run_many
-
-        entries = self._coerce_run_many_entries(scenarios)
-        cache = self._parallel_artifact_cache()
-        self._prepare_parallel_cache(cache, [spec for _, spec, _, _ in entries])
-        payload = self._execution_payload(
-            cache, chunk_size=self._effective_chunk_size(chunk_size)
-        )
-        track = supports_replay(payload.system.timing.scenario_sampler)
-        return plan_run_many(payload, entries, track_sampler=track)
-
     # ------------------------------------------------------------------ #
     # the parallel sweep engine (repro.runtime)
     # ------------------------------------------------------------------ #
@@ -1215,24 +1100,13 @@ class Session:
 
         Explicit ``parallel=False`` always wins; ``parallel=True`` or a
         ``workers`` count always selects the pool; otherwise the builder's
-        :meth:`parallel` configuration decides.  A configured :meth:`service`
-        wins over :meth:`remote`, which wins over the in-process pool — the
-        returned config then carries a ``"service"`` / ``"remote"`` entry
-        and ``workers`` (if given) overrides its ``local_workers`` count.
+        :meth:`parallel` configuration decides.  A configured :meth:`remote`
+        wins over the in-process pool — the returned config then carries a
+        ``"remote"`` entry and ``workers`` (if given) overrides its
+        ``local_workers`` count.
         """
         if parallel is False:
             return None
-        if self._service is not None:
-            config = {
-                "workers": int(workers) if workers is not None else None,
-                "chunk_size": None,
-                "mp_context": None,
-                "service": self._service,
-            }
-            # 0 is meaningful on a spool: rely on external workers
-            if config["workers"] is not None and config["workers"] < 0:
-                raise SessionError(f"workers must be >= 0 on a spool, got {workers}")
-            return config
         if self._remote is not None:
             config = {
                 "workers": int(workers) if workers is not None else None,
@@ -1260,15 +1134,9 @@ class Session:
 
     def _check_stream(self, stream: bool, pool_config: dict[str, Any] | None) -> None:
         """Streaming fan-in only exists on the spool transport."""
-        if not stream or (
-            pool_config is not None
-            and (
-                pool_config.get("remote") is not None
-                or pool_config.get("service") is not None
-            )
-        ):
+        if not stream or (pool_config is not None and pool_config.get("remote") is not None):
             return
-        if self._remote is not None or self._service is not None:
+        if self._remote is not None:
             # a spool IS configured; the explicit parallel=False disabled it
             raise SessionError(
                 "stream=True conflicts with parallel=False — the configured "
@@ -1276,7 +1144,7 @@ class Session:
             )
         raise SessionError(
             "stream=True needs the spool transport — configure "
-            "Session.remote(spool=...) or Session.service(spool=...) first"
+            "Session.remote(spool=...) first"
         )
 
     def _parallel_artifact_cache(self):
@@ -1354,47 +1222,6 @@ class Session:
         )
 
     def _executor_for(self, config: dict[str, Any]):
-        service = config.get("service")
-        if service is not None:
-            from repro.runtime.remote import (
-                DEFAULT_LEASE_TIMEOUT,
-                DEFAULT_MAX_REQUEUES,
-                DEFAULT_POLL_INTERVAL,
-            )
-            from repro.service.queue import QueuedSweepExecutor
-
-            workers = config.get("workers")
-            cache = self._parallel_artifact_cache()
-            return QueuedSweepExecutor(
-                service["spool"],
-                queue=service["queue"],
-                tenant=service["tenant"],
-                priority=service["priority"],
-                quota=service["quota"],
-                pump=service["pump"],
-                lease_timeout=(
-                    service["lease_timeout"]
-                    if service["lease_timeout"] is not None
-                    else DEFAULT_LEASE_TIMEOUT
-                ),
-                poll_interval=(
-                    service["poll_interval"]
-                    if service["poll_interval"] is not None
-                    else DEFAULT_POLL_INTERVAL
-                ),
-                max_requeues=(
-                    service["max_requeues"]
-                    if service["max_requeues"] is not None
-                    else DEFAULT_MAX_REQUEUES
-                ),
-                timeout=service["timeout"],
-                local_workers=(
-                    workers if workers is not None else service["local_workers"]
-                ),
-                source_cache=cache,
-                worker_cache_dir=str(cache.root) if cache is not None else None,
-                sync_artifacts=not self._artifacts_disabled,
-            )
         remote = config.get("remote")
         if remote is not None:
             from repro.runtime.remote import (

@@ -14,10 +14,7 @@ code; every command is driven through the :mod:`repro.api` facade:
   with the persistent compiled-controller cache, or over a shared spool
   directory with ``--spool``);
 * ``worker`` — attach this machine to a shared sweep spool and execute
-  distributed work units (see ``docs/distributed-sweeps.md``); ``--resident``
-  keeps hydrated runtimes warm across plans (see ``docs/service.md``);
-* ``service`` — run or inspect the always-on sweep service on a spool:
-  ``start`` (resident workers + queue dispatcher), ``status``, ``drain``;
+  distributed work units (see ``docs/distributed-sweeps.md``);
 * ``experiments`` — run the full experiment suite (all tables and figures);
 * ``diagram`` — print the speed diagram of one controlled cycle;
 * ``obs`` — render the telemetry a ``REPRO_OBS=1`` run exported (merged
@@ -80,9 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "Defaults: --manager relaxation, --cycles 6, --seed 0, the paper's "
             "CIF workload (use --small for QCIF) on the 'ipod' virtual machine, "
-            "and --chunk-size $REPRO_CHUNK, else off (materialised execution; a "
-            "chunk size streams the run in constant memory and prints "
-            "summary metrics only)."
+            "and no --chunk-size (materialised execution; a chunk size streams "
+            "the run in constant memory and prints summary metrics only)."
         ),
     )
     run.add_argument(
@@ -101,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "stream the run in chunks of N cycles (constant memory, summary "
-            "metrics only; default: $REPRO_CHUNK, else materialised)"
+            "metrics only; default: materialised)"
         ),
     )
 
@@ -111,8 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             f"Defaults: --managers {_DEFAULT_COMPARE}, --frames 6, --seed 0, the "
             "paper's CIF workload (use --small for QCIF) on the 'ipod' virtual "
-            "machine, and --chunk-size $REPRO_CHUNK, else off (materialised); "
-            "every manager sees identical scenarios."
+            "machine, and no --chunk-size (materialised); every manager sees "
+            "identical scenarios."
         ),
     )
     compare.add_argument("--frames", type=int, default=6, help="number of frames to encode")
@@ -131,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "stream every manager's run in chunks of N cycles (summary "
-            "metrics only; default: $REPRO_CHUNK, else materialised)"
+            "metrics only; default: materialised)"
         ),
     )
 
@@ -180,8 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
             "scenario stream.  --spool fans the grid out over a shared spool "
             "directory instead of the in-process pool (--workers then spawns that "
             "many local spool workers; 0 waits for external 'repro worker' "
-            "processes).  --chunk-size defaults to $REPRO_CHUNK, else off "
-            "(materialised).  Results are bit-identical to serial either way."
+            "processes).  No --chunk-size by default (materialised).  Results "
+            "are bit-identical to serial either way."
         ),
     )
     sweep.add_argument(
@@ -246,8 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "stream every grid cell in chunks of N cycles — workers fold "
-            "accumulators and ship summaries back (default: $REPRO_CHUNK, "
-            "else materialised)"
+            "accumulators and ship summaries back (default: materialised)"
         ),
     )
 
@@ -299,125 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument(
         "--quiet", action="store_true", help="suppress per-unit progress lines"
     )
-    worker.add_argument(
-        "--resident",
-        action="store_true",
-        help=(
-            "stay warm across plans: cache hydrated runtimes by payload "
-            "content hash (see docs/service.md)"
-        ),
-    )
-    worker.add_argument(
-        "--max-resident",
-        type=int,
-        default=8,
-        help="distinct payload configurations a --resident worker keeps warm (default: 8)",
-    )
-
-    service = commands.add_parser(
-        "service",
-        help="run or inspect the always-on sweep service on a spool",
-        epilog=(
-            "Defaults shared by the subcommands: --queue-quota unlimited, "
-            "--poll 0.2s; see each subcommand's --help and docs/service.md."
-        ),
-    )
-    service_commands = service.add_subparsers(dest="service_command", required=True)
-
-    service_start = service_commands.add_parser(
-        "start",
-        help="run the service loop: resident workers + queue dispatcher",
-        epilog=(
-            "Defaults: --workers 2 resident worker subprocesses, --max-resident 8 "
-            "warm payload configurations per worker, --queue-quota unlimited "
-            "per-tenant in-flight units, --poll 0.2s, --heartbeat 2.0s, "
-            "--cache-dir $REPRO_CACHE_DIR else ~/.cache/repro/compiled, and no "
-            "--max-runtime bound (run until SIGTERM; the shutdown drains "
-            "gracefully — workers finish or release their current claim)."
-        ),
-    )
-    service_start.add_argument("--spool", required=True, help="the shared spool directory")
-    service_start.add_argument(
-        "--workers", type=int, default=2, help="resident worker subprocesses (default: 2)"
-    )
-    service_start.add_argument(
-        "--max-resident",
-        type=int,
-        default=8,
-        help="warm payload configurations per worker (default: 8)",
-    )
-    service_start.add_argument(
-        "--queue-quota",
-        type=int,
-        default=None,
-        help="per-tenant in-flight unit bound for every queue (default: unlimited)",
-    )
-    service_start.add_argument(
-        "--poll", type=float, default=0.2, help="pump/scan interval in seconds (default: 0.2)"
-    )
-    service_start.add_argument(
-        "--heartbeat",
-        type=float,
-        default=2.0,
-        help="worker lease heartbeat in seconds (default: 2.0)",
-    )
-    service_start.add_argument(
-        "--cache-dir",
-        default=None,
-        help="workers' local artifact cache (default: $REPRO_CACHE_DIR or ~/.cache/repro/compiled)",
-    )
-    service_start.add_argument(
-        "--max-runtime",
-        type=float,
-        default=None,
-        help="stop after this many seconds (default: run until SIGTERM)",
-    )
-
-    service_status = service_commands.add_parser(
-        "status",
-        help="print queue depths, in-flight counts and resident workers",
-        epilog=(
-            "Defaults: --metrics off; workers whose heartbeat is older than "
-            "the default 30s lease timeout are reported stale rather than "
-            "alive, and long-dead presence files are aged out.  Nothing is "
-            "dispatched."
-        ),
-    )
-    service_status.add_argument("--spool", required=True, help="the shared spool directory")
-    service_status.add_argument(
-        "--metrics",
-        action="store_true",
-        help=(
-            "include per-tenant queue wait ages and each resident worker's "
-            "published counters (warm hits, hydrations, executed units)"
-        ),
-    )
-
-    service_drain = service_commands.add_parser(
-        "drain",
-        help="pump until the queues, pending and claimed sets are empty",
-        epilog=(
-            "Defaults: --timeout none (wait forever — workers must be attached), "
-            "--queue-quota unlimited, --poll 0.2s.  Exits 0 when drained, 1 on "
-            "timeout."
-        ),
-    )
-    service_drain.add_argument("--spool", required=True, help="the shared spool directory")
-    service_drain.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="give up after this many seconds (default: wait forever)",
-    )
-    service_drain.add_argument(
-        "--queue-quota",
-        type=int,
-        default=None,
-        help="per-tenant in-flight unit bound while draining (default: unlimited)",
-    )
-    service_drain.add_argument(
-        "--poll", type=float, default=0.2, help="pump interval in seconds (default: 0.2)"
-    )
 
     experiments = commands.add_parser(
         "experiments",
@@ -427,10 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
             "--seed 0, serial comparisons (--workers routes E2/E3 through the "
             "sweep pool, whose workers re-draw the shared scenarios), no spool "
             "(--spool fans comparisons out over a shared spool; --workers "
-            "then spawns local spool workers), and --chunk-size $REPRO_CHUNK, "
-            "else off (materialised; a chunk size streams the metric-only "
-            "experiments in constant memory).  Artefacts are bit-identical "
-            "across all execution modes."
+            "then spawns local spool workers), and no --chunk-size "
+            "(materialised; a chunk size streams the metric-only experiments "
+            "in constant memory).  Artefacts are bit-identical across all "
+            "execution modes."
         ),
     )
     experiments.add_argument("--fast", action="store_true", help="small workload, quick run")
@@ -464,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "stream the metric-only experiments in chunks of N cycles "
-            "(default: $REPRO_CHUNK, else materialised; the Figure 7 series "
-            "always materialises its per-cycle traces)"
+            "(default: materialised; the Figure 7 series always materialises "
+            "its per-cycle traces)"
         ),
     )
 
@@ -775,29 +651,22 @@ def _run_worker(
     max_units: int | None,
     worker_id: str | None,
     quiet: bool,
-    resident: bool = False,
-    max_resident: int = 8,
 ) -> int:
-    common = dict(
-        cache_dir=cache_dir,
-        poll_interval=poll,
-        heartbeat=heartbeat,
-        max_idle=max_idle,
-        max_units=max_units,
-        worker_id=worker_id,
-        log=None if quiet else print,
-        # SIGTERM drains gracefully: finish or release the current claim
-        install_signals=True,
-    )
+    from repro.runtime.remote import worker_main
+
     try:
-        if resident:
-            from repro.service.resident import resident_worker_main
-
-            executed = resident_worker_main(spool, max_resident=max_resident, **common)
-        else:
-            from repro.runtime.remote import worker_main
-
-            executed = worker_main(spool, **common)
+        executed = worker_main(
+            spool,
+            cache_dir=cache_dir,
+            poll_interval=poll,
+            heartbeat=heartbeat,
+            max_idle=max_idle,
+            max_units=max_units,
+            worker_id=worker_id,
+            log=None if quiet else print,
+            # SIGTERM drains gracefully: finish or release the current claim
+            install_signals=True,
+        )
     except KeyboardInterrupt:  # a worker is killed, not completed
         return 130
     except (ValueError, OSError) as error:
@@ -806,48 +675,6 @@ def _run_worker(
     if not quiet:
         print(f"worker exiting after {executed} unit(s)")
     return 0
-
-
-def _run_service(arguments) -> int:
-    try:
-        if arguments.service_command == "start":
-            from repro.service.daemon import service_start
-
-            return service_start(
-                arguments.spool,
-                workers=arguments.workers,
-                quota=arguments.queue_quota,
-                max_resident=arguments.max_resident,
-                poll_interval=arguments.poll,
-                heartbeat=arguments.heartbeat,
-                cache_dir=arguments.cache_dir,
-                max_runtime=arguments.max_runtime,
-            )
-        if arguments.service_command == "status":
-            from repro.service.daemon import format_status, service_status
-
-            status = service_status(
-                arguments.spool, include_metrics=arguments.metrics
-            )
-            print(format_status(status))
-            return 0
-        if arguments.service_command == "drain":
-            from repro.service.daemon import service_drain
-
-            return service_drain(
-                arguments.spool,
-                quota=arguments.queue_quota,
-                timeout=arguments.timeout,
-                poll_interval=arguments.poll,
-            )
-    except KeyboardInterrupt:  # the service loop already drained on Ctrl-C
-        return 130
-    except (ValueError, OSError) as error:
-        print(f"error: {error}")
-        return 2
-    raise AssertionError(
-        f"unhandled service command {arguments.service_command!r}"
-    )  # pragma: no cover
 
 
 def _run_experiments(
@@ -977,11 +804,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             arguments.max_units,
             arguments.worker_id,
             arguments.quiet,
-            arguments.resident,
-            arguments.max_resident,
         )
-    if arguments.command == "service":
-        return _run_service(arguments)
     if arguments.command == "experiments":
         return _run_experiments(
             arguments.fast,

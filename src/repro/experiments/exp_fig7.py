@@ -84,7 +84,7 @@ def run_fig7_experiment(
         workload, session, machine, seed, n_frames
     )
     # the per-frame series needs materialised cycle traces: opt this compare
-    # out of any session/$REPRO_CHUNK streaming default
+    # out of any session streaming default
     batch = session.compare(cycles=frames, seed=used_seed, chunk_size=None)
     series = {name: run.mean_quality_per_cycle for name, run in batch.runs.items()}
     return Fig7Result(series=series, runs=dict(batch.runs))

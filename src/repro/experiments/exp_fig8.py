@@ -100,8 +100,7 @@ def run_fig8_experiment(
     if not 1 <= lo < hi <= n:
         raise ValueError(f"invalid action window {lo}..{hi} for {n} actions")
 
-    # per-action traces are the point: chunk_size=None keeps $REPRO_CHUNK
-    # from turning the comparison summary-only
+    # per-action traces are the point: the comparison must materialise
     runs = session.compare(
         "region", "relaxation", cycles=frame_index + 1, chunk_size=None
     )

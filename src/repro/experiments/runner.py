@@ -134,7 +134,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help=(
             "stream the metric-only experiments in chunks of N cycles "
-            "(default: $REPRO_CHUNK, else materialised)"
+            "(default: materialised)"
         ),
     )
     arguments = parser.parse_args(argv)

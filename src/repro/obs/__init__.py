@@ -1,16 +1,16 @@
 """repro.obs — unified telemetry across the execution stack.
 
-The observability layer ties the five execution layers together — Session
-facade, vectorised engine, process pool, spool transport and queue
-service — with three primitives:
+The observability layer ties the four execution layers together — Session
+facade, vectorised engine, process pool and spool transport — with three
+primitives:
 
 * :mod:`repro.obs.metrics` — process-local, thread-safe counters, gauges
   and histograms in named registries, with dict snapshots and an
   order-independent merge so worker snapshots fan in with results.
 * :mod:`repro.obs.trace` — a lightweight nested-span API timed on the
   monotonic clock.  The trace context ``(trace_id, span_id)`` serializes
-  into plan metadata and survives the pickle round-trip into pool, spool
-  and resident workers, so one sweep yields one coherent trace tree.
+  into plan metadata and survives the pickle round-trip into pool and
+  spool workers, so one sweep yields one coherent trace tree.
 * :mod:`repro.obs.export` — an append-only JSONL writer (atomic line
   writes, ``REPRO_OBS_DIR`` override) plus the terminal report renderer
   behind ``repro obs report``.

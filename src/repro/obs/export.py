@@ -1,7 +1,7 @@
 """Append-only JSONL telemetry export and the terminal report renderer.
 
-Every process (parent session, pool worker, spool worker, resident
-worker) flushes its telemetry to its own file,
+Every process (parent session, pool worker, spool worker) flushes its
+telemetry to its own file,
 ``obs-<host>-<pid>.jsonl``, inside the directory named by the
 ``REPRO_OBS_DIR`` environment variable.  Two event types share the file:
 

@@ -3,8 +3,8 @@
 ``repro --log-level debug ...`` (or ``REPRO_LOG=debug`` in the
 environment) routes every ``repro.*`` logger through a single
 :func:`logging.basicConfig` format.  Spawned workers inherit the level
-explicitly: the spool and service layers insert ``--log-level
-<current>`` into the worker command line they build (see
+explicitly: the spool transport inserts ``--log-level <current>``
+into the local-worker command line it builds (see
 :func:`current_level`), so a fleet started from one CLI shares one
 logging story.
 """

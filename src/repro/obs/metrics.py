@@ -48,7 +48,7 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time value (queue depth, resident runtimes, ...)."""
+    """A point-in-time value (fleet padding waste, peak chunk bytes, ...)."""
 
     kind = "gauge"
     __slots__ = ("_lock", "value")

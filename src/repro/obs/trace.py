@@ -14,7 +14,7 @@ manager.
 
 Cross-process propagation uses a two-id :class:`TraceContext`
 ``(trace_id, span_id)``: the parent serializes :func:`propagation` into
-plan metadata (spool/service) or pool-initializer args, and the worker
+plan metadata (spool) or pool-initializer args, and the worker
 re-attaches it with :func:`attach` (or :func:`attach_ids`) so the spans
 it opens become children of the parent's span.  Merging the JSONL records
 from every process (:func:`build_trees`) then yields one coherent tree

@@ -119,9 +119,8 @@ class FleetMemberUnit:
     """One session of a fleet bucket carried inside a single sweep unit.
 
     Members share the payload's system/deadlines/policy and differ in
-    manager, cycle count and seed — the service layer's natural unit of
-    consolidation: one claim executes a whole bucket of tenant sessions
-    through :func:`repro.core.fleet.run_fleet` and ships back one
+    manager, cycle count and seed: one claim executes a whole bucket of
+    sessions through :func:`repro.core.fleet.run_fleet` and ships back one
     summary per member.
     """
 
@@ -396,7 +395,7 @@ def plan_fleet(
     payload's system and deadlines and differ in manager, cycle count and
     seed.  Members without a seed get one spawned from ``base_seed`` via
     :func:`spawn_seeds` (defaults to 0), so the unit is self-contained and
-    any worker — pool, spool, service — reproduces the same per-member
+    any worker — pool or spool — reproduces the same per-member
     scenario streams.  The worker executes the bucket through
     :func:`repro.core.fleet.run_fleet` and ships back one
     :class:`~repro.core.streaming.StreamingMetrics` summary per member.

@@ -14,8 +14,10 @@ How a sweep flows through the spool (the full operational story lives in
   copies the compiled-controller ``.npz`` artifacts the plan needs into
   ``spool/artifacts/`` (content-hashed, so the copy is idempotent), and writes
   one tiny file per :class:`~repro.runtime.plan.SweepUnit` into
-  ``spool/pending/`` — with the default re-draw scenario transport a unit is
-  ~200 bytes: no scenario tensors cross the wire;
+  ``spool/pending/`` — a ``run_many`` or re-drawing ``compare`` unit is a
+  draw recipe (seed and sampler offset) of a few hundred bytes, with no
+  scenario tensors; only a ``compare`` on a sampler that cannot seek ships
+  its scenarios by value inside each unit;
 * any number of **workers** (``repro worker --spool DIR``, any host) claim
   units by atomically renaming them into ``spool/claimed/``; the claim file's
   mtime is the lease heartbeat (touched by a background thread during
@@ -45,7 +47,6 @@ tears down the sweep.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import logging
 import os
 import pickle
@@ -584,14 +585,10 @@ class SpoolWorker:
                     self._say(f"[{self.worker_id}] claim {claim.name} errored: {error!r}")
                 idle_since = time.monotonic()
                 continue
-            self._on_idle_scan()
+            self._evict_stale_plans()
             if max_idle is not None and time.monotonic() - idle_since >= max_idle:
                 return self.executed
             time.sleep(self._poll)
-
-    def _on_idle_scan(self) -> None:
-        """Housekeeping hook between empty pending scans (overridable)."""
-        self._evict_stale_plans()
 
     def _evict_stale_plans(self) -> None:
         """Drop cached runtimes of plans the parent has withdrawn.
@@ -740,22 +737,9 @@ class RemoteSweepExecutor:
         """
         plan_id = uuid.uuid4().hex[:12]
         artifact_keys = self._push_artifacts(plan.payload) if self._sync_artifacts else []
-        payload = dataclasses.replace(plan.payload, cache_dir=None)
-        try:
-            payload_bytes = pickle.dumps(payload)
-        except Exception as error:  # pickle raises many concrete types
-            raise SweepExecutionError(
-                (),
-                "the execution payload is not picklable and cannot be spooled to "
-                f"remote workers ({error!r}); use a module-level scenario sampler "
-                "class, or run the sweep serially",
-            ) from error
         meta = {
             "plan_id": plan_id,
-            "payload": payload,
-            # content hash of the payload: resident workers key warm runtimes
-            # on this, so identical repeat sweeps skip hydration entirely
-            "payload_key": hashlib.sha256(payload_bytes).hexdigest(),
+            "payload": dataclasses.replace(plan.payload, cache_dir=None),
             "artifact_keys": artifact_keys,
             # False = artifact caching explicitly opted out: workers compile
             # locally instead of touching their persistent cache
@@ -768,26 +752,28 @@ class RemoteSweepExecutor:
             trace_ids = obs_trace.propagation()
             if trace_ids is not None:
                 meta["trace"] = trace_ids
+        try:
+            meta_bytes = pickle.dumps(meta)
+        except Exception as error:  # pickle raises many concrete types
+            raise SweepExecutionError(
+                (),
+                "the execution payload is not picklable and cannot be spooled to "
+                f"remote workers ({error!r}); use a module-level scenario sampler "
+                "class, or run the sweep serially",
+            ) from error
+        if obs_enabled():
             obs_registry().inc("spool.plans_submitted")
         try:
-            _atomic_write_bytes(self.spool.plan_path(plan_id), pickle.dumps(meta))
-            self._write_units(plan, plan_id)
+            _atomic_write_bytes(self.spool.plan_path(plan_id), meta_bytes)
+            for unit in plan.units:
+                name = SpoolLayout.unit_name(plan_id, unit.index, attempt=0)
+                _atomic_write_bytes(self.spool.pending / name, pickle.dumps(unit))
         except BaseException:
             # never leave a half-submitted plan (or its temp files) for
             # workers to chew on
             self._cleanup(plan_id)
             raise
         return plan_id
-
-    def _write_units(self, plan: SweepPlan, plan_id: str) -> None:
-        """Materialise the plan's units as claimable pending files.
-
-        Overridable: the service queue frontend enqueues units into a
-        priority queue instead of dropping them straight into ``pending/``.
-        """
-        for unit in plan.units:
-            name = SpoolLayout.unit_name(plan_id, unit.index, attempt=0)
-            _atomic_write_bytes(self.spool.pending / name, pickle.dumps(unit))
 
     def _push_artifacts(self, payload: ExecutionPayload) -> list[str]:
         """Copy the compiled artifacts the plan needs into the shared cache.
@@ -848,7 +834,6 @@ class RemoteSweepExecutor:
             plan_id = self.submit(plan)
             workers = self._spawn_local_workers()
             while outstanding:
-                self._on_scan()
                 drained = self._drain_done(plan_id, outstanding)
                 drained.extend(self._requeue_expired(plan_id, outstanding))
                 if drained:
@@ -912,22 +897,17 @@ class RemoteSweepExecutor:
     # ------------------------------------------------------------------ #
     # fan-in internals
     # ------------------------------------------------------------------ #
-    def _on_scan(self) -> None:
-        """Per-scan hook before drain/requeue (overridable).
-
-        The service executor pumps its dispatch queue here, so quota slots
-        freed by finished units refill within one fan-in scan.
-        """
-
     def _drain_done(self, plan_id: str, outstanding: set[int]) -> list[tuple]:
         """Collect and consume finished result files of this plan.
 
         One directory listing per scan (not one stat per outstanding unit):
         on a big plan over NFS, per-unit ``stat`` calls would be a sustained
         metadata storm against the share.  A result file that cannot be read
-        is retried on later scans while it is younger than a lease (it may
-        be half-visible on a laggy share); an older one is deleted and its
-        unit recorded as failed, since no worker will ever rewrite it.
+        is retried on later scans while its mtime lies within a lease of the
+        spool clock (it may be half-visible on a laggy share).  Past that, in
+        either direction, it is deleted and its unit recorded as failed,
+        since no worker will ever rewrite it; a stamp skewed into the future
+        would otherwise be retried forever.
         """
         records: list[tuple] = []
         now: float | None = None  # probe lazily: unreadable results are rare
@@ -955,7 +935,7 @@ class RemoteSweepExecutor:
                     age = now - path.stat().st_mtime
                 except OSError:  # consumed or unlinked under us
                     continue
-                if age <= self._lease_timeout:
+                if abs(age) <= self._lease_timeout:
                     continue  # half-visible on a laggy share: retry next scan
                 logger.warning(
                     "unit %d of plan %s has an unreadable result file: %r",
@@ -965,7 +945,7 @@ class RemoteSweepExecutor:
                     index,
                     False,
                     f"unreadable result file ({error!r}), still unreadable "
-                    f"{age:.1f}s after it was written",
+                    f"{abs(age):.1f}s off its write stamp",
                     "",
                 )
             outstanding.discard(index)
@@ -1034,7 +1014,7 @@ class RemoteSweepExecutor:
                     )
                 )
                 continue
-            target = self._requeue_target(plan_id, index, attempt + 1)
+            target = self.spool.pending / SpoolLayout.unit_name(plan_id, index, attempt + 1)
             try:
                 os.rename(claim, target)
             except OSError:  # the worker finished or died mid-scan; next pass
@@ -1046,15 +1026,6 @@ class RemoteSweepExecutor:
             if obs_enabled():
                 obs_registry().inc("spool.requeues")
         return failures
-
-    def _requeue_target(self, plan_id: str, index: int, attempt: int) -> Path:
-        """Where an expired lease's next attempt goes (overridable).
-
-        The base executor requeues straight into ``pending/``; the service
-        executor requeues through its priority queue so quota and fairness
-        also govern retries.
-        """
-        return self.spool.pending / SpoolLayout.unit_name(plan_id, index, attempt)
 
     def _local_workers_dead(self, workers: list[subprocess.Popen], plan_id: str) -> bool:
         """True when spawned workers *crashed* and nothing else is working.
@@ -1109,34 +1080,6 @@ class RemoteSweepExecutor:
         self.spool.plan_path(plan_id).unlink(missing_ok=True)
         (self.spool.claimed / f".clock-probe-{os.getpid()}").unlink(missing_ok=True)
         horizon = time.time() - 3600.0
-        for directory in self._sweep_directories():
-            try:
-                entries = list(directory.iterdir())
-            except FileNotFoundError:
-                continue
-            for path in entries:
-                if self._plan_file(path.name, plan_id) and directory is not self.spool.plans:
-                    path.unlink(missing_ok=True)
-                elif path.name.startswith("."):
-                    # a temp file naming this plan is ours and dead for sure
-                    # (nothing is mid-write once cleanup runs — including an
-                    # aborted submit, which calls us on its failure path);
-                    # other hidden files only go once safely aged out
-                    try:
-                        if plan_id in path.name:
-                            path.unlink(missing_ok=True)
-                        elif path.is_file() and path.stat().st_mtime < horizon:
-                            path.unlink(missing_ok=True)
-                    except OSError:  # consumed under us
-                        pass
-
-    @staticmethod
-    def _plan_file(name: str, plan_id: str) -> bool:
-        """True when a (non-hidden) spool file belongs to ``plan_id``."""
-        return name.startswith(f"{plan_id}.")
-
-    def _sweep_directories(self) -> list[Path]:
-        """Every directory :meth:`_cleanup` sweeps (overridable)."""
         directories = [
             self.spool.pending,
             self.spool.claimed,
@@ -1150,7 +1093,26 @@ class RemoteSweepExecutor:
             )
         except OSError:
             pass
-        return directories
+        for directory in directories:
+            try:
+                entries = list(directory.iterdir())
+            except FileNotFoundError:
+                continue
+            for path in entries:
+                if path.name.startswith(f"{plan_id}.") and directory is not self.spool.plans:
+                    path.unlink(missing_ok=True)
+                elif path.name.startswith("."):
+                    # a temp file naming this plan is ours and dead for sure
+                    # (nothing is mid-write once cleanup runs — including an
+                    # aborted submit, which calls us on its failure path);
+                    # other hidden files only go once safely aged out
+                    try:
+                        if plan_id in path.name:
+                            path.unlink(missing_ok=True)
+                        elif path.is_file() and path.stat().st_mtime < horizon:
+                            path.unlink(missing_ok=True)
+                    except OSError:  # consumed under us
+                        pass
 
     # ------------------------------------------------------------------ #
     # local worker convenience
@@ -1190,7 +1152,6 @@ class RemoteSweepExecutor:
         ]
         if self._worker_cache_dir is not None:
             command += ["--cache-dir", str(self._worker_cache_dir)]
-        command += self._worker_extra_args()
         return [
             subprocess.Popen(
                 command,
@@ -1200,10 +1161,6 @@ class RemoteSweepExecutor:
             )
             for _ in range(self._local_workers)
         ]
-
-    def _worker_extra_args(self) -> list[str]:
-        """Extra ``repro worker`` CLI flags for spawned locals (overridable)."""
-        return []
 
     @staticmethod
     def _stop_local_workers(workers: list[subprocess.Popen]) -> None:

@@ -44,7 +44,6 @@ def test_documentation_suite_exists():
         "architecture.md",
         "scenario-pipeline.md",
         "distributed-sweeps.md",
-        "service.md",
         "observability.md",
         "streaming.md",
         "fleet.md",
@@ -89,7 +88,6 @@ def test_readme_links_the_docs_suite():
         "docs/architecture.md",
         "docs/scenario-pipeline.md",
         "docs/distributed-sweeps.md",
-        "docs/service.md",
         "docs/observability.md",
         "docs/streaming.md",
         "docs/fleet.md",
@@ -116,27 +114,11 @@ def _subcommands() -> dict:
 def test_every_subcommand_epilog_states_defaults():
     subparsers_choices = _subcommands()
     assert {"info", "managers", "run", "compare", "fleet", "sweep", "worker",
-            "experiments", "diagram", "service", "obs"} <= set(subparsers_choices)
+            "experiments", "diagram", "obs"} <= set(subparsers_choices)
     for name, sub in subparsers_choices.items():
         assert sub.epilog, f"'repro {name}' has no --help epilog"
         assert "default" in sub.epilog.lower(), (
             f"'repro {name}' epilog does not state its defaults"
-        )
-
-
-def test_every_service_subcommand_epilog_states_defaults():
-    """The nested `repro service <cmd>` parsers are audited like top-level
-    subcommands: each --help epilog must state its defaults."""
-    service = _subcommands()["service"]
-    nested = next(
-        action for action in service._actions
-        if isinstance(action, argparse._SubParsersAction)
-    ).choices
-    assert {"start", "status", "drain"} == set(nested)
-    for name, sub in nested.items():
-        assert sub.epilog, f"'repro service {name}' has no --help epilog"
-        assert "default" in sub.epilog.lower(), (
-            f"'repro service {name}' epilog does not state its defaults"
         )
 
 

@@ -7,11 +7,16 @@ The gated guarantees of the distributed transport:
 * a **killed worker** costs one lease timeout, not the sweep — its claimed
   unit is requeued and completed by a surviving worker;
 * per-unit failures and exhausted leases surface exactly like the process
-  pool (:class:`~repro.runtime.pool.UnitFailure`), never a hung sweep.
+  pool (:class:`~repro.runtime.pool.UnitFailure`), never a hung sweep;
+* a stopping worker (``request_stop`` or SIGTERM) finishes or releases its
+  claim, never strands it behind a lease timeout;
+* a full spool filesystem on the result write costs one lease per attempt,
+  then a unit failure, never a hang.
 """
 
 from __future__ import annotations
 
+import errno
 import os
 import pickle
 import signal
@@ -149,7 +154,9 @@ def test_executor_validates_parameters(tmp_path):
 # --------------------------------------------------------------------------- #
 
 
-def _compare_plan(tmp_path: Path, cycles: int = 2):
+def _compare_plan(
+    tmp_path: Path, cycles: int = 2, managers: tuple[str, ...] = ("region", "relaxation")
+):
     session = _session(tmp_path)
     session._prepare_parallel_cache(session.artifact_cache, [])
     session.compile()  # warm + persist the artifact
@@ -157,7 +164,7 @@ def _compare_plan(tmp_path: Path, cycles: int = 2):
     from repro.api.registry import ManagerSpec
 
     return plan_compare_redraw(
-        payload, [ManagerSpec("region"), ManagerSpec("relaxation")], cycles, seed=0
+        payload, [ManagerSpec(key) for key in managers], cycles, seed=0
     )
 
 
@@ -223,6 +230,36 @@ def test_unpicklable_payload_is_a_clear_error(tmp_path):
     )
     with pytest.raises(SweepExecutionError, match="not picklable"):
         session.run_many([{"seed": 1, "cycles": 1}])
+
+
+def test_unpicklable_payload_fails_before_touching_the_spool(tmp_path):
+    from helpers import make_synthetic_system
+
+    from repro.obs import enable, reset_enabled, trace
+    from repro.obs.metrics import registry
+
+    session = (
+        Session()
+        .system(make_synthetic_system())  # closure sampler: not picklable
+        .deadlines(period=1e9)
+        .artifacts(tmp_path / "cache")
+        .remote(tmp_path / "spool", local_workers=0, timeout=5.0)
+    )
+    enable(True)
+    registry().reset()
+    try:
+        with pytest.raises(SweepExecutionError, match="not picklable"):
+            session.run_many([{"seed": 1, "cycles": 1}])
+        submitted = registry().snapshot()["metrics"].get("spool.plans_submitted")
+    finally:
+        reset_enabled()
+        registry().reset()
+        trace.drain()
+    # the error fires before the plan is counted or anything is spooled
+    assert submitted is None
+    layout = SpoolLayout(tmp_path / "spool")
+    assert not list(layout.plans.iterdir())
+    assert not list(layout.pending.iterdir())
 
 
 # --------------------------------------------------------------------------- #
@@ -791,10 +828,11 @@ def _torn_result(tmp_path: Path, lease_timeout: float):
     return plan, executor, plan_id, torn
 
 
-def test_aged_torn_result_file_becomes_a_unit_failure(tmp_path):
-    """An unreadable result older than a lease must not hang the fan-in."""
+def _fan_in_past_torn_result(tmp_path: Path, age: float) -> dict:
+    """Fan in a two-unit plan whose unit 0 left a torn result stamped ``age``
+    seconds before now (lease 0.3 s); returns the records by unit index."""
     plan, executor, plan_id, torn = _torn_result(tmp_path, lease_timeout=0.3)
-    _age_file(torn, 5.0)
+    _age_file(torn, age)
     outstanding = {unit.index for unit in plan.units}
     records = []
     with _InlineWorker(tmp_path):
@@ -806,9 +844,99 @@ def test_aged_torn_result_file_becomes_a_unit_failure(tmp_path):
     assert not torn.exists()
     executor._cleanup(plan_id)
     assert not outstanding
-    by_index = {record[0]: record for record in records}
+    return {record[0]: record for record in records}
+
+
+def test_aged_torn_result_file_becomes_a_unit_failure(tmp_path):
+    """An unreadable result older than a lease must not hang the fan-in."""
+    by_index = _fan_in_past_torn_result(tmp_path, age=5.0)
     assert by_index[0][1] is False and "unreadable result file" in by_index[0][2]
     assert by_index[1][1] is True  # the healthy unit still executed
+
+
+def test_torn_result_file_stamped_in_the_future_becomes_a_unit_failure(tmp_path):
+    """A torn result stamped more than a lease *ahead* of the spool clock is
+    as final as an aged one: no worker will rewrite it, so retrying it would
+    hang a fan-in that has no timeout."""
+    by_index = _fan_in_past_torn_result(tmp_path, age=-3600.0)
+    assert by_index[0][1] is False and "unreadable result file" in by_index[0][2]
+    assert by_index[1][1] is True  # the healthy unit still executed
+
+
+def _full_done_directory(monkeypatch, layout: SpoolLayout, failing_writes: int | None):
+    """Make the first ``failing_writes`` result writes (``None``: all of them)
+    fail with ENOSPC, as on a spool filesystem that filled up."""
+    import repro.runtime.remote as remote_module
+
+    real_write = remote_module._atomic_write_bytes
+    failed = {"n": 0}
+
+    def write(target, data):
+        if target.parent == layout.done and (
+            failing_writes is None or failed["n"] < failing_writes
+        ):
+            failed["n"] += 1
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(target))
+        real_write(target, data)
+
+    monkeypatch.setattr(remote_module, "_atomic_write_bytes", write)
+    return failed
+
+
+def _run_with_worker(tmp_path: Path, executor: RemoteSweepExecutor, plan, messages: list):
+    """``executor.run(plan, on_error="capture")`` against one SpoolWorker
+    running its own claim loop in a background thread."""
+    worker = SpoolWorker(
+        tmp_path / "spool",
+        cache_dir=tmp_path / "worker-cache",
+        poll_interval=0.02,
+        heartbeat=0.05,
+        log=messages.append,
+    )
+    thread = threading.Thread(target=worker.run, daemon=True)
+    thread.start()
+    try:
+        return executor.run(plan, on_error="capture")
+    finally:
+        worker.request_stop()
+        thread.join(timeout=30.0)
+
+
+def test_result_write_hitting_enospc_is_requeued_and_completed(tmp_path, monkeypatch):
+    """A full spool on the first result write: the worker logs the error and
+    keeps its claim, the lease expires once, and the retry delivers."""
+    plan = _compare_plan(tmp_path)
+    executor = RemoteSweepExecutor(
+        tmp_path / "spool", lease_timeout=0.5, poll_interval=0.02, timeout=60.0
+    )
+    failed = _full_done_directory(monkeypatch, executor.spool, failing_writes=1)
+    messages: list[str] = []
+    outcome = _run_with_worker(tmp_path, executor, plan, messages)
+    assert failed["n"] == 1
+    assert outcome.ok and set(outcome.outcomes) == {0, 1}
+    assert any("errored" in line and "No space left" in line for line in messages)
+    assert any(" attempt 1 ok" in line for line in messages)  # the requeued retry
+    assert not list(executor.spool.claimed.iterdir())
+    assert not list(executor.spool.done.iterdir())
+
+
+def test_result_writes_always_hitting_enospc_become_lease_failures(tmp_path, monkeypatch):
+    """Every result write fails: each attempt costs one lease, then each unit
+    becomes a lease-expiry UnitFailure — no hang, nothing left in done/."""
+    plan = _compare_plan(tmp_path)
+    executor = RemoteSweepExecutor(
+        tmp_path / "spool", lease_timeout=0.3, poll_interval=0.02,
+        max_requeues=1, timeout=60.0,
+    )
+    failed = _full_done_directory(monkeypatch, executor.spool, failing_writes=None)
+    outcome = _run_with_worker(tmp_path, executor, plan, [])
+    assert failed["n"] >= 4  # two attempts per unit, each refused
+    assert not outcome.outcomes
+    assert sorted(failure.index for failure in outcome.failures) == [0, 1]
+    for failure in outcome.failures:
+        assert "lease expired 2 time(s)" in failure.error
+    assert not list(executor.spool.claimed.iterdir())
+    assert not list(executor.spool.done.iterdir())
 
 
 def test_fresh_torn_result_file_is_retried(tmp_path):
@@ -860,6 +988,75 @@ def test_worker_exits_when_idle(tmp_path):
     )
     assert executed == 0
     assert time.monotonic() - started < 10.0
+
+
+def test_request_stop_releases_a_raced_claim(tmp_path):
+    """A claim taken in the stop race window is released back to pending
+    (same attempt), not executed and not stranded behind a lease."""
+    plan = _compare_plan(tmp_path, managers=("region",))
+    executor = RemoteSweepExecutor(tmp_path / "spool", poll_interval=0.02)
+    plan_id = executor.submit(plan)
+    worker = SpoolWorker(tmp_path / "spool", cache_dir=tmp_path / "worker-cache")
+    claim = worker.claim_one()
+    assert claim is not None
+    worker.request_stop()
+    assert worker.stop_requested
+    assert worker.release_claim(claim) is True
+    layout = executor.spool
+    assert [path.name for path in layout.pending.iterdir()] == [
+        SpoolLayout.unit_name(plan_id, 0, 0)
+    ]
+    assert not list(layout.claimed.iterdir())
+    # with stop already requested the loop exits immediately, executing nothing
+    assert worker.run(max_idle=30.0) == 0
+    assert not list(layout.done.iterdir())
+    executor._cleanup(plan_id)
+
+
+def test_sigterm_drains_a_subprocess_worker_gracefully(tmp_path):
+    """End to end: SIGTERM a plain `repro worker` mid-unit; it finishes or
+    releases the claim and exits 0."""
+    plan = _compare_plan(tmp_path, cycles=600, managers=("numeric",))
+    spool = tmp_path / "spool"
+    executor = RemoteSweepExecutor(spool, poll_interval=0.02)
+    plan_id = executor.submit(plan)
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = _SRC + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    worker = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "worker",
+            "--spool", str(spool), "--cache-dir", str(tmp_path / "worker-cache"),
+            "--poll", "0.02", "--heartbeat", "0.05", "--quiet",
+        ],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    layout = executor.spool
+    try:
+        deadline = time.monotonic() + 60.0
+        while time.monotonic() < deadline:
+            if list(layout.claimed.iterdir()):
+                break
+            time.sleep(0.02)
+        else:
+            pytest.fail("worker never claimed the unit")
+        worker.send_signal(signal.SIGTERM)
+        assert worker.wait(timeout=120.0) == 0
+    finally:
+        if worker.poll() is None:  # pragma: no cover - cleanup on failure
+            worker.kill()
+            worker.wait(timeout=30.0)
+    # the claim was finished (result in done/) or released (back in pending/),
+    # never left to rot in claimed/
+    assert not list(layout.claimed.iterdir())
+    finished = layout.result_path(plan_id, 0).is_file()
+    released = (layout.pending / SpoolLayout.unit_name(plan_id, 0, 0)).is_file()
+    assert finished or released
+    executor._cleanup(plan_id)
 
 
 def test_garbage_unit_file_never_kills_the_worker(tmp_path):
@@ -1003,6 +1200,32 @@ def test_failed_submit_leaves_no_plan_behind(tmp_path, monkeypatch):
     monkeypatch.setattr(remote_module, "_atomic_write_bytes", real_write)
     assert not list(executor.spool.plans.iterdir())
     assert not list(executor.spool.pending.iterdir())
+
+
+def test_failed_submit_sweeps_torn_temps(tmp_path, monkeypatch):
+    """A unit write that dies mid-write leaves a torn temp file naming the
+    plan; the failed submit sweeps it with the rest of the plan's files."""
+    import repro.runtime.remote as remote_module
+
+    plan = _compare_plan(tmp_path)
+    executor = RemoteSweepExecutor(tmp_path / "spool")
+    real_write = remote_module._atomic_write_bytes
+    calls = {"n": 0}
+
+    def failing_write(target, data):
+        calls["n"] += 1
+        if calls["n"] >= 3:  # plan file + first unit land, second unit is torn
+            (target.parent / f".{target.name}.tmp").write_bytes(b"partial")
+            raise OSError("disk full")
+        real_write(target, data)
+
+    monkeypatch.setattr(remote_module, "_atomic_write_bytes", failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        executor.submit(plan)
+    monkeypatch.setattr(remote_module, "_atomic_write_bytes", real_write)
+    assert calls["n"] == 3
+    assert not list(executor.spool.plans.iterdir())
+    assert not list(executor.spool.pending.iterdir())  # torn temp swept too
 
 
 def test_experiment_suite_artefacts_identical_over_spool(tmp_path, monkeypatch):

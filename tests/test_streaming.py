@@ -5,8 +5,8 @@ overhead model and ``chunk_size``, a streamed run's metrics must equal the
 :class:`~repro.analysis.metrics.QualityMetrics` of the scalar ``run_cycle``
 oracle and of the materialised path field for field — including runs whose
 chunk edges land mid-way through a frame sampler's wrap-around — and
-pool/spool/service fan-in of streamed accumulators must match serial
-execution exactly.
+pool/spool fan-in of streamed accumulators must match serial execution
+exactly.
 """
 
 from __future__ import annotations
@@ -189,16 +189,6 @@ class TestParallelFanIn:
             tmp_path / "spool", poll_interval=0.02, timeout=120.0, local_workers=1
         )
         streamed = spooled.run_many([1, 2], chunk_size=2)
-        for label in serial.labels:
-            assert streamed[label].is_summary
-            assert_metrics_identical(serial[label].metrics, streamed[label].metrics, label)
-
-    def test_service_fan_in(self, tmp_path):
-        serial = self._fresh(tmp_path).run_many([1, 2], parallel=False)
-        service = self._fresh(tmp_path).service(
-            tmp_path / "svc", poll_interval=0.02, timeout=120.0, local_workers=1
-        )
-        streamed = service.run_many([1, 2], chunk_size=2)
         for label in serial.labels:
             assert streamed[label].is_summary
             assert_metrics_identical(serial[label].metrics, streamed[label].metrics, label)
@@ -424,16 +414,13 @@ class TestScenarioBatchSlicing:
 
 
 class TestChunkSizeResolution:
-    def test_precedence_per_call_builder_env(self, monkeypatch):
+    def test_precedence_per_call_builder_env(self):
         session = Session().system("small").seed(0).cycles(4)
-        monkeypatch.setenv("REPRO_CHUNK", "2")
-        assert session.run().is_summary  # env fallback
         session.chunk_size(3)
         assert session.run().is_summary  # builder
         assert not session.run(chunk_size=None).is_summary  # per-call opt-out
         assert session.run(chunk_size=2).is_summary  # per-call override
         session.chunk_size(None)
-        monkeypatch.delenv("REPRO_CHUNK")
         assert not session.run().is_summary
 
     def test_invalid_chunk_sizes_raise(self):
@@ -442,11 +429,6 @@ class TestChunkSizeResolution:
             session.chunk_size(0)
         with pytest.raises(SessionError):
             session.run(cycles=2, chunk_size="nope")
-
-    def test_invalid_env_value_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNK", "zero")
-        with pytest.raises(SessionError):
-            Session().system("small").run(cycles=2)
 
 
 class TestStreamingObservability:
