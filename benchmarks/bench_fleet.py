@@ -8,9 +8,10 @@ Two claims of :mod:`repro.core.fleet` are asserted here:
   ``Session.run`` over the same sessions and reading each run's metrics —
   the summary a fleet ``RunResult`` contains by construction, so both
   paths are timed to the same deliverable.  The fused buckets pay the
-  per-action NumPy dispatch once per bucket instead of once per session,
-  and fold outcomes chunk-wise instead of allocating per-cycle records
-  that a per-cycle metrics pass then has to walk;
+  per-action NumPy dispatch once per bucket instead of once per session.
+  That dispatch is the fleet's only edge: a looped run keeps its five
+  outcome columns and folds them once, the same fold the fleet applies
+  chunk-wise, and builds no per-cycle records;
 * every per-session summary is **bit-identical** to the solo run with the
   same seed — zero parity mismatches across the whole fleet.
 
@@ -134,8 +135,8 @@ def _measure() -> dict:
     The solo loop reads each run's ``metrics`` inside the timed section —
     the fleet returns finished summaries, so the baseline must produce
     the same deliverable to be comparable.  Only those summaries survive
-    each solo loop (a million retained ``CycleOutcome`` records would
-    gift the fleet timing a GC handicap), and each timed section starts
+    each solo loop (the retained outcome columns of 1,024 runs would
+    gift the fleet timing a larger heap), and each timed section starts
     from a collected heap.
     """
     best_solo = best_fleet = float("inf")

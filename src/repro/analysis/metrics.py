@@ -74,8 +74,9 @@ def compute_metrics(
 ) -> QualityMetrics:
     """Aggregate metrics over a collection of cycle traces.
 
-    Stacks the traces into one chunk (:func:`~repro.core.streaming.outcome_arrays`)
-    and folds it through the streaming accumulator
+    Folds the traces' columns (:func:`~repro.core.streaming.outcome_arrays`:
+    :class:`~repro.core.engine.CycleOutcomes` as they are, any other
+    collection stacked once) through the streaming accumulator
     (:meth:`~repro.core.streaming.StreamingMetrics.update_chunk`), so the
     materialised and chunked-streaming execution paths share one fold and
     their metrics are bit-identical by construction.  Raises

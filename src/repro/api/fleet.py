@@ -118,18 +118,20 @@ def run_fleet(
     """
     from repro.runtime.plan import spawn_seeds
 
-    from .session import _UNSET
+    from .session import _UNSET, _whole_number
 
     pairs = _coerce_members(sessions)
+    if cycles is not None:
+        cycles = _whole_number(cycles, "cycles", 1)
     child_seeds: Sequence[int | None]
     if seed is not None:
-        child_seeds = spawn_seeds(int(seed), len(pairs))
+        child_seeds = spawn_seeds(_whole_number(seed, "seed", 0), len(pairs))
     else:
         child_seeds = [session.current_seed for _, session in pairs]
 
     members: list[FleetMember] = []
     for (label, session), member_seed in zip(pairs, child_seeds):
-        n_cycles = int(cycles) if cycles is not None else session._default_cycles
+        n_cycles = cycles if cycles is not None else session._default_cycles
         chunk = (
             int(chunk_size)
             if chunk_size is not None

@@ -1,10 +1,17 @@
 """Result objects of the facade's run layer.
 
-A :class:`RunResult` aggregates the cycle traces of one manager; a
+A :class:`RunResult` holds the executed cycles of one manager; a
 :class:`BatchResult` groups several labelled runs (a manager comparison on
-identical scenarios, or a scenario sweep).  Metric aggregation delegates to
-:mod:`repro.analysis.metrics` and is computed lazily — building a result is
-free, so the facade adds no work to the execution hot path.
+identical scenarios, or a scenario sweep).  Aggregates are computed lazily
+and once — building a result is free, so the facade adds no work to the
+execution hot path.
+
+A materialised run keeps its cycles as the engine's five outcome columns
+(:class:`~repro.core.engine.CycleOutcomes`).  Its metrics and quality
+histogram come from one fold of those columns through
+:meth:`~repro.core.streaming.StreamingMetrics.update_chunk`; the per-cycle
+series read the columns directly; ``outcomes[c]`` builds one
+:class:`~repro.core.system.CycleOutcome` view on demand.
 
 A chunk-streamed run (``Session.run(..., chunk_size=...)``) produces a
 *summary-only* result: ``outcomes`` is empty and ``summary`` holds the
@@ -18,14 +25,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.analysis.metrics import QualityMetrics, compute_metrics
+from repro.analysis.metrics import QualityMetrics
 from repro.analysis.reports import metrics_report
 from repro.core.deadlines import DeadlineFunction
-from repro.core.streaming import StreamingMetrics
+from repro.core.engine import CycleOutcomes
+from repro.core.streaming import StreamingMetrics, outcome_arrays
 from repro.core.system import CycleOutcome
 
 __all__ = ["RunResult", "BatchResult"]
@@ -33,15 +41,24 @@ __all__ = ["RunResult", "BatchResult"]
 
 @dataclass(frozen=True)
 class RunResult:
-    """Cycle traces of one manager plus lazily-computed aggregates."""
+    """The executed cycles of one manager plus lazily-computed aggregates.
+
+    ``outcomes`` may be given as any sequence of
+    :class:`~repro.core.system.CycleOutcome`; it is held as
+    :class:`~repro.core.engine.CycleOutcomes` columns (stacked once unless
+    it already is one).
+    """
 
     manager_key: str
     manager_name: str
-    outcomes: tuple[CycleOutcome, ...]
+    outcomes: CycleOutcomes | Sequence[CycleOutcome]
     deadlines: DeadlineFunction
     seed: int | None = None
     machine_name: str | None = None
     summary: StreamingMetrics | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "outcomes", CycleOutcomes.of(self.outcomes))
 
     @property
     def is_summary(self) -> bool:
@@ -64,32 +81,38 @@ class RunResult:
         return len(self.outcomes)
 
     @cached_property
+    def _folded(self) -> StreamingMetrics:
+        """The run's one metrics fold: the stream summary, or the columns folded once."""
+        if self.summary is not None:
+            return self.summary
+        folded = StreamingMetrics(self.deadlines)
+        folded.update_chunk(*outcome_arrays(self.outcomes))
+        return folded
+
+    @cached_property
     def metrics(self) -> QualityMetrics:
         """Safety/optimality/smoothness/overhead aggregates (computed once)."""
-        if self.is_summary:
-            return self.summary.metrics()
-        return compute_metrics(self.outcomes, self.deadlines)
+        return self._folded.metrics()
 
     @cached_property
     def mean_quality_per_cycle(self) -> np.ndarray:
         """Average quality of each cycle (the Figure 7 series)."""
         self._require_outcomes("mean_quality_per_cycle")
-        return np.array([outcome.mean_quality for outcome in self.outcomes])
+        qualities = self.outcomes.qualities
+        if not qualities.shape[1]:
+            return np.zeros(qualities.shape[0])
+        return qualities.mean(axis=1)
 
     @cached_property
     def quality_values(self) -> np.ndarray:
-        """All chosen quality levels, one concatenated array (computed once)."""
+        """All chosen quality levels, cycle after cycle, one array (computed once)."""
         self._require_outcomes("quality_values")
-        parts = [outcome.qualities for outcome in self.outcomes]
-        return np.concatenate(parts if parts else [np.empty(0, dtype=np.int64)])
+        return self.outcomes.qualities.flatten()
 
     @cached_property
     def quality_histogram(self) -> dict[int, int]:
         """Action counts per chosen quality level, over all cycles."""
-        if self.summary is not None:
-            return self.summary.quality_level_counts
-        levels, counts = np.unique(self.quality_values, return_counts=True)
-        return {int(level): int(count) for level, count in zip(levels, counts)}
+        return self._folded.quality_level_counts
 
     @property
     def mean_quality(self) -> float:

@@ -104,6 +104,21 @@ class SessionError(ValueError):
 _UNSET: Any = object()
 
 
+def _whole_number(value: Any, what: str, minimum: int) -> int:
+    """``value`` as an integer of at least ``minimum``, else a :class:`SessionError`.
+
+    The one rule for cycle counts and seeds: a value ``int()`` would
+    truncate (``2.5``) or could not convert is rejected, never rounded.
+    """
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or number != value or number < minimum:
+        raise SessionError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return number
+
+
 def _coerce_chunk_size(value: Any) -> int | None:
     """Validate a streaming chunk size: ``None`` or a positive integer."""
     if value is None:
@@ -123,8 +138,9 @@ def _result_fields(tail: Any) -> dict[str, Any]:
     """The RunResult outcome fields a worker tail implies.
 
     Streamed units return a :class:`~repro.core.streaming.StreamingMetrics`
-    summary instead of a tuple of cycle traces; either shape lands in the
-    right :class:`~repro.api.results.RunResult` field here.
+    summary instead of :class:`~repro.core.engine.CycleOutcomes` columns;
+    either shape lands in the right :class:`~repro.api.results.RunResult`
+    field here.
     """
     if isinstance(tail, StreamingMetrics):
         return {"outcomes": (), "summary": tail}
@@ -381,12 +397,7 @@ class Session:
 
         Must be a non-negative integer (NumPy seeds ``default_rng`` with it).
         """
-        try:
-            value = int(seed)
-        except (TypeError, ValueError, OverflowError):
-            value = None
-        if value is None or value != seed or value < 0:
-            raise SessionError(f"seed must be a non-negative integer, got {seed!r}")
+        value = _whole_number(seed, "seed", 0)
         if value == self._seed:
             return self
         self._seed = value
@@ -409,10 +420,7 @@ class Session:
 
     def cycles(self, n_cycles: int) -> "Session":
         """Default number of cycles per :meth:`run`."""
-        n_cycles = int(n_cycles)
-        if n_cycles < 1:
-            raise SessionError(f"cycles must be >= 1, got {n_cycles}")
-        self._default_cycles = n_cycles
+        self._default_cycles = _whole_number(n_cycles, "cycles", 1)
         return self
 
     def artifacts(self, cache: Any = True) -> "Session":
@@ -701,13 +709,18 @@ class Session:
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
+    def _count_and_seed(self, cycles: Any, seed: Any) -> tuple[int, int]:
+        """A call's cycle count and seed: the session's defaults, or validated overrides."""
+        return (
+            self._default_cycles if cycles is None else _whole_number(cycles, "cycles", 1),
+            self._seed if seed is None else _whole_number(seed, "seed", 0),
+        )
+
     @staticmethod
     def _check_run_args(
         n_cycles: int,
         scenarios: ScenarioBatch | Sequence[ActualTimeScenario] | None,
     ) -> None:
-        if n_cycles < 1:
-            raise SessionError(f"cycles must be >= 1, got {n_cycles}")
         if scenarios is not None and len(scenarios) != n_cycles:
             raise SessionError(f"expected {n_cycles} scenarios, got {len(scenarios)}")
 
@@ -743,8 +756,7 @@ class Session:
         Arguments are validated and the manager is built before the iterator
         is returned — bad input fails here, not on first iteration.
         """
-        n_cycles = self._default_cycles if cycles is None else int(cycles)
-        used_seed = self._seed if seed is None else int(seed)
+        n_cycles, used_seed = self._count_and_seed(cycles, seed)
         self._check_run_args(n_cycles, scenarios)
         return self._stream(self.build(), n_cycles, used_seed, scenarios)
 
@@ -763,8 +775,7 @@ class Session:
         summary-only result, an explicit ``None`` forces the materialised
         path.  Results are bit-identical across chunk sizes for fixed seeds.
         """
-        n_cycles = self._default_cycles if cycles is None else int(cycles)
-        used_seed = self._seed if seed is None else int(seed)
+        n_cycles, used_seed = self._count_and_seed(cycles, seed)
         self._check_run_args(n_cycles, scenarios)  # before any compilation
         chunk = self._effective_chunk_size(chunk_size)
         summary: StreamingMetrics | None = None
@@ -773,7 +784,7 @@ class Session:
                 manager = self.build()
             with obs_trace.span("session.execute"):
                 if chunk is not None:
-                    outcomes: tuple[CycleOutcome, ...] = ()
+                    outcomes: Sequence[CycleOutcome] = ()
                     summary = run_cycles_streamed(
                         self._execution_system(),
                         manager,
@@ -853,8 +864,7 @@ class Session:
             ManagerSpec("region"),
             ManagerSpec("relaxation"),
         ]
-        n_cycles = self._default_cycles if cycles is None else int(cycles)
-        used_seed = self._seed if seed is None else int(seed)
+        n_cycles, used_seed = self._count_and_seed(cycles, seed)
         system = self._execution_system()
         deadlines = self.resolved_deadlines()
         machine_name = self._machine.name if self._machine is not None else None
@@ -862,7 +872,7 @@ class Session:
         chunk = self._effective_chunk_size(chunk_size)
         pool_config = self._pool_config(parallel, workers)
         self._check_stream(stream, pool_config)
-        if pool_config is not None and n_cycles > 0:
+        if pool_config is not None:
             return self._compare_parallel(
                 chosen,
                 n_cycles,
@@ -913,10 +923,6 @@ class Session:
                 # (final labels need the executed managers' names)
                 progress(index + 1, len(chosen), str(spec))
         obs_export.flush()
-        if stream:
-            # edge inputs (cycles <= 0) skip the spool but must keep the
-            # documented (label, RunResult) iterator shape
-            return iter(runs.items())
         return BatchResult(runs=runs)
 
     def run_many(
@@ -1046,14 +1052,8 @@ class Session:
                 coerced.append(ScenarioSpec(manager=ManagerSpec.coerce(entry)))
             else:
                 raise SessionError(f"cannot interpret {entry!r} as a scenario")
-        # validate every manager spec before running anything
-        for spec in coerced:
-            if spec.manager is not None:
-                validate_spec(ManagerSpec.coerce(spec.manager))
-            if spec.cycles is not None and int(spec.cycles) < 1:
-                raise SessionError(f"scenario cycles must be >= 1, got {spec.cycles}")
-
-        # resolve every unit up front: (label, manager spec, cycles, seed)
+        # resolve and validate every unit before running anything:
+        # (label, manager spec, cycles, seed)
         entries: list[tuple[str, ManagerSpec, int, int]] = []
         for index, spec in enumerate(coerced):
             manager_spec = (
@@ -1061,8 +1061,7 @@ class Session:
                 if spec.manager is not None
                 else self._spec
             )
-            n_cycles = self._default_cycles if spec.cycles is None else int(spec.cycles)
-            used_seed = self._seed if spec.seed is None else int(spec.seed)
+            n_cycles, used_seed = self._count_and_seed(spec.cycles, spec.seed)
             entries.append((spec.resolved_label(index), manager_spec, n_cycles, used_seed))
         return entries
 

@@ -16,6 +16,7 @@ from .controller import (
 )
 from .deadlines import DeadlineFunction
 from .engine import (
+    CycleOutcomes,
     EngineError,
     compile_decision_kernel,
     kernel_spec,
@@ -130,6 +131,7 @@ __all__ = [
     "run_fixed_quality",
     "run_fixed_quality_batch",
     # vectorised batch engine
+    "CycleOutcomes",
     "EngineError",
     "compile_decision_kernel",
     "kernel_spec",

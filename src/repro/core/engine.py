@@ -20,11 +20,11 @@ The engine works in three parts:
   every registered manager — numeric, the adaptive baselines (skip, elastic,
   feedback), the symbolic managers and the extensions (dvfs, multitask,
   linear-approx) — runs through the same spec protocol;
-* **the lockstep executor** — :func:`run_cycles_vectorized` advances every
+* **the lockstep executor** — :func:`run_lockstep_arrays` advances every
   cycle of the batch by exactly one action per iteration, so the per-cycle
   sequence of floating-point additions (overhead, then one duration per
-  action) is *identical* to the scalar loop and the resulting
-  :class:`~repro.core.system.CycleOutcome` batches are bit-identical;
+  action) is *identical* to the scalar loop, and returns the five outcome
+  columns, which :class:`CycleOutcomes` keeps as they are;
 * **the dispatcher** — :func:`run_cycles_batch` draws scenarios through the
   batched :meth:`~repro.core.system.ParameterizedSystem.draw_scenarios` API
   (a columnar :class:`~repro.core.timing.ScenarioBatch`, a tensor or
@@ -32,11 +32,13 @@ The engine works in three parts:
   with no re-stacking) and runs the kernel when
   :func:`kernel_spec` grants one; otherwise the scalar
   :func:`~repro.core.controller.run_cycle` loop — the reference oracle —
-  runs instead (same results, slower, counted under
-  ``engine.scalar_fallback`` in :mod:`repro.obs`).
+  runs instead and its outcomes are stacked into the same columns once
+  (same results, slower, counted under ``engine.scalar_fallback`` in
+  :mod:`repro.obs`).
 
 Determinism contract: for any manager/overhead/scenario combination, the
-outcomes returned by this module are bit-identical to a sequence of scalar
+:class:`~repro.core.system.CycleOutcome` views of the columns returned by
+this module are bit-identical to a sequence of scalar
 :func:`~repro.core.controller.run_cycle` calls on the same scenarios.
 Overhead-model bookkeeping is preserved through a bulk hook: charges are
 pre-computed per distinct work record via ``cost_of`` instead of calling
@@ -48,7 +50,8 @@ not see the individual calls.
 
 from __future__ import annotations
 
-from typing import Callable, Protocol, Sequence, runtime_checkable
+import operator
+from typing import Callable, Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -62,6 +65,7 @@ from .system import CycleOutcome, ParameterizedSystem
 from .timing import ActualTimeScenario, ScenarioBatch, ScenarioFactors
 
 __all__ = [
+    "CycleOutcomes",
     "EngineError",
     "DecisionKernel",
     "overhead_model_vectorizable",
@@ -333,6 +337,105 @@ def _duration_reader(
     return lambda i, rows: tensor[lanes, rows, i]
 
 
+class CycleOutcomes(Sequence[CycleOutcome]):
+    """Executed cycles kept as the lockstep's five read-only columns.
+
+    ``qualities``/``durations``/``completion`` have shape ``(n_cycles,
+    n_actions)``; ``invoked``/``invocation_overheads`` have shape
+    ``(n_actions, n_cycles)`` — the layout :func:`run_lockstep_arrays`
+    returns and :meth:`~repro.core.streaming.StreamingMetrics.update_chunk`
+    folds, so a run's metrics come from one fold over these columns.
+    Indexing, slicing (a tuple) and iteration build
+    :class:`~repro.core.system.CycleOutcome` views on demand, bit-identical
+    to per-cycle :func:`~repro.core.controller.run_cycle` outcomes.  The
+    columns pickle as plain arrays.
+    """
+
+    __slots__ = ("qualities", "durations", "completion", "invoked", "invocation_overheads")
+
+    def __init__(
+        self,
+        qualities: np.ndarray,
+        durations: np.ndarray,
+        completion: np.ndarray,
+        invoked: np.ndarray,
+        invocation_overheads: np.ndarray,
+    ) -> None:
+        columns = (qualities, durations, completion, invoked, invocation_overheads)
+        for name, column in zip(self.__slots__, columns):
+            column = column.view()
+            column.flags.writeable = False
+            setattr(self, name, column)
+
+    @classmethod
+    def of(cls, outcomes: Iterable[CycleOutcome]) -> "CycleOutcomes":
+        """Columns of executed cycles: columns as they are, traces stacked once.
+
+        Any other collection of :class:`~repro.core.system.CycleOutcome`
+        traces (the scalar oracle's, say) is stacked into the lockstep's
+        layout.  Raises :class:`ValueError` when the traces differ in length.
+        """
+        if isinstance(outcomes, cls):
+            return outcomes
+        outcomes = tuple(outcomes)
+        lengths = sorted({outcome.n_actions for outcome in outcomes})
+        if len(lengths) > 1:
+            raise ValueError(
+                f"cannot fold cycle outcomes of different lengths {lengths} into one chunk"
+            )
+        n_cycles, n_actions = len(outcomes), (lengths[0] if lengths else 0)
+        invoked = np.zeros((n_actions, n_cycles), dtype=bool)
+        invocation_overheads = np.zeros((n_actions, n_cycles), dtype=np.float64)
+        if not n_cycles:
+            empty = np.empty((0, n_actions))
+            return cls(empty.astype(np.int64), empty, empty, invoked, invocation_overheads)
+        states = np.concatenate([outcome.manager_invocations for outcome in outcomes])
+        cycles = np.repeat(
+            np.arange(n_cycles),
+            [outcome.manager_invocations.shape[0] for outcome in outcomes],
+        )
+        invoked[states, cycles] = True
+        invocation_overheads[states, cycles] = np.concatenate(
+            [outcome.manager_overheads for outcome in outcomes]
+        )
+        return cls(
+            np.stack([outcome.qualities for outcome in outcomes]),
+            np.stack([outcome.durations for outcome in outcomes]),
+            np.stack([outcome.completion_times for outcome in outcomes]),
+            invoked,
+            invocation_overheads,
+        )
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __len__(self) -> int:
+        return self.qualities.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self._view, range(*index.indices(len(self)))))
+        cycle = operator.index(index)
+        if cycle < 0:
+            cycle += len(self)
+        if not 0 <= cycle < len(self):
+            raise IndexError(f"cycle {index} out of range for {len(self)} cycles")
+        return self._view(cycle)
+
+    def __iter__(self) -> Iterator[CycleOutcome]:
+        return map(self._view, range(len(self)))
+
+    def _view(self, cycle: int) -> CycleOutcome:
+        invoked = self.invoked[:, cycle]
+        return CycleOutcome(
+            qualities=self.qualities[cycle],
+            durations=self.durations[cycle],
+            completion_times=self.completion[cycle],
+            manager_invocations=np.flatnonzero(invoked),
+            manager_overheads=self.invocation_overheads[invoked, cycle],
+        )
+
+
 def _lockstep_scenarios(
     system: ParameterizedSystem,
     scenarios: ScenarioBatch | Sequence[ActualTimeScenario],
@@ -367,6 +470,8 @@ def _lockstep_scenarios(
                 "vectorised execution requires scenarios drawn for the system's "
                 f"quality set; got {scenario.qualities!r} vs {system.qualities!r}"
             )
+    if not scenarios:
+        return np.empty((0, len(system.qualities), system.n_actions))
     return np.stack([scenario.matrix for scenario in scenarios])
 
 
@@ -378,16 +483,18 @@ def run_cycles_vectorized(
     overhead_model: OverheadModelProtocol | None = None,
     kernel: DecisionKernel | None = None,
 ) -> tuple[CycleOutcome, ...]:
-    """Execute a batch of cycles through the lockstep vectorised engine.
+    """Execute a batch of cycles through the lockstep kernel, as a tuple.
 
-    ``scenarios`` is a :class:`~repro.core.timing.ScenarioBatch` (its tensor
-    is executed directly) or a sequence of per-cycle scenarios (stacked
-    once).  All cycles advance one action per iteration, so every cycle
-    performs the exact floating-point operation sequence of the scalar loop
-    (overhead added at each invocation, one duration added per action) and
-    the returned outcomes are bit-identical to per-cycle
-    :func:`~repro.core.controller.run_cycle` calls.  Raises
-    :class:`EngineError` when the manager has no kernel.
+    ``scenarios`` is a :class:`~repro.core.timing.ScenarioBatch` (executed
+    directly) or a sequence of per-cycle scenarios (stacked once).  All
+    cycles advance one action per iteration, so every cycle performs the
+    exact floating-point operation sequence of the scalar loop (overhead
+    added at each invocation, one duration added per action) and the
+    returned outcomes are bit-identical to per-cycle
+    :func:`~repro.core.controller.run_cycle` calls.  A thin wrapper that
+    builds every :class:`CycleOutcomes` view; :func:`run_cycles_batch`
+    returns the columns themselves.  Raises :class:`EngineError` when the
+    manager has no kernel.
     """
     if kernel is None:
         kernel = compile_decision_kernel(manager, overhead_model)
@@ -397,28 +504,12 @@ def run_cycles_vectorized(
                 "vectorised decision kernel; use run_cycles_batch for automatic "
                 "scalar fallback"
             )
-    if not len(scenarios):
-        return ()
     matrices = _lockstep_scenarios(system, scenarios)
-    qualities, durations, completion, invoked, invocation_overheads = (
-        run_lockstep_arrays(system, manager, kernel, matrices, overhead_model)
-    )
-    n_cycles = matrices.shape[0]
-    n_actions = system.n_actions
-    states = np.arange(n_actions, dtype=np.int64)
-    outcomes = []
-    for c in range(n_cycles):
-        mask = invoked[:, c]
-        outcomes.append(
-            CycleOutcome(
-                qualities=qualities[c],
-                durations=durations[c],
-                completion_times=completion[c],
-                manager_invocations=states[mask],
-                manager_overheads=invocation_overheads[mask, c],
-            )
+    return tuple(
+        CycleOutcomes(
+            *run_lockstep_arrays(system, manager, kernel, matrices, overhead_model)
         )
-    return tuple(outcomes)
+    )
 
 
 def run_lockstep_arrays(
@@ -441,9 +532,9 @@ def run_lockstep_arrays(
     action-major, ``(n_actions, n_cycles)``, so step ``i`` writes one
     contiguous row; the first three are returned as transposed (``.T``)
     views of those buffers.
-    :func:`run_cycles_vectorized` wraps the arrays into outcomes; the
-    streaming driver (:mod:`repro.core.streaming`) folds them into an
-    accumulator chunk by chunk instead.  Overhead-model accounting is
+    :func:`run_cycles_batch` keeps the arrays as :class:`CycleOutcomes`
+    columns; the streaming driver (:mod:`repro.core.streaming`) folds them
+    into an accumulator chunk by chunk instead.  Overhead-model accounting is
     replayed through ``charge_batch`` before returning, exactly as the
     materialised path does.
     """
@@ -542,7 +633,7 @@ def run_cycles_batch(
     scenarios: ScenarioBatch | Sequence[ActualTimeScenario] | None = None,
     rng: np.random.Generator | None = None,
     overhead_model: OverheadModelProtocol | None = None,
-) -> tuple[CycleOutcome, ...]:
+) -> CycleOutcomes:
     """Execute a batch of cycles: the kernel when one exists, else the oracle.
 
     The batch entry point used by :class:`~repro.api.session.Session` and the
@@ -553,8 +644,11 @@ def run_cycles_batch(
     :meth:`~repro.core.system.ParameterizedSystem.draw_scenarios`
     (bit-identical to the scalar loop's per-cycle draws, including the
     sampler-state advancement).  :func:`kernel_spec` decides between the
-    lockstep kernel and the scalar :func:`~repro.core.controller.run_cycle`
-    loop; the outcomes are bit-identical either way.
+    lockstep kernel, whose five arrays become the returned
+    :class:`CycleOutcomes` as they are, and the scalar
+    :func:`~repro.core.controller.run_cycle` loop, whose outcomes are
+    stacked into the same columns once; the outcomes are bit-identical
+    either way.
     """
     scenarios, n_cycles = _check_batch_input(cycles, scenarios)
     if scenarios is None:
@@ -565,10 +659,11 @@ def run_cycles_batch(
     )
     _count_dispatch(manager, kernel, n_cycles)
     if kernel is not None:
-        return run_cycles_vectorized(
-            system, manager, scenarios, overhead_model=overhead_model, kernel=kernel
+        matrices = _lockstep_scenarios(system, scenarios)
+        return CycleOutcomes(
+            *run_lockstep_arrays(system, manager, kernel, matrices, overhead_model)
         )
-    return tuple(
+    return CycleOutcomes.of(
         run_cycle(system, manager, scenario=scenario, overhead_model=overhead_model)
         for scenario in scenarios
     )

@@ -1,10 +1,10 @@
 """Streaming chunked execution: constant-memory cycle batches.
 
-The columnar pipeline of :mod:`repro.core.engine` materialises the full
-scenario tensor and one :class:`~repro.core.system.CycleOutcome` per cycle —
-at paper scale 4,096 cycles already cost hundreds of megabytes, which rules
-out million-cycle runs by construction.  This module applies the paper's
-"combine" step incrementally inside a single run: the engine pulls
+The materialised pipeline of :mod:`repro.core.engine` keeps every cycle's
+outcome columns (:class:`~repro.core.engine.CycleOutcomes`), memory that
+grows with the cycle count, which rules out million-cycle runs by
+construction.  This module applies the paper's "combine" step
+incrementally inside a single run: the engine pulls
 fixed-size :class:`~repro.core.timing.ScenarioBatch` chunks (drawn through
 the sampler's replayable stream, or sliced zero-copy from a caller-supplied
 batch), executes each chunk through the compiled kernel spec, and folds the
@@ -22,10 +22,11 @@ materialised path at any ``chunk_size``.  Exactness comes in three flavours:
   are strict left-to-right folds over per-cycle scalars, and a left fold
   over concatenated chunks equals the fold over the whole stream;
 * the per-cycle scalars themselves are computed by one fold,
-  :meth:`StreamingMetrics.update_chunk`, on every path: the materialised
-  path (:func:`repro.analysis.metrics.compute_metrics`) and the scalar
-  oracle fallback stack their outcomes into the same chunk arrays first
-  (:func:`outcome_arrays`).
+  :meth:`StreamingMetrics.update_chunk`, on every path: a materialised
+  run folds its own :class:`~repro.core.engine.CycleOutcomes` columns
+  once, and the scalar oracle fallback and
+  :func:`repro.analysis.metrics.compute_metrics` over loose outcomes
+  stack them into the same columns first (:func:`outcome_arrays`).
 
 Quantiles are the exception: the sketch answers them within a gated
 relative error (:attr:`QuantileSketch.relative_error`), never exactly.
@@ -52,6 +53,7 @@ from repro.obs.state import enabled as _obs_enabled
 from .controller import OverheadModelProtocol, run_cycle
 from .deadlines import DeadlineFunction
 from .engine import (
+    CycleOutcomes,
     EngineError,
     _check_batch_input,
     _count_dispatch,
@@ -202,13 +204,13 @@ class QuantileSketch:
 class StreamingMetrics:
     """A mergeable, deadline-aware accumulator over executed cycles.
 
-    The streaming analogue of a ``tuple[CycleOutcome, ...]``: chunks of
-    outcome arrays fold into running aggregates from which :meth:`metrics`
-    derives the exact :class:`~repro.analysis.metrics.QualityMetrics` of the
-    run.  The materialised path delegates here too
-    (:func:`repro.analysis.metrics.compute_metrics` stacks its outcomes with
-    :func:`outcome_arrays` and folds them through :meth:`update_chunk`), so
-    streamed and materialised metrics are bit-identical by construction.
+    The streaming analogue of :class:`~repro.core.engine.CycleOutcomes`:
+    chunks of outcome arrays fold into running aggregates from which
+    :meth:`metrics` derives the exact
+    :class:`~repro.analysis.metrics.QualityMetrics` of the run.  The
+    materialised path delegates here too (a run's columns fold through
+    :meth:`update_chunk` once, via :func:`outcome_arrays`), so streamed and
+    materialised metrics are bit-identical by construction.
 
     Picklable: a worker streams a million cycles and ships back this
     accumulator — a few integers, floats, one small histogram and one
@@ -442,37 +444,23 @@ class StreamingMetrics:
 def outcome_arrays(
     outcomes: Iterable[CycleOutcome],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Stack executed cycles into the chunk arrays :meth:`StreamingMetrics.update_chunk` folds.
+    """The chunk arrays :meth:`StreamingMetrics.update_chunk` folds, of executed cycles.
 
     Returns ``qualities``/``completion`` of shape ``(n_cycles, n_actions)``
     and ``invoked``/``invocation_overheads`` of shape ``(n_actions,
     n_cycles)`` — the layout of :func:`repro.core.engine.run_lockstep_arrays`.
-    Raises :class:`ValueError` when the outcomes differ in length.
+    :class:`~repro.core.engine.CycleOutcomes` columns are read as they are;
+    any other collection of traces is stacked once
+    (:meth:`~repro.core.engine.CycleOutcomes.of`), which raises
+    :class:`ValueError` when the outcomes differ in length.
     """
-    outcomes = tuple(outcomes)
-    lengths = sorted({outcome.n_actions for outcome in outcomes})
-    if len(lengths) > 1:
-        raise ValueError(
-            f"cannot fold cycle outcomes of different lengths {lengths} into one chunk"
-        )
-    n_cycles, n_actions = len(outcomes), (lengths[0] if lengths else 0)
-    invoked = np.zeros((n_actions, n_cycles), dtype=bool)
-    invocation_overheads = np.zeros((n_actions, n_cycles), dtype=np.float64)
-    if not n_cycles:
-        empty = np.empty((0, n_actions))
-        return empty.astype(np.int64), empty, invoked, invocation_overheads
-    qualities = np.stack([outcome.qualities for outcome in outcomes])
-    completion = np.stack([outcome.completion_times for outcome in outcomes])
-    states = np.concatenate([outcome.manager_invocations for outcome in outcomes])
-    cycles = np.repeat(
-        np.arange(n_cycles),
-        [outcome.manager_invocations.shape[0] for outcome in outcomes],
+    columns = CycleOutcomes.of(outcomes)
+    return (
+        columns.qualities,
+        columns.completion,
+        columns.invoked,
+        columns.invocation_overheads,
     )
-    invoked[states, cycles] = True
-    invocation_overheads[states, cycles] = np.concatenate(
-        [outcome.manager_overheads for outcome in outcomes]
-    )
-    return qualities, completion, invoked, invocation_overheads
 
 
 def run_cycles_streamed(

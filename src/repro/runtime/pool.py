@@ -30,7 +30,7 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from repro.obs.state import enabled as obs_enabled
 from repro.core.compiler import CompiledControllers, QualityManagerCompiler
 from repro.core.engine import run_cycles_batch
 from repro.core.streaming import run_cycles_streamed
-from repro.core.system import CycleOutcome
 from repro.core.timing import supports_replay
 
 from .artifacts import CompiledArtifactCache
@@ -110,13 +109,15 @@ class SweepOutcome:
 
     ``manager_names`` holds each executed manager's reporting name (needed by
     ``compare``, whose final labels are manager names, not spec strings).
-    When the plan's payload carries a streaming ``chunk_size``, each entry of
-    ``outcomes`` is a :class:`~repro.core.streaming.StreamingMetrics` summary
-    instead of a tuple of :class:`~repro.core.system.CycleOutcome` traces.
+    Each entry of ``outcomes`` holds a unit's
+    :class:`~repro.core.engine.CycleOutcomes` columns, shipped from the
+    worker as five arrays; when the plan's payload carries a streaming
+    ``chunk_size``, it is a :class:`~repro.core.streaming.StreamingMetrics`
+    summary instead, and a fleet unit's entry holds one summary per member.
     """
 
     plan: SweepPlan
-    outcomes: dict[int, tuple[CycleOutcome, ...]] = field(default_factory=dict)
+    outcomes: dict[int, Any] = field(default_factory=dict)
     manager_names: dict[int, str] = field(default_factory=dict)
     failures: tuple[UnitFailure, ...] = ()
 
@@ -211,9 +212,11 @@ class _WorkerRuntime:
         Units run through :func:`~repro.core.engine.run_cycles_batch`: each
         shard executes its chunk vectorised when the unit's manager lowers to
         a decision kernel, and through the scalar loop otherwise — in both
-        cases bit-identical to the serial baseline.  Shipped scenario batches
-        are validated against the hydrated system first; draw and re-draw
-        units position the sampler stream and draw their own batch.
+        cases bit-identical to the serial baseline, and returned as
+        :class:`~repro.core.engine.CycleOutcomes` columns, which pickle as
+        five arrays.  Shipped scenario batches are validated against the
+        hydrated system first; draw and re-draw units position the sampler
+        stream and draw their own batch.
 
         With a payload ``chunk_size`` the unit runs through the streaming
         engine instead: the second element is a
@@ -372,7 +375,7 @@ def collect_outcome(plan: SweepPlan, records: Sequence[tuple], *, on_error: str)
     traceback)`` tuples workers produce, in any order.  ``on_error="raise"``
     raises a collective :class:`SweepExecutionError` when any unit failed.
     """
-    outcomes: dict[int, tuple[CycleOutcome, ...]] = {}
+    outcomes: dict[int, Any] = {}
     names: dict[int, str] = {}
     failures: list[UnitFailure] = []
     for index, success, head, tail in records:

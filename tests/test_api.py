@@ -207,6 +207,49 @@ class TestSessionValidation:
         with pytest.raises(SessionError, match=">= 1"):
             Session().system(system).deadlines(deadlines).run(cycles=0)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda session: session.cycles(2.5),
+            lambda session: session.run(cycles=2.5),
+            lambda session: session.compare("numeric", cycles=2.5),
+            lambda session: session.run_many([{"cycles": 2.5}]),
+            lambda session: Session.fleet([session], cycles=2.5),
+            lambda session: session.compare("numeric", cycles=0),
+            lambda session: session.compare("numeric", cycles=-1),
+            lambda session: session.run(cycles=1, seed=1.5),
+            lambda session: session.compare("numeric", cycles=1, seed=1.5),
+            lambda session: session.run_many([{"seed": 1.5}]),
+            lambda session: session.run(cycles=1, seed=-1),
+            lambda session: session.compare("numeric", cycles=1, seed=-1),
+            lambda session: session.stream(1, seed=-1),
+            lambda session: session.run_many([{"seed": -1}]),
+            lambda session: Session.fleet([session], seed=-1),
+        ],
+        ids=[
+            "setter-cycles-fractional",
+            "run-cycles-fractional",
+            "compare-cycles-fractional",
+            "run_many-cycles-fractional",
+            "fleet-cycles-fractional",
+            "compare-cycles-zero",
+            "compare-cycles-negative",
+            "run-seed-fractional",
+            "compare-seed-fractional",
+            "run_many-seed-fractional",
+            "run-seed-negative",
+            "compare-seed-negative",
+            "stream-seed-negative",
+            "run_many-seed-negative",
+            "fleet-seed-negative",
+        ],
+    )
+    def test_one_count_and_seed_rule(self, system, deadlines, call):
+        """Every cycle count and seed the facade accepts is validated by the
+        setters' rule: nothing is truncated and nothing reaches NumPy."""
+        with pytest.raises(SessionError, match=r"must be an integer >= [01]"):
+            call(Session().system(system).deadlines(deadlines))
+
 
 class TestSessionCompileCaching:
     def test_repeated_runs_reuse_the_compilation(self, system, deadlines):
