@@ -1,11 +1,11 @@
-"""Fleet facade: run many configured sessions as one vectorised fleet.
+"""Fleet facade: run many configured sessions in one call, one summary each.
 
 :func:`run_fleet` takes N independently configured
 :class:`~repro.api.session.Session` objects — each its own system,
 manager, deadlines, cycle count and seed — lowers each to a core
 :class:`~repro.core.fleet.FleetMember` and hands the whole batch to
-:func:`repro.core.fleet.run_fleet`, which buckets members by compiled
-kernel shape and advances every bucket one action per NumPy step.
+:func:`repro.core.fleet.run_fleet`, which runs every member alone as a
+streamed run.
 
 Each session's summary is **bit-identical** to calling that session's
 :meth:`~repro.api.session.Session.run` alone (with a chunked
@@ -13,7 +13,8 @@ Each session's summary is **bit-identical** to calling that session's
 session backed by a *stateful* replayable scenario sampler (the encoder
 workloads' ``FrameScenarioSampler``) is snapshotted per member, so
 cloned sessions sharing one sampler still draw exactly the frames a
-solo run from the current cursor would.
+solo run from the current cursor would, and the shared sampler's
+cursor stays where it was.
 
 Results come back as a :class:`~repro.api.results.BatchResult` of
 summary-only :class:`~repro.api.results.RunResult` objects, keyed by
@@ -102,12 +103,14 @@ def run_fleet(
     seed: int | None = None,
     chunk_size: int | None = None,
 ) -> BatchResult:
-    """Advance every session together, one action per NumPy step.
+    """Run every session alone as a streamed run, in order, one summary each.
 
     ``cycles`` overrides every session's configured cycle count for this
-    fleet run; ``chunk_size`` overrides every member's lane width per
+    fleet run; ``chunk_size`` overrides every member's cycles per streamed
     chunk (default: each session's own :meth:`~Session.chunk_size`, else
-    the core's :data:`~repro.core.fleet.DEFAULT_FLEET_CHUNK`).
+    the core's :data:`~repro.core.fleet.DEFAULT_FLEET_CHUNK`).  Both
+    follow the setters' count rule: an integer >= 1, else
+    :class:`~repro.api.session.SessionError`.
 
     ``seed`` derives one well-separated child seed per member via
     :class:`numpy.random.SeedSequence` spawning (the same
@@ -118,11 +121,12 @@ def run_fleet(
     """
     from repro.runtime.plan import spawn_seeds
 
-    from .session import _UNSET, _whole_number
+    from .session import _UNSET, _coerce_chunk_size, _whole_number
 
     pairs = _coerce_members(sessions)
     if cycles is not None:
         cycles = _whole_number(cycles, "cycles", 1)
+    chunk_size = _coerce_chunk_size(chunk_size)
     child_seeds: Sequence[int | None]
     if seed is not None:
         child_seeds = spawn_seeds(_whole_number(seed, "seed", 0), len(pairs))
@@ -133,7 +137,7 @@ def run_fleet(
     for (label, session), member_seed in zip(pairs, child_seeds):
         n_cycles = cycles if cycles is not None else session._default_cycles
         chunk = (
-            int(chunk_size)
+            chunk_size
             if chunk_size is not None
             else session._effective_chunk_size(_UNSET)
         )

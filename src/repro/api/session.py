@@ -120,18 +120,8 @@ def _whole_number(value: Any, what: str, minimum: int) -> int:
 
 
 def _coerce_chunk_size(value: Any) -> int | None:
-    """Validate a streaming chunk size: ``None`` or a positive integer."""
-    if value is None:
-        return None
-    try:
-        chunk = int(value)
-    except (TypeError, ValueError):
-        raise SessionError(
-            f"chunk_size must be a positive integer or None, got {value!r}"
-        ) from None
-    if chunk < 1:
-        raise SessionError(f"chunk_size must be >= 1, got {value!r}")
-    return chunk
+    """Validate a streaming chunk size: ``None`` or an integer >= 1."""
+    return None if value is None else _whole_number(value, "chunk_size", 1)
 
 
 def _result_fields(tail: Any) -> dict[str, Any]:
@@ -1073,17 +1063,19 @@ class Session:
         seed: int | None = None,
         chunk_size: int | None = None,
     ) -> "BatchResult":
-        """Run many configured sessions as one vectorised fleet.
+        """Run many configured sessions as one fleet, one summary each.
 
         ``sessions`` is a mapping of labels to sessions, a sequence of
-        sessions, or a sequence of ``(label, session)`` pairs.  Members
-        whose managers compile to the same kernel shape advance together,
-        one action per NumPy step (:mod:`repro.core.fleet`); each
-        member's summary is bit-identical to calling that session's
-        :meth:`run` alone.  ``seed`` spawns one child seed per member via
+        sessions, or a sequence of ``(label, session)`` pairs.  Every
+        member runs alone as a streamed run (:mod:`repro.core.fleet`), so
+        each member's summary is bit-identical to calling that session's
+        :meth:`run` alone, and no session's frame sampler moves.
+        ``seed`` spawns one child seed per member via
         :class:`numpy.random.SeedSequence`; without it every session
-        keeps its own seed.  Returns a :class:`~repro.api.results.BatchResult`
-        of summary-only results keyed by label.
+        keeps its own seed.  ``cycles`` and ``chunk_size`` override every
+        member's own setting and follow the setters' rules.  Returns a
+        :class:`~repro.api.results.BatchResult` of summary-only results
+        keyed by label.
         """
         from .fleet import run_fleet
 

@@ -133,14 +133,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     fleet = commands.add_parser(
         "fleet",
-        help="advance many sessions as one vectorised fleet and print per-session metrics",
+        help=(
+            "run many sessions in one call, each alone as a streamed run, and "
+            "print per-session metrics"
+        ),
         epilog=(
             "Defaults: --sessions 16, --managers relaxation,numeric,skip,constant "
             "(cycled across the fleet), --cycles 6, --seed 0 (one spawned child "
             "seed per session), the paper's CIF workload (use --small for QCIF) "
-            "on the 'ipod' virtual machine, and --chunk-size unset (the fleet "
-            "default lane width per chunk); results are bit-identical to "
-            "running every session alone."
+            "on the 'ipod' virtual machine, and --chunk-size unset (the fleet's "
+            "default cycles per chunk); every session runs alone, so results "
+            "are bit-identical to running each session by itself."
         ),
     )
     fleet.add_argument(
@@ -162,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--chunk-size",
         type=int,
         default=None,
-        help="lanes per session per chunk (default: the fleet engine's default width)",
+        help="cycles per streamed chunk of each session (default: the fleet's default chunk)",
     )
 
     sweep = commands.add_parser(

@@ -274,63 +274,42 @@ class _FactoredLanes:
     """Factored step durations of one lockstep run, action-major.
 
     Lane ``j`` of action ``i`` at quality row ``r`` lasts
-    ``min((base[i, j] * qf[i, k]) * scale[j], ceiling[i, k])`` with
-    ``k = offset[j] + r``: the :class:`~repro.core.timing.ScenarioFactors`
-    expansion for one gathered entry, in its operation order, so it is
-    bit-identical to reading the expanded tensor.  The level tables hold
-    one ``levels``-wide block per member (``offset`` selects a lane's
-    block; ``None`` for a single member), and ``scale`` is a scalar, one
-    factor per lane, or ``None``.  ``shape`` is the ``(lanes, levels,
-    actions)`` shape of the tensor these lanes stand for.
+    ``min((base[i, j] * qf[i, r]) * scale, ceiling[i, r])``: the
+    :class:`~repro.core.timing.ScenarioFactors` expansion for one gathered
+    entry, in its operation order, so it is bit-identical to reading the
+    expanded tensor.
     """
 
-    __slots__ = ("shape", "_base", "_qf", "_ceiling", "_scale", "_offset")
+    __slots__ = ("_base", "_qf", "_ceiling", "_scale")
 
-    def __init__(self, shape, base, qf, ceiling, scale=None, offset=None) -> None:
-        self.shape = shape
-        self._base = base
-        self._qf = qf
-        self._ceiling = ceiling
-        self._scale = scale
-        self._offset = offset
-
-    @classmethod
-    def of(cls, factors: ScenarioFactors, shape: tuple[int, int, int]) -> "_FactoredLanes":
-        """One batch's factors, transposed action-major."""
-        return cls(
-            shape,
-            np.ascontiguousarray(factors.base.T),
-            np.ascontiguousarray(factors.quality_factors.T),
-            np.ascontiguousarray(factors.ceiling.T),
-            factors.scale,
-        )
+    def __init__(self, factors: ScenarioFactors) -> None:
+        self._base = np.ascontiguousarray(factors.base.T)
+        self._qf = np.ascontiguousarray(factors.quality_factors.T)
+        self._ceiling = np.ascontiguousarray(factors.ceiling.T)
+        self._scale = factors.scale
 
     def read(self, i: int, rows: np.ndarray) -> np.ndarray:
-        keys = rows if self._offset is None else self._offset + rows
-        durations = self._base[i] * self._qf[i].take(keys)
+        durations = self._base[i] * self._qf[i].take(rows)
         if self._scale is not None:
             durations *= self._scale
-        return np.minimum(durations, self._ceiling[i].take(keys), out=durations)
+        return np.minimum(durations, self._ceiling[i].take(rows), out=durations)
 
 
 def _duration_reader(
-    scenarios: "np.ndarray | ScenarioBatch | _FactoredLanes",
+    scenarios: "np.ndarray | ScenarioBatch",
 ) -> Callable[[int, np.ndarray], np.ndarray]:
     """The lockstep's one duration hook: ``read(i, rows)`` per action.
 
     Returns the per-lane durations of action ``i`` at the 0-based quality
-    rows ``rows``, for a ``(lanes, levels, actions)`` tensor, a
-    :class:`~repro.core.timing.ScenarioBatch` in either form, or fleet
-    lanes built factored.  A factored batch of at least
-    :data:`FACTORED_GATHER_MIN_LANES` cycles is gathered from its base rows
-    and never expanded; a smaller one is expanded once.
+    rows ``rows``, for a ``(lanes, levels, actions)`` tensor or a
+    :class:`~repro.core.timing.ScenarioBatch` in either form.  A factored
+    batch of at least :data:`FACTORED_GATHER_MIN_LANES` cycles is gathered
+    from its base rows and never expanded; a smaller one is expanded once.
     """
-    if isinstance(scenarios, _FactoredLanes):
-        return scenarios.read
     if isinstance(scenarios, ScenarioBatch):
         factors = scenarios.factors
         if factors is not None and len(scenarios) >= FACTORED_GATHER_MIN_LANES:
-            return _FactoredLanes.of(factors, scenarios.shape).read
+            return _FactoredLanes(factors).read
         scenarios = scenarios.tensor
     tensor = scenarios
     lanes = np.arange(tensor.shape[0])

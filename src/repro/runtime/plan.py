@@ -38,13 +38,11 @@ from repro.core.timing import ActualTimeScenario, ScenarioBatch, supports_replay
 __all__ = [
     "PlanError",
     "ExecutionPayload",
-    "FleetMemberUnit",
     "SweepUnit",
     "SweepPlan",
     "plan_run_many",
     "plan_compare",
     "plan_compare_redraw",
-    "plan_fleet",
     "spawn_seeds",
     "unique_label",
 ]
@@ -115,30 +113,6 @@ class ExecutionPayload:
 
 
 @dataclass(frozen=True)
-class FleetMemberUnit:
-    """One session of a fleet bucket carried inside a single sweep unit.
-
-    Members share the payload's system/deadlines/policy and differ in
-    manager, cycle count and seed: one claim executes a whole bucket of
-    sessions through :func:`repro.core.fleet.run_fleet` and ships back one
-    summary per member.
-    """
-
-    label: str
-    manager: ManagerSpec
-    cycles: int
-    seed: int | None = None
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.manager, ManagerSpec):
-            object.__setattr__(self, "manager", ManagerSpec.parse(self.manager))
-        if self.cycles < 1:
-            raise PlanError(
-                f"fleet member {self.label!r}: cycles must be >= 1, got {self.cycles}"
-            )
-
-
-@dataclass(frozen=True)
 class SweepUnit:
     """One independent work unit of a sweep.
 
@@ -170,23 +144,10 @@ class SweepUnit:
     sampler_offset: int | None = None
     scenarios: ScenarioBatch | None = None
     redraw: bool = False
-    fleet: tuple[FleetMemberUnit, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.cycles < 1:
             raise PlanError(f"unit {self.index}: cycles must be >= 1, got {self.cycles}")
-        if self.fleet is not None:
-            if self.scenarios is not None or self.redraw:
-                raise PlanError(
-                    f"unit {self.index}: a fleet unit draws per member; it cannot "
-                    "carry scenarios or use redraw mode"
-                )
-            total = sum(member.cycles for member in self.fleet)
-            if total != self.cycles:
-                raise PlanError(
-                    f"unit {self.index}: cycles must equal the fleet total "
-                    f"({total}), got {self.cycles}"
-                )
         if self.scenarios is not None:
             if not isinstance(self.scenarios, ScenarioBatch):
                 # legacy tuple/list of per-cycle scenarios: stack it once
@@ -207,9 +168,7 @@ class SweepUnit:
     @property
     def draws(self) -> int:
         """Scenario draws this unit consumes from the shared sampler stream."""
-        if self.scenarios is not None or self.redraw or self.fleet is not None:
-            # fleet members draw from isolated sampler snapshots seeked to the
-            # stream's base position — the shared stream itself never advances
+        if self.scenarios is not None or self.redraw:
             return 0
         return self.cycles
 
@@ -379,60 +338,3 @@ def plan_compare_redraw(
         for index, spec in enumerate(specs)
     )
     return SweepPlan(payload=payload, units=units)
-
-
-def plan_fleet(
-    payload: ExecutionPayload,
-    members: Sequence[FleetMemberUnit | tuple],
-    *,
-    base_seed: int | None = None,
-    label: str = "fleet",
-) -> SweepPlan:
-    """One sweep unit carrying a whole fleet bucket of sessions.
-
-    ``members`` are :class:`FleetMemberUnit` entries (or ``(label, manager,
-    cycles)`` / ``(label, manager, cycles, seed)`` tuples); they share the
-    payload's system and deadlines and differ in manager, cycle count and
-    seed.  Members without a seed get one spawned from ``base_seed`` via
-    :func:`spawn_seeds` (defaults to 0), so the unit is self-contained and
-    any worker — pool or spool — reproduces the same per-member
-    scenario streams.  The worker executes the bucket through
-    :func:`repro.core.fleet.run_fleet` and ships back one
-    :class:`~repro.core.streaming.StreamingMetrics` summary per member.
-    """
-    coerced: list[FleetMemberUnit] = []
-    for member in members:
-        if isinstance(member, FleetMemberUnit):
-            coerced.append(member)
-        else:
-            coerced.append(FleetMemberUnit(*member))
-    if not coerced:
-        raise PlanError("a fleet plan needs at least one member")
-    labels = set()
-    for member in coerced:
-        if member.label in labels:
-            raise PlanError(f"duplicate fleet member label {member.label!r}")
-        labels.add(member.label)
-    if any(member.seed is None for member in coerced):
-        spawned = spawn_seeds(0 if base_seed is None else int(base_seed), len(coerced))
-        coerced = [
-            member
-            if member.seed is not None
-            else FleetMemberUnit(
-                label=member.label,
-                manager=member.manager,
-                cycles=member.cycles,
-                seed=spawned[position],
-            )
-            for position, member in enumerate(coerced)
-        ]
-    unit = SweepUnit(
-        index=0,
-        label=label,
-        manager=coerced[0].manager,
-        cycles=sum(member.cycles for member in coerced),
-        seed=coerced[0].seed,
-        sampler_offset=0,
-        fleet=tuple(coerced),
-    )
-    return SweepPlan(payload=payload, units=(unit,))

@@ -113,7 +113,7 @@ class SweepOutcome:
     :class:`~repro.core.engine.CycleOutcomes` columns, shipped from the
     worker as five arrays; when the plan's payload carries a streaming
     ``chunk_size``, it is a :class:`~repro.core.streaming.StreamingMetrics`
-    summary instead, and a fleet unit's entry holds one summary per member.
+    summary instead.
     """
 
     plan: SweepPlan
@@ -224,8 +224,6 @@ class _WorkerRuntime:
         worker memory, a few hundred bytes over the wire) whose metrics are
         bit-identical to the materialised outcomes.
         """
-        if unit.fleet is not None:
-            return self._execute_fleet(unit)
         manager = build_manager(unit.manager, self._context())
         chunk_size = getattr(self._payload, "chunk_size", None)
         if unit.scenarios is not None:
@@ -272,57 +270,6 @@ class _WorkerRuntime:
             overhead_model=self._overhead_model,
         )
         return manager.name, outcomes
-
-    def _fleet_member_system(self):
-        """An execution system one fleet member may draw from privately.
-
-        Stateless (or absent) samplers are side-effect free, so members
-        share the hydrated system directly.  A stateful replayable sampler
-        is snapshotted per member — pickled from the *base* system (the
-        deployed one may not pickle) and seeked to the claim's base cursor —
-        so every member draws exactly the stream a solo unit at offset 0
-        would, independent of bucket order and of earlier claims.
-        """
-        if self._sampler is None or not supports_replay(self._sampler):
-            return self._exec_system
-        base = pickle.loads(pickle.dumps(self._base_system))
-        sampler = base.timing.scenario_sampler
-        if self._base_cursor is not None and supports_replay(sampler):
-            sampler.seek(self._base_cursor)
-        machine = self._payload.machine
-        return machine.deploy(base) if machine is not None else base
-
-    def _execute_fleet(self, unit: SweepUnit) -> tuple[str, object]:
-        """Run a whole fleet bucket as one claim.
-
-        Returns ``("fleet", ((label, manager_name, summary), ...))`` — one
-        :class:`~repro.core.streaming.StreamingMetrics` per member, in
-        member order, bit-identical to running each member as its own solo
-        unit.  Re-execution after a crash rebuilds the same members from the
-        same payload, so a requeued claim fans in identically.
-        """
-        from repro.core.fleet import FleetMember, run_fleet
-
-        context = self._context()
-        members = []
-        for record in unit.fleet:
-            members.append(
-                FleetMember(
-                    label=record.label,
-                    system=self._fleet_member_system(),
-                    manager=build_manager(record.manager, context),
-                    deadlines=self._payload.deadlines,
-                    cycles=record.cycles,
-                    seed=record.seed,
-                    chunk_size=getattr(self._payload, "chunk_size", None),
-                    overhead_model=self._overhead_model,
-                )
-            )
-        summaries = run_fleet(members)
-        return "fleet", tuple(
-            (member.label, member.manager.name, summary)
-            for member, summary in zip(members, summaries)
-        )
 
 
 _RUNTIME: _WorkerRuntime | None = None

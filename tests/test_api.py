@@ -225,6 +225,12 @@ class TestSessionValidation:
             lambda session: session.stream(1, seed=-1),
             lambda session: session.run_many([{"seed": -1}]),
             lambda session: Session.fleet([session], seed=-1),
+            lambda session: session.chunk_size(2.5),
+            lambda session: session.run(cycles=1, chunk_size=2.5),
+            lambda session: session.compare("numeric", cycles=1, chunk_size=2.5),
+            lambda session: session.run_many([{"cycles": 1}], chunk_size=2.5),
+            lambda session: Session.fleet([session], chunk_size=2.5),
+            lambda session: Session.fleet([session], chunk_size=0),
         ],
         ids=[
             "setter-cycles-fractional",
@@ -242,11 +248,18 @@ class TestSessionValidation:
             "stream-seed-negative",
             "run_many-seed-negative",
             "fleet-seed-negative",
+            "setter-chunk_size-fractional",
+            "run-chunk_size-fractional",
+            "compare-chunk_size-fractional",
+            "run_many-chunk_size-fractional",
+            "fleet-chunk_size-fractional",
+            "fleet-chunk_size-zero",
         ],
     )
     def test_one_count_and_seed_rule(self, system, deadlines, call):
-        """Every cycle count and seed the facade accepts is validated by the
-        setters' rule: nothing is truncated and nothing reaches NumPy."""
+        """Every cycle count, chunk size and seed the facade accepts is
+        validated by the setters' rule: nothing is truncated and nothing
+        reaches NumPy."""
         with pytest.raises(SessionError, match=r"must be an integer >= [01]"):
             call(Session().system(system).deadlines(deadlines))
 

@@ -1,10 +1,10 @@
-"""Tests for fleet-scale multi-session execution (:mod:`repro.core.fleet`).
+"""Tests for fleet execution (:mod:`repro.core.fleet`).
 
 The differential fuzz harness (``test_fleet_differential.py``) proves the
 parity contract across the whole registry; this module covers the planner
-and executor surface directly — bucketing by kernel-spec shape, padding
-and masking of ragged buckets, fallback routing, validation errors, the
-obs counters, the :mod:`repro.api.fleet` facade and the CLI subcommand.
+and executor surface directly — kernel-or-oracle routing, ragged run
+lengths, validation errors, the obs counters, the :mod:`repro.api.fleet`
+facade with its sampler contract, and the CLI subcommand.
 """
 
 from __future__ import annotations
@@ -17,11 +17,9 @@ from repro.api.registry import available_managers
 from repro.core import QualityManager
 from repro.core.fleet import (
     DEFAULT_FLEET_CHUNK,
-    FleetBucket,
     FleetError,
     FleetMember,
     FleetPlan,
-    bucket_key,
     run_fleet,
 )
 from repro.obs import enable as obs_enable
@@ -83,7 +81,7 @@ def solo_summary(member: FleetMember):
 
 
 class OpaqueManager(QualityManager):
-    """A decide()-only wrapper: no kernel spec, so it cannot join a bucket."""
+    """A decide()-only wrapper: no kernel spec, so the oracle runs it."""
 
     name = "opaque"
 
@@ -159,38 +157,7 @@ class TestFleetMemberValidation:
 
 
 class TestBucketing:
-    def test_same_shape_same_bucket(self):
-        """Table values never enter the key — only their dimensions."""
-        a = make_member("numeric", "a", system_seed=1)
-        b = make_member("numeric", "b", system_seed=2)
-        plan = FleetPlan.plan([a, b])
-        assert len(plan.buckets) == 1
-        assert plan.buckets[0].indices == (0, 1)
-        assert plan.fallback == ()
-
-    def test_cross_manager_fusion(self):
-        """Managers lowering to the same op and shape share a bucket."""
-        members = [
-            make_member(key, key) for key in ("numeric", "safe-only", "average-only")
-        ]
-        plan = FleetPlan.plan(members)
-        assert len(plan.buckets) == 1
-
-    def test_ragged_shapes_split_buckets(self):
-        a = make_member("numeric", "a", n_actions=6)
-        b = make_member("numeric", "b", n_actions=7)
-        c = make_member("numeric", "c", n_levels=4)
-        plan = FleetPlan.plan([a, b, c])
-        assert len(plan.buckets) == 3
-        keys = {bucket.key for bucket in plan.buckets}
-        assert len(keys) == 3
-
-    def test_bucket_key_work_structure(self):
-        per_state = make_member("numeric", "a").manager.lower()
-        single = make_member("relaxation", "b").manager.lower()
-        # one work record per decision state (n_actions states here)
-        assert bucket_key(per_state, 12)[-1] == ("per-state", 12)
-        assert bucket_key(single, 12)[-1][0] == "single"
+    """The plan: validation and each member's kernel-or-oracle route."""
 
     def test_empty_fleet_rejected(self):
         with pytest.raises(FleetError, match="at least one member"):
@@ -241,13 +208,12 @@ class TestRunFleet:
             assert summary.quality_level_counts == expected.quality_level_counts
 
     def test_ragged_cycles_padding_masked_out(self):
-        """A bucket of very different run lengths pads — without leaking."""
+        """Very different run lengths in one fleet: no member leaks into another."""
         members = [
             make_member("numeric", f"m{i}", cycles=c, seed=i, system_seed=9)
             for i, c in enumerate((1, 37, 8, 100))
         ]
         plan = FleetPlan.plan(members)
-        assert len(plan.buckets) == 1
         summaries = run_fleet(members, plan=plan)
         for member, summary in zip(members, summaries):
             assert summary.n_cycles == member.cycles
@@ -257,7 +223,9 @@ class TestRunFleet:
     def test_fallback_members_interleaved_with_buckets(self):
         stacked = make_member("relaxation", "a", seed=3)
         solo = opaque_member("numeric", "b", seed=4)
-        summaries = run_fleet([solo, stacked])
+        plan = FleetPlan.plan([solo, stacked])
+        assert plan.buckets == (1,) and plan.fallback == (0,)
+        summaries = run_fleet([solo, stacked], plan=plan)
         assert summaries[0].metrics() == solo_summary(solo).metrics()
         assert summaries[1].metrics() == solo_summary(stacked).metrics()
 
@@ -282,9 +250,9 @@ class TestRunFleet:
 
     @pytest.mark.parametrize("mixed", [False, True], ids=["factored", "mixed-forms"])
     def test_factored_lanes_match_solo_runs(self, mixed):
-        """Factored members (own tables, one rescaled) share lanes with
-        padding; one tensor-form member puts the bucket on the padded
-        tensor instead.  Both layouts match every member's solo run."""
+        """Factored members (own tables, one rescaled, runs above and
+        below the factored-gather lane floor) and a tensor-form member
+        each match their solo run."""
         rng = np.random.default_rng(6)
         factors = np.sort(rng.uniform(0.5, 2.0, size=(4, 10)), axis=0)
         worst = np.sort(rng.uniform(1.0, 5.0, size=(4, 10)), axis=0)
@@ -357,14 +325,13 @@ class TestRunFleet:
             ]
             run_fleet(members)
             snap = obs_metrics.registry().snapshot()["metrics"]
-            assert snap["fleet.buckets"]["value"] == 1
+            # one lockstep per kernel member, none padded
+            assert snap["fleet.buckets"]["value"] == 2
             assert snap["fleet.sessions"]["value"] == 3
             assert snap["fleet.fallback_sessions"]["value"] == 1
             waste = snap["fleet.padding_waste"]
             assert waste["kind"] == "gauge"
-            # lanes: width 10 for both members of the bucket, member b real
-            # in only 4 of its 10 lanes -> 6 padded of 20 total
-            assert waste["value"] == pytest.approx(6 / 20)
+            assert waste["value"] == 0.0
         finally:
             obs_reset()
             obs_metrics.registry().reset()
@@ -436,7 +403,11 @@ class TestFleetApi:
         assert all(run.n_cycles == 3 for run in batch.runs.values())
 
     def test_cloned_sessions_with_shared_stateful_sampler(self):
-        """Clones sharing one encoder sampler still match solo runs."""
+        """Clones of one encoder-workload session still match solo runs.
+
+        Each clone builds its own sampler from the workload; clones that
+        share one sampler are the case of the two tests below.
+        """
         from repro.media import small_encoder
 
         base = (
@@ -451,6 +422,51 @@ class TestFleetApi:
         for label, clone in clones.items():
             solo = clone.run(chunk_size=16)
             assert batch[label].summary.metrics() == solo.summary.metrics(), label
+
+    @staticmethod
+    def _encoder_clones():
+        """Three clones sharing one encoder frame sampler, and that sampler.
+
+        Clones of a bare system share it, and its sampler with it; 16
+        frames outlast three 4-cycle members, so a fleet that advanced
+        the sampler would hand a second call different frames.
+        """
+        from repro.media import small_encoder
+
+        workload = small_encoder(seed=0, n_frames=16)
+        base = (
+            Session()
+            .system(workload.build_system())
+            .deadlines(workload.deadlines())
+            .machine("ipod")
+            .seed(0)
+            .cycles(4)
+        )
+        clones = {f"c{i}": base.clone().seed(20 + i) for i in range(3)}
+        sampler = base.resolved_system().timing.scenario_sampler
+        for clone in clones.values():
+            assert clone.resolved_system().timing.scenario_sampler is sampler
+        return clones, sampler
+
+    def test_fleet_leaves_the_shared_sampler_cursor(self):
+        """A fleet draws from snapshots; only a solo run moves the sampler."""
+        clones, sampler = self._encoder_clones()
+        assert sampler.cursor == 0
+        Session.fleet(clones)
+        assert sampler.cursor == 0
+        clones["c0"].run()
+        assert sampler.cursor == 4
+
+    def test_repeated_fleet_call_is_identical(self):
+        clones, _ = self._encoder_clones()
+        first = Session.fleet(clones)
+        second = Session.fleet(clones)
+        for label in clones:
+            assert first[label].summary.metrics() == second[label].summary.metrics()
+            assert (
+                first[label].summary.quality_level_counts
+                == second[label].summary.quality_level_counts
+            )
 
 
 class TestFleetCli:

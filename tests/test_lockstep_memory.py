@@ -1,9 +1,9 @@
-"""The lockstep loops allocate nothing beyond the arrays they return.
+"""The lockstep loop allocates nothing beyond the arrays it returns.
 
-:func:`~repro.core.engine.run_lockstep_arrays` and the fleet's
-``_fleet_lockstep`` write one contiguous action-major row per step into
-buffers they hand back as transposed views.  :mod:`tracemalloc` sees
-NumPy's buffers, so the peak traced memory of one call bounds every
+:func:`~repro.core.engine.run_lockstep_arrays` writes one contiguous
+action-major row per step into buffers it hands back as transposed
+views.  :mod:`tracemalloc` sees NumPy's buffers, so the peak traced
+memory of one call bounds every
 temporary the loop makes: it must stay within the bytes of the returned
 arrays plus O(n_cycles) scratch.  A pass that copies a whole
 ``(n_actions, n_cycles)`` buffer — adding the level minimum out of place,
@@ -20,7 +20,6 @@ import pytest
 from repro.api import Session
 from repro.core import compile_decision_kernel
 from repro.core.engine import run_lockstep_arrays
-from repro.core.fleet import FleetMember, FleetPlan, _FleetKernel, _fleet_lockstep
 
 #: scratch allowed per cycle (lane): 64 float64 vectors with one entry each
 SCRATCH_BYTES_PER_CYCLE = 64 * 8
@@ -87,35 +86,3 @@ def test_solo_lockstep_returns_views_of_action_major_buffers(paper):
     assert invoked.dtype == bool and invoked.flags.c_contiguous
     assert qualities.min() >= system.qualities.minimum
     assert qualities.max() <= system.qualities.maximum
-
-
-def test_fleet_lockstep_allocates_only_its_outputs():
-    session = Session().system("small").manager("relaxation")
-    system = session.resolved_system()
-    width, n_members = 48, 3
-    members = [
-        FleetMember(
-            label=f"m{index}",
-            system=system,
-            manager=session.build(),
-            deadlines=session.resolved_deadlines(),
-            cycles=width,
-        )
-        for index in range(n_members)
-    ]
-    (bucket,) = FleetPlan.plan(members).buckets
-    assert len(bucket.indices) == n_members
-    kernel = _FleetKernel(bucket.specs, [None] * n_members)
-    n_lanes = n_members * width
-    tensor = system.draw_scenarios(n_lanes, np.random.default_rng(2)).tensor
-    lane_member = np.repeat(np.arange(n_members), width)
-    real = np.ones(n_lanes, dtype=bool)
-    real[-width // 3 :] = False  # the last member's tail is padding
-    lane_level_min = np.full(n_lanes, system.qualities.minimum, dtype=np.int64)
-    args = (kernel, tensor, lane_member, real, lane_level_min)
-    _fleet_lockstep(*args)  # warm-up
-    outputs, peak = traced_peak(_fleet_lockstep, *args)
-    qualities, completion, invoked, overheads = outputs
-    assert qualities.shape == completion.shape == (n_lanes, system.n_actions)
-    assert invoked.shape == overheads.shape == (system.n_actions, n_lanes)
-    assert_within_outputs(outputs, peak, n_lanes)

@@ -285,10 +285,10 @@ class TestPolicyComparisonProperties:
 class TestMergeAlgebraProperties:
     """Merge algebra of the streaming accumulators under fleet orderings.
 
-    Fleet execution interleaves many sessions' folds: bucket order,
-    member order within a bucket and the padded lanes between chunks must
-    never change any single session's summary.  These properties pin the
-    algebra that guarantee rests on.
+    Streamed and fleet runs fold each session chunk by chunk, and member
+    order within a fleet is the caller's: neither may change any single
+    session's summary.  These properties pin the algebra that guarantee
+    rests on.
     """
 
     @_SETTINGS
@@ -381,8 +381,8 @@ class TestMergeAlgebraProperties:
     @_SETTINGS
     @given(data=st.data())
     def test_fleet_member_order_never_changes_a_summary(self, data):
-        """Permuting fleet members (hence bucket layout and padding) leaves
-        every member's own summary bit-identical."""
+        """Permuting fleet members leaves every member's own summary
+        bit-identical."""
         from repro.core.fleet import FleetMember, run_fleet
 
         system, deadlines = data.draw(systems_with_deadlines(feasible=True))
@@ -451,7 +451,7 @@ class TestFactoredDrawProperties:
 
     Over random monotone tables, with and without a rescale factor, the
     factored batch expands to the clip → running max → min tensor bit for
-    bit (sign bits included), and the solo and the fleet lockstep give the
+    bit (sign bits included), and the solo lockstep and a fleet give the
     same outputs over both forms, on both sides of the factored-gather
     crossover.
     """
@@ -506,7 +506,7 @@ class TestFactoredDrawProperties:
                 for a, b in zip(_outcome_fields(left), _outcome_fields(right), strict=True):
                     assert np.array_equal(a, b)
 
-        # one fleet per form; each member runs beside a member of other tables
+        # one fleet per form, each member with its own tables
         for form in forms:
             summaries = run_fleet(members[form])
             for summary, member, outcomes in zip(summaries, members[form], forms[form]):

@@ -663,110 +663,6 @@ def test_killed_subprocess_worker_survived_by_requeue(tmp_path):
     _batches_identical(serial, result["batch"])
 
 
-def _fleet_plan(tmp_path: Path):
-    """One SweepUnit carrying a whole fleet bucket of three members."""
-    from repro.runtime.plan import FleetMemberUnit, plan_fleet
-
-    session = _session(tmp_path)
-    session._prepare_parallel_cache(session.artifact_cache, [])
-    session.compile()
-    payload = session._execution_payload(session.artifact_cache)
-    members = [
-        FleetMemberUnit("a", "relaxation", 500, seed=11),
-        FleetMemberUnit("b", "numeric", 700, seed=22),
-        FleetMemberUnit("c", "skip", 400, seed=33),
-    ]
-    return payload, plan_fleet(payload, members)
-
-
-def _fleet_tail_identical(expected, actual) -> None:
-    assert len(expected) == len(actual)
-    for (label_a, name_a, summary_a), (label_b, name_b, summary_b) in zip(
-        expected, actual
-    ):
-        assert label_a == label_b and name_a == name_b
-        assert summary_a.metrics() == summary_b.metrics(), label_a
-        assert summary_a.quality_level_counts == summary_b.quality_level_counts
-
-
-def test_fleet_unit_over_the_spool_matches_inline_execution(tmp_path):
-    """A fleet bucket crossing the spool fans in bit-identical to inline."""
-    from repro.runtime.pool import _WorkerRuntime
-
-    payload, plan = _fleet_plan(tmp_path)
-    head, baseline = _WorkerRuntime(pickle.loads(pickle.dumps(payload))).execute(
-        plan.units[0]
-    )
-    assert head == "fleet"
-    executor = RemoteSweepExecutor(tmp_path / "spool", poll_interval=0.02, timeout=120.0)
-    with _InlineWorker(tmp_path):
-        outcome = executor.run(plan)
-    assert outcome.ok
-    _fleet_tail_identical(baseline, outcome.outcomes[0])
-
-
-def test_killed_worker_mid_fleet_claim_requeues_bit_identical(tmp_path):
-    """SIGKILL a real worker holding the fleet bucket; the requeued claim
-    re-executes on a survivor and fans in bit-identical summaries."""
-    from repro.runtime.pool import _WorkerRuntime
-
-    payload, plan = _fleet_plan(tmp_path)
-    head, baseline = _WorkerRuntime(pickle.loads(pickle.dumps(payload))).execute(
-        plan.units[0]
-    )
-    assert head == "fleet"
-
-    spool = tmp_path / "spool"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = _SRC + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    victim = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "worker",
-            "--spool", str(spool), "--cache-dir", str(tmp_path / "victim-cache"),
-            "--poll", "0.02", "--heartbeat", "0.05", "--quiet",
-        ],
-        env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
-    try:
-        executor = RemoteSweepExecutor(
-            spool, lease_timeout=1.0, poll_interval=0.02, timeout=180.0
-        )
-        result: dict = {}
-
-        def fan_out() -> None:
-            result["outcome"] = executor.run(plan)
-
-        parent = threading.Thread(target=fan_out, daemon=True)
-        parent.start()
-        # wait until the victim worker holds the fleet claim, then kill it
-        layout = SpoolLayout(spool)
-        deadline = time.monotonic() + 60.0
-        while time.monotonic() < deadline:
-            claims = list(layout.claimed.iterdir()) if layout.claimed.is_dir() else []
-            if claims:
-                break
-            time.sleep(0.02)
-        else:
-            pytest.fail("victim worker never claimed the fleet unit")
-        victim.send_signal(signal.SIGKILL)
-        victim.wait(timeout=30.0)
-        # a surviving worker picks the requeued bucket up after the lease expires
-        with _InlineWorker(tmp_path, worker_id="survivor"):
-            parent.join(timeout=120.0)
-        assert not parent.is_alive(), "fan-in never completed after the kill"
-    finally:
-        if victim.poll() is None:  # pragma: no cover - cleanup on failure
-            victim.kill()
-            victim.wait(timeout=30.0)
-    outcome = result["outcome"]
-    assert outcome.ok
-    _fleet_tail_identical(baseline, outcome.outcomes[0])
-
-
 # --------------------------------------------------------------------------- #
 # worker loop behaviour
 # --------------------------------------------------------------------------- #
