@@ -35,8 +35,8 @@ def _report_path() -> str:
     return os.environ.get("BENCH_REMOTE_JSON", "BENCH_remote.json")
 
 
-def _session(cache_dir) -> Session:
-    return Session().system("small").machine("ipod").seed(0).artifacts(cache_dir)
+def _session() -> Session:
+    return Session().system("small").machine("ipod").seed(0)
 
 
 def _grid() -> list[dict]:
@@ -53,23 +53,20 @@ def _grid() -> list[dict]:
 
 def bench_remote_sweep_bit_identity_and_transport(tmp_path):
     grid = _grid()
-    cache_dir = tmp_path / "cache"
 
     started = time.perf_counter()
-    serial = _session(cache_dir).run_many(grid)
+    serial = _session().run_many(grid)
     serial_s = time.perf_counter() - started
 
     # measure the pending-unit size before workers drain the spool: submit a
     # plan by hand, stat it, withdraw it
-    probe = _session(cache_dir)
+    probe = _session()
     probe_entries = [
         ("probe", probe._spec, _CYCLES_PER_SCENARIO, 0),
     ]
     from repro.runtime.plan import plan_run_many
 
-    probe._prepare_parallel_cache(probe.artifact_cache, [probe._spec])
-    payload = probe._execution_payload(probe.artifact_cache)
-    plan = plan_run_many(payload, probe_entries)
+    plan = plan_run_many(probe._execution_payload(), probe_entries)
     executor = RemoteSweepExecutor(tmp_path / "probe-spool")
     plan_id = executor.submit(plan)
     unit_bytes = max(
@@ -82,7 +79,7 @@ def bench_remote_sweep_bit_identity_and_transport(tmp_path):
 
     started = time.perf_counter()
     remote = (
-        _session(cache_dir)
+        _session()
         .remote(tmp_path / "spool", local_workers=_LOCAL_WORKERS,
                 poll_interval=0.02, timeout=600.0)
         .run_many(grid)

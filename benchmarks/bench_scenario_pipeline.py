@@ -54,7 +54,6 @@ from repro.core.timing import TimingModel
 from repro.obs import enable as obs_enable
 from repro.obs import metrics as obs_metrics
 from repro.obs import reset_enabled as obs_reset
-from repro.runtime.artifacts import CompiledArtifactCache
 from repro.runtime.plan import ExecutionPayload, plan_compare, plan_compare_redraw
 from repro.runtime.pool import SweepExecutor
 
@@ -84,12 +83,13 @@ def _write_report(payload: dict) -> None:
         handle.write("\n")
 
 
-def _time_compare_plans(system, deadlines, cache_dir) -> dict:
+def _time_compare_plans(system, deadlines) -> dict:
     """Run a value and a re-draw compare plan through a 2-worker pool.
 
     The value side is timed from its parent-side draw, as ``Session.compare``
-    pays it.  Both sides start from the same sampler position, so their
-    outcomes must match exactly.
+    pays it; on both sides each worker compiles its tables where it runs.
+    Both sides start from the same sampler position, so their outcomes must
+    match exactly.
     """
     specs = [ManagerSpec("numeric"), ManagerSpec("region"), ManagerSpec("relaxation")]
     payload = ExecutionPayload(
@@ -98,10 +98,6 @@ def _time_compare_plans(system, deadlines, cache_dir) -> dict:
         policy=None,
         relaxation_steps=(1, 10),
         require_feasible=True,
-        cache_dir=str(cache_dir),
-    )
-    CompiledArtifactCache(cache_dir).fetch_or_compile(
-        system, deadlines, relaxation_steps=payload.relaxation_steps
     )
     sampler = system.timing.scenario_sampler
     start = sampler.cursor
@@ -240,7 +236,7 @@ def _factored_fallbacks() -> dict[str, float]:
     return counts
 
 
-def bench_scenario_pipeline(paper_workload, paper_deadlines, tmp_path):
+def bench_scenario_pipeline(paper_workload, paper_deadlines):
     """4,096 paper-scale draws: the batched kernel beats the per-cycle loop >= 5x."""
     batched_system = paper_workload.build_system()
     scalar_system = paper_workload.build_system()
@@ -300,9 +296,7 @@ def bench_scenario_pipeline(paper_workload, paper_deadlines, tmp_path):
         "value_unit_bytes": value_bytes,
         "redraw_unit_bytes": redraw_bytes,
         "value_vs_redraw_ratio": value_bytes / redraw_bytes,
-        "timed_plans": _time_compare_plans(
-            batched_system, paper_deadlines, tmp_path / "artifacts"
-        ),
+        "timed_plans": _time_compare_plans(batched_system, paper_deadlines),
     }
 
     _write_report(

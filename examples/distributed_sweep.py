@@ -5,7 +5,8 @@ Shows the multi-machine fan-out end to end, self-contained on one machine:
 
 1. configure ``Session.remote(spool=...)`` — work units become tiny files in
    a spool directory that any ``repro worker --spool DIR`` process (here: two
-   local subprocesses spawned automatically) can claim and execute;
+   local subprocesses spawned automatically) can claim and execute, each
+   worker compiling the plan's tables where it runs;
 2. run a manager × seed grid through the spool and verify the fan-in is
    bit-identical to the serial baseline;
 3. stream a manager comparison incrementally: ``compare(..., stream=True)``
@@ -13,7 +14,7 @@ Shows the multi-machine fan-out end to end, self-contained on one machine:
 
 On a real cluster the spool lives on a shared filesystem (NFS) and workers
 run on other hosts — same code, plus ``docs/distributed-sweeps.md`` for the
-operational runbook (lease timeouts, requeue semantics, artifact sync).
+operational runbook (lease timeouts, requeue semantics, monitoring).
 
 Run with ``python examples/distributed_sweep.py``.  The
 ``REPRO_EXAMPLE_CYCLES`` environment variable caps the per-scenario cycle
@@ -40,13 +41,12 @@ SCENARIOS_PER_MANAGER = 3
 CYCLES = min(2, int(os.environ.get("REPRO_EXAMPLE_CYCLES", 2)))
 
 
-def build_session(cache_dir: Path) -> Session:
+def build_session() -> Session:
     return (
         Session()
         .system("small")            # the QCIF encoder workload
         .machine("ipod")            # charge the paper's platform overhead
         .seed(0)
-        .artifacts(cache_dir)       # workers hydrate from synced artifacts
     )
 
 
@@ -61,20 +61,19 @@ def build_grid() -> list[dict]:
 
 def main() -> None:
     with tempfile.TemporaryDirectory(prefix="repro-spool-") as tmp:
-        cache_dir = Path(tmp) / "cache"
         spool = Path(tmp) / "spool"
         grid = build_grid()
         print(f"sweep: {len(grid)} scenarios x {CYCLES} cycles over spool {spool}\n")
 
         # -- serial baseline ------------------------------------------------
-        serial = build_session(cache_dir).run_many(grid)
+        serial = build_session().run_many(grid)
 
         # -- the same sweep fanned out over the spool -----------------------
         # local_workers=2 spawns two `repro worker` subprocesses for the run;
         # on a cluster you omit it and start workers on other hosts instead
         started = time.perf_counter()
         remote = (
-            build_session(cache_dir)
+            build_session()
             .remote(spool, local_workers=2, timeout=300.0)
             .run_many(grid)
         )
@@ -90,7 +89,7 @@ def main() -> None:
 
         # -- streaming fan-in: results the moment workers finish them -------
         print("streaming compare (completion order):")
-        session = build_session(cache_dir).remote(
+        session = build_session().remote(
             spool, local_workers=2, timeout=300.0
         )
         for label, run in session.compare("numeric", "region", "relaxation",

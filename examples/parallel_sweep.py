@@ -1,20 +1,17 @@
 #!/usr/bin/env python3
-"""Parallel scenario sweeps with the persistent compiled-controller cache.
+"""Parallel scenario sweeps through the process pool.
 
 Shows the :mod:`repro.runtime` layer end to end:
 
-1. enable the on-disk artifact cache (``Session.artifacts``) so symbolic
-   compilation happens at most once per machine, not once per process;
-2. build a manager × seed scenario grid (seeds derived with
+1. build a manager × seed scenario grid (seeds derived with
    ``SeedSequence.spawn`` for well-separated streams);
-3. run it serially, then through the process pool
-   (``run_many(parallel=True)``) with a progress callback;
-4. verify the two sweeps are bit-identical — the pool only changes *where*
+2. run it serially, then through the process pool
+   (``run_many(parallel=True)``) with a progress callback — each pool
+   worker compiles the symbolic tables where it runs, once;
+3. verify the two sweeps are bit-identical — the pool only changes *where*
    cycles run, never what they compute.
 
-Run with ``python examples/parallel_sweep.py``.  The artifact cache lands in
-a temporary directory here; real deployments use the default
-``~/.cache/repro/compiled`` or point ``REPRO_CACHE_DIR`` somewhere shared.
+Run with ``python examples/parallel_sweep.py``; it writes nothing to disk.
 The ``REPRO_EXAMPLE_CYCLES`` environment variable caps the per-scenario
 cycle count (the documentation smoke tests set it).
 """
@@ -23,7 +20,6 @@ from __future__ import annotations
 
 import os
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -40,13 +36,12 @@ SCENARIOS_PER_MANAGER = 4
 CYCLES = min(3, int(os.environ.get("REPRO_EXAMPLE_CYCLES", 3)))
 
 
-def build_session(cache_dir: Path) -> Session:
+def build_session() -> Session:
     return (
         Session()
         .system("small")            # the QCIF encoder workload
         .machine("ipod")            # charge the paper's platform overhead
         .seed(0)
-        .artifacts(cache_dir)       # persistent compiled-controller cache
     )
 
 
@@ -67,39 +62,36 @@ def build_grid() -> list[dict]:
 
 
 def main() -> None:
-    with tempfile.TemporaryDirectory(prefix="repro-cache-") as cache_dir:
-        grid = build_grid()
-        print(f"sweep: {len(grid)} scenarios x {CYCLES} cycles each\n")
+    grid = build_grid()
+    print(f"sweep: {len(grid)} scenarios x {CYCLES} cycles each\n")
 
-        # -- serial baseline ------------------------------------------------
-        started = time.perf_counter()
-        serial = build_session(Path(cache_dir)).run_many(grid)
-        serial_s = time.perf_counter() - started
-        print(f"serial:   {serial_s * 1000.0:7.1f} ms")
+    # -- serial baseline ----------------------------------------------------
+    started = time.perf_counter()
+    serial = build_session().run_many(grid)
+    serial_s = time.perf_counter() - started
+    print(f"serial:   {serial_s * 1000.0:7.1f} ms")
 
-        # -- the same sweep through the process pool ------------------------
-        def progress(done: int, total: int, label: str) -> None:
-            print(f"\r  pool progress: {done}/{total} ({label})", end="", flush=True)
+    # -- the same sweep through the process pool ----------------------------
+    def progress(done: int, total: int, label: str) -> None:
+        print(f"\r  pool progress: {done}/{total} ({label})", end="", flush=True)
 
-        started = time.perf_counter()
-        parallel = build_session(Path(cache_dir)).run_many(
-            grid, parallel=True, workers=4, progress=progress
-        )
-        parallel_s = time.perf_counter() - started
-        print(f"\nparallel: {parallel_s * 1000.0:7.1f} ms (4 workers, warm cache)")
+    started = time.perf_counter()
+    parallel = build_session().run_many(grid, parallel=True, workers=4, progress=progress)
+    parallel_s = time.perf_counter() - started
+    print(f"\nparallel: {parallel_s * 1000.0:7.1f} ms (4 workers)")
 
-        # -- bit-identical results ------------------------------------------
-        assert serial.labels == parallel.labels
-        for label in serial.labels:
-            for left, right in zip(serial[label].outcomes, parallel[label].outcomes):
-                np.testing.assert_array_equal(left.qualities, right.qualities)
-                np.testing.assert_array_equal(left.durations, right.durations)
-        print("serial and parallel sweeps are bit-identical\n")
+    # -- bit-identical results ----------------------------------------------
+    assert serial.labels == parallel.labels
+    for label in serial.labels:
+        for left, right in zip(serial[label].outcomes, parallel[label].outcomes):
+            np.testing.assert_array_equal(left.qualities, right.qualities)
+            np.testing.assert_array_equal(left.durations, right.durations)
+    print("serial and parallel sweeps are bit-identical\n")
 
-        # -- tabulated metrics ----------------------------------------------
-        points = run_session_sweep(build_session(Path(cache_dir)), grid, parallel=False)
-        headers, rows = sweep_table(points)
-        print(format_table(headers, rows, title="Per-scenario metrics"))
+    # -- tabulated metrics --------------------------------------------------
+    points = run_session_sweep(build_session(), grid, parallel=False)
+    headers, rows = sweep_table(points)
+    print(format_table(headers, rows, title="Per-scenario metrics"))
 
 
 if __name__ == "__main__":

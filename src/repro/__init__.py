@@ -22,9 +22,10 @@ The library provides:
 * :mod:`repro.experiments` — one module per table/figure of the paper.
 * :mod:`repro.extensions` — the paper's future-work directions (power
   management, multi-task control, linear region approximation).
-* :mod:`repro.runtime` — the scaling layer: a persistent compiled-controller
-  artifact cache, a process-based parallel sweep engine and its
-  multi-machine sibling over a shared spool directory.
+* :mod:`repro.runtime` — the scaling layer: a process-based parallel sweep
+  engine, its multi-machine sibling over a shared spool directory, and an
+  opt-in compiled-controller artifact cache for sessions that name a
+  directory.
 * :mod:`repro.obs` — unified telemetry: metrics registries, cross-process
   span tracing and JSONL export, off by default (``REPRO_OBS=1``).
 

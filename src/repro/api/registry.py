@@ -210,10 +210,6 @@ class ManagerEntry:
     description: str
     aliases: tuple[str, ...]
     params: Mapping[str, Any]  # accepted parameter names -> defaults
-    #: whether the factory consumes ``context.compiled(...)`` — lets callers
-    #: (the parallel sweep engine) pre-warm the compiled-artifact cache once
-    #: instead of having every worker race through the same compilation
-    needs_compiled: bool = False
 
     def describe_params(self) -> str:
         """Human-readable ``name=default`` list for tables and error messages."""
@@ -246,15 +242,12 @@ def register_manager(
     description: str = "",
     aliases: Sequence[str] = (),
     replace: bool = False,
-    needs_compiled: bool = False,
 ):
     """Register a manager factory under a string key (usable as a decorator).
 
     The factory is called as ``factory(context, **params)`` and must return a
-    :class:`~repro.core.manager.QualityManager`.  Pass ``needs_compiled=True``
-    when the factory calls ``context.compiled(...)`` so batch runners can
-    pre-warm the compilation.  Raises :class:`RegistryError` when the key (or
-    an alias) is already taken, unless ``replace=True``.
+    :class:`~repro.core.manager.QualityManager`.  Raises :class:`RegistryError`
+    when the key (or an alias) is already taken, unless ``replace=True``.
     """
 
     def _register(fn: Callable[..., QualityManager]) -> Callable[..., QualityManager]:
@@ -269,7 +262,6 @@ def register_manager(
             description=description or (doc.splitlines()[0] if doc else ""),
             aliases=tuple(aliases),
             params=_introspect_params(fn),
-            needs_compiled=needs_compiled,
         )
         _REGISTRY[key] = entry
         for alias in aliases:
@@ -351,20 +343,12 @@ def build_manager(
 # --------------------------------------------------------------------------- #
 
 
-@register_manager(
-    "numeric",
-    description="on-line numeric manager (paper §2.2.1)",
-    needs_compiled=True,
-)
+@register_manager("numeric", description="on-line numeric manager (paper §2.2.1)")
 def _build_numeric(context: BuildContext) -> QualityManager:
     return context.compiled().numeric
 
 
-@register_manager(
-    "region",
-    description="symbolic manager on quality regions (paper §3.2)",
-    needs_compiled=True,
-)
+@register_manager("region", description="symbolic manager on quality regions (paper §3.2)")
 def _build_region(context: BuildContext) -> QualityManager:
     return context.compiled().region
 
@@ -386,11 +370,7 @@ def _coerced_steps(steps: Sequence[int] | int | None) -> tuple[int, ...] | None:
     return cleaned
 
 
-@register_manager(
-    "relaxation",
-    description="symbolic manager with control relaxation (paper §3.3)",
-    needs_compiled=True,
-)
+@register_manager("relaxation", description="symbolic manager with control relaxation (paper §3.3)")
 def _build_relaxation(context: BuildContext, *, steps: Sequence[int] | int | None = None):
     return context.compiled(steps=_coerced_steps(steps)).relaxation
 
@@ -492,7 +472,6 @@ def _build_skip(
 @register_manager(
     "dvfs",
     description="DVFS power manager: lowest safe frequency via relaxation tables",
-    needs_compiled=True,
 )
 def _build_dvfs(
     context: BuildContext,
@@ -537,7 +516,6 @@ def _build_dvfs(
 @register_manager(
     "multitask",
     description="composed controller for multi-task hyper-cycles (per-task deadlines)",
-    needs_compiled=True,
 )
 def _build_multitask(
     context: BuildContext,
@@ -565,7 +543,6 @@ def _build_multitask(
     "linear-approx",
     aliases=("linear_approx", "linear-relaxation"),
     description="relaxation manager on conservative affine-approximated tables",
-    needs_compiled=True,
 )
 def _build_linear_approx(
     context: BuildContext,

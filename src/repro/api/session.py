@@ -42,17 +42,16 @@ workers replay whenever the sampler is absent or can seek; only a sampler
 that cannot seek gets its batch drawn here and shipped by value.  Results
 are identical either way.
 
-Two optional :mod:`repro.runtime` integrations scale the run layer beyond one
-process:
+Two optional :mod:`repro.runtime` integrations reach beyond one process:
 
-* :meth:`Session.artifacts` plugs in the persistent compiled-controller
-  cache, so a fresh process with a warm cache skips symbolic compilation
-  entirely (``$REPRO_CACHE_DIR`` overrides the location);
+* :meth:`Session.artifacts` names a directory for the persistent
+  compiled-controller cache, so a fresh session pointed at a warm directory
+  skips symbolic compilation; without it nothing is written to disk;
 * :meth:`Session.parallel` (or ``run_many(..., parallel=True)`` /
-  ``compare(..., parallel=True)``) shards sweeps across worker processes that
-  hydrate their managers from that cache.  The serial path stays the default
-  and the behavioural baseline — parallel results are bit-identical to serial
-  for fixed seeds.
+  ``compare(..., parallel=True)``) shards sweeps across worker processes,
+  each of which compiles the tables where it runs.  The serial path stays
+  the default and the behavioural baseline — parallel results are
+  bit-identical to serial for fixed seeds.
 
 Determinism: with a fixed seed, a freshly-configured session always produces
 the same results.  Note that systems built from encoder workloads carry a
@@ -88,7 +87,7 @@ from repro.core.streaming import StreamingMetrics, run_cycles_streamed
 from repro.core.system import CycleOutcome, ParameterizedSystem
 from repro.core.timing import ActualTimeScenario, ScenarioBatch, supports_replay
 
-from .registry import BuildContext, ManagerSpec, build_manager, manager_info, validate_spec
+from .registry import BuildContext, ManagerSpec, build_manager, validate_spec
 from .results import BatchResult, RunResult
 
 __all__ = ["Session", "SessionError", "ScenarioSpec", "resolve_overhead_model"]
@@ -107,8 +106,10 @@ _UNSET: Any = object()
 def _whole_number(value: Any, what: str, minimum: int) -> int:
     """``value`` as an integer of at least ``minimum``, else a :class:`SessionError`.
 
-    The one rule for cycle counts and seeds: a value ``int()`` would
-    truncate (``2.5``) or could not convert is rejected, never rounded.
+    The one rule for every count the facade accepts (cycles, seeds, chunk
+    sizes, worker counts, requeue budgets, relaxation steps): a value
+    ``int()`` would truncate (``2.5``) or could not convert is rejected,
+    never rounded.
     """
     try:
         number = int(value)
@@ -120,7 +121,7 @@ def _whole_number(value: Any, what: str, minimum: int) -> int:
 
 
 def _coerce_chunk_size(value: Any) -> int | None:
-    """Validate a streaming chunk size: ``None`` or an integer >= 1."""
+    """Validate a chunk size (streamed cycles or pool units): ``None`` or an integer >= 1."""
     return None if value is None else _whole_number(value, "chunk_size", 1)
 
 
@@ -238,7 +239,6 @@ class Session:
         self._compile_cache: dict[tuple[int, ...], CompiledControllers] = {}
         self._deployed: ParameterizedSystem | None = None
         self._artifacts: Any = None  # runtime.CompiledArtifactCache | None
-        self._artifacts_disabled: bool = False  # explicit .artifacts(False)
         self._parallel: dict[str, Any] | None = None
         self._remote: dict[str, Any] | None = None
         self._chunk_size: int | None = None
@@ -321,9 +321,7 @@ class Session:
             steps = tuple(steps[0])
         if not steps:
             raise SessionError("relaxation_steps needs at least one step")
-        cleaned = tuple(sorted({int(step) for step in steps}))
-        if cleaned[0] < 1:
-            raise SessionError(f"relaxation steps must be >= 1, got {steps!r}")
+        cleaned = tuple(sorted({_whole_number(step, "relaxation steps", 1) for step in steps}))
         if cleaned != self._steps:
             self._steps = cleaned
             self._invalidate()
@@ -413,35 +411,30 @@ class Session:
         self._default_cycles = _whole_number(n_cycles, "cycles", 1)
         return self
 
-    def artifacts(self, cache: Any = True) -> "Session":
-        """Enable the persistent compiled-controller cache for this session.
+    def artifacts(self, cache: Any) -> "Session":
+        """Read and fill a persistent compiled-controller cache in ``cache``.
 
-        ``cache`` may be ``True`` (default location: ``$REPRO_CACHE_DIR``,
-        else ``~/.cache/repro/compiled``), a directory path, an existing
-        :class:`~repro.runtime.artifacts.CompiledArtifactCache`, or
-        ``False``/``None`` to disable.  With a warm cache, :meth:`compile`
-        in a fresh process hydrates the symbolic tables from disk instead of
-        recompiling them.
-
-        An explicit ``False``/``None`` also opts the *parallel* run layer out
-        of its default cache: pool workers then compile locally instead of
-        touching the disk.
+        ``cache`` is a directory path or an existing
+        :class:`~repro.runtime.artifacts.CompiledArtifactCache`;
+        ``None``/``False`` drops it.  There is no default location.  With a
+        warm directory, :meth:`compile` in a fresh session loads the
+        symbolic tables from disk instead of recompiling them.  Only this
+        session's own :meth:`compile` uses the cache: pool and spool
+        workers compile where they run.
         """
         from repro.runtime.artifacts import CompiledArtifactCache
 
         if cache is None or cache is False:
             self._artifacts = None
-            self._artifacts_disabled = True
-            return self
-        self._artifacts_disabled = False
-        if cache is True:
-            self._artifacts = CompiledArtifactCache()
         elif isinstance(cache, CompiledArtifactCache):
             self._artifacts = cache
         elif isinstance(cache, (str, os.PathLike)):
             self._artifacts = CompiledArtifactCache(cache)
         else:
-            raise SessionError(f"cannot interpret {cache!r} as an artifact cache")
+            raise SessionError(
+                f"cannot interpret {cache!r} as an artifact cache; expected a "
+                "directory or a CompiledArtifactCache (there is no default location)"
+            )
         return self
 
     @property
@@ -500,11 +493,9 @@ class Session:
         if not enabled:
             self._parallel = None
             return self
-        if workers is not None and int(workers) < 1:
-            raise SessionError(f"workers must be >= 1, got {workers}")
         self._parallel = {
-            "workers": int(workers) if workers is not None else None,
-            "chunk_size": chunk_size,
+            "workers": None if workers is None else _whole_number(workers, "workers", 1),
+            "chunk_size": _coerce_chunk_size(chunk_size),
             "mp_context": mp_context,
         }
         return self
@@ -551,19 +542,17 @@ class Session:
             raise SessionError(f"lease_timeout must be > 0, got {lease_timeout}")
         if poll_interval is not None and poll_interval <= 0.0:
             raise SessionError(f"poll_interval must be > 0, got {poll_interval}")
-        if max_requeues is not None and max_requeues < 0:
-            raise SessionError(f"max_requeues must be >= 0, got {max_requeues}")
         if timeout is not None and timeout <= 0.0:
             raise SessionError(f"timeout must be > 0, got {timeout}")
-        if local_workers < 0:
-            raise SessionError(f"local_workers must be >= 0, got {local_workers}")
         self._remote = {
             "spool": os.fspath(spool),
             "lease_timeout": lease_timeout,
             "poll_interval": poll_interval,
-            "max_requeues": max_requeues,
+            "max_requeues": (
+                None if max_requeues is None else _whole_number(max_requeues, "max_requeues", 0)
+            ),
             "timeout": timeout,
-            "local_workers": int(local_workers),
+            "local_workers": _whole_number(local_workers, "local_workers", 0),
         }
         return self
 
@@ -1099,17 +1088,14 @@ class Session:
         if parallel is False:
             return None
         if self._remote is not None:
-            config = {
-                "workers": int(workers) if workers is not None else None,
+            # 0 is meaningful on the spool transport: no local workers,
+            # rely on external `repro worker` processes
+            return {
+                "workers": None if workers is None else _whole_number(workers, "workers", 0),
                 "chunk_size": None,
                 "mp_context": None,
                 "remote": self._remote,
             }
-            # 0 is meaningful on the spool transport: no local workers,
-            # rely on external `repro worker` processes
-            if config["workers"] is not None and config["workers"] < 0:
-                raise SessionError(f"workers must be >= 0 on a spool, got {workers}")
-            return config
         if parallel is None and workers is None and self._parallel is None:
             return None
         config = dict(
@@ -1118,9 +1104,7 @@ class Session:
             else {"workers": None, "chunk_size": None, "mp_context": None}
         )
         if workers is not None:
-            if int(workers) < 1:
-                raise SessionError(f"workers must be >= 1, got {workers}")
-            config["workers"] = int(workers)
+            config["workers"] = _whole_number(workers, "workers", 1)
         return config
 
     def _check_stream(self, stream: bool, pool_config: dict[str, Any] | None) -> None:
@@ -1138,66 +1122,7 @@ class Session:
             "Session.remote(spool=...) first"
         )
 
-    def _parallel_artifact_cache(self):
-        """The artifact cache pool workers hydrate from, or ``None``.
-
-        The session's configured cache when present, else one at the default
-        location (``$REPRO_CACHE_DIR`` / ``~/.cache/repro/compiled``) — the
-        pool is the one place a persistent cache is on by default, because
-        every worker would otherwise recompile the same tables.  An explicit
-        ``.artifacts(False)`` opts out: workers compile locally.
-        """
-        if self._artifacts is not None:
-            return self._artifacts
-        if self._artifacts_disabled:
-            return None
-        from repro.runtime.artifacts import CompiledArtifactCache
-
-        return CompiledArtifactCache()
-
-    def _prepare_parallel_cache(self, cache: Any, specs: Sequence[ManagerSpec]) -> None:
-        """Warm the artifact cache once in the parent, so workers only hydrate.
-
-        Persists tables this session already compiled; when any unit's
-        manager consumes compiled tables (registry ``needs_compiled``) and
-        nothing is compiled yet, compiles the default-steps artifact here —
-        one compilation instead of one per worker racing on a cold cache.  A
-        sweep of pure baselines never triggers a compilation (its workers
-        would not either).
-        """
-        if cache is None:
-            return
-        from repro.runtime.artifacts import compile_key
-
-        key = compile_key(
-            self.resolved_system(),
-            self.resolved_deadlines(),
-            policy=self._policy,
-            relaxation_steps=self._steps,
-        )
-        if key is None:
-            return  # uncacheable policy: workers compile locally
-        compiled = self._compile_cache.get(self._steps)
-        if compiled is None:
-            if not any(manager_info(spec.key).needs_compiled for spec in specs):
-                return
-            # fetch_or_compile persists on miss, so workers always hydrate
-            compiled, _ = cache.fetch_or_compile(
-                self.resolved_system(),
-                self.resolved_deadlines(),
-                policy=self._policy,
-                relaxation_steps=self._steps,
-                require_feasible=self._require_feasible,
-            )
-            self._compile_cache[self._steps] = compiled
-            return
-        if not cache.path_for(key).is_file():
-            try:
-                cache.store(key, compiled)
-            except OSError:  # pragma: no cover - read-only cache location
-                pass
-
-    def _execution_payload(self, cache: Any, chunk_size: int | None = None) -> Any:
+    def _execution_payload(self, chunk_size: int | None = None) -> Any:
         from repro.runtime.plan import ExecutionPayload
 
         return ExecutionPayload(
@@ -1208,7 +1133,6 @@ class Session:
             require_feasible=self._require_feasible,
             machine=self._machine,
             overhead=self._overhead,
-            cache_dir=str(cache.root) if cache is not None else None,
             chunk_size=chunk_size,
         )
 
@@ -1223,7 +1147,6 @@ class Session:
             )
 
             workers = config.get("workers")
-            cache = self._parallel_artifact_cache()
             return RemoteSweepExecutor(
                 remote["spool"],
                 lease_timeout=(
@@ -1243,13 +1166,6 @@ class Session:
                 ),
                 timeout=remote["timeout"],
                 local_workers=workers if workers is not None else remote["local_workers"],
-                source_cache=cache,
-                # locally-spawned workers hydrate from the session's cache,
-                # not the user's global one — .artifacts(dir) stays isolating
-                worker_cache_dir=str(cache.root) if cache is not None else None,
-                # an explicit .artifacts(False) opts the spool transport out
-                # of artifact sync too: workers compile locally
-                sync_artifacts=not self._artifacts_disabled,
             )
         from repro.runtime.pool import SweepExecutor
 
@@ -1305,9 +1221,7 @@ class Session:
 
         with obs_trace.span("session.run_many", units=len(entries)):
             with obs_trace.span("session.plan"):
-                cache = self._parallel_artifact_cache()
-                self._prepare_parallel_cache(cache, [spec for _, spec, _, _ in entries])
-                payload = self._execution_payload(cache, chunk_size)
+                payload = self._execution_payload(chunk_size)
                 sampler = payload.system.timing.scenario_sampler
                 track = supports_replay(sampler)
                 plan = plan_run_many(payload, entries, track_sampler=track)
@@ -1367,9 +1281,7 @@ class Session:
         transport = "redraw" if redraw else "value"
         with obs_trace.span("session.compare", managers=len(chosen), transport=transport):
             with obs_trace.span("session.plan"):
-                cache = self._parallel_artifact_cache()
-                self._prepare_parallel_cache(cache, list(chosen))
-                payload = self._execution_payload(cache, chunk_size)
+                payload = self._execution_payload(chunk_size)
                 if redraw:
                     plan = plan_compare_redraw(payload, list(chosen), n_cycles, used_seed)
                 else:

@@ -11,8 +11,7 @@ code; every command is driven through the :mod:`repro.api` facade:
   overhead / quality tables;
 * ``sweep`` — run a manager × seed scenario grid through the
   :mod:`repro.runtime` sweep engine (optionally across worker processes,
-  with the persistent compiled-controller cache, or over a shared spool
-  directory with ``--spool``);
+  or over a shared spool directory with ``--spool``);
 * ``worker`` — attach this machine to a shared sweep spool and execute
   distributed work units (see ``docs/distributed-sweeps.md``);
 * ``experiments`` — run the full experiment suite (all tables and figures);
@@ -172,12 +171,12 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="run a manager x seed scenario grid (optionally in parallel)",
         epilog=(
-            "Defaults: --managers relaxation, --scenarios 8, --cycles 4, --seed 0, "
-            "serial execution (--workers 0) and the persistent artifact cache at "
-            "$REPRO_CACHE_DIR else ~/.cache/repro/compiled.  Parallel grid units "
-            "ship no scenario data: each worker draws its own slice of the "
-            "scenario stream.  --spool fans the grid out over a shared spool "
-            "directory instead of the in-process pool (--workers then spawns that "
+            "Defaults: --managers relaxation, --scenarios 8, --cycles 4, --seed 0 "
+            "and serial execution (--workers 0).  Only --spool writes to disk.  "
+            "Parallel grid units ship no scenario data: each worker compiles the "
+            "tables and draws its own slice of the scenario stream.  --spool "
+            "fans the grid out over a shared spool directory instead of the "
+            "in-process pool (--workers then spawns that "
             "many local spool workers; 0 waits for external 'repro worker' "
             "processes).  No --chunk-size by default (materialised).  Results "
             "are bit-identical to serial either way."
@@ -204,16 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="worker processes (0 = serial, the default; N >= 1 uses the sweep pool)",
-    )
-    sweep.add_argument(
-        "--cache-dir",
-        default=None,
-        help="compiled-artifact cache directory (default: $REPRO_CACHE_DIR or ~/.cache/repro/compiled)",
-    )
-    sweep.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the persistent compiled-artifact cache",
     )
     sweep.add_argument(
         "--spool",
@@ -253,23 +242,17 @@ def build_parser() -> argparse.ArgumentParser:
         "worker",
         help="execute distributed sweep units from a shared spool directory",
         epilog=(
-            "Defaults: --cache-dir $REPRO_CACHE_DIR else ~/.cache/repro/compiled "
-            "(the worker's local artifact cache; missing artifacts sync from "
-            "spool/artifacts), --poll 0.2s, --heartbeat 2.0s, --worker-id "
-            "<hostname>-<pid>, and no --max-idle/--max-units limit (run until "
-            "killed).  Start any number of workers on any host that sees the "
+            "Runbook: docs/distributed-sweeps.md.  "
+            "Defaults: --poll 0.2s, --heartbeat 2.0s, --worker-id <hostname>-<pid>, "
+            "and no --max-idle/--max-units limit (run until killed).  A worker "
+            "compiles each plan's tables from the plan itself and writes only to "
+            "the spool.  Start any number of workers on any host that sees the "
             "spool; claims are atomic renames, so two workers never hold the "
             "same unit at once (a unit re-runs only after its lease expires, "
-            "and re-runs produce identical results). "
-            "See docs/distributed-sweeps.md for the operational runbook."
+            "and re-runs produce identical results)."
         ),
     )
     worker.add_argument("--spool", required=True, help="the shared spool directory")
-    worker.add_argument(
-        "--cache-dir",
-        default=None,
-        help="local compiled-artifact cache (default: $REPRO_CACHE_DIR or ~/.cache/repro/compiled)",
-    )
     worker.add_argument(
         "--poll", type=float, default=0.2, help="pending-scan interval in seconds (default: 0.2)"
     )
@@ -572,8 +555,6 @@ def _run_sweep(
     seed: int,
     small: bool,
     workers: int,
-    cache_dir: str | None,
-    no_cache: bool,
     spool: str | None = None,
     lease_timeout: float | None = None,
     timeout: float | None = None,
@@ -595,9 +576,6 @@ def _run_sweep(
         session = _session(seed, small, cycles)
         if chunk_size is not None:
             session.chunk_size(chunk_size)
-        # an explicit opt-out also keeps the *pool* from using its default
-        # cache location — workers then compile locally
-        session.artifacts(False if no_cache else (cache_dir if cache_dir is not None else True))
         if spool is not None:
             session.remote(
                 spool,
@@ -636,18 +614,11 @@ def _run_sweep(
         )
     )
     print(f"\ncompleted in {elapsed:.2f} s ({mode})")
-    if session.artifact_cache is not None:
-        cache = session.artifact_cache
-        print(
-            f"artifact cache: {cache.directory} "
-            f"({len(cache)} artifact(s), session hits={cache.hits}, misses={cache.misses})"
-        )
     return 0
 
 
 def _run_worker(
     spool: str,
-    cache_dir: str | None,
     poll: float,
     heartbeat: float,
     max_idle: float | None,
@@ -660,7 +631,6 @@ def _run_worker(
     try:
         executed = worker_main(
             spool,
-            cache_dir=cache_dir,
             poll_interval=poll,
             heartbeat=heartbeat,
             max_idle=max_idle,
@@ -790,8 +760,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             arguments.seed,
             arguments.small,
             arguments.workers,
-            arguments.cache_dir,
-            arguments.no_cache,
             arguments.spool,
             arguments.lease_timeout,
             arguments.timeout,
@@ -800,7 +768,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     if arguments.command == "worker":
         return _run_worker(
             arguments.spool,
-            arguments.cache_dir,
             arguments.poll,
             arguments.heartbeat,
             arguments.max_idle,

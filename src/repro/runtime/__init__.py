@@ -1,24 +1,24 @@
-"""Run-time scaling layer: persistent compiled artifacts and parallel sweeps.
+"""Run-time scaling layer: parallel sweeps and an opt-in compiled-artifact cache.
 
 The paper's central claim is that the expensive part of quality management —
 building the ``t^D`` table, the quality regions and the control relaxation
 regions — happens at *compile time*, leaving only cheap table lookups on the
-hot path.  This package extends that separation across process and machine
-boundaries:
+hot path.  This package spreads the execution of sweeps across process and
+machine boundaries; every worker compiles its tables where it runs, from the
+plan's payload alone:
 
 * :mod:`repro.runtime.artifacts` — a versioned on-disk cache of
   :class:`~repro.core.compiler.CompiledControllers`, keyed by a content hash
-  of the compiler inputs.  A warm cache lets a fresh process skip symbolic
-  compilation entirely.
+  of the compiler inputs.  Only a session that names a directory
+  (:meth:`repro.api.Session.artifacts`) reads or fills one.
 * :mod:`repro.runtime.plan` — turns ``run_many`` / ``compare`` / grid-sweep
   inputs into an explicit :class:`~repro.runtime.plan.SweepPlan` of
   independent work units with per-unit seeds, labels and scenario-stream
   offsets.
 * :mod:`repro.runtime.pool` — a process-based
   :class:`~repro.runtime.pool.SweepExecutor` that shards a plan across
-  workers; workers hydrate their managers from the artifact cache instead of
-  recompiling, and parallel results are bit-identical to the serial baseline
-  for fixed seeds.
+  workers; parallel results are bit-identical to the serial baseline for
+  fixed seeds.
 * :mod:`repro.runtime.remote` — the multi-*machine* sibling: a broker-less
   :class:`~repro.runtime.remote.RemoteSweepExecutor` fans units out over a
   shared spool directory (local FS or NFS), ``repro worker`` processes on any
@@ -37,7 +37,6 @@ from .artifacts import (
     ArtifactIntegrityError,
     CompiledArtifactCache,
     compile_key,
-    default_cache_dir,
 )
 from .plan import (
     ExecutionPayload,
@@ -60,7 +59,6 @@ __all__ = [
     "ArtifactIntegrityError",
     "CompiledArtifactCache",
     "compile_key",
-    "default_cache_dir",
     # plan
     "ExecutionPayload",
     "PlanError",

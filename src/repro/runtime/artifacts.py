@@ -4,9 +4,9 @@ A :class:`~repro.core.compiler.CompiledControllers` is, at its heart, a
 handful of dense float64 arrays: the ``t^D`` table, the ``C^wc``/``C^av``
 timing tables it was derived from, and the per-step control-relaxation
 bounds.  This module serialises exactly those arrays (plus a small JSON
-metadata block) to a single ``.npz`` file per artifact, so a fresh process —
-a server worker, a sweep-pool worker, a new CLI invocation — can hydrate the
-three managers without touching the symbolic compiler at all.
+metadata block) to a single ``.npz`` file per artifact, so a fresh session
+pointed at the same directory (:meth:`repro.api.Session.artifacts`) can
+hydrate the three managers without touching the symbolic compiler at all.
 
 Cache design:
 
@@ -22,11 +22,11 @@ Cache design:
   metadata; a truncated or bit-flipped file is rejected (and removed) on
   load and treated as a miss;
 * **atomic** — writes go to a temporary file in the same directory followed
-  by :func:`os.replace`, so concurrent workers racing to fill the same entry
+  by :func:`os.replace`, so concurrent processes racing to fill the same entry
   can never observe a half-written artifact.
 
-The cache directory defaults to ``$REPRO_CACHE_DIR``, then
-``$XDG_CACHE_HOME/repro/compiled``, then ``~/.cache/repro/compiled``.
+There is no default location: a cache lives only in the directory its
+caller names, and nothing else in the package reads or writes one.
 
 Only the built-in policies (``mixed``/``safe``/``average``) are cacheable —
 a custom policy subclass could compute anything, so its output is never
@@ -74,14 +74,11 @@ __all__ = [
     "ArtifactIntegrityError",
     "CompiledArtifactCache",
     "compile_key",
-    "default_cache_dir",
 ]
 
 #: bump on any incompatible change to the payload layout — all older
 #: artifacts become invisible (different directory *and* rejected metadata)
 ARTIFACT_SCHEMA_VERSION = 1
-
-_ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 
 #: the only policies whose compiled output may be persisted; keyed by the
 #: stable name stored in artifact metadata
@@ -98,16 +95,6 @@ class ArtifactError(RuntimeError):
 
 class ArtifactIntegrityError(ArtifactError):
     """An artifact failed its checksum, schema or shape validation."""
-
-
-def default_cache_dir() -> Path:
-    """The artifact cache root honouring ``REPRO_CACHE_DIR`` and XDG."""
-    override = os.environ.get(_ENV_CACHE_DIR)
-    if override:
-        return Path(override)
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    base = Path(xdg) if xdg else Path.home() / ".cache"
-    return base / "repro" / "compiled"
 
 
 def _policy_cache_name(policy: QualityManagementPolicy) -> str | None:
@@ -313,8 +300,8 @@ class CompiledArtifactCache:
         for tests and benchmarks to assert cache behaviour.
     """
 
-    def __init__(self, cache_dir: str | os.PathLike | None = None) -> None:
-        self._root = Path(cache_dir) if cache_dir is not None else default_cache_dir()
+    def __init__(self, root: str | os.PathLike) -> None:
+        self._root = Path(root)
         self.hits = 0
         self.misses = 0
         self.stores = 0

@@ -92,13 +92,12 @@ class ExecutionPayload:
     process boundary.  ``overhead`` is the session's raw overhead setting
     (``None``, a preset name, :class:`~repro.platform.overhead.OverheadParameters`
     or a custom model) and is resolved worker-side with the same rules the
-    session uses.  ``cache_dir`` points at the compiled-artifact cache the
-    workers hydrate from; ``None`` means each worker compiles locally.
-    ``chunk_size`` (cycles per streamed execution chunk, *not* the pool's
-    units-per-task chunking) switches workers to the constant-memory
-    streaming engine: units come back as mergeable
-    :class:`~repro.core.streaming.StreamingMetrics` summaries instead of
-    per-cycle outcome tuples.
+    session uses.  Each worker compiles the symbolic tables from this
+    payload alone, once per relaxation step set.  ``chunk_size`` (cycles
+    per streamed execution chunk, *not* the pool's units-per-task chunking)
+    switches workers to the constant-memory streaming engine: units come
+    back as mergeable :class:`~repro.core.streaming.StreamingMetrics`
+    summaries instead of per-cycle outcome tuples.
     """
 
     system: ParameterizedSystem
@@ -108,7 +107,6 @@ class ExecutionPayload:
     require_feasible: bool
     machine: Any = None  # repro.platform.machine.Machine | None
     overhead: Any = None
-    cache_dir: str | None = None
     chunk_size: int | None = None
 
 

@@ -1,11 +1,9 @@
 """Process-based sweep execution: shard a :class:`SweepPlan` across workers.
 
-Workers are cheap because they never compile: each worker process hydrates
-the symbolic tables from the :mod:`compiled-artifact cache
-<repro.runtime.artifacts>` (one ``.npz`` read instead of a symbolic
-compilation) and rebuilds its managers from them via the ordinary registry.
-Only when no cache directory is configured — or the policy is not cacheable —
-does a worker fall back to compiling locally, once, for all its units.
+Each worker process compiles the symbolic tables where it runs, from the
+shipped :class:`~repro.runtime.plan.ExecutionPayload` alone — once per
+relaxation step set, for all its units — and builds its managers from them
+via the ordinary registry.  No file passes between parent and workers.
 
 Determinism contract: for fixed seeds the outcome of every unit is
 bit-identical to what the serial baseline produces, because each unit (a)
@@ -44,7 +42,6 @@ from repro.core.engine import run_cycles_batch
 from repro.core.streaming import run_cycles_streamed
 from repro.core.timing import supports_replay
 
-from .artifacts import CompiledArtifactCache
 from .plan import ExecutionPayload, SweepPlan, SweepUnit
 
 __all__ = [
@@ -148,9 +145,6 @@ class _WorkerRuntime:
         self._overhead_model = resolve_overhead_model(machine, payload.overhead)
         self._sampler = self._base_system.timing.scenario_sampler
         self._base_cursor = getattr(self._sampler, "cursor", None)
-        self._cache = (
-            CompiledArtifactCache(payload.cache_dir) if payload.cache_dir is not None else None
-        )
         self._compiled: dict[tuple[int, ...], CompiledControllers] = {}
 
     def _compile(self, *, steps_override: Sequence[int] | None = None) -> CompiledControllers:
@@ -160,21 +154,11 @@ class _WorkerRuntime:
             else tuple(self._payload.relaxation_steps)
         )
         if key not in self._compiled:
-            if self._cache is not None:
-                compiled, _ = self._cache.fetch_or_compile(
-                    self._base_system,
-                    self._payload.deadlines,
-                    policy=self._payload.policy,
-                    relaxation_steps=key,
-                    require_feasible=self._payload.require_feasible,
-                )
-            else:
-                compiled = QualityManagerCompiler(
-                    policy=self._payload.policy,
-                    relaxation_steps=key,
-                    require_feasible=self._payload.require_feasible,
-                ).compile(self._base_system, self._payload.deadlines)
-            self._compiled[key] = compiled
+            self._compiled[key] = QualityManagerCompiler(
+                policy=self._payload.policy,
+                relaxation_steps=key,
+                require_feasible=self._payload.require_feasible,
+            ).compile(self._base_system, self._payload.deadlines)
         return self._compiled[key]
 
     def _context(self) -> BuildContext:

@@ -10,10 +10,8 @@ How a sweep flows through the spool (the full operational story lives in
 ``docs/distributed-sweeps.md``):
 
 * the **parent** (:class:`RemoteSweepExecutor`) serialises the plan's shared
-  :class:`~repro.runtime.plan.ExecutionPayload` once into ``spool/plans/``,
-  copies the compiled-controller ``.npz`` artifacts the plan needs into
-  ``spool/artifacts/`` (content-hashed, so the copy is idempotent), and writes
-  one tiny file per :class:`~repro.runtime.plan.SweepUnit` into
+  :class:`~repro.runtime.plan.ExecutionPayload` once into ``spool/plans/``
+  and writes one tiny file per :class:`~repro.runtime.plan.SweepUnit` into
   ``spool/pending/`` — a ``run_many`` or re-drawing ``compare`` unit is a
   draw recipe (seed and sampler offset) of a few hundred bytes, with no
   scenario tensors; only a ``compare`` on a sampler that cannot seek ships
@@ -21,10 +19,9 @@ How a sweep flows through the spool (the full operational story lives in
 * any number of **workers** (``repro worker --spool DIR``, any host) claim
   units by atomically renaming them into ``spool/claimed/``; the claim file's
   mtime is the lease heartbeat (touched by a background thread during
-  execution).  Workers hydrate managers from their *local* artifact cache,
-  syncing missing artifacts from ``spool/artifacts/`` first, execute through
-  the exact :class:`~repro.runtime.pool._WorkerRuntime` the process pool
-  uses, and write results atomically into ``spool/done/``;
+  execution).  Workers compile the plan's tables from its payload, execute
+  through the exact :class:`~repro.runtime.pool._WorkerRuntime` the process
+  pool uses, and write results atomically into ``spool/done/``;
 * the parent **fan-in** streams results as they land (this is what
   ``Session.remote(...)`` + ``run_many(..., stream=True)`` exposes), requeues
   units whose lease expired (a killed worker costs one lease timeout, not the
@@ -46,12 +43,10 @@ tears down the sweep.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import os
 import pickle
 import random
-import shutil
 import signal
 import socket
 import subprocess
@@ -62,7 +57,7 @@ import time
 import traceback
 import uuid
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 from repro.obs import export as obs_export
 from repro.obs import trace as obs_trace
@@ -70,8 +65,7 @@ from repro.obs.logconfig import current_level
 from repro.obs.metrics import registry as obs_registry
 from repro.obs.state import enabled as obs_enabled
 
-from .artifacts import CompiledArtifactCache, compile_key, default_cache_dir
-from .plan import ExecutionPayload, SweepPlan, SweepUnit
+from .plan import SweepPlan, SweepUnit
 from .pool import (
     ProgressCallback,
     SweepExecutionError,
@@ -123,31 +117,14 @@ def _atomic_write_bytes(target: Path, data: bytes) -> None:
         raise
 
 
-def _atomic_copy(source: Path, target: Path) -> None:
-    """Copy ``source`` to ``target`` atomically (idempotent for equal content)."""
-    target.parent.mkdir(parents=True, exist_ok=True)
-    handle, temp_name = tempfile.mkstemp(prefix=f".{target.name}-", dir=target.parent)
-    os.close(handle)
-    try:
-        shutil.copyfile(source, temp_name)
-        os.replace(temp_name, target)
-    except BaseException:
-        try:
-            os.unlink(temp_name)
-        except OSError:
-            pass
-        raise
-
-
 class SpoolLayout:
     """The directory contract of a sweep spool.
 
     ``plans/`` holds one pickled payload file per submitted plan; ``pending/``
     holds claimable unit files; ``claimed/`` holds leased units (the file
-    mtime is the heartbeat); ``done/`` holds result records; ``artifacts/``
-    is a :class:`~repro.runtime.artifacts.CompiledArtifactCache` directory
-    shared between hosts.  All five live on one filesystem so every
-    state transition is a single atomic ``rename``.
+    mtime is the heartbeat); ``done/`` holds result records.  All four live
+    on one filesystem so every state transition is a single atomic
+    ``rename``.
     """
 
     def __init__(self, root: str | os.PathLike) -> None:
@@ -156,17 +133,12 @@ class SpoolLayout:
         self.pending = self.root / "pending"
         self.claimed = self.root / "claimed"
         self.done = self.root / "done"
-        self.artifacts = self.root / "artifacts"
 
     def ensure(self) -> "SpoolLayout":
         """Create the spool directories (idempotent) and return self."""
-        for directory in (self.plans, self.pending, self.claimed, self.done, self.artifacts):
+        for directory in (self.plans, self.pending, self.claimed, self.done):
             directory.mkdir(parents=True, exist_ok=True)
         return self
-
-    def artifact_cache(self) -> CompiledArtifactCache:
-        """The shared artifact cache rooted inside the spool."""
-        return CompiledArtifactCache(self.artifacts)
 
     # ------------------------------------------------------------------ #
     # file naming (plan ids are dot-free hex, so split(".") is unambiguous)
@@ -236,17 +208,13 @@ class SpoolWorker:
     One worker executes one unit at a time; run several workers (processes,
     hosts) against the same spool for parallelism.  Each claimed unit is
     executed through the pool's :class:`~repro.runtime.pool._WorkerRuntime`
-    — the runtime (and its hydrated managers) is cached per plan, so a
-    worker draining a 1,000-unit plan hydrates once.
+    — the runtime (and its compiled managers) is cached per plan, so a
+    worker draining a 1,000-unit plan compiles once.
 
     Parameters
     ----------
     spool:
         The shared spool directory.
-    cache_dir:
-        This worker's *local* compiled-artifact cache (default:
-        ``$REPRO_CACHE_DIR`` else ``~/.cache/repro/compiled``).  Missing
-        artifacts are synced from ``spool/artifacts/`` before hydration.
     poll_interval / heartbeat:
         Pending-scan cadence and claim-touch cadence, in seconds.
     worker_id:
@@ -259,7 +227,6 @@ class SpoolWorker:
         self,
         spool: str | os.PathLike,
         *,
-        cache_dir: str | os.PathLike | None = None,
         poll_interval: float = DEFAULT_POLL_INTERVAL,
         heartbeat: float = DEFAULT_HEARTBEAT_SECONDS,
         worker_id: str | None = None,
@@ -270,7 +237,6 @@ class SpoolWorker:
         if heartbeat <= 0.0:
             raise ValueError(f"heartbeat must be > 0, got {heartbeat}")
         self.spool = SpoolLayout(spool).ensure()
-        self._cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
         self._poll = float(poll_interval)
         self._heartbeat = float(heartbeat)
         raw_id = worker_id or f"{socket.gethostname()}-{os.getpid()}"
@@ -408,29 +374,10 @@ class SpoolWorker:
         self._plans[plan_id] = meta
         return meta
 
-    def _sync_artifacts(self, keys: Sequence[str]) -> None:
-        """Copy artifacts this worker is missing from the spool's shared cache."""
-        local = CompiledArtifactCache(self._cache_dir)
-        shared = self.spool.artifact_cache()
-        for key in keys:
-            target = local.path_for(key)
-            source = shared.path_for(key)
-            if not target.is_file() and source.is_file():
-                _atomic_copy(source, target)
-
     def _runtime_for(self, plan_id: str, meta: dict) -> _WorkerRuntime:
-        """The per-plan execution runtime, hydrated from the local cache.
-
-        A plan submitted with artifact caching opted out
-        (``worker_cache: False``) compiles locally instead — the worker never
-        touches its persistent cache for it.
-        """
+        """The per-plan execution runtime, built from the plan's payload."""
         if plan_id not in self._runtimes:
-            payload: ExecutionPayload = meta["payload"]
-            if meta.get("worker_cache", True):
-                self._sync_artifacts(meta.get("artifact_keys", ()))
-                payload = dataclasses.replace(payload, cache_dir=str(self._cache_dir))
-            self._runtimes[plan_id] = _WorkerRuntime(payload)
+            self._runtimes[plan_id] = _WorkerRuntime(meta["payload"])
         return self._runtimes[plan_id]
 
     def _plan_withdrawn(self, plan_id: str) -> bool:
@@ -593,7 +540,7 @@ class SpoolWorker:
     def _evict_stale_plans(self) -> None:
         """Drop cached runtimes of plans the parent has withdrawn.
 
-        A long-lived worker daemon would otherwise hold one hydrated runtime
+        A long-lived worker daemon would otherwise hold one runtime
         (compiled tables, managers, samplers) per plan it ever executed.
         Called on idle scans: one ``stat`` per cached plan, and a plan still
         in flight is never evicted (its plan file exists until fan-in ends).
@@ -607,7 +554,6 @@ class SpoolWorker:
 def worker_main(
     spool: str | os.PathLike,
     *,
-    cache_dir: str | os.PathLike | None = None,
     poll_interval: float = DEFAULT_POLL_INTERVAL,
     heartbeat: float = DEFAULT_HEARTBEAT_SECONDS,
     max_idle: float | None = None,
@@ -624,7 +570,6 @@ def worker_main(
     """
     worker = SpoolWorker(
         spool,
-        cache_dir=cache_dir,
         poll_interval=poll_interval,
         heartbeat=heartbeat,
         worker_id=worker_id,
@@ -677,18 +622,6 @@ class RemoteSweepExecutor:
         Convenience fan-out: spawn this many ``repro worker`` subprocesses on
         *this* machine for the duration of each run — zero-setup parallelism
         and the self-contained form the tests and benchmarks use.
-    worker_cache_dir:
-        Local artifact cache directory handed to spawned local workers
-        (default: their own ``$REPRO_CACHE_DIR`` resolution).
-    source_cache:
-        The artifact cache whose ``.npz`` files are pushed into
-        ``spool/artifacts/`` at submit time (default: the default cache
-        location).
-    sync_artifacts:
-        ``False`` disables the compiled-artifact machinery end to end — the
-        parent pushes nothing into ``spool/artifacts/`` and workers compile
-        locally instead of touching their persistent cache (the spool
-        equivalent of ``Session.artifacts(False)`` / ``--no-cache``).
     """
 
     def __init__(
@@ -700,9 +633,6 @@ class RemoteSweepExecutor:
         max_requeues: int = DEFAULT_MAX_REQUEUES,
         timeout: float | None = None,
         local_workers: int = 0,
-        worker_cache_dir: str | os.PathLike | None = None,
-        source_cache: CompiledArtifactCache | None = None,
-        sync_artifacts: bool = True,
     ) -> None:
         if lease_timeout <= 0.0:
             raise ValueError(f"lease_timeout must be > 0, got {lease_timeout}")
@@ -720,9 +650,6 @@ class RemoteSweepExecutor:
         self._max_requeues = int(max_requeues)
         self._timeout = timeout
         self._local_workers = int(local_workers)
-        self._worker_cache_dir = worker_cache_dir
-        self._source_cache = source_cache
-        self._sync_artifacts = bool(sync_artifacts)
 
     # ------------------------------------------------------------------ #
     # submit
@@ -730,20 +657,13 @@ class RemoteSweepExecutor:
     def submit(self, plan: SweepPlan) -> str:
         """Write a plan into the spool; returns its id.
 
-        The payload is stored once with ``cache_dir`` stripped (a parent-side
-        path means nothing on another host — workers substitute their own
-        local cache), the needed artifacts are pushed into the shared
-        ``spool/artifacts/`` cache, and each unit becomes one pending file.
+        The payload is stored once, and each unit becomes one pending file.
+        Workers compile the tables from the payload where they run.
         """
         plan_id = uuid.uuid4().hex[:12]
-        artifact_keys = self._push_artifacts(plan.payload) if self._sync_artifacts else []
         meta = {
             "plan_id": plan_id,
-            "payload": dataclasses.replace(plan.payload, cache_dir=None),
-            "artifact_keys": artifact_keys,
-            # False = artifact caching explicitly opted out: workers compile
-            # locally instead of touching their persistent cache
-            "worker_cache": self._sync_artifacts,
+            "payload": plan.payload,
             "n_units": len(plan.units),
         }
         if obs_enabled():
@@ -774,35 +694,6 @@ class RemoteSweepExecutor:
             self._cleanup(plan_id)
             raise
         return plan_id
-
-    def _push_artifacts(self, payload: ExecutionPayload) -> list[str]:
-        """Copy the compiled artifacts the plan needs into the shared cache.
-
-        Only the payload's default-step artifact is pushed (the one
-        ``Session`` pre-warms); units whose manager spec demands another step
-        set compile worker-side, exactly like the process pool.
-        """
-        key = compile_key(
-            payload.system,
-            payload.deadlines,
-            policy=payload.policy,
-            relaxation_steps=payload.relaxation_steps,
-        )
-        if key is None:
-            return []
-        if self._source_cache is not None:
-            source = self._source_cache
-        elif payload.cache_dir is not None:
-            source = CompiledArtifactCache(payload.cache_dir)
-        else:
-            source = CompiledArtifactCache()
-        source_path = source.path_for(key)
-        if not source_path.is_file():
-            return []
-        shared_path = self.spool.artifact_cache().path_for(key)
-        if not shared_path.is_file():
-            _atomic_copy(source_path, shared_path)
-        return [key]
 
     # ------------------------------------------------------------------ #
     # fan-in
@@ -1068,11 +959,10 @@ class RemoteSweepExecutor:
             return time.time()
 
     def _cleanup(self, plan_id: str) -> None:
-        """Remove every spool file belonging to one plan (artifacts stay).
+        """Remove every spool file belonging to one plan.
 
         Also sweeps aged-out hidden temp files (``.<name>-XXXX``) from every
-        spool directory (including ``plans/`` and the ``artifacts/`` version
-        subdirectories): a process killed between ``mkstemp`` and
+        spool directory (including ``plans/``): a process killed between ``mkstemp`` and
         ``os.replace`` leaks one, and nothing else ever matches it by plan
         prefix.  An hour of age keeps us safely clear of any in-flight
         atomic write.
@@ -1080,20 +970,12 @@ class RemoteSweepExecutor:
         self.spool.plan_path(plan_id).unlink(missing_ok=True)
         (self.spool.claimed / f".clock-probe-{os.getpid()}").unlink(missing_ok=True)
         horizon = time.time() - 3600.0
-        directories = [
+        for directory in (
             self.spool.pending,
             self.spool.claimed,
             self.spool.done,
             self.spool.plans,
-            self.spool.artifacts,
-        ]
-        try:
-            directories.extend(
-                child for child in self.spool.artifacts.iterdir() if child.is_dir()
-            )
-        except OSError:
-            pass
-        for directory in directories:
+        ):
             try:
                 entries = list(directory.iterdir())
             except FileNotFoundError:
@@ -1150,8 +1032,6 @@ class RemoteSweepExecutor:
             "--max-idle",
             str(max(300.0, 10.0 * self._lease_timeout)),
         ]
-        if self._worker_cache_dir is not None:
-            command += ["--cache-dir", str(self._worker_cache_dir)]
         return [
             subprocess.Popen(
                 command,

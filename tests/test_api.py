@@ -26,6 +26,10 @@ from repro.api import (
 )
 from repro.core import CycleOutcome, DeadlineFunction, QualityManager, audit_trace
 
+#: a spool path no one can create: a count the facade let through would fail
+#: on the first write instead of leaving a directory behind
+_NO_SPOOL = "/dev/null/spool"
+
 EXPECTED_KEYS = {
     "numeric",
     "region",
@@ -231,6 +235,20 @@ class TestSessionValidation:
             lambda session: session.run_many([{"cycles": 1}], chunk_size=2.5),
             lambda session: Session.fleet([session], chunk_size=2.5),
             lambda session: Session.fleet([session], chunk_size=0),
+            lambda session: session.parallel(2.5),
+            lambda session: session.parallel("3"),
+            lambda session: session.parallel(0),
+            lambda session: session.parallel(2, chunk_size=0),
+            lambda session: session.parallel(2, chunk_size=1.5),
+            lambda session: session.run_many([{"cycles": 1}], workers=2.5),
+            lambda session: session.compare("numeric", cycles=1, workers=2.5),
+            lambda session: session.remote(_NO_SPOOL, local_workers=2.5),
+            lambda session: session.remote(_NO_SPOOL, local_workers=-1),
+            lambda session: session.remote(_NO_SPOOL, max_requeues=1.5),
+            lambda session: session.remote(_NO_SPOOL).run_many([{"cycles": 1}], workers=2.5),
+            lambda session: session.remote(_NO_SPOOL).run_many([{"cycles": 1}], workers=-1),
+            lambda session: session.relaxation_steps(2.5),
+            lambda session: session.relaxation_steps(1, 0),
         ],
         ids=[
             "setter-cycles-fractional",
@@ -254,12 +272,26 @@ class TestSessionValidation:
             "run_many-chunk_size-fractional",
             "fleet-chunk_size-fractional",
             "fleet-chunk_size-zero",
+            "parallel-workers-fractional",
+            "parallel-workers-string",
+            "parallel-workers-zero",
+            "parallel-chunk_size-zero",
+            "parallel-chunk_size-fractional",
+            "run_many-workers-fractional",
+            "compare-workers-fractional",
+            "remote-local_workers-fractional",
+            "remote-local_workers-negative",
+            "remote-max_requeues-fractional",
+            "remote-run_many-workers-fractional",
+            "remote-run_many-workers-negative",
+            "relaxation_steps-fractional",
+            "relaxation_steps-zero",
         ],
     )
     def test_one_count_and_seed_rule(self, system, deadlines, call):
-        """Every cycle count, chunk size and seed the facade accepts is
-        validated by the setters' rule: nothing is truncated and nothing
-        reaches NumPy."""
+        """Every cycle count, chunk size, seed, worker count, requeue budget
+        and relaxation step the facade accepts is validated by the setters'
+        rule: nothing is truncated and nothing reaches NumPy or the pool."""
         with pytest.raises(SessionError, match=r"must be an integer >= [01]"):
             call(Session().system(system).deadlines(deadlines))
 

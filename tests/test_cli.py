@@ -81,8 +81,7 @@ class TestCommands:
         assert main(["compare", "--small", "--frames", "2", "--managers", "bogus"]) == 2
         assert "unknown manager key" in capsys.readouterr().out
 
-    def test_sweep_runs_on_the_pool(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    def test_sweep_runs_on_the_pool(self, capsys):
         assert (
             main(
                 [
@@ -106,7 +105,6 @@ class TestCommands:
     def test_worker_parser_defaults(self):
         args = build_parser().parse_args(["worker", "--spool", "/tmp/s"])
         assert args.spool == "/tmp/s"
-        assert args.cache_dir is None
         assert args.poll == 0.2
         assert args.heartbeat == 2.0
         assert args.max_idle is None and args.max_units is None
@@ -146,8 +144,7 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "worker exiting after 0 unit(s)" in output
 
-    def test_sweep_runs_over_a_spool(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    def test_sweep_runs_over_a_spool(self, capsys, tmp_path):
         assert (
             main(
                 [
@@ -195,8 +192,7 @@ class TestCommands:
         args = build_parser().parse_args(["experiments", "--spool", "/tmp/s", "--timeout", "5"])
         assert args.timeout == 5.0
 
-    def test_sweep_spool_timeout_bounds_a_workerless_run(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    def test_sweep_spool_timeout_bounds_a_workerless_run(self, capsys, tmp_path):
         assert (
             main(
                 [

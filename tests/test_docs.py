@@ -140,7 +140,7 @@ def test_every_obs_subcommand_epilog_states_defaults():
 
 def test_worker_help_documents_the_spool_contract():
     help_text = _subcommands()["worker"].format_help()
-    for needle in ("--spool", "--cache-dir", "--max-idle", "docs/distributed-sweeps.md"):
+    for needle in ("--spool", "--max-idle", "docs/distributed-sweeps.md"):
         assert needle in help_text
 
 

@@ -90,7 +90,6 @@ class _InlineWorker:
     def __init__(self, tmp_path: Path, *, worker_id: str | None = None) -> None:
         self._worker = SpoolWorker(
             tmp_path / "spool",
-            cache_dir=tmp_path / "worker-cache",
             poll_interval=0.02,
             heartbeat=0.05,
             worker_id=worker_id,
@@ -134,7 +133,7 @@ def test_parse_unit_name_rejects_foreign_files():
 
 def test_ensure_creates_the_directory_contract(tmp_path):
     layout = SpoolLayout(tmp_path / "spool").ensure()
-    for directory in (layout.plans, layout.pending, layout.claimed, layout.done, layout.artifacts):
+    for directory in (layout.plans, layout.pending, layout.claimed, layout.done):
         assert directory.is_dir()
 
 
@@ -150,17 +149,14 @@ def test_executor_validates_parameters(tmp_path):
 
 
 # --------------------------------------------------------------------------- #
-# submit: tiny units, shared payload, artifact push
+# submit: tiny units, shared payload
 # --------------------------------------------------------------------------- #
 
 
 def _compare_plan(
     tmp_path: Path, cycles: int = 2, managers: tuple[str, ...] = ("region", "relaxation")
 ):
-    session = _session(tmp_path)
-    session._prepare_parallel_cache(session.artifact_cache, [])
-    session.compile()  # warm + persist the artifact
-    payload = session._execution_payload(session.artifact_cache)
+    payload = _session(tmp_path)._execution_payload()
     from repro.api.registry import ManagerSpec
 
     return plan_compare_redraw(
@@ -182,12 +178,8 @@ def test_submit_spools_payload_units_and_artifacts(tmp_path):
     # re-draw units are tiny: no scenario tensor crosses the spool
     for path in layout.pending.iterdir():
         assert path.stat().st_size < 2048
-    # the compiled artifact was pushed into the shared cache
-    assert len(layout.artifact_cache()) == 1
     meta = pickle.loads(layout.plan_path(plan_id).read_bytes())
     assert meta["n_units"] == 2
-    assert meta["payload"].cache_dir is None  # parent paths never cross hosts
-    assert len(meta["artifact_keys"]) == 1
 
 
 def test_stream_cleans_the_spool_afterwards(tmp_path):
@@ -203,18 +195,6 @@ def test_stream_cleans_the_spool_afterwards(tmp_path):
     assert not list(layout.pending.iterdir())
     assert not list(layout.claimed.iterdir())
     assert not list(layout.done.iterdir())
-
-
-def test_worker_hydrates_from_synced_artifacts_not_recompile(tmp_path):
-    plan = _compare_plan(tmp_path)
-    executor = RemoteSweepExecutor(tmp_path / "spool", poll_interval=0.02, timeout=60.0)
-    with _InlineWorker(tmp_path) as worker:
-        outcome = executor.run(plan)
-    assert outcome.ok
-    # the worker's local cache received the artifact copy
-    from repro.runtime import CompiledArtifactCache
-
-    assert len(CompiledArtifactCache(tmp_path / "worker-cache")) == 1
 
 
 def test_unpicklable_payload_is_a_clear_error(tmp_path):
@@ -317,20 +297,6 @@ def test_remote_sweep_two_subprocess_workers_bit_identical(tmp_path):
     _batches_identical(serial, remote)
 
 
-def test_local_workers_use_the_sessions_cache_not_the_global_one(tmp_path, monkeypatch):
-    """Spawned local workers inherit the session's artifact cache — an
-    isolated .artifacts(dir) must never leak into the user's global cache."""
-    sentinel = tmp_path / "global-cache"
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(sentinel))
-    serial = _session(tmp_path).run_many(_GRID[:2])
-    remote = _remote_session(tmp_path, local_workers=2).run_many(_GRID[:2])
-    _batches_identical(serial, remote)
-    assert not sentinel.exists() or not any(sentinel.rglob("*.npz"))
-    from repro.runtime import CompiledArtifactCache
-
-    assert len(CompiledArtifactCache(tmp_path / "cache")) == 1
-
-
 def test_remote_compare_two_subprocess_workers_bit_identical(tmp_path):
     serial = _session(tmp_path).compare(cycles=3)
     remote = _remote_session(tmp_path, local_workers=2).compare(cycles=3)
@@ -406,7 +372,7 @@ def test_no_result_written_after_plan_withdrawn(tmp_path):
     plan = _compare_plan(tmp_path)
     executor = RemoteSweepExecutor(tmp_path / "spool")
     plan_id = executor.submit(plan)
-    worker = SpoolWorker(tmp_path / "spool", cache_dir=tmp_path / "worker-cache")
+    worker = SpoolWorker(tmp_path / "spool")
     first = worker.claim_one()
     assert worker._execute_claim(first) is True  # caches the plan runtime
     second = worker.claim_one()
@@ -453,9 +419,7 @@ def test_remote_builder_validates_eagerly(tmp_path):
 def test_worker_evicts_withdrawn_plan_runtimes(tmp_path):
     plan = _compare_plan(tmp_path)
     executor = RemoteSweepExecutor(tmp_path / "spool", poll_interval=0.02, timeout=60.0)
-    worker = SpoolWorker(
-        tmp_path / "spool", cache_dir=tmp_path / "worker-cache", poll_interval=0.02
-    )
+    worker = SpoolWorker(tmp_path / "spool", poll_interval=0.02)
     plan_id = executor.submit(plan)
     while (claim := worker.claim_one()) is not None:
         worker._execute_claim(claim)
@@ -624,7 +588,7 @@ def test_killed_subprocess_worker_survived_by_requeue(tmp_path):
     victim = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "worker",
-            "--spool", str(spool), "--cache-dir", str(tmp_path / "victim-cache"),
+            "--spool", str(spool),
             "--poll", "0.02", "--heartbeat", "0.05", "--quiet",
         ],
         env=env,
@@ -677,7 +641,7 @@ def test_poison_unit_becomes_a_failure_record_not_a_dead_worker(tmp_path):
     # overwrite unit 0 with a pickle referencing a module nobody has
     poison = executor.spool.pending / SpoolLayout.unit_name(plan_id, 0, 0)
     poison.write_bytes(b"cnonexistent_module_xyz\nNoClass\n.")
-    worker = SpoolWorker(tmp_path / "spool", cache_dir=tmp_path / "worker-cache")
+    worker = SpoolWorker(tmp_path / "spool")
     while (claim := worker.claim_one()) is not None:
         worker._execute_claim(claim)
     outstanding = {unit.index for unit in plan.units}
@@ -696,7 +660,7 @@ def test_corrupt_plan_file_surfaces_failures_instead_of_hanging(tmp_path):
     executor = RemoteSweepExecutor(tmp_path / "spool", poll_interval=0.02, timeout=60.0)
     plan_id = executor.submit(plan)
     executor.spool.plan_path(plan_id).write_bytes(b"torn write")
-    worker = SpoolWorker(tmp_path / "spool", cache_dir=tmp_path / "worker-cache")
+    worker = SpoolWorker(tmp_path / "spool")
     while (claim := worker.claim_one()) is not None:
         worker._execute_claim(claim)
     outstanding = {unit.index for unit in plan.units}
@@ -784,7 +748,6 @@ def _run_with_worker(tmp_path: Path, executor: RemoteSweepExecutor, plan, messag
     running its own claim loop in a background thread."""
     worker = SpoolWorker(
         tmp_path / "spool",
-        cache_dir=tmp_path / "worker-cache",
         poll_interval=0.02,
         heartbeat=0.05,
         log=messages.append,
@@ -892,7 +855,7 @@ def test_request_stop_releases_a_raced_claim(tmp_path):
     plan = _compare_plan(tmp_path, managers=("region",))
     executor = RemoteSweepExecutor(tmp_path / "spool", poll_interval=0.02)
     plan_id = executor.submit(plan)
-    worker = SpoolWorker(tmp_path / "spool", cache_dir=tmp_path / "worker-cache")
+    worker = SpoolWorker(tmp_path / "spool")
     claim = worker.claim_one()
     assert claim is not None
     worker.request_stop()
@@ -924,7 +887,7 @@ def test_sigterm_drains_a_subprocess_worker_gracefully(tmp_path):
     worker = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "worker",
-            "--spool", str(spool), "--cache-dir", str(tmp_path / "worker-cache"),
+            "--spool", str(spool),
             "--poll", "0.02", "--heartbeat", "0.05", "--quiet",
         ],
         env=env,
@@ -970,7 +933,7 @@ def test_garbage_unit_file_never_kills_the_worker(tmp_path):
     # and a claimed malformed file (crashed writer, hand-made) is discarded
     bad_claim = layout.claimed / "junk.unit.some-worker"
     bad_claim.write_bytes(b"junk")
-    worker = SpoolWorker(tmp_path / "spool", cache_dir=tmp_path / "worker-cache")
+    worker = SpoolWorker(tmp_path / "spool")
     assert worker._execute_claim(bad_claim) is False
     assert not bad_claim.exists()
 
@@ -979,7 +942,7 @@ def test_worker_drops_orphan_units_of_withdrawn_plans(tmp_path):
     layout = SpoolLayout(tmp_path / "spool").ensure()
     orphan = layout.pending / SpoolLayout.unit_name("feedbeef0000", 0, 0)
     orphan.write_bytes(pickle.dumps("not-a-unit"))
-    worker = SpoolWorker(tmp_path / "spool", cache_dir=tmp_path / "cache")
+    worker = SpoolWorker(tmp_path / "spool")
     claim = worker.claim_one()
     assert claim is not None
     assert worker._execute_claim(claim) is False  # orphan: no plan file
@@ -995,7 +958,7 @@ def test_worker_skips_units_already_resolved_elsewhere(tmp_path):
     layout = executor.spool
     # unit 0's result already landed (a requeue raced a slow worker)
     layout.result_path(plan_id, 0).write_bytes(pickle.dumps((0, True, "x", ())))
-    worker = SpoolWorker(tmp_path / "spool", cache_dir=tmp_path / "worker-cache")
+    worker = SpoolWorker(tmp_path / "spool")
     executed_claims = 0
     while (claim := worker.claim_one()) is not None:
         worker._execute_claim(claim)
@@ -1055,27 +1018,6 @@ def test_timeout_without_workers_raises(tmp_path):
     assert not list(executor.spool.pending.iterdir())
 
 
-def test_cache_opt_out_is_honoured_end_to_end(tmp_path):
-    """.artifacts(False) disables artifact sync and worker-side caching."""
-    serial = _session(tmp_path).run_many(_GRID[:3])
-    session = (
-        Session()
-        .system("small")
-        .machine("ipod")
-        .seed(0)
-        .artifacts(False)
-        .remote(tmp_path / "spool", lease_timeout=15.0, poll_interval=0.02, timeout=120.0)
-    )
-    with _InlineWorker(tmp_path):
-        remote = session.run_many(_GRID[:3])
-    _batches_identical(serial, remote)
-    layout = SpoolLayout(tmp_path / "spool")
-    assert len(layout.artifact_cache()) == 0  # nothing pushed
-    from repro.runtime import CompiledArtifactCache
-
-    assert len(CompiledArtifactCache(tmp_path / "worker-cache")) == 0  # nothing persisted
-
-
 def test_failed_submit_leaves_no_plan_behind(tmp_path, monkeypatch):
     import repro.runtime.remote as remote_module
 
@@ -1124,11 +1066,10 @@ def test_failed_submit_sweeps_torn_temps(tmp_path, monkeypatch):
     assert not list(executor.spool.pending.iterdir())  # torn temp swept too
 
 
-def test_experiment_suite_artefacts_identical_over_spool(tmp_path, monkeypatch):
+def test_experiment_suite_artefacts_identical_over_spool(tmp_path):
     """`repro experiments --spool` reproduces the serial artefacts exactly."""
     from repro.experiments import run_all_experiments
 
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     serial = run_all_experiments(fast=True, seed=0)
     spooled = run_all_experiments(
         fast=True, seed=0, workers=1, spool=str(tmp_path / "spool")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import multiprocessing
 import shutil
 
 import numpy as np
@@ -10,7 +9,7 @@ import pytest
 
 from helpers import make_synthetic_system
 
-from repro.api import Session
+from repro.api import Session, SessionError
 from repro.core import DeadlineFunction, QualityManagerCompiler
 from repro.core.policy import MixedPolicy
 from repro.core.types import InfeasibleSystemError
@@ -21,7 +20,6 @@ from repro.runtime import (
     SweepExecutionError,
     SweepExecutor,
     compile_key,
-    default_cache_dir,
     spawn_seeds,
     unique_label,
 )
@@ -32,8 +30,6 @@ from repro.runtime.plan import (
     plan_compare,
     plan_run_many,
 )
-
-_HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 @pytest.fixture
@@ -105,10 +101,6 @@ class TestCompileKey:
 
         assert compile_key(system, deadlines, policy=CustomPolicy()) is None
         assert compile_key(system, deadlines, policy=MixedPolicy()) is not None
-
-    def test_default_cache_dir_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "override"))
-        assert default_cache_dir() == tmp_path / "override"
 
 
 class TestArtifactCache:
@@ -271,6 +263,12 @@ class TestSessionArtifacts:
         assert session.artifacts(False).artifact_cache is None
         with pytest.raises(ValueError):
             session.artifacts(3.14)
+
+    def test_there_is_no_default_location(self):
+        with pytest.raises(SessionError, match="no default location"):
+            Session().artifacts(True)
+        with pytest.raises(TypeError):
+            CompiledArtifactCache()
 
 
 # --------------------------------------------------------------------------- #
@@ -533,47 +531,36 @@ class TestPoolMechanics:
         with pytest.raises(ValueError):
             SweepExecutor(chunk_size=0)
 
-    def test_artifacts_false_keeps_pool_cache_free(self, tmp_path, monkeypatch):
-        """An explicit .artifacts(False) opts the pool out of its default cache."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "default"))
-        session = _sweep_session().artifacts(False)
-        batch = session.run_many([1, 2], parallel=True, workers=2)
-        assert len(batch) == 2
-        assert not (tmp_path / "default").exists()
-
-    def test_parallel_default_cache_honours_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "default"))
-        _sweep_session().run_many([1], parallel=True, workers=1)
-        assert list((tmp_path / "default").glob("v*/**/*.npz"))
-
-    def test_parent_prewarms_cold_cache_for_compiled_managers(self, tmp_path):
-        session = _sweep_session(tmp_path)
-        session.run_many([1, 2], parallel=True, workers=1)
-        cache = session.artifact_cache
-        # the parent compiled (miss) and persisted exactly one artifact
-        assert cache.misses == 1 and cache.stores == 1 and len(cache) == 1
-
-    def test_baseline_only_sweep_never_compiles(self, tmp_path):
-        session = _sweep_session(tmp_path).manager("constant", level=3)
-        session.run_many(["constant:level=2", "skip"], parallel=True, workers=1)
-        cache = session.artifact_cache
-        assert cache.misses == 0 and len(cache) == 0
-
-    @pytest.mark.skipif(not _HAS_FORK, reason="fork start method unavailable")
-    def test_workers_hydrate_without_compiling(self, tmp_path, monkeypatch):
-        session = _sweep_session(tmp_path)
-        session.compile()  # warm the artifact cache through the session
+    def test_baseline_only_sweep_never_compiles(self, monkeypatch):
+        """Workers compile lazily: a sweep of pure baselines builds no
+        symbolic tables, in the parent or on the (in-process) worker."""
 
         def explode(self, system, deadlines):  # pragma: no cover - must not run
-            raise AssertionError("a pool worker compiled despite a warm cache")
+            raise AssertionError("a baseline-only sweep compiled symbolic tables")
 
         monkeypatch.setattr(QualityManagerCompiler, "compile", explode)
-        # forked workers inherit the patched compiler: success proves they
-        # hydrated every manager from the artifact cache
-        batch = session.run_many(
-            [1, 2, 3, 4], parallel=True, workers=2
-        )
-        assert len(batch) == 4
+        session = _sweep_session().manager("constant", level=3)
+        batch = session.run_many(["constant:level=2", "skip"], parallel=True, workers=1)
+        assert len(batch) == 2
+
+
+def test_nothing_writes_under_home(tmp_path, monkeypatch, capsys):
+    """Pool workers, a one-worker compare, spawned spool workers and the CLI
+    sweep leave ``$HOME`` alone: nothing has a default cache location."""
+    from repro.cli import main
+
+    home = tmp_path / "home"
+    home.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    assert len(_sweep_session().run_many([1, 2, 3, 4], parallel=True, workers=2)) == 4
+    assert len(_sweep_session().compare(cycles=2, workers=1)) == 3
+    spooled = _sweep_session().remote(tmp_path / "spool", local_workers=1, timeout=120.0)
+    assert len(spooled.run_many([1, 2])) == 2
+    assert main(["sweep", "--small", "--scenarios", "2", "--cycles", "2"]) == 0
+    capsys.readouterr()
+    assert not list(home.iterdir())
 
 
 # --------------------------------------------------------------------------- #
