@@ -15,7 +15,11 @@ batches of the encoder system (1,189 actions, 7 quality levels):
 The measurements are additionally written to ``BENCH_engine.json`` (cycles
 per second for each path, speedups, environment info) so the performance
 trajectory is machine-readable across commits; CI uploads the file as an
-artifact.  Set ``$BENCH_ENGINE_JSON`` to redirect the output path.
+artifact.  Set ``$BENCH_ENGINE_JSON`` to redirect the output path.  The
+report also records, with no gate, the microseconds of one
+``decide_batch`` at 16, 256 and 1,024 lanes for the relaxation and region
+kernels and the milliseconds to build the interval cells of every
+relaxation state.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import pytest
 
 from repro.api.registry import BuildContext, available_managers, build_manager
 from repro.core import (
+    RelaxationQualityManager,
     compile_decision_kernel,
     run_cycle,
     run_cycles_vectorized,
@@ -44,6 +49,10 @@ _N_CYCLES_GRID = 64
 _MIN_SPEEDUP = 5.0
 #: scalar baselines below this are timer noise — the ratio would be meaningless
 _MIN_MEASURABLE_SCALAR_S = 0.050
+#: lane counts, sampled states and timed passes of the per-decide record
+_DECIDE_LANES = (16, 256, 1024)
+_DECIDE_STATES = 64
+_DECIDE_PASSES = 5
 
 
 def _outcomes_identical(left, right) -> bool:
@@ -96,6 +105,48 @@ def _measure(system, manager, scenarios, overhead_model) -> dict[str, float]:
         "scalar_cycles_per_sec": n / scalar_s,
         "vectorized_cycles_per_sec": n / vector_s,
         "speedup": scalar_s / vector_s,
+    }
+
+
+def _decide_record(controllers, overhead_model) -> dict:
+    """Microseconds per ``decide_batch`` and the full relaxation cell build.
+
+    A fresh relaxation manager times the build of every state's cells; each
+    lane count then times one decide at each of :data:`_DECIDE_STATES`
+    states spread over the cycle (median of :data:`_DECIDE_PASSES` passes),
+    at elapsed times spread uniformly over each state's quality regions.
+    """
+    relaxation = RelaxationQualityManager(
+        controllers.relaxation.regions, controllers.relaxation.relaxation
+    )
+    cells = relaxation.lower().tables["cells"]
+    td = controllers.td_table.values
+    n_states = td.shape[1]
+    started = time.perf_counter()
+    for state in range(n_states):
+        cells[state]
+    build_ms = (time.perf_counter() - started) * 1e3
+
+    rng = np.random.default_rng(2)
+    states = np.linspace(0, n_states - 1, _DECIDE_STATES).astype(int).tolist()
+    us_per_decide: dict[str, dict[str, float]] = {}
+    for manager in (relaxation, controllers.region):
+        kernel = compile_decision_kernel(manager, overhead_model)
+        per_lanes = {}
+        for lanes in _DECIDE_LANES:
+            times = [rng.uniform(0.0, 1.1, lanes) * td[0, state] for state in states]
+            passes = []
+            for _ in range(_DECIDE_PASSES):
+                started = time.perf_counter()
+                for state, elapsed in zip(states, times):
+                    kernel.decide_batch(state, elapsed)
+                passes.append((time.perf_counter() - started) / len(states) * 1e6)
+            per_lanes[str(lanes)] = float(np.median(passes))
+        us_per_decide[manager.name] = per_lanes
+    return {
+        "n_states": n_states,
+        "us_per_decide": us_per_decide,
+        "relaxation_cells_build_ms": build_ms,
     }
 
 
@@ -158,6 +209,7 @@ def bench_vector_engine_speedup(paper_system, paper_deadlines, paper_controllers
             "min_speedup_gate": _MIN_SPEEDUP,
             "scalar_fallbacks": scalar_fallbacks,
             "managers": measurements,
+            "decide": _decide_record(paper_controllers, overhead_model),
             "env": {
                 "python": sys.version.split()[0],
                 "numpy": np.__version__,

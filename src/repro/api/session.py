@@ -79,11 +79,10 @@ from repro.obs import trace as obs_trace
 from repro.core.compiler import CompiledControllers, QualityManagerCompiler
 from repro.core.controller import OverheadModelProtocol, run_cycle
 from repro.core.deadlines import DeadlineFunction
-from repro.core.engine import run_cycles_batch
 from repro.core.manager import QualityManager
 from repro.core.policy import AveragePolicy, MixedPolicy, QualityManagementPolicy, SafePolicy
 from repro.core.relaxation import DEFAULT_RELAXATION_STEPS
-from repro.core.streaming import StreamingMetrics, run_cycles_streamed
+from repro.core.streaming import StreamingMetrics, stream_or_materialise
 from repro.core.system import CycleOutcome, ParameterizedSystem
 from repro.core.timing import ActualTimeScenario, ScenarioBatch, supports_replay
 
@@ -757,41 +756,28 @@ class Session:
         n_cycles, used_seed = self._count_and_seed(cycles, seed)
         self._check_run_args(n_cycles, scenarios)  # before any compilation
         chunk = self._effective_chunk_size(chunk_size)
-        summary: StreamingMetrics | None = None
         with obs_trace.span("session.run", manager=self._spec.key, cycles=n_cycles):
             with obs_trace.span("session.compile"):
                 manager = self.build()
             with obs_trace.span("session.execute"):
-                if chunk is not None:
-                    outcomes: Sequence[CycleOutcome] = ()
-                    summary = run_cycles_streamed(
-                        self._execution_system(),
-                        manager,
-                        n_cycles,
-                        deadlines=self.resolved_deadlines(),
-                        chunk_size=chunk,
-                        scenarios=scenarios,
-                        rng=np.random.default_rng(used_seed),
-                        overhead_model=self._resolve_overhead_model(),
-                    )
-                else:
-                    outcomes = run_cycles_batch(
-                        self._execution_system(),
-                        manager,
-                        n_cycles,
-                        scenarios=scenarios,
-                        rng=np.random.default_rng(used_seed),
-                        overhead_model=self._resolve_overhead_model(),
-                    )
+                tail = stream_or_materialise(
+                    self._execution_system(),
+                    manager,
+                    n_cycles,
+                    deadlines=self.resolved_deadlines(),
+                    chunk_size=chunk,
+                    scenarios=scenarios,
+                    rng=np.random.default_rng(used_seed),
+                    overhead_model=self._resolve_overhead_model(),
+                )
         obs_export.flush()
         return RunResult(
             manager_key=self._spec.key,
             manager_name=manager.name,
-            outcomes=outcomes,
             deadlines=self.resolved_deadlines(),
             seed=used_seed,
             machine_name=self._machine.name if self._machine is not None else None,
-            summary=summary,
+            **_result_fields(tail),
         )
 
     def compare(
@@ -872,22 +858,14 @@ class Session:
         for index, spec in enumerate(chosen):
             manager = build_manager(spec, context)
             with obs_trace.span("session.execute", manager=str(spec)):
-                if chunk is not None:
-                    tail: Any = run_cycles_streamed(
-                        system,
-                        manager,
-                        scenarios=scenarios,
-                        deadlines=deadlines,
-                        chunk_size=chunk,
-                        overhead_model=overhead_model,
-                    )
-                else:
-                    tail = run_cycles_batch(
-                        system,
-                        manager,
-                        scenarios=scenarios,
-                        overhead_model=overhead_model,
-                    )
+                tail = stream_or_materialise(
+                    system,
+                    manager,
+                    deadlines=deadlines,
+                    chunk_size=chunk,
+                    scenarios=scenarios,
+                    overhead_model=overhead_model,
+                )
             label = unique_label(runs, manager.name, index)
             runs[label] = RunResult(
                 manager_key=spec.key,
@@ -969,24 +947,15 @@ class Session:
         for index, (label, manager_spec, n_cycles, used_seed) in enumerate(entries):
             manager = build_manager(manager_spec, context)
             with obs_trace.span("session.execute", label=label, manager=manager_spec.key):
-                if chunk is not None:
-                    tail: Any = run_cycles_streamed(
-                        system,
-                        manager,
-                        n_cycles,
-                        deadlines=deadlines,
-                        chunk_size=chunk,
-                        rng=np.random.default_rng(used_seed),
-                        overhead_model=overhead_model,
-                    )
-                else:
-                    tail = run_cycles_batch(
-                        system,
-                        manager,
-                        n_cycles,
-                        rng=np.random.default_rng(used_seed),
-                        overhead_model=overhead_model,
-                    )
+                tail = stream_or_materialise(
+                    system,
+                    manager,
+                    n_cycles,
+                    deadlines=deadlines,
+                    chunk_size=chunk,
+                    rng=np.random.default_rng(used_seed),
+                    overhead_model=overhead_model,
+                )
             final_label = unique_label(runs, label, index)
             runs[final_label] = RunResult(
                 manager_key=manager_spec.key,

@@ -85,7 +85,6 @@ class ConstantQualityManager(QualityManager):
         return KernelSpec(
             op="constant",
             kind=self.name,
-            n_levels=len(self._qualities),
             tables={
                 "row": self._qualities.index_of(self._level),
                 "consult": self._consult,

@@ -120,7 +120,6 @@ class FeedbackQualityManager(QualityManager):
         return KernelSpec(
             op="feedback",
             kind=self.name,
-            n_levels=len(self._qualities),
             tables={
                 "expected": expected,
                 "step_scale": self._step_scale,

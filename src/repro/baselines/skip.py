@@ -140,7 +140,6 @@ class SkipQualityManager(QualityManager):
         return KernelSpec(
             op="skip",
             kind=self.name,
-            n_levels=len(self._qualities),
             tables={
                 "nominal_row": self._qualities.index_of(self._nominal),
                 "window": self._window,

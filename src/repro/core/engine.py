@@ -14,8 +14,9 @@ The engine works in three parts:
   :class:`~repro.core.kernelspec.KernelSpec` (pre-computed tables plus one
   primitive op) via :meth:`~repro.core.manager.QualityManager.lower`; the
   spec's NumPy program (:func:`~repro.core.kernelspec.build_program`, one
-  per primitive) answers the batch decisions, and the engine binds overhead
-  charges and invocation accounting around it (:class:`DecisionKernel`).
+  per primitive: ``constant``, ``interval``, ``skip``, ``feedback``)
+  answers the batch decisions, and the engine binds overhead charges and
+  invocation accounting around it (:class:`DecisionKernel`).
   The engine never branches on manager classes:
   every registered manager — numeric, the adaptive baselines (skip, elastic,
   feedback), the symbolic managers and the extensions (dvfs, multitask,
@@ -190,7 +191,7 @@ class _SpecKernel:
             self._counts[state_index] += count
             overheads = np.full(count, self._charges[state_index], dtype=np.float64)
         elif self._late_work is not None and late is not None:
-            n_late = int(late.sum())
+            n_late = int(np.count_nonzero(late))
             self._late_invocations += n_late
             self._invocations += count - n_late
             overheads = np.where(late, self._late_charge, self._charge)
@@ -538,15 +539,26 @@ def run_lockstep_arrays(
 
     for i in range(n_actions):
         deciding = np.equal(remaining, 0, out=invoked[i])
-        if deciding.any():
-            times = elapsed[deciding]
+        n_deciding = np.count_nonzero(deciding)
+        if n_deciding and n_deciding == n_cycles:
+            # every lane decides: whole-array writes, no gather or scatter
+            decided_rows, decided_steps, decided_overheads = kernel.decide_batch(
+                i, elapsed
+            )
+            rows[:] = decided_rows
+            np.minimum(decided_steps, n_actions - i, out=remaining)
+            elapsed += decided_overheads
+            invocation_overheads[i] = decided_overheads
+        elif n_deciding:
+            lanes = np.flatnonzero(deciding)
+            times = elapsed.take(lanes)
             decided_rows, decided_steps, decided_overheads = kernel.decide_batch(
                 i, times
             )
-            rows[deciding] = decided_rows
-            remaining[deciding] = np.minimum(decided_steps, n_actions - i)
-            elapsed[deciding] = times + decided_overheads
-            invocation_overheads[i, deciding] = decided_overheads
+            rows.put(lanes, decided_rows)
+            remaining.put(lanes, np.minimum(decided_steps, n_actions - i))
+            elapsed.put(lanes, times + decided_overheads)
+            invocation_overheads[i].put(lanes, decided_overheads)
         step_durations = read_durations(i, rows)
         elapsed += step_durations
         durations[i] = step_durations

@@ -14,17 +14,12 @@ The primitive ops (:data:`PRIMITIVE_OPS`):
 ``constant``
     A fixed quality row, optionally consulted once per cycle (the constant
     baseline).
-``lookup``
-    Searchsorted interval lookup over per-state ascending boundaries — the
-    quality regions of Proposition 2.  Covers the region manager and every
-    manager whose rule is "last level whose stored time bound is >= t"
-    (numeric, safe-only/average-only, elastic).
-``relaxation``
-    ``lookup`` plus masked comparisons against stored relaxation-region
-    bounds (Proposition 3) to pick the step count.
-``affine``
-    ``lookup`` plus affine bound evaluation — the linear-approximation
-    manager, whose bounds are ``slope * i + intercept`` per (step, level).
+``interval``
+    One ``searchsorted`` over the cells that a state's stored quality-region
+    boundaries (Proposition 2) and relaxation-region bounds (Proposition 3)
+    cut the time axis into, each with one answer (:class:`IntervalCells`).
+    Covers numeric, region, safe-only/average-only, elastic, relaxation and
+    linear-approx, and through them dvfs and multitask.
 ``skip``
     Stateful countdown recurrence with per-state deadline projections (the
     skip-over baseline).
@@ -36,7 +31,7 @@ A spec's ``work`` is either one :class:`~repro.core.manager.ManagerWork`
 record (every invocation performs the same abstract work) or a tuple with
 one record per state (e.g. the numeric manager's scan shrinks as the cycle
 advances); ``late_work`` is the distinct record charged on the late path of
-the relaxation-style ops.  :meth:`KernelSpec.relabel` rewrites every record's
+the relaxation managers.  :meth:`KernelSpec.relabel` rewrites every record's
 ``kind`` — delegating wrappers (dvfs, multitask) lower via their inner
 manager's spec and relabel it so overhead accounting stays keyed by the
 wrapper's reporting name.
@@ -53,14 +48,14 @@ from .manager import ManagerWork
 
 __all__ = [
     "PRIMITIVE_OPS",
+    "IntervalCells",
     "KernelSpec",
-    "ascending_boundaries",
     "build_program",
     "interval_spec",
 ]
 
 #: the closed set of primitive operations a spec may name
-PRIMITIVE_OPS = ("constant", "lookup", "relaxation", "affine", "skip", "feedback")
+PRIMITIVE_OPS = ("constant", "interval", "skip", "feedback")
 
 
 @dataclass(frozen=True)
@@ -74,8 +69,6 @@ class KernelSpec:
     kind:
         The manager's reporting name — the ``kind`` of every work record,
         i.e. the key overhead models account charges under.
-    n_levels:
-        Number of quality levels (rows are 0-based level indices).
     tables:
         The op's pre-computed arrays and scalars (see the programs below
         for the exact keys each op consumes).
@@ -83,13 +76,12 @@ class KernelSpec:
         One work record for every invocation, or a tuple with one record per
         state index.
     late_work:
-        The distinct work record of the late path, for ops that have one
-        (``relaxation``/``affine``); ``None`` otherwise.
+        The distinct work record of the late path, for specs that have one
+        (``interval`` specs with relaxation regions); ``None`` otherwise.
     """
 
     op: str
     kind: str
-    n_levels: int
     tables: Mapping[str, Any] = field(default_factory=dict)
     work: ManagerWork | tuple[ManagerWork, ...] = ManagerWork(kind="abstract")
     late_work: ManagerWork | None = None
@@ -101,7 +93,11 @@ class KernelSpec:
             )
 
     def relabel(self, kind: str) -> "KernelSpec":
-        """A copy whose every work record carries ``kind`` (wrapper managers)."""
+        """A copy whose every work record carries ``kind`` (wrapper managers).
+
+        The copy shares the tables, so a wrapper reads the cells its inner
+        manager has built.
+        """
 
         def rekind(work: ManagerWork) -> ManagerWork:
             return ManagerWork(
@@ -120,77 +116,137 @@ class KernelSpec:
         return replace(self, kind=kind, work=work, late_work=late)
 
 
-def ascending_boundaries(td_values: np.ndarray) -> np.ndarray | None:
-    """Per-state time boundaries as ascending rows for ``searchsorted``.
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
-    ``td_values`` is the ``(n_levels, n_states)`` layout of
-    :attr:`~repro.core.tdtable.TDTable.values` (rows ordered by ascending
-    level index, values non-increasing in level).  Returns a
-    ``(n_states, n_levels)`` array whose row ``i`` holds the state's
-    boundaries lowest-quality-last (ascending), or ``None`` when the columns
-    are not non-increasing in quality — the interval-lookup primitive then
-    would not reproduce the scalar "last eligible level" rule and the caller
-    must not lower.
+
+class IntervalCells:
+    """The ``interval`` primitive's tables: each state's cells of the time axis.
+
+    State ``i``'s sorted breakpoints ``x`` cut the time axis into cells;
+    cell ``k`` is ``(x[k-1], x[k]]``, and ``searchsorted(x, t,
+    side="left")`` finds the cell of ``t`` (ties are harmless: it lands on
+    the first of equal breakpoints).  Every test the scalar rule makes is
+    ``t <= b`` for a breakpoint ``b``, or its negation, and every ``b`` is
+    either ``<= x[k-1]`` or ``>= x[k]``, so each test has one value over a
+    whole cell: a cell's answer is the rule evaluated at its right end,
+    and past the last breakpoint at ``+inf``.  Elapsed times are finite,
+    so cells behind an infinite breakpoint are never reached.
+
+    Without relaxation regions the breakpoints are the stored boundaries
+    ``t^D(s_i, q)`` themselves, ascending, and every state has the same
+    answers: cell ``k`` chooses row ``L-1-k`` of ``L`` levels and cell
+    ``L`` is late (row 0).  Nothing is built.
+
+    With relaxation regions (``steps`` of shape ``(R,)``, ``lower`` and
+    ``upper`` of shape ``(n_states, R, n_levels)``, membership ``lower < t
+    <= upper``, the largest containing step wins, as in
+    :meth:`~repro.core.relaxation.RelaxationTable.max_relaxation`) the
+    breakpoints add the state's bounds, and a state's cells are built on
+    its first decision.  Instances are shared by every kernel compiled from
+    one manager's spec, so a state is built once; every array is read-only.
     """
-    if td_values.shape[0] > 1 and not bool(np.all(np.diff(td_values, axis=0) <= 0.0)):
-        return None
-    return np.ascontiguousarray(td_values[::-1].T)
+
+    __slots__ = ("_boundaries", "_steps", "_lower", "_upper", "_answers", "_cells")
+
+    def __init__(
+        self,
+        boundaries: np.ndarray,
+        relaxation: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    ) -> None:
+        n_states, n_levels = boundaries.shape
+        self._boundaries = _read_only(boundaries)
+        self._steps = None
+        if relaxation is not None:
+            steps, lower, upper = relaxation
+            # a step count of 1 never improves on the default of one action
+            relaxing = steps > 1
+            if relaxing.any():
+                self._steps = _read_only(steps[relaxing].astype(np.int64)[:, None])
+                self._lower = _read_only(lower[:, relaxing])
+                self._upper = _read_only(upper[:, relaxing])
+        rows = np.append(np.arange(n_levels - 1, -1, -1), 0).astype(np.intp)
+        steps_one = np.ones(n_levels + 1, dtype=np.int64)
+        late = np.arange(n_levels + 1) == n_levels
+        self._answers = tuple(map(_read_only, (rows, steps_one, late)))
+        self._cells: list[tuple[np.ndarray, ...] | None] = [None] * n_states
+
+    @property
+    def built(self) -> tuple[int, ...]:
+        """The states whose cells exist, ascending."""
+        return tuple(i for i, cells in enumerate(self._cells) if cells is not None)
+
+    def __getitem__(self, state_index: int) -> tuple[np.ndarray, ...]:
+        """``(x, rows, steps, late)``: breakpoints and per-cell answers."""
+        cells = self._cells[state_index]
+        if cells is None:
+            cells = self._cells[state_index] = self._build(state_index)
+        return cells
+
+    def _build(self, state_index: int) -> tuple[np.ndarray, ...]:
+        boundaries = self._boundaries[state_index]
+        if self._steps is None:
+            return (boundaries, *self._answers)
+        lower = self._lower[state_index]
+        upper = self._upper[state_index]
+        x = np.sort(np.concatenate((boundaries, lower.ravel(), upper.ravel())))
+        at = np.append(x, np.inf)
+        first = np.searchsorted(boundaries, at, side="left")
+        late = first == boundaries.size
+        rows = np.where(late, 0, boundaries.size - 1 - first)
+        contained = (
+            ~late & (lower.take(rows, axis=1) < at) & (at <= upper.take(rows, axis=1))
+        )
+        steps = np.where(contained, self._steps, 1).max(axis=0, initial=1)
+        return tuple(map(_read_only, (x, rows, steps, late)))
 
 
 def interval_spec(
     kind: str,
     td_values: np.ndarray,
     work: ManagerWork | tuple[ManagerWork, ...],
+    *,
+    late_work: ManagerWork | None = None,
+    relaxation: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> KernelSpec | None:
-    """A ``lookup`` spec over a monotone per-level time table, or ``None``.
+    """An ``interval`` spec over a monotone per-level time table, or ``None``.
 
-    The shared lowering of every "last level with stored bound >= t" manager
-    (region, numeric, safe-only/average-only, elastic): ``None`` when the
-    table is not monotone in quality, in which case the manager keeps the
-    scalar loop.
+    The shared lowering of every table-driven manager: ``td_values`` is the
+    ``(n_levels, n_states)`` table of the quality choice (the layout of
+    :attr:`~repro.core.tdtable.TDTable.values`), ``relaxation`` the optional
+    ``(steps, lower, upper)`` region bounds of :class:`IntervalCells`.
+    ``None`` when the table is not non-increasing in quality: the cells
+    would not reproduce the scalar "last eligible level" rule, so the
+    manager keeps the scalar loop.
     """
-    boundaries = ascending_boundaries(np.asarray(td_values, dtype=np.float64))
-    if boundaries is None:
+    td_values = np.asarray(td_values, dtype=np.float64)
+    if td_values.shape[0] > 1 and not bool(np.all(np.diff(td_values, axis=0) <= 0.0)):
         return None
+    # row i: state i's boundaries, lowest quality last (ascending)
+    boundaries = np.ascontiguousarray(td_values[::-1].T)
     return KernelSpec(
-        op="lookup",
+        op="interval",
         kind=kind,
-        n_levels=int(td_values.shape[0]),
-        tables={"boundaries": boundaries},
+        tables={"cells": IntervalCells(boundaries, relaxation)},
         work=work,
+        late_work=late_work,
     )
 
 
 # --------------------------------------------------------------------- #
 # the executable programs: one vectorised NumPy program per primitive
 #
-# Every program's ``decide(state_index, times)`` performs, for the whole
-# batch at once, the exact floating-point operation sequence the scalar
-# manager performs per cycle — same operands, same order — so outcomes are
-# bit-identical to the scalar loop by construction.  Stateful primitives
-# (``skip``/``feedback``) keep per-cycle state vectors and re-initialise
-# them when a batch starts deciding at state 0 (their specs always answer
-# ``steps=1``, so every cycle of the batch decides at every state and the
-# batch width is constant).
+# Every program's ``decide(state_index, times)`` answers, for the whole
+# batch at once, exactly what the scalar manager answers per cycle — the
+# same floating-point operations on the same operands, or a lookup of
+# answers they computed in advance — so outcomes are bit-identical to the
+# scalar loop by construction.  Stateful primitives (``skip``/``feedback``)
+# keep per-cycle state vectors and re-initialise them when a batch starts
+# deciding at state 0 (their specs always answer ``steps=1``, so every
+# cycle of the batch decides at every state and the batch width is
+# constant).
 # --------------------------------------------------------------------- #
-
-
-def _choose_rows(
-    boundaries: np.ndarray, n_levels: int, state_index: int, times: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Quality rows by interval lookup: ``max { q | t^D(s_i, q) >= t }``.
-
-    ``boundaries[state_index]`` is ascending, so the eligible levels form a
-    suffix; ``searchsorted`` finds its first entry ``>= t`` and the count of
-    eligible levels follows.  Returns ``(rows, late)`` where late cycles
-    (no eligible level) fall back to row 0 — the minimal quality, exactly
-    :meth:`~repro.core.tdtable.TDTable.choose_quality`'s best-effort rule.
-    """
-    first = np.searchsorted(boundaries[state_index], times, side="left")
-    counts = n_levels - first
-    late = counts == 0
-    rows = np.where(late, 0, counts - 1)
-    return rows, late
 
 
 class _ConstantProgram:
@@ -213,85 +269,16 @@ class _ConstantProgram:
         return rows, steps, None
 
 
-class _LookupProgram:
-    """``lookup``: one searchsorted interval lookup per invocation."""
+class _IntervalProgram:
+    """``interval``: one ``searchsorted`` over the state's cells, three takes."""
 
     def __init__(self, spec: KernelSpec) -> None:
-        self._boundaries = spec.tables["boundaries"]
-        self._n_levels = int(spec.n_levels)
+        self._cells = spec.tables["cells"]
 
     def decide(self, state_index: int, times: np.ndarray):
-        rows, late = _choose_rows(self._boundaries, self._n_levels, state_index, times)
-        steps = np.ones(times.shape[0], dtype=np.int64)
-        return rows, steps, late
-
-
-class _RelaxationProgram:
-    """``relaxation``: interval lookup + stored ``R^r_q`` bound comparisons.
-
-    ``lower``/``upper`` hold one ``(n_states, n_levels)`` array per step of
-    ``steps`` (ascending); the scan keeps the largest containing region,
-    exactly :meth:`~repro.core.relaxation.RelaxationTable.max_relaxation`.
-    """
-
-    def __init__(self, spec: KernelSpec) -> None:
-        tables = spec.tables
-        self._boundaries = tables["boundaries"]
-        self._n_levels = int(spec.n_levels)
-        self._steps = tuple(int(r) for r in tables["steps"])
-        self._lower = tuple(tables["lower"])
-        self._upper = tuple(tables["upper"])
-
-    def decide(self, state_index: int, times: np.ndarray):
-        rows, late = _choose_rows(self._boundaries, self._n_levels, state_index, times)
-        steps = np.ones(times.shape[0], dtype=np.int64)
-        live = ~late
-        for r, lower, upper in zip(self._steps, self._lower, self._upper):
-            if r <= 1:
-                continue  # the scalar scan never improves on the initial best of 1
-            low = lower[state_index][rows]
-            high = upper[state_index][rows]
-            contained = live & (low < times) & (times <= high)
-            steps[contained] = r
-        return rows, steps, late
-
-
-class _AffineProgram:
-    """``affine``: interval lookup + affine bound evaluation per step count.
-
-    Mirrors :meth:`~repro.extensions.linear_approx.LinearRelaxationTable.bounds`:
-    ``upper = u_slope * i + u_intercept``; a non-finite lower intercept means
-    the lower bound is ``-inf``; states past ``valid_until[r]`` have an empty
-    region and are skipped.
-    """
-
-    def __init__(self, spec: KernelSpec) -> None:
-        tables = spec.tables
-        self._boundaries = tables["boundaries"]
-        self._n_levels = int(spec.n_levels)
-        self._steps = tuple(int(r) for r in tables["steps"])
-        self._u_slope = tables["u_slope"]
-        self._u_intercept = tables["u_intercept"]
-        self._l_slope = tables["l_slope"]
-        self._l_intercept = tables["l_intercept"]
-        self._valid_until = tables["valid_until"]
-
-    def decide(self, state_index: int, times: np.ndarray):
-        rows, late = _choose_rows(self._boundaries, self._n_levels, state_index, times)
-        steps = np.ones(times.shape[0], dtype=np.int64)
-        live = ~late
-        for index, r in enumerate(self._steps):
-            if r <= 1:
-                continue
-            if state_index > self._valid_until[index]:
-                continue  # fewer than r actions remain: the region is empty
-            upper = self._u_slope[index][rows] * state_index + self._u_intercept[index][rows]
-            l_intercept = self._l_intercept[index][rows]
-            low_raw = self._l_slope[index][rows] * state_index + l_intercept
-            low = np.where(np.isfinite(l_intercept), low_raw, -np.inf)
-            contained = live & (low < times) & (times <= upper)
-            steps[contained] = r
-        return rows, steps, late
+        x, rows, steps, late = self._cells[state_index]
+        k = np.searchsorted(x, times, side="left")
+        return rows.take(k), steps.take(k), late.take(k)
 
 
 class _SkipProgram:
@@ -374,9 +361,7 @@ class _FeedbackProgram:
 
 _PROGRAMS: dict[str, Callable[[KernelSpec], Any]] = {
     "constant": _ConstantProgram,
-    "lookup": _LookupProgram,
-    "relaxation": _RelaxationProgram,
-    "affine": _AffineProgram,
+    "interval": _IntervalProgram,
     "skip": _SkipProgram,
     "feedback": _FeedbackProgram,
 }

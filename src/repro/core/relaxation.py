@@ -26,6 +26,7 @@ correct for policies where it is not.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -313,36 +314,33 @@ class RelaxationQualityManager(QualityManager):
         return Decision(quality=quality, steps=steps, work=work)
 
     def lower(self):
-        """A ``relaxation`` spec: region lookup + stored ``R^r_q`` bound scans."""
-        from .kernelspec import KernelSpec, ascending_boundaries
+        """An ``interval`` spec: region boundaries plus the stored ``R^r_q`` bounds."""
+        return self._spec
+
+    @functools.cached_property
+    def _spec(self):
+        # cached: the spec's cells are built per state on first decision and
+        # shared by every run, session clone and wrapper of this manager
+        from .kernelspec import interval_spec
 
         table = self._relaxation
-        boundaries = ascending_boundaries(table.td_table.values)
-        if boundaries is None:
-            return None
         n_levels = len(self.qualities)
         n_rho = len(table.steps)
-        return KernelSpec(
-            op="relaxation",
-            kind=self.name,
-            n_levels=n_levels,
-            tables={
-                "boundaries": boundaries,
-                "steps": table.steps,
-                "lower": tuple(
-                    np.ascontiguousarray(table.lower_bounds(r).T) for r in table.steps
-                ),
-                "upper": tuple(
-                    np.ascontiguousarray(table.upper_bounds(r).T) for r in table.steps
-                ),
-            },
-            work=ManagerWork(
+        return interval_spec(
+            self.name,
+            table.td_table.values,
+            ManagerWork(
                 kind=self.name,
                 comparisons=n_levels + 2 * n_rho,
                 table_lookups=n_levels + 2 * n_rho,
             ),
             late_work=ManagerWork(
                 kind=self.name, comparisons=n_levels, table_lookups=n_levels
+            ),
+            relaxation=(
+                np.array(table.steps),
+                np.stack([table.lower_bounds(r).T for r in table.steps], axis=1),
+                np.stack([table.upper_bounds(r).T for r in table.steps], axis=1),
             ),
         )
 

@@ -59,6 +59,7 @@ from .engine import (
     _count_dispatch,
     _lockstep_scenarios,
     compile_decision_kernel,
+    run_cycles_batch,
     run_lockstep_arrays,
 )
 from .manager import QualityManager
@@ -70,6 +71,7 @@ __all__ = [
     "StreamingMetrics",
     "outcome_arrays",
     "run_cycles_streamed",
+    "stream_or_materialise",
 ]
 
 
@@ -534,3 +536,43 @@ def run_cycles_streamed(
         registry.inc("engine.chunks", chunks)
         registry.set("engine.peak_chunk_bytes", float(peak_chunk_bytes))
     return accumulator
+
+
+def stream_or_materialise(
+    system: ParameterizedSystem,
+    manager: QualityManager,
+    cycles: int | None = None,
+    *,
+    deadlines: DeadlineFunction,
+    chunk_size: int | None,
+    scenarios: ScenarioBatch | Sequence[ActualTimeScenario] | None = None,
+    rng: np.random.Generator | None = None,
+    overhead_model: OverheadModelProtocol | None = None,
+) -> CycleOutcomes | StreamingMetrics:
+    """One run, streamed when ``chunk_size`` is set and materialised otherwise.
+
+    The one place the facade and the sweep workers choose between
+    :func:`run_cycles_streamed` (a :class:`StreamingMetrics` summary) and
+    :func:`~repro.core.engine.run_cycles_batch` (the
+    :class:`~repro.core.engine.CycleOutcomes` columns), so a serial run and
+    a pool unit with the same inputs take the same path.
+    """
+    if chunk_size is None:
+        return run_cycles_batch(
+            system,
+            manager,
+            cycles,
+            scenarios=scenarios,
+            rng=rng,
+            overhead_model=overhead_model,
+        )
+    return run_cycles_streamed(
+        system,
+        manager,
+        cycles,
+        deadlines=deadlines,
+        chunk_size=chunk_size,
+        scenarios=scenarios,
+        rng=rng,
+        overhead_model=overhead_model,
+    )

@@ -26,6 +26,7 @@ granted.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -130,7 +131,7 @@ class LinearRelaxationTable:
     def upper_coefficients(self, r: int) -> np.ndarray:
         """``(n_levels, 2)`` slope/intercept pairs of the upper bound lines.
 
-        Raw material of the ``affine`` kernel spec (:meth:`LinearRelaxationQualityManager.lower`).
+        Raw material of the kernel spec (:meth:`LinearRelaxationQualityManager.lower`).
         """
         if r not in self._upper_coeffs:
             raise KeyError(f"relaxation step count {r} not in ρ = {self._steps}")
@@ -252,32 +253,44 @@ class LinearRelaxationQualityManager(QualityManager):
         return Decision(quality=quality, steps=steps, work=work)
 
     def lower(self):
-        """An ``affine`` spec: region lookup + the four coefficients per (q, r)."""
-        from repro.core.kernelspec import KernelSpec, ascending_boundaries
+        """An ``interval`` spec: region boundaries plus the affine bound lines.
 
-        boundaries = ascending_boundaries(self._regions.td_table.values)
-        if boundaries is None:
-            return None
+        The lines are evaluated at every state exactly as
+        :meth:`LinearRelaxationTable.bounds` evaluates them: ``upper =
+        u_slope * i + u_intercept``, a non-finite lower intercept means a
+        lower bound of ``-inf``, and past ``valid_until[r]`` the region is
+        empty.
+        """
+        return self._spec
+
+    @functools.cached_property
+    def _spec(self):
+        # cached: the spec's cells are built per state on first decision and
+        # shared by every run of this manager
+        from repro.core.kernelspec import interval_spec
+
         table = self._linear
         steps = table.steps
         n_levels = len(self.qualities)
         n_rho = len(steps)
-        upper = [table.upper_coefficients(r) for r in steps]
-        lower = [table.lower_coefficients(r) for r in steps]
-        return KernelSpec(
-            op="affine",
-            kind=self.name,
-            n_levels=n_levels,
-            tables={
-                "boundaries": boundaries,
-                "steps": steps,
-                "u_slope": tuple(np.ascontiguousarray(c[:, 0]) for c in upper),
-                "u_intercept": tuple(np.ascontiguousarray(c[:, 1]) for c in upper),
-                "l_slope": tuple(np.ascontiguousarray(c[:, 0]) for c in lower),
-                "l_intercept": tuple(np.ascontiguousarray(c[:, 1]) for c in lower),
-                "valid_until": tuple(table.valid_until(r) for r in steps),
-            },
-            work=ManagerWork(
+        td_values = self._regions.td_table.values
+        states = np.arange(td_values.shape[1])[:, None, None]
+        upper = np.array([table.upper_coefficients(r) for r in steps])
+        lower = np.array([table.lower_coefficients(r) for r in steps])
+        # (n_states, R, n_levels), in the operation order of bounds()
+        upper_bounds = upper[..., 0] * states + upper[..., 1]
+        l_intercept = lower[..., 1]
+        lower_bounds = np.where(
+            np.isfinite(l_intercept), lower[..., 0] * states + l_intercept, -np.inf
+        )
+        # fewer than r actions remain: the region is empty
+        past = states > np.array([table.valid_until(r) for r in steps])[:, None]
+        upper_bounds = np.where(past, -np.inf, upper_bounds)
+        lower_bounds = np.where(past, np.inf, lower_bounds)
+        return interval_spec(
+            self.name,
+            td_values,
+            ManagerWork(
                 kind=self.name,
                 arithmetic_ops=2 * n_rho,
                 comparisons=n_levels + 2 * n_rho,
@@ -286,6 +299,7 @@ class LinearRelaxationQualityManager(QualityManager):
             late_work=ManagerWork(
                 kind=self.name, comparisons=n_levels, table_lookups=n_levels
             ),
+            relaxation=(np.array(steps), lower_bounds, upper_bounds),
         )
 
     def memory_footprint(self) -> MemoryFootprint:

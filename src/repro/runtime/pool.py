@@ -38,8 +38,7 @@ from repro.obs import trace as obs_trace
 from repro.obs.metrics import registry as obs_registry
 from repro.obs.state import enabled as obs_enabled
 from repro.core.compiler import CompiledControllers, QualityManagerCompiler
-from repro.core.engine import run_cycles_batch
-from repro.core.streaming import run_cycles_streamed
+from repro.core.streaming import stream_or_materialise
 from repro.core.timing import supports_replay
 
 from .plan import ExecutionPayload, SweepPlan, SweepUnit
@@ -193,67 +192,44 @@ class _WorkerRuntime:
     def execute(self, unit: SweepUnit) -> tuple[str, object]:
         """Run one unit and return ``(manager_name, outcomes-or-summary)``.
 
-        Units run through :func:`~repro.core.engine.run_cycles_batch`: each
-        shard executes its chunk vectorised when the unit's manager lowers to
-        a decision kernel, and through the scalar loop otherwise — in both
-        cases bit-identical to the serial baseline, and returned as
+        Units run through :func:`~repro.core.streaming.stream_or_materialise`,
+        the helper the serial facade runs through too: each shard executes
+        its chunk vectorised when the unit's manager lowers to a decision
+        kernel, and through the scalar loop otherwise — in both cases
+        bit-identical to the serial baseline, and returned as
         :class:`~repro.core.engine.CycleOutcomes` columns, which pickle as
         five arrays.  Shipped scenario batches are validated against the
         hydrated system first; draw and re-draw units position the sampler
         stream and draw their own batch.
 
-        With a payload ``chunk_size`` the unit runs through the streaming
-        engine instead: the second element is a
+        With a payload ``chunk_size`` the unit is streamed instead: the
+        second element is a
         :class:`~repro.core.streaming.StreamingMetrics` summary (constant
         worker memory, a few hundred bytes over the wire) whose metrics are
         bit-identical to the materialised outcomes.
         """
         manager = build_manager(unit.manager, self._context())
-        chunk_size = getattr(self._payload, "chunk_size", None)
+        rng = None
         if unit.scenarios is not None:
             self._check_unit_scenarios(unit)
-            if chunk_size is not None:
-                summary = run_cycles_streamed(
-                    self._exec_system,
-                    manager,
-                    scenarios=unit.scenarios,
-                    deadlines=self._payload.deadlines,
-                    chunk_size=chunk_size,
-                    overhead_model=self._overhead_model,
-                )
-                return manager.name, summary
-            outcomes = run_cycles_batch(
-                self._exec_system,
-                manager,
-                scenarios=unit.scenarios,
-                overhead_model=self._overhead_model,
-            )
-            return manager.name, outcomes
-        if (
-            unit.sampler_offset is not None
-            and self._base_cursor is not None
-            and supports_replay(self._sampler)
-        ):
-            self._sampler.seek(self._base_cursor + unit.sampler_offset)
-        if chunk_size is not None:
-            summary = run_cycles_streamed(
-                self._exec_system,
-                manager,
-                unit.cycles,
-                deadlines=self._payload.deadlines,
-                chunk_size=chunk_size,
-                rng=np.random.default_rng(unit.seed),
-                overhead_model=self._overhead_model,
-            )
-            return manager.name, summary
-        outcomes = run_cycles_batch(
+        else:
+            if (
+                unit.sampler_offset is not None
+                and self._base_cursor is not None
+                and supports_replay(self._sampler)
+            ):
+                self._sampler.seek(self._base_cursor + unit.sampler_offset)
+            rng = np.random.default_rng(unit.seed)
+        return manager.name, stream_or_materialise(
             self._exec_system,
             manager,
             unit.cycles,
-            rng=np.random.default_rng(unit.seed),
+            deadlines=self._payload.deadlines,
+            chunk_size=getattr(self._payload, "chunk_size", None),
+            scenarios=unit.scenarios,
+            rng=rng,
             overhead_model=self._overhead_model,
         )
-        return manager.name, outcomes
 
 
 _RUNTIME: _WorkerRuntime | None = None

@@ -89,17 +89,17 @@ def _overhead_models():
 
 # every registered manager lowers to exactly one kernel-spec primitive
 _EXPECTED_OPS = {
-    "average-only": "lookup",
+    "average-only": "interval",
     "constant": "constant",
-    "dvfs": "relaxation",
-    "elastic": "lookup",
+    "dvfs": "interval",
+    "elastic": "interval",
     "feedback": "feedback",
-    "linear-approx": "affine",
-    "multitask": "relaxation",
-    "numeric": "lookup",
-    "region": "lookup",
-    "relaxation": "relaxation",
-    "safe-only": "lookup",
+    "linear-approx": "interval",
+    "multitask": "interval",
+    "numeric": "interval",
+    "region": "interval",
+    "relaxation": "interval",
+    "safe-only": "interval",
     "skip": "skip",
 }
 
