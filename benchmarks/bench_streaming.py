@@ -14,11 +14,16 @@ Three claims of :mod:`repro.core.streaming` are asserted here:
 * streamed metrics are **bit-identical** to materialised metrics for
   every registry key at 4,096 cycles.
 
+It also records, with no gate, what the metrics fold costs at paper scale:
+:meth:`~repro.core.streaming.StreamingMetrics.update_chunk`'s milliseconds
+per 1,024-cycle chunk of a streamed paper-CIF relaxation run on the ipod
+machine, and the fold's share of that run's wall time.
+
 The measurements are written to ``BENCH_streaming.json`` (peak RSS,
-cycles per second for both paths, the per-key parity verdicts,
-environment info) so the trajectory is machine-readable across commits;
-CI uploads the file as an artifact.  Set ``$BENCH_STREAMING_JSON`` to
-redirect the output path.
+cycles per second for both paths, the per-key parity verdicts, the fold's
+cost, environment info) so the trajectory is machine-readable across
+commits; CI uploads the file as an artifact.  Set ``$BENCH_STREAMING_JSON``
+to redirect the output path.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import pytest
 
 from repro.api import Session
 from repro.api.registry import available_managers
+from repro.core import StreamingMetrics
 
 _N_CYCLES_STREAMED = 1_048_576
 _CHUNK_SIZE = 4_096
@@ -44,6 +50,10 @@ _PEAK_RSS_BOUND_MIB = 512.0
 _MIN_THROUGHPUT_RATIO = 0.9
 #: materialised baselines below this are timer noise — the ratio would be meaningless
 _MIN_MEASURABLE_SCALAR_S = 0.050
+#: the fold's cost is read on paper-scale chunks of this size, over this many cycles
+_FOLD_CHUNK = 1_024
+_FOLD_CYCLES = 8_192
+_FOLD_RUNS = 3
 
 _ROOT = Path(__file__).resolve().parent.parent
 
@@ -126,6 +136,47 @@ def _measure_throughput(workload) -> dict:
     }
 
 
+def _measure_fold_cost() -> dict:
+    """``update_chunk``'s time per chunk and share of a streamed paper-CIF run.
+
+    Every ``update_chunk`` call of a relaxation run on the ipod machine is
+    timed, and so is the whole run up to its folded metrics; the figures
+    are medians over :data:`_FOLD_RUNS` runs after one warm-up run.
+    """
+    session = Session().system("paper").machine("ipod").seed(0).manager("relaxation")
+    session.run(cycles=_FOLD_CHUNK + 1, chunk_size=_FOLD_CHUNK).metrics
+    fold_seconds: list[float] = []
+    update_chunk = StreamingMetrics.update_chunk
+
+    def timed_update_chunk(self, *arrays):
+        started = time.perf_counter()
+        update_chunk(self, *arrays)
+        fold_seconds.append(time.perf_counter() - started)
+
+    per_chunk, shares, walls = [], [], []
+    StreamingMetrics.update_chunk = timed_update_chunk
+    try:
+        for _ in range(_FOLD_RUNS):
+            fold_seconds.clear()
+            started = time.perf_counter()
+            session.run(cycles=_FOLD_CYCLES, chunk_size=_FOLD_CHUNK).metrics
+            wall = time.perf_counter() - started
+            per_chunk.extend(fold_seconds)
+            shares.append(sum(fold_seconds) / wall)
+            walls.append(wall)
+    finally:
+        StreamingMetrics.update_chunk = update_chunk
+    return {
+        "workload": "paper CIF, relaxation, ipod",
+        "chunk_size": _FOLD_CHUNK,
+        "n_cycles": _FOLD_CYCLES,
+        "runs": _FOLD_RUNS,
+        "update_chunk_ms_per_chunk": 1000.0 * float(np.median(per_chunk)),
+        "fold_share_of_run": float(np.median(shares)),
+        "run_seconds": float(np.median(walls)),
+    }
+
+
 def _parity_grid(workload) -> dict[str, bool]:
     verdicts: dict[str, bool] = {}
     for key in sorted(available_managers()):
@@ -152,6 +203,7 @@ def bench_streaming_memory_gate(fast_workload):
     rss = _measure_million_cycle_rss()
     throughput = _measure_throughput(fast_workload)
     parity = _parity_grid(fast_workload)
+    fold = _measure_fold_cost()
 
     _write_report(
         {
@@ -163,6 +215,7 @@ def bench_streaming_memory_gate(fast_workload):
             "million_cycle_run": rss,
             "throughput": throughput,
             "parity": parity,
+            "fold": fold,
             "env": {
                 "python": sys.version.split()[0],
                 "numpy": np.__version__,

@@ -77,7 +77,7 @@ def main() -> None:
     )
 
     # 5. the full diagram with an executed trajectory
-    outcome = next(session.manager("relaxation").stream(1, seed=1))
+    outcome = next(session.manager("relaxation").oracle(1, seed=1))
     print("\nspeed diagram of one executed cycle:\n")
     print(render_speed_diagram(diagram, outcome, qualities_to_show=[0, 3, 6], width=70, height=20))
 

@@ -11,11 +11,12 @@ Three layers, each importable from ``repro.api``:
 * the **fluent** :class:`Session` **builder** — validates eagerly, compiles
   the symbolic tables lazily and caches them, so repeated runs never
   recompile;
-* the **batched run layer** — :meth:`Session.run`, :meth:`Session.compare`,
-  :meth:`Session.run_many` and the streaming :meth:`Session.stream`, all
-  returning :class:`RunResult` / :class:`BatchResult` objects that aggregate
-  deadline misses, quality histograms and manager-overhead totals via
-  :mod:`repro.analysis.metrics`.
+* the **batched run layer** — :meth:`Session.run`, :meth:`Session.compare`
+  and :meth:`Session.run_many`, all returning :class:`RunResult` /
+  :class:`BatchResult` objects that aggregate deadline misses, quality
+  histograms and manager-overhead totals via :mod:`repro.analysis.metrics`,
+  beside :meth:`Session.oracle`, which yields the scalar ``run_cycle``
+  oracle's outcomes one cycle at a time.
 
 Quick start::
 

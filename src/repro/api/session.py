@@ -27,8 +27,9 @@ Design contract (the three facade guarantees):
   on (system, deadlines, policy or step set);
 * **batched runs** — :meth:`Session.run` executes N cycles,
   :meth:`Session.compare` runs several managers on identical scenarios and
-  :meth:`Session.run_many` sweeps scenario specs; :meth:`Session.stream`
-  yields :class:`~repro.core.system.CycleOutcome` objects one at a time.
+  :meth:`Session.run_many` sweeps scenario specs; :meth:`Session.oracle`
+  yields the scalar ``run_cycle`` oracle's
+  :class:`~repro.core.system.CycleOutcome` objects one at a time.
 
 The batched run methods execute every manager that lowers to a kernel spec
 (all registry keys do) through the vectorised cycle engine
@@ -702,7 +703,7 @@ class Session:
         if scenarios is not None and len(scenarios) != n_cycles:
             raise SessionError(f"expected {n_cycles} scenarios, got {len(scenarios)}")
 
-    def _stream(
+    def _oracle_cycles(
         self,
         manager: QualityManager,
         n_cycles: int,
@@ -722,21 +723,23 @@ class Session:
                 overhead_model=overhead_model,
             )
 
-    def stream(
+    def oracle(
         self,
         cycles: int | None = None,
         *,
         seed: int | None = None,
         scenarios: ScenarioBatch | Sequence[ActualTimeScenario] | None = None,
     ) -> Iterator[CycleOutcome]:
-        """Yield cycle outcomes one at a time (the streaming run layer).
+        """Yield the scalar ``run_cycle`` oracle's cycle outcomes one at a time.
 
+        The reference every batched path must match bit for bit: one
+        :func:`~repro.core.controller.run_cycle` per cycle, no kernel.
         Arguments are validated and the manager is built before the iterator
         is returned — bad input fails here, not on first iteration.
         """
         n_cycles, used_seed = self._count_and_seed(cycles, seed)
         self._check_run_args(n_cycles, scenarios)
-        return self._stream(self.build(), n_cycles, used_seed, scenarios)
+        return self._oracle_cycles(self.build(), n_cycles, used_seed, scenarios)
 
     def run(
         self,

@@ -708,7 +708,7 @@ def _run_diagram(seed: int) -> int:
     diagram = SpeedDiagram(
         session.resolved_system(), session.resolved_deadlines(), td_table=controllers.td_table
     )
-    outcome = next(session.stream(1))
+    outcome = next(session.oracle(1))
     print(render_speed_diagram(diagram, outcome, qualities_to_show=[0, 3, 6]))
     return 0
 

@@ -14,13 +14,25 @@ running counts and sums, a per-level quality histogram, and a power-of-two
 per-cycle arrays.
 
 Determinism contract: the accumulated metrics are **bit-identical** to the
-materialised path at any ``chunk_size``.  Exactness comes in three flavours:
+materialised path at any ``chunk_size``.  Exactness comes in four flavours:
 
-* integer folds (quality histogram, deadline misses, manager calls) are
-  exact, so chunking cannot move them;
-* floating-point folds (total time, total overhead, per-cycle smoothness)
-  are strict left-to-right folds over per-cycle scalars, and a left fold
-  over concatenated chunks equals the fold over the whole stream;
+* integer folds (quality histogram, deadline misses, manager calls, and
+  the absolute quality steps behind smoothness) are exact, so neither
+  chunking nor summation order can move them;
+* floating-point folds (total time, total overhead, smoothness) are strict
+  left-to-right folds over per-cycle scalars, and a left fold over
+  concatenated chunks equals the fold over the whole stream;
+* a cycle's overhead is defined once, as the strict left fold of its
+  invocation charges in action order, the order in which the lockstep
+  charges them.  :attr:`CycleOutcome.total_overhead
+  <repro.core.system.CycleOutcome.total_overhead>` folds one cycle's
+  charges that way, and the chunk fold sums the action-major
+  ``(n_actions, n_cycles)`` buffer down its action axis, which NumPy adds
+  row by row.  A bare column sum does not implement that fold on its own:
+  along the contiguous axis NumPy sums pairwise, which is what it meets in
+  a one-cycle chunk or a Fortran-ordered buffer.  So the fold copies the
+  buffer to C order (free on the lockstep's buffers) and folds a one-cycle
+  chunk by a cumulative sum;
 * the per-cycle scalars themselves are computed by one fold,
   :meth:`StreamingMetrics.update_chunk`, on every path: a materialised
   run folds its own :class:`~repro.core.engine.CycleOutcomes` columns
@@ -203,6 +215,28 @@ class QuantileSketch:
         return value_low + (rank - low) * (value_high - value_low)
 
 
+def _left_fold(total: float, values: np.ndarray) -> float:
+    """``total`` plus each of ``values`` in turn, strictly left to right."""
+    for value in values.tolist():
+        total += value
+    return total
+
+
+def _cycle_overheads(invocation_overheads: np.ndarray) -> np.ndarray:
+    """Each cycle's overhead: the left fold of its charges in action order.
+
+    The column sum of the C-ordered action-major buffer, which NumPy adds
+    row by row; the zero charge where no call was made leaves a column's
+    running sum as it was.  The module docstring says why a bare column
+    sum is not enough: a Fortran-ordered buffer is copied to C order first,
+    and a one-cycle column is folded by a cumulative sum.
+    """
+    n_actions, n_cycles = invocation_overheads.shape
+    if n_cycles == 1 and n_actions:
+        return np.cumsum(invocation_overheads[:, 0])[-1:]
+    return np.ascontiguousarray(invocation_overheads).sum(axis=0)
+
+
 class StreamingMetrics:
     """A mergeable, deadline-aware accumulator over executed cycles.
 
@@ -290,6 +324,11 @@ class StreamingMetrics:
     def _fold_actions(self, n_actions: int) -> None:
         if self._n_actions is None:
             self._n_actions = int(n_actions)
+        elif n_actions != self._n_actions:
+            raise ValueError(
+                f"cannot fold cycles of {n_actions} actions into an accumulator "
+                f"of {self._n_actions}-action cycles"
+            )
 
     def _fold_levels(self, qualities: np.ndarray) -> None:
         # counted in memory order: on the lockstep's transposed views a plain
@@ -317,50 +356,49 @@ class StreamingMetrics:
         ``invoked``/``invocation_overheads`` have shape
         ``(n_actions, n_cycles)`` — the layout produced by
         :func:`repro.core.engine.run_lockstep_arrays` and
-        :func:`outcome_arrays`.  A non-finite completion time at a deadline
-        counts as a miss with infinite lateness: a run whose times cannot be
-        checked never reads as safe.
+        :func:`outcome_arrays`, with a zero charge wherever ``invoked`` is
+        false.  Raises :class:`ValueError` when the four shapes disagree or
+        when the chunk's action count differs from the cycles already
+        folded.  A non-finite completion time at a deadline counts as a miss
+        with infinite lateness: a run whose times cannot be checked never
+        reads as safe.
         """
         n_cycles, n_actions = qualities.shape
+        shapes = (qualities.shape, completion.shape, invoked.shape, invocation_overheads.shape)
+        expected = ((n_cycles, n_actions),) * 2 + ((n_actions, n_cycles),) * 2
+        if shapes != expected:
+            raise ValueError(
+                "chunk arrays must be qualities/completion (n_cycles, n_actions) "
+                "and invoked/invocation_overheads (n_actions, n_cycles); got "
+                + ", ".join(map(str, shapes))
+            )
         if not n_cycles:
             return
         self._fold_actions(n_actions)
         self._n_cycles += n_cycles
         self._fold_levels(qualities)
-        # per-cycle smoothness, computed row-wise by the same expression as
-        # smoothness_index and folded strictly left-to-right
+        # per-cycle smoothness, the mean absolute step of smoothness_index:
+        # summed in int64, which is exact, so no summation order can move it
         if n_actions >= 2:
-            per_cycle = np.abs(np.diff(qualities.astype(np.float64), axis=1)).mean(
-                axis=1
-            )
+            steps = np.diff(qualities.astype(np.int64, copy=False), axis=1)
+            per_cycle = np.abs(steps, out=steps).sum(axis=1) / (n_actions - 1)
         else:
             per_cycle = np.zeros(n_cycles, dtype=np.float64)
-        smoothness = self._smoothness_sum
-        for value in per_cycle.tolist():
-            smoothness += value
-        self._smoothness_sum = smoothness
+        self._smoothness_sum = _left_fold(self._smoothness_sum, per_cycle)
         # per-cycle makespans: a left fold plus the quantile sketch
         if n_actions:
             makespans = completion[:, -1]
         else:
             makespans = np.zeros(n_cycles, dtype=np.float64)
-        total_time = self._total_time
-        for value in makespans.tolist():
-            total_time += value
-        self._total_time = total_time
+        self._total_time = _left_fold(self._total_time, makespans)
         # a NaN makespan has no rank; like the audit below, a completion that
         # cannot be checked reads as infinitely late
         self._makespans.add_array(np.where(np.isnan(makespans), np.inf, makespans))
-        # per-cycle overhead: sum the compressed invocation column exactly as
-        # CycleOutcome.total_overhead does (masked order matters for the
-        # pairwise summation); an all-zero chunk folds +0.0 per cycle, which
-        # leaves the running total bit-unchanged, so it is skipped wholesale
-        if invocation_overheads.size and np.any(invocation_overheads):
-            total_overhead = self._total_overhead
-            for cycle in range(n_cycles):
-                mask = invoked[:, cycle]
-                total_overhead += float(invocation_overheads[mask, cycle].sum())
-            self._total_overhead = total_overhead
+        # per-cycle overhead: each column's left fold in action order, the
+        # definition CycleOutcome.total_overhead shares, then a left fold
+        self._total_overhead = _left_fold(
+            self._total_overhead, _cycle_overheads(invocation_overheads)
+        )
         # deadline audit, vectorised over the chunk (the max fold over
         # lateness is order-invariant, the miss count is an exact integer)
         indices, values = self._audit_columns(n_actions)
@@ -386,7 +424,7 @@ class StreamingMetrics:
             )
         if not other._n_cycles:
             return
-        self._fold_actions(other._n_actions or 0)
+        self._fold_actions(other._n_actions)
         self._n_cycles += other._n_cycles
         level_counts = self._level_counts
         for level, count in other._level_counts.items():

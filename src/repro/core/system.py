@@ -183,8 +183,16 @@ class CycleOutcome:
 
     @property
     def total_overhead(self) -> float:
-        """Total time spent in quality-manager invocations."""
-        return float(self.manager_overheads.sum())
+        """Total time charged to quality-manager invocations in this cycle.
+
+        The strict left fold of ``manager_overheads`` in action order, the
+        order in which the lockstep charges them (0.0 without invocations);
+        the metrics fold computes every cycle's overhead the same way
+        (:meth:`~repro.core.streaming.StreamingMetrics.update_chunk`).  A
+        plain ``sum()`` would add pairwise and differ in the last bits.
+        """
+        overheads = self.manager_overheads
+        return float(np.cumsum(overheads)[-1]) if overheads.size else 0.0
 
     @property
     def mean_quality(self) -> float:

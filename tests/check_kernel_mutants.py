@@ -1,17 +1,19 @@
-"""Mutation gate for the interval kernel: each mutant must fail the boundary probes.
+"""Mutation gate for the interval kernel and the metrics fold.
 
 Usage, from the repository root::
 
     python tests/check_kernel_mutants.py
 
-For each text mutant below, the script copies ``src/`` and the boundary
-test (``tests/test_kernel_boundaries.py`` with its ``conftest.py`` and
-``helpers.py``) to a temporary directory, applies the mutant to the copy and
-runs the boundary test there.  The unmutated copy must pass first.  The
-script exits non-zero when a mutant survives, when the probes fail on
-something other than an assertion, or when a mutant's anchor text is not
-found exactly once, so a refactor cannot retire a mutant silently.  It is
-not collected by pytest.
+Each text mutant below names the test file it must fail: the interval
+kernel's mutants the boundary probes (``tests/test_kernel_boundaries.py``),
+the fold's mutants the overhead-fold checks (``tests/test_overhead_fold.py``).
+For each mutant the script copies ``src/`` and that test file (with the
+suite's ``conftest.py`` and ``helpers.py``) to a temporary directory,
+applies the mutant to the copy and runs the test file there.  Each test
+file must pass on an unmutated copy first.  The script exits non-zero when
+a mutant survives, when its tests fail on something other than an
+assertion, or when a mutant's anchor text is not found exactly once, so a
+refactor cannot retire a mutant silently.  It is not collected by pytest.
 """
 
 from __future__ import annotations
@@ -25,75 +27,105 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 KERNELSPEC = "src/repro/core/kernelspec.py"
+STREAMING = "src/repro/core/streaming.py"
+SYSTEM = "src/repro/core/system.py"
 PROBES = "tests/test_kernel_boundaries.py"
-TEST_FILES = ("conftest.py", "helpers.py", "test_kernel_boundaries.py")
+FOLD = "tests/test_overhead_fold.py"
+SUPPORT_FILES = ("conftest.py", "helpers.py")
 
-#: (name, file, anchor, replacement): one-token changes the probes must catch
+#: (name, file, anchor, replacement, test file): one-token changes it must catch
 MUTANTS = (
     (
         "interval decide searches right",
         KERNELSPEC,
         'k = np.searchsorted(x, times, side="left")',
         'k = np.searchsorted(x, times, side="right")',
+        PROBES,
     ),
     (
         "build's lower-bound test admits its bound",
         KERNELSPEC,
         "(lower.take(rows, axis=1) < at)",
         "(lower.take(rows, axis=1) <= at)",
+        PROBES,
     ),
     (
         "build's upper-bound test excludes its bound",
         KERNELSPEC,
         "(at <= upper.take(rows, axis=1))",
         "(at < upper.take(rows, axis=1))",
+        PROBES,
     ),
     (
         "cell answered at its left end",
         KERNELSPEC,
         "at = np.append(x, np.inf)",
         "at = np.append(-np.inf, x)",
+        PROBES,
+    ),
+    (
+        "one-cycle chunk summed pairwise",
+        STREAMING,
+        "return np.cumsum(invocation_overheads[:, 0])[-1:]",
+        "return invocation_overheads.sum(axis=0)",
+        FOLD,
+    ),
+    (
+        "Fortran-ordered chunk summed pairwise",
+        STREAMING,
+        "return np.ascontiguousarray(invocation_overheads).sum(axis=0)",
+        "return invocation_overheads.sum(axis=0)",
+        FOLD,
+    ),
+    (
+        "cycle overhead summed pairwise",
+        SYSTEM,
+        "return float(np.cumsum(overheads)[-1]) if overheads.size else 0.0",
+        "return float(self.manager_overheads.sum())",
+        FOLD,
     ),
 )
 
 
-def _run_probes(mutant: tuple[str, str, str, str] | None) -> int:
-    """Run the boundary probes on a copy of ``src/``, mutated or not."""
+def _run_tests(test_file: str, mutant: tuple[str, str, str, str, str] | None) -> int:
+    """Run one test file on a copy of ``src/``, mutated or not."""
     with tempfile.TemporaryDirectory() as scratch:
         copy = Path(scratch)
         shutil.copytree(
             ROOT / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__")
         )
         (copy / "tests").mkdir()
-        for name in TEST_FILES:
+        for name in SUPPORT_FILES:
             shutil.copy(ROOT / "tests" / name, copy / "tests" / name)
+        shutil.copy(ROOT / test_file, copy / test_file)
         if mutant is not None:
-            _, path, anchor, replacement = mutant
+            _, path, anchor, replacement, _ = mutant
             target = copy / path
             target.write_text(target.read_text().replace(anchor, replacement))
         # the copy's conftest puts the copy's src/ first on sys.path
         env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
-        command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", PROBES]
+        command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", test_file]
         return subprocess.run(command, cwd=copy, env=env, capture_output=True).returncode
 
 
 def main() -> int:
     problems = []
-    for name, path, anchor, _ in MUTANTS:
+    for name, path, anchor, _, _ in MUTANTS:
         found = (ROOT / path).read_text().count(anchor)
         if found != 1:
             problems.append(f"{name}: anchor {anchor!r} found {found} times in {path}")
     if problems:
         print("\n".join(problems))
         return 1
-    if _run_probes(None) != 0:
-        print(f"the unmutated copy fails {PROBES}")
-        return 1
+    for test_file in dict.fromkeys(mutant[4] for mutant in MUTANTS):
+        if _run_tests(test_file, None) != 0:
+            print(f"the unmutated copy fails {test_file}")
+            return 1
     for mutant in MUTANTS:
-        code = _run_probes(mutant)
+        code = _run_tests(mutant[4], mutant)
         # pytest exits 1 when a test failed; anything else is not a kill
         verdict = "killed" if code == 1 else ("SURVIVED" if code == 0 else f"ERROR (exit {code})")
-        print(f"{verdict:>9}  {mutant[0]}")
+        print(f"{verdict:>9}  {mutant[0]}  ({mutant[4]})")
         if code != 1:
             problems.append(mutant[0])
     return 1 if problems else 0

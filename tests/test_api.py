@@ -68,7 +68,7 @@ class TestRegistry:
             manager = build_manager(key, context)
             assert isinstance(manager, QualityManager)
             outcome = next(
-                Session().system(system).deadlines(deadlines).manager(key).stream(1)
+                Session().system(system).deadlines(deadlines).manager(key).oracle(1)
             )
             assert isinstance(outcome, CycleOutcome)
             assert outcome.n_actions == system.n_actions
@@ -226,7 +226,7 @@ class TestSessionValidation:
             lambda session: session.run_many([{"seed": 1.5}]),
             lambda session: session.run(cycles=1, seed=-1),
             lambda session: session.compare("numeric", cycles=1, seed=-1),
-            lambda session: session.stream(1, seed=-1),
+            lambda session: session.oracle(1, seed=-1),
             lambda session: session.run_many([{"seed": -1}]),
             lambda session: Session.fleet([session], seed=-1),
             lambda session: session.chunk_size(2.5),
@@ -375,13 +375,13 @@ class TestRunLayer:
     def test_stream_validates_before_iteration(self, system, deadlines):
         session = Session().system(system).deadlines(deadlines)
         with pytest.raises(SessionError, match=">= 1"):
-            session.stream(0)  # fails here, not at first next()
+            session.oracle(0)  # fails here, not at first next()
         with pytest.raises(SessionError, match="scenarios"):
-            session.stream(2, scenarios=[])
+            session.oracle(2, scenarios=[])
 
     def test_stream_is_lazy_and_matches_run(self, system, deadlines):
         session = Session().system(system).deadlines(deadlines).seed(7)
-        iterator = session.stream(2)
+        iterator = session.oracle(2)
         outcomes = list(iterator)
         assert len(outcomes) == 2
         result = session.run(cycles=2, seed=7)

@@ -454,8 +454,8 @@ class TestSessionWiring:
         )
 
     def _oracle(self, key, cycles, seed=7):
-        """The scalar run_cycle loop (Session.stream) on a fresh session."""
-        return list(self._session().manager(key).stream(cycles, seed=seed))
+        """The scalar run_cycle loop (Session.oracle) on a fresh session."""
+        return list(self._session().manager(key).oracle(cycles, seed=seed))
 
     def test_run_identical_across_engines(self):
         for manager in ("relaxation", "region", "constant", "numeric"):
@@ -470,7 +470,7 @@ class TestSessionWiring:
         scenarios = session.resolved_system().draw_scenarios(4, np.random.default_rng(7))
         for label in batch.labels:
             oracle = list(
-                self._session().manager(batch[label].manager_key).stream(4, scenarios=scenarios)
+                self._session().manager(batch[label].manager_key).oracle(4, scenarios=scenarios)
             )
             assert_outcomes_identical(oracle, batch[label].outcomes)
 

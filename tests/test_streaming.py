@@ -64,7 +64,7 @@ class TestChunkParityGrid:
         session = (
             Session().system(system).deadlines(deadlines).manager(key).overhead(overhead)
         )
-        oracle = compute_metrics(list(session.stream(N_CYCLES, scenarios=scenarios)), deadlines)
+        oracle = compute_metrics(list(session.oracle(N_CYCLES, scenarios=scenarios)), deadlines)
         baseline = session.run(scenarios=scenarios, cycles=N_CYCLES)
         assert_metrics_identical(oracle, baseline.metrics, f"{key} materialised")
         for chunk in CHUNK_SIZES:
@@ -323,18 +323,52 @@ class TestStreamingMetricsAccumulator:
         with pytest.raises(ValueError, match="deadline"):
             accumulator.merge(other)
 
-    def test_outcomes_of_different_lengths_raise(self, halves):
-        deadlines, outcomes = halves
+    @pytest.fixture()
+    def short_run(self):
+        """One cycle of a 5-action system, against the 12 of ``halves``."""
         short = make_synthetic_system(n_actions=5)
-        other = run_cycles_batch(
+        return run_cycles_batch(
             short,
             Session().system(short).deadlines(make_deadline(short)).manager("region").build(),
             scenarios=short.draw_scenarios(1, np.random.default_rng(0)),
         )
+
+    def test_outcomes_of_different_lengths_raise(self, halves, short_run):
+        deadlines, outcomes = halves
         with pytest.raises(ValueError, match="different lengths"):
-            outcome_arrays([outcomes[0], other[0]])
+            outcome_arrays([outcomes[0], short_run[0]])
         with pytest.raises(ValueError, match="different lengths"):
-            compute_metrics([outcomes[0], other[0]], deadlines)
+            compute_metrics([outcomes[0], short_run[0]], deadlines)
+
+    def test_update_chunk_rejects_another_action_count(self, halves, short_run):
+        deadlines, outcomes = halves
+        accumulator = StreamingMetrics(deadlines)
+        accumulator.update_chunk(*outcome_arrays(outcomes))
+        with pytest.raises(ValueError, match="5 actions .* 12-action"):
+            accumulator.update_chunk(*outcome_arrays(short_run))
+        assert accumulator.n_cycles == len(outcomes)
+
+    def test_merge_rejects_another_action_count(self, halves, short_run):
+        deadlines, outcomes = halves
+        accumulator, other = StreamingMetrics(deadlines), StreamingMetrics(deadlines)
+        accumulator.update_chunk(*outcome_arrays(outcomes))
+        other.update_chunk(*outcome_arrays(short_run))
+        with pytest.raises(ValueError, match="5 actions .* 12-action"):
+            accumulator.merge(other)
+        assert accumulator.n_cycles == len(outcomes)
+
+    def test_update_chunk_rejects_misshapen_columns(self, halves):
+        deadlines, outcomes = halves
+        qualities, completion, invoked, overheads = outcome_arrays(outcomes)
+        for chunk in (
+            (qualities, completion, invoked.T, overheads),
+            (qualities, completion, invoked, overheads.T),
+            (qualities, completion[:, :-1], invoked, overheads),
+        ):
+            accumulator = StreamingMetrics(deadlines)
+            with pytest.raises(ValueError, match="n_actions, n_cycles"):
+                accumulator.update_chunk(*chunk)
+            assert accumulator.n_cycles == 0
 
     def test_empty_metrics_raises(self, halves):
         deadlines, _ = halves
