@@ -9,8 +9,9 @@ Shows the multi-machine fan-out end to end, self-contained on one machine:
    worker compiling the plan's tables where it runs;
 2. run a manager × seed grid through the spool and verify the fan-in is
    bit-identical to the serial baseline;
-3. stream a manager comparison incrementally: ``compare(..., stream=True)``
-   yields each ``(label, RunResult)`` the moment a worker finishes it.
+3. run the paper's manager comparison through the same spool: the workers
+   re-draw the shared scenario window, and every manager's outcomes are
+   bit-identical to the serial ``compare``.
 
 On a real cluster the spool lives on a shared filesystem (NFS) and workers
 run on other hosts — same code, plus ``docs/distributed-sweeps.md`` for the
@@ -87,18 +88,25 @@ def main() -> None:
                 np.testing.assert_array_equal(left.durations, right.durations)
         print("serial and distributed sweeps are bit-identical\n")
 
-        # -- streaming fan-in: results the moment workers finish them -------
-        print("streaming compare (completion order):")
-        session = build_session().remote(
-            spool, local_workers=2, timeout=300.0
+        # -- the paper's comparison over the spool ---------------------------
+        managers = ("numeric", "region", "relaxation")
+        serial_compare = build_session().compare(*managers, cycles=CYCLES)
+        spooled = (
+            build_session()
+            .remote(spool, local_workers=2, timeout=300.0)
+            .compare(*managers, cycles=CYCLES)
         )
-        for label, run in session.compare("numeric", "region", "relaxation",
-                                          cycles=CYCLES, stream=True):
+        assert serial_compare.labels == spooled.labels
+        print("spool compare (2 workers):")
+        for label in serial_compare.labels:
+            left, right = serial_compare[label].outcomes, spooled[label].outcomes
+            np.testing.assert_array_equal(left.qualities, right.qualities)
+            np.testing.assert_array_equal(left.durations, right.durations)
             print(
-                f"  {label:11s} mean quality {run.mean_quality:5.2f}  "
-                f"misses {run.deadline_misses}"
+                f"  {label:11s} mean quality {spooled[label].mean_quality:5.2f}  "
+                f"misses {spooled[label].deadline_misses}"
             )
-
+        print("serial and spooled comparisons are bit-identical")
 
 if __name__ == "__main__":
     main()

@@ -67,6 +67,7 @@ explicit ``scenarios=[...]`` for bitwise-identical repeats.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -77,6 +78,7 @@ import numpy as np
 from repro.obs import export as obs_export
 from repro.obs import trace as obs_trace
 
+from repro.core.checks import seconds, whole_number
 from repro.core.compiler import CompiledControllers, QualityManagerCompiler
 from repro.core.controller import OverheadModelProtocol, run_cycle
 from repro.core.deadlines import DeadlineFunction
@@ -103,39 +105,16 @@ class SessionError(ValueError):
 _UNSET: Any = object()
 
 
-def _whole_number(value: Any, what: str, minimum: int) -> int:
-    """``value`` as an integer of at least ``minimum``, else a :class:`SessionError`.
-
-    The one rule for every count the facade accepts (cycles, seeds, chunk
-    sizes, worker counts, requeue budgets, relaxation steps): a value
-    ``int()`` would truncate (``2.5``) or could not convert is rejected,
-    never rounded.
-    """
-    try:
-        number = int(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or number != value or number < minimum:
-        raise SessionError(f"{what} must be an integer >= {minimum}, got {value!r}")
-    return number
+#: the runtime's count and seconds rules (:mod:`repro.core.checks`), raising
+#: :class:`SessionError`: every cycle count, seed, chunk size, worker count,
+#: requeue budget, relaxation step and spool interval the facade accepts
+_whole_number = functools.partial(whole_number, error=SessionError)
+_seconds = functools.partial(seconds, error=SessionError)
 
 
 def _coerce_chunk_size(value: Any) -> int | None:
     """Validate a chunk size (streamed cycles or pool units): ``None`` or an integer >= 1."""
     return None if value is None else _whole_number(value, "chunk_size", 1)
-
-
-def _result_fields(tail: Any) -> dict[str, Any]:
-    """The RunResult outcome fields a worker tail implies.
-
-    Streamed units return a :class:`~repro.core.streaming.StreamingMetrics`
-    summary instead of :class:`~repro.core.engine.CycleOutcomes` columns;
-    either shape lands in the right :class:`~repro.api.results.RunResult`
-    field here.
-    """
-    if isinstance(tail, StreamingMetrics):
-        return {"outcomes": (), "summary": tail}
-    return {"outcomes": tail}
 
 
 def resolve_overhead_model(machine: Any, overhead: Any) -> OverheadModelProtocol | None:
@@ -239,7 +218,8 @@ class Session:
         self._compile_cache: dict[tuple[int, ...], CompiledControllers] = {}
         self._deployed: ParameterizedSystem | None = None
         self._artifacts: Any = None  # runtime.CompiledArtifactCache | None
-        self._parallel: dict[str, Any] | None = None
+        self._parallel: bool = False
+        self._workers: int | None = None
         self._remote: dict[str, Any] | None = None
         self._chunk_size: int | None = None
 
@@ -457,12 +437,8 @@ class Session:
         ``mean_quality_per_cycle`` raise.  ``None`` (the default) restores
         materialised execution.  The per-call ``chunk_size=`` keyword on the
         run methods overrides this setting (an explicit per-call ``None``
-        forces the materialised path).
-
-        Not to be confused with :meth:`parallel`'s ``chunk_size`` (sweep
-        units shipped per pool task) — this one counts *cycles per execution
-        chunk* and composes with every transport: pool and spool workers
-        both run streamed and ship summaries back.
+        forces the materialised path).  It composes with every transport:
+        pool and spool workers both run streamed and ship summaries back.
         """
         self._chunk_size = _coerce_chunk_size(cycles)
         return self
@@ -473,31 +449,16 @@ class Session:
             return _coerce_chunk_size(override)
         return self._chunk_size
 
-    def parallel(
-        self,
-        workers: int | None = None,
-        *,
-        chunk_size: int | None = None,
-        mp_context: str | None = None,
-        enabled: bool = True,
-    ) -> "Session":
+    def parallel(self, workers: int | None = None) -> "Session":
         """Make :meth:`run_many` and :meth:`compare` default to the sweep pool.
 
         ``workers`` defaults to the CPU count.  Parallel results are
-        bit-identical to the serial path for fixed seeds; call
-        ``.parallel(enabled=False)`` to return to the serial default.  See
-        :class:`~repro.runtime.pool.SweepExecutor` for ``chunk_size`` and
-        ``mp_context``, and :meth:`compare` for how its shared scenarios
-        reach the workers.
+        bit-identical to the serial path for fixed seeds, and a call's
+        ``parallel=False`` still runs serially.  See :meth:`compare` for how
+        its shared scenarios reach the workers.
         """
-        if not enabled:
-            self._parallel = None
-            return self
-        self._parallel = {
-            "workers": None if workers is None else _whole_number(workers, "workers", 1),
-            "chunk_size": _coerce_chunk_size(chunk_size),
-            "mp_context": mp_context,
-        }
+        self._workers = None if workers is None else _whole_number(workers, "workers", 1)
+        self._parallel = True
         return self
 
     def remote(
@@ -509,7 +470,6 @@ class Session:
         max_requeues: int | None = None,
         timeout: float | None = None,
         local_workers: int = 0,
-        enabled: bool = True,
     ) -> "Session":
         """Fan :meth:`run_many` and :meth:`compare` out over a shared spool.
 
@@ -528,32 +488,28 @@ class Session:
         the duration of each run — the zero-setup way to use the spool
         transport (and what the tests do); with ``local_workers=0`` the run
         blocks until external workers drain the plan (set ``timeout`` when
-        workers might not be attached).  ``run_many(..., stream=True)`` /
-        ``compare(..., stream=True)`` then yield ``(label, RunResult)`` pairs incrementally
-        as workers finish.  A configured :meth:`remote` takes precedence over
-        :meth:`parallel`; disable with ``.remote(enabled=False)``.
+        workers might not be attached).  Every seconds value must be finite
+        and > 0; ``None`` keeps the executor's default, and for ``timeout``
+        that is to wait forever.  A configured :meth:`remote` takes
+        precedence over :meth:`parallel`; a call's ``parallel=False`` still
+        runs serially.
         """
-        if not enabled:
-            self._remote = None
-            return self
         if spool is None:
             raise SessionError("remote(...) needs a spool directory")
-        if lease_timeout is not None and lease_timeout <= 0.0:
-            raise SessionError(f"lease_timeout must be > 0, got {lease_timeout}")
-        if poll_interval is not None and poll_interval <= 0.0:
-            raise SessionError(f"poll_interval must be > 0, got {poll_interval}")
-        if timeout is not None and timeout <= 0.0:
-            raise SessionError(f"timeout must be > 0, got {timeout}")
-        self._remote = {
+        remote: dict[str, Any] = {
             "spool": os.fspath(spool),
-            "lease_timeout": lease_timeout,
-            "poll_interval": poll_interval,
-            "max_requeues": (
-                None if max_requeues is None else _whole_number(max_requeues, "max_requeues", 0)
-            ),
-            "timeout": timeout,
             "local_workers": _whole_number(local_workers, "local_workers", 0),
         }
+        if max_requeues is not None:
+            remote["max_requeues"] = _whole_number(max_requeues, "max_requeues", 0)
+        for name, value in (
+            ("lease_timeout", lease_timeout),
+            ("poll_interval", poll_interval),
+            ("timeout", timeout),
+        ):
+            if value is not None:
+                remote[name] = _seconds(value, name)
+        self._remote = remote
         return self
 
     # ------------------------------------------------------------------ #
@@ -774,14 +730,7 @@ class Session:
                     overhead_model=self._resolve_overhead_model(),
                 )
         obs_export.flush()
-        return RunResult(
-            manager_key=self._spec.key,
-            manager_name=manager.name,
-            deadlines=self.resolved_deadlines(),
-            seed=used_seed,
-            machine_name=self._machine.name if self._machine is not None else None,
-            **_result_fields(tail),
-        )
+        return self._result(self._spec, manager.name, used_seed, tail)
 
     def compare(
         self,
@@ -791,9 +740,8 @@ class Session:
         parallel: bool | None = None,
         workers: int | None = None,
         progress: Any = None,
-        stream: bool = False,
         chunk_size: Any = _UNSET,
-    ) -> BatchResult | Iterator[tuple[str, RunResult]]:
+    ) -> BatchResult:
         """Run several managers on *identical* per-cycle scenarios.
 
         This is the paper's comparison setting (Figures 7/8): the scenarios
@@ -803,10 +751,11 @@ class Session:
         (numeric, region, relaxation).
 
         ``parallel=True`` (or a configured :meth:`parallel` builder step, or
-        an explicit ``workers`` count) runs one manager per pool work unit.
-        The shared scenarios reach the workers by one rule: when the
-        system's sampler is absent or can seek (``seek``/``cursor``), each
-        unit ships only the draw recipe and the worker re-draws the
+        an explicit ``workers`` count) runs one manager per pool work unit;
+        with a configured :meth:`remote` spool the units fan out over the
+        spool instead.  The shared scenarios reach the workers by one rule:
+        when the system's sampler is absent or can seek (``seek``/``cursor``),
+        each unit ships only the draw recipe and the worker re-draws the
         identical batch; otherwise the batch is drawn here and shipped by
         value.  Either way the results are bit-identical to the serial path
         and the session's sampler ends where the serial draw leaves it.
@@ -814,18 +763,11 @@ class Session:
         completed manager, where ``spec`` is the manager spec string (the
         *result* labels are the managers' reporting names, de-duplicated).
 
-        With a configured :meth:`remote` spool the comparison fans out over
-        the spool instead of the in-process pool, and ``stream=True`` returns an iterator of
-        ``(label, RunResult)`` pairs yielded incrementally as workers finish
-        — completion order, not spec order.  Failed units raise a collective
-        :class:`~repro.runtime.pool.SweepExecutionError` after the stream
-        drains.
-
         ``chunk_size`` (per-call override of :meth:`chunk_size`) streams
         every manager's run in constant memory; the compared results are
         summary-only, with metrics bit-identical to the materialised path.
         """
-        from repro.runtime.plan import unique_label
+        from repro.runtime.plan import plan_compare, plan_compare_redraw, unique_label
 
         chosen = [validate_spec(ManagerSpec.coerce(spec)) for spec in specs] or [
             ManagerSpec("numeric"),
@@ -835,54 +777,54 @@ class Session:
         n_cycles, used_seed = self._count_and_seed(cycles, seed)
         system = self._execution_system()
         deadlines = self.resolved_deadlines()
-        machine_name = self._machine.name if self._machine is not None else None
-
         chunk = self._effective_chunk_size(chunk_size)
         pool_config = self._pool_config(parallel, workers)
-        self._check_stream(stream, pool_config)
+        # (spec, manager name, outcomes or summary) per manager, in spec order
+        executed: list[tuple[ManagerSpec, str, Any]] = []
         if pool_config is not None:
-            return self._compare_parallel(
-                chosen,
-                n_cycles,
-                used_seed,
-                pool_config,
-                progress,
-                stream,
-                chunk_size=chunk,
-            )
-        with obs_trace.span("session.draw", cycles=n_cycles):
-            scenarios = system.draw_scenarios(
-                n_cycles, np.random.default_rng(used_seed)
-            )
-
-        context = self.build_context()
-        overhead_model = self._resolve_overhead_model()
-        runs: dict[str, RunResult] = {}
-        for index, spec in enumerate(chosen):
-            manager = build_manager(spec, context)
-            with obs_trace.span("session.execute", manager=str(spec)):
-                tail = stream_or_materialise(
-                    system,
-                    manager,
-                    deadlines=deadlines,
-                    chunk_size=chunk,
-                    scenarios=scenarios,
-                    overhead_model=overhead_model,
+            sampler = self.resolved_system().timing.scenario_sampler
+            redraw = sampler is None or supports_replay(sampler)
+            with obs_trace.span(
+                "session.compare",
+                managers=len(chosen),
+                transport="redraw" if redraw else "value",
+            ):
+                with obs_trace.span("session.plan"):
+                    payload = self._execution_payload(chunk)
+                    if redraw:
+                        plan = plan_compare_redraw(payload, chosen, n_cycles, used_seed)
+                    else:
+                        drawn = system.draw_scenarios(n_cycles, np.random.default_rng(used_seed))
+                        plan = plan_compare(payload, chosen, drawn)
+                for unit, name, tail in self._run_plan(plan, pool_config, progress):
+                    executed.append((unit.manager, name, tail))
+        else:
+            with obs_trace.span("session.draw", cycles=n_cycles):
+                scenarios = system.draw_scenarios(
+                    n_cycles, np.random.default_rng(used_seed)
                 )
-            label = unique_label(runs, manager.name, index)
-            runs[label] = RunResult(
-                manager_key=spec.key,
-                manager_name=manager.name,
-                deadlines=deadlines,
-                seed=used_seed,
-                machine_name=machine_name,
-                **_result_fields(tail),
-            )
-            if progress is not None:
-                # the spec string, exactly what the parallel path reports
-                # (final labels need the executed managers' names)
-                progress(index + 1, len(chosen), str(spec))
+            context = self.build_context()
+            overhead_model = self._resolve_overhead_model()
+            for index, spec in enumerate(chosen):
+                manager = build_manager(spec, context)
+                with obs_trace.span("session.execute", manager=str(spec)):
+                    tail = stream_or_materialise(
+                        system,
+                        manager,
+                        deadlines=deadlines,
+                        chunk_size=chunk,
+                        scenarios=scenarios,
+                        overhead_model=overhead_model,
+                    )
+                executed.append((spec, manager.name, tail))
+                if progress is not None:
+                    # the spec string, exactly what the parallel path reports
+                    # (final labels need the executed managers' names)
+                    progress(index + 1, len(chosen), str(spec))
         obs_export.flush()
+        runs: dict[str, RunResult] = {}
+        for index, (spec, name, tail) in enumerate(executed):
+            runs[unique_label(runs, name, index)] = self._result(spec, name, used_seed, tail)
         return BatchResult(runs=runs)
 
     def run_many(
@@ -892,9 +834,8 @@ class Session:
         parallel: bool | None = None,
         workers: int | None = None,
         progress: Any = None,
-        stream: bool = False,
         chunk_size: Any = _UNSET,
-    ) -> BatchResult | Iterator[tuple[str, RunResult]]:
+    ) -> BatchResult:
         """Run a batch of scenario specs and collect every result.
 
         Entries may be :class:`ScenarioSpec` objects, dicts with the same
@@ -904,8 +845,10 @@ class Session:
 
         ``parallel=True`` (or a configured :meth:`parallel` builder step, or
         an explicit ``workers`` count) shards the scenarios across worker
-        processes via :class:`~repro.runtime.pool.SweepExecutor`; for fixed
-        seeds the results are bit-identical to the serial path.  That
+        processes via :class:`~repro.runtime.pool.SweepExecutor`, and a
+        configured :meth:`remote` spool fans them out over the spool
+        instead; for fixed seeds the results are bit-identical to the
+        serial path.  That
         guarantee covers every built-in system source: stateless samplers,
         systems without a sampler, and the encoder workloads' stateful
         :class:`~repro.media.timing_model.FrameScenarioSampler` (whose
@@ -917,36 +860,31 @@ class Session:
         slice of the scenario stream.  ``progress`` is called as
         ``progress(done, total, label)`` after each scenario.
 
-        With a configured :meth:`remote` spool the sweep fans out over the
-        spool instead of the in-process pool, and ``stream=True`` returns an
-        iterator of ``(label, RunResult)`` pairs yielded incrementally as
-        workers finish (completion order).  Failed units raise a collective
-        :class:`~repro.runtime.pool.SweepExecutionError` after the stream
-        drains.
-
         ``chunk_size`` (per-call override of :meth:`chunk_size`) streams
         every scenario's run in constant memory — serial or parallel, the
         workers fold chunks into accumulators and ship summaries back; the
         results are summary-only, with metrics bit-identical to the
         materialised path.
         """
-        from repro.runtime.plan import unique_label
+        from repro.runtime.plan import plan_run_many, unique_label
 
         entries = self._coerce_run_many_entries(scenarios)
         chunk = self._effective_chunk_size(chunk_size)
         pool_config = self._pool_config(parallel, workers)
-        self._check_stream(stream, pool_config)
+        runs: dict[str, RunResult] = {}
         if pool_config is not None and entries:
-            return self._run_many_parallel(
-                entries, pool_config, progress, stream, chunk_size=chunk
-            )
+            with obs_trace.span("session.run_many", units=len(entries)):
+                with obs_trace.span("session.plan"):
+                    plan = plan_run_many(self._execution_payload(chunk), entries)
+                for unit, name, tail in self._run_plan(plan, pool_config, progress):
+                    runs[unit.label] = self._result(unit.manager, name, unit.seed, tail)
+            obs_export.flush()
+            return BatchResult(runs=runs)
 
         context = self.build_context()
         system = self._execution_system()
         deadlines = self.resolved_deadlines()
         overhead_model = self._resolve_overhead_model()
-        machine_name = self._machine.name if self._machine is not None else None
-        runs: dict[str, RunResult] = {}
         for index, (label, manager_spec, n_cycles, used_seed) in enumerate(entries):
             manager = build_manager(manager_spec, context)
             with obs_trace.span("session.execute", label=label, manager=manager_spec.key):
@@ -960,21 +898,10 @@ class Session:
                     overhead_model=overhead_model,
                 )
             final_label = unique_label(runs, label, index)
-            runs[final_label] = RunResult(
-                manager_key=manager_spec.key,
-                manager_name=manager.name,
-                deadlines=deadlines,
-                seed=used_seed,
-                machine_name=machine_name,
-                **_result_fields(tail),
-            )
+            runs[final_label] = self._result(manager_spec, manager.name, used_seed, tail)
             if progress is not None:
                 progress(index + 1, len(entries), final_label)
         obs_export.flush()
-        if stream:
-            # an empty spec list skips the spool but must keep the
-            # documented (label, RunResult) iterator shape
-            return iter(runs.items())
         return BatchResult(runs=runs)
 
     def _coerce_run_many_entries(
@@ -1043,17 +970,35 @@ class Session:
         return run_fleet(sessions, cycles=cycles, seed=seed, chunk_size=chunk_size)
 
     # ------------------------------------------------------------------ #
-    # the parallel sweep engine (repro.runtime)
+    # results and the parallel sweep engine (repro.runtime)
     # ------------------------------------------------------------------ #
+    def _result(self, spec: ManagerSpec, name: str, seed: int | None, tail: Any) -> RunResult:
+        """The one place a :class:`~repro.api.results.RunResult` is built.
+
+        ``tail`` is a run's :class:`~repro.core.engine.CycleOutcomes`
+        columns, or the :class:`~repro.core.streaming.StreamingMetrics`
+        summary of a streamed run, which makes the result summary-only.
+        """
+        streamed = isinstance(tail, StreamingMetrics)
+        return RunResult(
+            manager_key=spec.key,
+            manager_name=name,
+            outcomes=() if streamed else tail,
+            summary=tail if streamed else None,
+            deadlines=self.resolved_deadlines(),
+            seed=seed,
+            machine_name=self._machine.name if self._machine is not None else None,
+        )
+
     def _pool_config(
         self, parallel: bool | None, workers: int | None
     ) -> dict[str, Any] | None:
-        """The pool configuration a run should use, or ``None`` for serial.
+        """The executor configuration a run should use, or ``None`` for serial.
 
         Explicit ``parallel=False`` always wins; ``parallel=True`` or a
         ``workers`` count always selects the pool; otherwise the builder's
-        :meth:`parallel` configuration decides.  A configured :meth:`remote`
-        wins over the in-process pool — the returned config then carries a
+        :meth:`parallel` step decides.  A configured :meth:`remote` wins over
+        the in-process pool — the returned config then carries a
         ``"remote"`` entry and ``workers`` (if given) overrides its
         ``local_workers`` count.
         """
@@ -1064,35 +1009,13 @@ class Session:
             # rely on external `repro worker` processes
             return {
                 "workers": None if workers is None else _whole_number(workers, "workers", 0),
-                "chunk_size": None,
-                "mp_context": None,
                 "remote": self._remote,
             }
-        if parallel is None and workers is None and self._parallel is None:
+        if parallel is None and workers is None and not self._parallel:
             return None
-        config = dict(
-            self._parallel
-            if self._parallel is not None
-            else {"workers": None, "chunk_size": None, "mp_context": None}
-        )
-        if workers is not None:
-            config["workers"] = _whole_number(workers, "workers", 1)
-        return config
-
-    def _check_stream(self, stream: bool, pool_config: dict[str, Any] | None) -> None:
-        """Streaming fan-in only exists on the spool transport."""
-        if not stream or (pool_config is not None and pool_config.get("remote") is not None):
-            return
-        if self._remote is not None:
-            # a spool IS configured; the explicit parallel=False disabled it
-            raise SessionError(
-                "stream=True conflicts with parallel=False — the configured "
-                "spool transport is disabled for this call"
-            )
-        raise SessionError(
-            "stream=True needs the spool transport — configure "
-            "Session.remote(spool=...) first"
-        )
+        return {
+            "workers": self._workers if workers is None else _whole_number(workers, "workers", 1)
+        }
 
     def _execution_payload(self, chunk_size: int | None = None) -> Any:
         from repro.runtime.plan import ExecutionPayload
@@ -1108,281 +1031,54 @@ class Session:
             chunk_size=chunk_size,
         )
 
-    def _executor_for(self, config: dict[str, Any]):
+    @staticmethod
+    def _executor_for(config: dict[str, Any]):
         remote = config.get("remote")
-        if remote is not None:
-            from repro.runtime.remote import (
-                DEFAULT_LEASE_TIMEOUT,
-                DEFAULT_MAX_REQUEUES,
-                DEFAULT_POLL_INTERVAL,
-                RemoteSweepExecutor,
-            )
+        if remote is None:
+            from repro.runtime.pool import SweepExecutor
 
-            workers = config.get("workers")
-            return RemoteSweepExecutor(
-                remote["spool"],
-                lease_timeout=(
-                    remote["lease_timeout"]
-                    if remote["lease_timeout"] is not None
-                    else DEFAULT_LEASE_TIMEOUT
-                ),
-                poll_interval=(
-                    remote["poll_interval"]
-                    if remote["poll_interval"] is not None
-                    else DEFAULT_POLL_INTERVAL
-                ),
-                max_requeues=(
-                    remote["max_requeues"]
-                    if remote["max_requeues"] is not None
-                    else DEFAULT_MAX_REQUEUES
-                ),
-                timeout=remote["timeout"],
-                local_workers=workers if workers is not None else remote["local_workers"],
-            )
-        from repro.runtime.pool import SweepExecutor
+            return SweepExecutor(config["workers"])
+        from repro.runtime.remote import RemoteSweepExecutor
 
-        return SweepExecutor(
-            config.get("workers"),
-            chunk_size=config.get("chunk_size"),
-            mp_context=config.get("mp_context"),
+        options = dict(remote)
+        if config["workers"] is not None:
+            options["local_workers"] = config["workers"]
+        return RemoteSweepExecutor(**options)
+
+    def _run_plan(self, plan: Any, config: dict[str, Any], progress: Any) -> list[tuple]:
+        """Run a sweep plan: the one fan-in of every parallel run.
+
+        Returns ``(unit, manager name, outcomes or summary)`` in plan order.
+        The parent's scenario sampler is seeked by ``plan.draws`` iff the
+        sweep consumed its window, which leaves it where the serial path
+        would.  Unit failures mean the sweep ran, so a caller that catches
+        the :class:`~repro.runtime.pool.SweepExecutionError` and continues
+        stays on the serial stream.  A transport failure (an executor error
+        with no per-unit ``failures``: unpicklable payload, timeout, dead
+        pool) and an interrupt consumed nothing, and a serial retry must
+        still see the window.
+        """
+        report = (
+            None
+            if progress is None
+            else lambda done, total, unit: progress(done, total, unit.label)
         )
-
-    @staticmethod
-    def _adapt_progress(progress: Any):
-        if progress is None:
-            return None
-        return lambda done, total, unit: progress(done, total, unit.label)
-
-    @staticmethod
-    def _sweep_consumed_window(error: BaseException) -> bool:
-        """The one advance-on-failure policy for every parallel run shape.
-
-        Unit failures mean the sweep ran — the parent sampler must advance so
-        a caller that catches and continues stays on the serial scenario
-        stream.  A transport failure (submit error, timeout: an executor
-        error with no per-unit ``failures`` attached) means no scenario
-        window was consumed, and a serial retry must still see it.
-        """
-        return bool(getattr(error, "failures", ()))
-
-    def _run_plan_advancing(
-        self, executor: Any, plan: Any, progress: Any, advance: Any
-    ):
-        """Run a plan, calling ``advance()`` iff the sweep consumed its window."""
-        swept = False  # KeyboardInterrupt/SystemExit mid-sweep must not advance
+        consumed = False
         try:
-            result = executor.run(plan, progress=self._adapt_progress(progress))
-            swept = True
-            return result
+            with obs_trace.span("session.fan_in"):
+                outcome = self._executor_for(config).run(plan, progress=report)
+            consumed = True
         except Exception as error:
-            swept = self._sweep_consumed_window(error)
+            consumed = bool(getattr(error, "failures", ()))
             raise
         finally:
-            if swept:
-                advance()
-
-    def _run_many_parallel(
-        self,
-        entries: Sequence[tuple[str, ManagerSpec, int, int]],
-        config: dict[str, Any],
-        progress: Any,
-        stream: bool = False,
-        chunk_size: int | None = None,
-    ) -> BatchResult | Iterator[tuple[str, RunResult]]:
-        from repro.runtime.plan import plan_run_many
-
-        with obs_trace.span("session.run_many", units=len(entries)):
-            with obs_trace.span("session.plan"):
-                payload = self._execution_payload(chunk_size)
-                sampler = payload.system.timing.scenario_sampler
-                track = supports_replay(sampler)
-                plan = plan_run_many(payload, entries, track_sampler=track)
-            executor = self._executor_for(config)
-            if stream:
-                # the generator outlives this frame, so worker spans become
-                # their own trace roots on the streaming path
-                return self._stream_plan(
-                    plan, executor, progress, seed_from_unit=True, advance_draws=track
-                )
-            def advance() -> None:
-                if track and plan.total_draws:
-                    # leave the shared scenario stream exactly where a serial
-                    # run would
-                    sampler.seek(sampler.cursor + plan.total_draws)
-
-            with obs_trace.span("session.fan_in"):
-                outcome = self._run_plan_advancing(executor, plan, progress, advance)
-        obs_export.flush()
-        deadlines = self.resolved_deadlines()
-        machine_name = self._machine.name if self._machine is not None else None
-        runs: dict[str, RunResult] = {}
-        for unit in plan.units:
-            runs[unit.label] = RunResult(
-                manager_key=unit.manager.key,
-                manager_name=outcome.manager_names[unit.index],
-                deadlines=deadlines,
-                seed=unit.seed,
-                machine_name=machine_name,
-                **_result_fields(outcome.outcomes[unit.index]),
-            )
-        return BatchResult(runs=runs)
-
-    def _compare_parallel(
-        self,
-        chosen: Sequence[ManagerSpec],
-        n_cycles: int,
-        used_seed: int,
-        config: dict[str, Any],
-        progress: Any,
-        stream: bool = False,
-        chunk_size: int | None = None,
-    ) -> BatchResult | Iterator[tuple[str, RunResult]]:
-        """Run a compare plan, shipping its scenarios by the transport rule.
-
-        A sampler that is absent or can seek lets every worker re-draw the
-        shared window: units ship only the draw recipe, and the parent
-        sampler is advanced past the window afterwards, exactly where the
-        serial draw would leave it.  Any other sampler cannot be
-        re-positioned on a worker, so the batch is drawn here (advancing the
-        sampler as the serial path does) and every unit carries it.
-        """
-        from repro.runtime.plan import plan_compare, plan_compare_redraw
-
-        sampler = self.resolved_system().timing.scenario_sampler
-        redraw = sampler is None or supports_replay(sampler)
-        transport = "redraw" if redraw else "value"
-        with obs_trace.span("session.compare", managers=len(chosen), transport=transport):
-            with obs_trace.span("session.plan"):
-                payload = self._execution_payload(chunk_size)
-                if redraw:
-                    plan = plan_compare_redraw(payload, list(chosen), n_cycles, used_seed)
-                else:
-                    scenarios = self._execution_system().draw_scenarios(
-                        n_cycles, np.random.default_rng(used_seed)
-                    )
-                    plan = plan_compare(payload, list(chosen), scenarios)
-            executor = self._executor_for(config)
-            advance_cycles = n_cycles if redraw and sampler is not None else 0
-            if stream:
-                return self._stream_plan(
-                    plan,
-                    executor,
-                    progress,
-                    fixed_seed=used_seed,
-                    advance_cycles=advance_cycles,
-                )
-
-            def advance() -> None:
-                if advance_cycles:
-                    sampler.seek(sampler.cursor + advance_cycles)
-
-            with obs_trace.span("session.fan_in"):
-                outcome = self._run_plan_advancing(executor, plan, progress, advance)
-        obs_export.flush()
-        return self._collect_compare_runs(plan, outcome, used_seed)
-
-    def _stream_plan(
-        self,
-        plan: Any,
-        executor: Any,
-        progress: Any,
-        *,
-        seed_from_unit: bool = False,
-        fixed_seed: int | None = None,
-        advance_draws: bool = False,
-        advance_cycles: int | None = None,
-    ) -> Iterator[tuple[str, RunResult]]:
-        """Yield ``(label, RunResult)`` pairs as spool workers finish units.
-
-        The incremental fan-in behind ``run_many(stream=True)`` and
-        ``compare(stream=True)``: results arrive in completion order.  Labels
-        are the units' plan labels when ``seed_from_unit`` (``run_many``:
-        unique by construction) and the executed managers' reporting names —
-        de-duplicated in arrival order — otherwise (``compare``).  After the
-        stream drains, the parent's scenario sampler is advanced to where a
-        serial run would leave it (``advance_draws`` for ``run_many`` plans,
-        ``advance_cycles`` for a re-drawn compare window), and any failed units
-        are raised collectively as a
-        :class:`~repro.runtime.pool.SweepExecutionError`.  The sampler
-        advance also happens when the consumer abandons the iterator early
-        (``break``/``close()``) — the sweep was submitted, so the session's
-        scenario stream must end at the serial position either way; failures
-        are only raised on a full drain (an early break opts out of them).
-        """
-        from repro.runtime.plan import unique_label
-        from repro.runtime.pool import UnitFailure
-
-        deadlines = self.resolved_deadlines()
-        machine_name = self._machine.name if self._machine is not None else None
-        taken: set[str] = set()
-        failures: list[Any] = []
-        advance = True
-        source = executor.stream(plan, progress=self._adapt_progress(progress))
-        try:
-            for index, success, head, tail in source:
-                unit = plan.units[index]
-                if not success:
-                    failures.append(
-                        UnitFailure(index=index, label=unit.label, error=head, traceback=tail)
-                    )
-                    continue
-                label = unit.label if seed_from_unit else unique_label(taken, head, index)
-                taken.add(label)
-                yield label, RunResult(
-                    manager_key=unit.manager.key,
-                    manager_name=head,
-                    deadlines=deadlines,
-                    seed=unit.seed if seed_from_unit else fixed_seed,
-                    machine_name=machine_name,
-                    **_result_fields(tail),
-                )
-        except GeneratorExit:
-            # early break/close: the plan was submitted and partial results
-            # were consumed — the documented contract still advances
-            raise
-        except BaseException as error:
-            # transport failures (submit error, timeout) and interrupts
-            # consumed no window; unit failures are collected locally and
-            # never raised by the source
-            advance = self._sweep_consumed_window(error)
-            raise
-        finally:
-            # deterministic even on early break/close: withdraw the plan from
-            # the spool and leave the scenario stream at the serial position
-            source.close()
-            sampler = plan.payload.system.timing.scenario_sampler
-            if advance:
-                if advance_draws and plan.total_draws and supports_replay(sampler):
-                    sampler.seek(sampler.cursor + plan.total_draws)
-                if advance_cycles:
-                    sampler.seek(sampler.cursor + advance_cycles)
-        if failures:
-            from repro.runtime.pool import SweepExecutionError
-
-            failures.sort(key=lambda failure: failure.index)
-            raise SweepExecutionError(failures)
-
-    def _collect_compare_runs(
-        self, plan: Any, outcome: Any, used_seed: int | None
-    ) -> BatchResult:
-        """Label and wrap the pool outcomes of a compare plan."""
-        from repro.runtime.plan import unique_label
-
-        deadlines = self.resolved_deadlines()
-        machine_name = self._machine.name if self._machine is not None else None
-        runs: dict[str, RunResult] = {}
-        for unit in plan.units:
-            name = outcome.manager_names[unit.index]
-            label = unique_label(runs, name, unit.index)
-            runs[label] = RunResult(
-                manager_key=unit.manager.key,
-                manager_name=name,
-                deadlines=deadlines,
-                seed=used_seed,
-                machine_name=machine_name,
-                **_result_fields(outcome.outcomes[unit.index]),
-            )
-        return BatchResult(runs=runs)
+            if consumed and plan.draws:
+                sampler = plan.payload.system.timing.scenario_sampler
+                sampler.seek(sampler.cursor + plan.draws)
+        return [
+            (unit, outcome.manager_names[unit.index], outcome.outcomes[unit.index])
+            for unit in plan.units
+        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         source = (

@@ -59,16 +59,6 @@ class ConstantQualityManager(QualityManager):
         """The fixed quality level."""
         return self._level
 
-    @property
-    def consults_every_action(self) -> bool:
-        """Whether the manager is invoked before every action."""
-        return self._consult
-
-    @property
-    def horizon(self) -> int | None:
-        """Cycle length used to size the single consultation, or ``None``."""
-        return self._horizon
-
     def decide(self, state_index: int, time: float) -> Decision:
         if self._consult:
             steps = 1

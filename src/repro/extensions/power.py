@@ -260,10 +260,6 @@ class DvfsQualityManager(QualityManager):
     def memory_footprint(self) -> MemoryFootprint:
         return self._inner.memory_footprint()
 
-    def frequency_of(self, level: int) -> float:
-        """The clock frequency a chosen level corresponds to."""
-        return self._scale.frequency_of_level(int(level))
-
     def energy_of(self, outcome: CycleOutcome, *, include_static: bool = True) -> float:
         """Energy (joules) of one executed cycle under this manager's scale."""
         return energy_of_outcome(outcome, self._scale, include_static=include_static)

@@ -23,7 +23,7 @@ plan's payload alone:
   :class:`~repro.runtime.remote.RemoteSweepExecutor` fans units out over a
   shared spool directory (local FS or NFS), ``repro worker`` processes on any
   host claim them via rename-based leases with heartbeat requeue, and the
-  parent streams results as they land.  Same plans, same records, same
+  parent collects results as they land.  Same plans, same records, same
   bit-identical results.
 
 The serial execution path of :class:`repro.api.Session` remains the default

@@ -14,7 +14,9 @@ encoder workloads draw their scenarios from a *stateful*
 frame sequence, so the serial path hands unit ``i`` a sampler that units
 ``0..i-1`` have already advanced.  The plan records, per unit, how many draws
 the serial path would have consumed before it; a worker seeks its own copy of
-the sampler to that position before running the unit.
+the sampler to that position before running the unit.  The plan also records
+how far the whole sweep moves the stream (:attr:`SweepPlan.draws`), so the
+parent can seek its own sampler to where the serial path would leave it.
 
 Plans are plain data (fully picklable) and make no scheduling decisions —
 sharding, worker counts and failure handling live in
@@ -114,24 +116,18 @@ class ExecutionPayload:
 class SweepUnit:
     """One independent work unit of a sweep.
 
-    Exactly one of three execution modes applies:
+    Exactly one of two execution modes applies:
 
-    * ``scenarios`` is ``None``, ``redraw`` is false — the worker draws
-      ``cycles`` scenarios from the system's own sampler (seeked to
-      ``sampler_offset`` when the sampler supports it) with a fresh
-      ``default_rng(seed)``: the ``run_many`` setting, each unit consuming
-      its own slice of the shared scenario stream;
+    * ``scenarios`` is ``None`` — the worker draws ``cycles`` scenarios from
+      the system's own sampler, seeked to ``sampler_offset`` when the
+      sampler supports it, with a fresh ``default_rng(seed)``.  A
+      ``run_many`` unit draws its own slice of the shared scenario stream; a
+      re-draw ``compare`` unit re-draws the one window every manager shares,
+      so the plan ships no scenario data at all;
     * ``scenarios`` is a :class:`~repro.core.timing.ScenarioBatch` — the
       pre-drawn batch is replayed as-is, shipped to the worker as one
       contiguous tensor (the ``compare`` ship-by-value setting: identical
-      inputs for every manager, transport cost ∝ tensor size);
-    * ``scenarios`` is ``None``, ``redraw`` is true — the worker re-draws the
-      *same* ``cycles``-long scenario window the parent would have drawn
-      (seek to ``sampler_offset``, then ``default_rng(seed)``), so every unit
-      sees identical inputs while the plan ships **no scenario data at all**
-      (the ``compare`` re-draw transport).  Re-draw units share one window:
-      they do not consume per-unit slices of the stream, so their ``draws``
-      is 0 and the compare layer advances the parent sampler once.
+      inputs for every manager, transport cost ∝ tensor size).
     """
 
     index: int
@@ -141,7 +137,6 @@ class SweepUnit:
     seed: int | None = None
     sampler_offset: int | None = None
     scenarios: ScenarioBatch | None = None
-    redraw: bool = False
 
     def __post_init__(self) -> None:
         if self.cycles < 1:
@@ -157,26 +152,21 @@ class SweepUnit:
                     f"unit {self.index}: {self.cycles} cycles but "
                     f"{len(self.scenarios)} scenarios"
                 )
-            if self.redraw:
-                raise PlanError(
-                    f"unit {self.index}: redraw mode ships no scenarios; "
-                    "pass scenarios=None"
-                )
-
-    @property
-    def draws(self) -> int:
-        """Scenario draws this unit consumes from the shared sampler stream."""
-        if self.scenarios is not None or self.redraw:
-            return 0
-        return self.cycles
 
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """An ordered set of independent work units over one shared payload."""
+    """An ordered set of independent work units over one shared payload.
+
+    ``draws`` is how far the whole sweep moves the payload system's shared
+    scenario sampler: the parent seeks its own sampler by this much once
+    the sweep has run, leaving it exactly where the serial path would.  The
+    planner that built the units knows the number and sets it.
+    """
 
     payload: ExecutionPayload
     units: tuple[SweepUnit, ...] = field(default_factory=tuple)
+    draws: int = 0
 
     def __post_init__(self) -> None:
         for position, unit in enumerate(self.units):
@@ -185,6 +175,8 @@ class SweepPlan:
                     f"units must be indexed consecutively from 0: position "
                     f"{position} holds unit index {unit.index}"
                 )
+        if self.draws < 0:
+            raise PlanError(f"draws must be >= 0, got {self.draws}")
 
     def __len__(self) -> int:
         return len(self.units)
@@ -193,11 +185,6 @@ class SweepPlan:
     def total_cycles(self) -> int:
         """Cycles executed across all units."""
         return sum(unit.cycles for unit in self.units)
-
-    @property
-    def total_draws(self) -> int:
-        """Scenario draws the whole plan consumes from the shared stream."""
-        return sum(unit.draws for unit in self.units)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -223,21 +210,21 @@ class SweepPlan:
 def plan_run_many(
     payload: ExecutionPayload,
     entries: Sequence[tuple[str, ManagerSpec, int, int | None]],
-    *,
-    track_sampler: bool = True,
 ) -> SweepPlan:
     """Build the plan of a ``run_many`` sweep.
 
     ``entries`` hold ``(label, manager_spec, cycles, seed)`` per scenario in
     execution order; labels are de-duplicated here (the same loop the serial
-    path uses), and each unit receives the cumulative draw offset of the
-    units before it.  ``track_sampler=False`` drops the offsets (for systems
-    whose sampler is stateless or absent).
+    path uses).  When the payload system's sampler can seek, each unit
+    receives the cumulative draw offset of the units before it and the plan
+    draws the summed cycles; a stateless or absent sampler has no stream to
+    track, so units carry no offset and the plan draws nothing.
 
     Units ship no scenario data: each worker re-draws its slice of the
     stream (seek to the offset, then ``default_rng(seed)``), exactly what
     the serial loop does.
     """
+    track = supports_replay(payload.system.timing.scenario_sampler)
     units: list[SweepUnit] = []
     taken: set[str] = set()
     offset = 0
@@ -251,11 +238,11 @@ def plan_run_many(
                 manager=spec,
                 cycles=int(cycles),
                 seed=seed,
-                sampler_offset=offset if track_sampler else None,
+                sampler_offset=offset if track else None,
             )
         )
         offset += int(cycles)
-    return SweepPlan(payload=payload, units=tuple(units))
+    return SweepPlan(payload=payload, units=tuple(units), draws=offset if track else 0)
 
 
 def plan_compare(
@@ -267,11 +254,12 @@ def plan_compare(
 
     Every unit replays the same :class:`~repro.core.timing.ScenarioBatch`
     (per-cycle sequences are stacked once here), so no unit touches the
-    shared sampler stream — the parent already consumed the draws when it
-    generated ``scenarios`` — and the plan ships one contiguous tensor per
-    unit instead of a pickled tuple of per-cycle objects.  Unit labels are
-    provisional (the spec string); the final labels come from the executed
-    managers' reporting names, as in the serial path.
+    shared sampler stream and the plan draws nothing — the parent already
+    consumed the draws when it generated ``scenarios`` — and the plan ships
+    one contiguous tensor per unit instead of a pickled tuple of per-cycle
+    objects.  Unit labels are provisional (the spec string); the final
+    labels come from the executed managers' reporting names, as in the
+    serial path.
     """
     if not len(scenarios):
         raise PlanError("a compare plan needs at least one pre-drawn scenario")
@@ -303,8 +291,9 @@ def plan_compare_redraw(
     unit records only the draw recipe — the scenario-stream offset (0: the
     window starts where the payload system's sampler stands) and the base
     seed — and the worker reproduces the exact batch the parent would have
-    drawn.  Requires a system whose sampler is absent or exposes
-    ``seek``/``cursor`` (the
+    drawn.  The units share that one window, so the plan draws ``cycles``
+    from a sampler (and nothing without one).  Requires a system whose
+    sampler is absent or exposes ``seek``/``cursor`` (the
     :class:`~repro.media.timing_model.FrameScenarioSampler` contract);
     anything else is rejected here — a worker running several re-draw units
     could not re-position such a sampler between them, so the units would
@@ -330,9 +319,9 @@ def plan_compare_redraw(
             cycles=cycles,
             seed=int(seed),
             sampler_offset=0,
-            scenarios=None,
-            redraw=True,
         )
         for index, spec in enumerate(specs)
     )
-    return SweepPlan(payload=payload, units=units)
+    return SweepPlan(
+        payload=payload, units=units, draws=cycles if sampler is not None else 0
+    )

@@ -21,7 +21,6 @@ in the :class:`SweepOutcome`.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
 import traceback
@@ -37,6 +36,7 @@ from repro.obs import export as obs_export
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import registry as obs_registry
 from repro.obs.state import enabled as obs_enabled
+from repro.core.checks import whole_number
 from repro.core.compiler import CompiledControllers, QualityManagerCompiler
 from repro.core.streaming import stream_or_materialise
 from repro.core.timing import supports_replay
@@ -225,7 +225,7 @@ class _WorkerRuntime:
             manager,
             unit.cycles,
             deadlines=self._payload.deadlines,
-            chunk_size=getattr(self._payload, "chunk_size", None),
+            chunk_size=self._payload.chunk_size,
             scenarios=unit.scenarios,
             rng=rng,
             overhead_model=self._overhead_model,
@@ -309,35 +309,20 @@ def collect_outcome(plan: SweepPlan, records: Sequence[tuple], *, on_error: str)
 class SweepExecutor:
     """Executes :class:`SweepPlan` objects, serially or across processes.
 
-    Parameters
-    ----------
-    max_workers:
-        Process count; defaults to ``os.cpu_count()``.  With one worker the
-        plan runs in-process (no pool) against a pickle-isolated copy of the
-        payload, so parent state is never mutated in either mode.
-    chunk_size:
-        Units shipped per task; defaults to
-        :meth:`SweepPlan.default_chunk_size` (≈ 4 chunks per worker, which
-        balances stragglers against transport overhead).
-    mp_context:
-        Multiprocessing start-method name (``"fork"``/``"spawn"``/...);
-        defaults to the platform default.
+    ``max_workers`` is the process count (an integer >= 1; defaults to
+    ``os.cpu_count()``).  With one worker the plan runs in-process (no pool)
+    against a pickle-isolated copy of the payload, so parent state is never
+    mutated in either mode.  The pool ships
+    :meth:`SweepPlan.default_chunk_size` units per task (≈ 4 chunks per
+    worker, which balances stragglers against transport overhead).
     """
 
-    def __init__(
-        self,
-        max_workers: int | None = None,
-        *,
-        chunk_size: int | None = None,
-        mp_context: str | None = None,
-    ) -> None:
-        if max_workers is not None and int(max_workers) < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        self._max_workers = int(max_workers) if max_workers is not None else (os.cpu_count() or 1)
-        if chunk_size is not None and int(chunk_size) < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        self._chunk_size = int(chunk_size) if chunk_size is not None else None
-        self._mp_context = mp_context
+    def __init__(self, max_workers: int | None = None) -> None:
+        self._max_workers = (
+            os.cpu_count() or 1
+            if max_workers is None
+            else whole_number(max_workers, "max_workers", 1)
+        )
 
     @property
     def max_workers(self) -> int:
@@ -400,23 +385,12 @@ class SweepExecutor:
         return records
 
     def _run_pool(self, plan: SweepPlan, progress: ProgressCallback | None) -> list[tuple]:
-        chunk_size = (
-            self._chunk_size
-            if self._chunk_size is not None
-            else plan.default_chunk_size(self._max_workers)
-        )
-        chunks = plan.chunked(chunk_size)
+        chunks = plan.chunked(plan.default_chunk_size(self._max_workers))
         workers = min(self._max_workers, len(chunks))
-        context = (
-            multiprocessing.get_context(self._mp_context)
-            if self._mp_context is not None
-            else multiprocessing.get_context()
-        )
         records: list[tuple] = []
         try:
             with ProcessPoolExecutor(
                 max_workers=workers,
-                mp_context=context,
                 initializer=_init_worker,
                 initargs=(plan.payload, obs_trace.propagation()),
             ) as pool:

@@ -22,11 +22,11 @@ How a sweep flows through the spool (the full operational story lives in
   execution).  Workers compile the plan's tables from its payload, execute
   through the exact :class:`~repro.runtime.pool._WorkerRuntime` the process
   pool uses, and write results atomically into ``spool/done/``;
-* the parent **fan-in** streams results as they land (this is what
-  ``Session.remote(...)`` + ``run_many(..., stream=True)`` exposes), requeues
-  units whose lease expired (a killed worker costs one lease timeout, not the
-  sweep) and surfaces per-unit failures exactly like
-  :class:`~repro.runtime.pool.SweepExecutor`.
+* the parent **fan-in** collects results as they land, requeues units whose
+  lease expired (a killed worker costs one lease timeout, not the sweep) and
+  surfaces per-unit failures exactly like
+  :class:`~repro.runtime.pool.SweepExecutor`; ``Session.remote(...)`` routes
+  ``run_many`` and ``compare`` through it.
 
 Determinism: workers execute units through the same runtime as the process
 pool — per-unit ``default_rng(seed)`` plus sampler ``seek`` offsets — so for
@@ -59,6 +59,7 @@ import uuid
 from pathlib import Path
 from typing import Callable, Iterator
 
+from repro.core.checks import seconds, whole_number
 from repro.obs import export as obs_export
 from repro.obs import trace as obs_trace
 from repro.obs.logconfig import current_level
@@ -232,13 +233,9 @@ class SpoolWorker:
         worker_id: str | None = None,
         log: Callable[[str], None] | None = None,
     ) -> None:
-        if poll_interval <= 0.0:
-            raise ValueError(f"poll_interval must be > 0, got {poll_interval}")
-        if heartbeat <= 0.0:
-            raise ValueError(f"heartbeat must be > 0, got {heartbeat}")
+        self._poll = seconds(poll_interval, "poll_interval")
+        self._heartbeat = seconds(heartbeat, "heartbeat")
         self.spool = SpoolLayout(spool).ensure()
-        self._poll = float(poll_interval)
-        self._heartbeat = float(heartbeat)
         raw_id = worker_id or f"{socket.gethostname()}-{os.getpid()}"
         self.worker_id = raw_id.replace(os.sep, "-").replace(".", "-")
         self._log = log
@@ -507,9 +504,18 @@ class SpoolWorker:
     ) -> int:
         """Claim-and-execute until idle for ``max_idle`` seconds (or forever).
 
-        ``max_units`` stops after that many executed units (testing hook).
+        ``max_units`` (an integer >= 1) stops after that many executed units.
         Returns the number of units executed.
         """
+        if max_idle is not None:
+            max_idle = seconds(max_idle, "max_idle")
+        if max_units is not None:
+            max_units = whole_number(max_units, "max_units", 1)
+        self._say(
+            f"[{self.worker_id}] watching spool {self.spool.root} "
+            f"(poll {self._poll}s, heartbeat {self._heartbeat}s, "
+            f"max-idle {'∞' if max_idle is None else f'{max_idle}s'})"
+        )
         idle_since = time.monotonic()
         while True:
             if self._stop_requested:
@@ -577,12 +583,6 @@ def worker_main(
     )
     if install_signals:
         worker.install_signal_handlers()
-    if log is not None:
-        log(
-            f"[{worker.worker_id}] watching spool {worker.spool.root} "
-            f"(poll {poll_interval}s, heartbeat {heartbeat}s, "
-            f"max-idle {'∞' if max_idle is None else f'{max_idle}s'})"
-        )
     return worker.run(max_idle=max_idle, max_units=max_units)
 
 
@@ -592,13 +592,13 @@ def worker_main(
 
 
 class RemoteSweepExecutor:
-    """Fan a :class:`SweepPlan` out over a shared spool and stream the fan-in.
+    """Fan a :class:`SweepPlan` out over a shared spool and collect the fan-in.
 
     The drop-in distributed sibling of
     :class:`~repro.runtime.pool.SweepExecutor`: :meth:`run` has the same
-    signature and returns the same :class:`~repro.runtime.pool.SweepOutcome`;
-    :meth:`stream` additionally yields per-unit records as workers finish
-    them (completion order, not plan order).
+    signature and returns the same :class:`~repro.runtime.pool.SweepOutcome`.
+    Every seconds value must be finite and > 0, and every count a whole
+    number.
 
     Parameters
     ----------
@@ -634,22 +634,12 @@ class RemoteSweepExecutor:
         timeout: float | None = None,
         local_workers: int = 0,
     ) -> None:
-        if lease_timeout <= 0.0:
-            raise ValueError(f"lease_timeout must be > 0, got {lease_timeout}")
-        if poll_interval <= 0.0:
-            raise ValueError(f"poll_interval must be > 0, got {poll_interval}")
-        if max_requeues < 0:
-            raise ValueError(f"max_requeues must be >= 0, got {max_requeues}")
-        if timeout is not None and timeout <= 0.0:
-            raise ValueError(f"timeout must be > 0 (or None), got {timeout}")
-        if local_workers < 0:
-            raise ValueError(f"local_workers must be >= 0, got {local_workers}")
+        self._lease_timeout = seconds(lease_timeout, "lease_timeout")
+        self._poll = seconds(poll_interval, "poll_interval")
+        self._max_requeues = whole_number(max_requeues, "max_requeues", 0)
+        self._timeout = None if timeout is None else seconds(timeout, "timeout")
+        self._local_workers = whole_number(local_workers, "local_workers", 0)
         self.spool = SpoolLayout(spool).ensure()
-        self._lease_timeout = float(lease_timeout)
-        self._poll = float(poll_interval)
-        self._max_requeues = int(max_requeues)
-        self._timeout = timeout
-        self._local_workers = int(local_workers)
 
     # ------------------------------------------------------------------ #
     # submit
@@ -698,19 +688,16 @@ class RemoteSweepExecutor:
     # ------------------------------------------------------------------ #
     # fan-in
     # ------------------------------------------------------------------ #
-    def stream(
-        self,
-        plan: SweepPlan,
-        *,
-        progress: ProgressCallback | None = None,
+    def _stream(
+        self, plan: SweepPlan, progress: ProgressCallback | None
     ) -> Iterator[tuple]:
         """Submit the plan and yield result records as workers finish units.
 
         Yields the pool's record shape — ``(index, True, manager_name,
         outcomes)`` or ``(index, False, error_repr, traceback)`` — in
         completion order.  Requeues expired leases between scans; cleans the
-        plan out of the spool when the iterator closes (including early
-        ``break``/``close()``).
+        plan out of the spool when the generator closes, whether drained,
+        raising or abandoned.
         """
         if not plan.units:
             return
@@ -781,7 +768,7 @@ class RemoteSweepExecutor:
         """
         if on_error not in ("raise", "capture"):
             raise ValueError(f"on_error must be 'raise' or 'capture', got {on_error!r}")
-        records = list(self.stream(plan, progress=progress))
+        records = list(self._stream(plan, progress))
         obs_export.flush()
         return collect_outcome(plan, records, on_error=on_error)
 

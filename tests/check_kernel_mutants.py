@@ -1,4 +1,4 @@
-"""Mutation gate for the interval kernel and the metrics fold.
+"""Mutation gate for the interval kernel, the metrics fold and the sweep fan-in.
 
 Usage, from the repository root::
 
@@ -6,7 +6,9 @@ Usage, from the repository root::
 
 Each text mutant below names the test file it must fail: the interval
 kernel's mutants the boundary probes (``tests/test_kernel_boundaries.py``),
-the fold's mutants the overhead-fold checks (``tests/test_overhead_fold.py``).
+the fold's mutants the overhead-fold checks (``tests/test_overhead_fold.py``),
+and the runtime's mutants of how far a parallel sweep moves the shared frame
+sampler the cursor grid (``tests/test_sweep_cursor.py``).
 For each mutant the script copies ``src/`` and that test file (with the
 suite's ``conftest.py`` and ``helpers.py``) to a temporary directory,
 applies the mutant to the copy and runs the test file there.  Each test
@@ -29,8 +31,11 @@ ROOT = Path(__file__).resolve().parent.parent
 KERNELSPEC = "src/repro/core/kernelspec.py"
 STREAMING = "src/repro/core/streaming.py"
 SYSTEM = "src/repro/core/system.py"
+PLAN = "src/repro/runtime/plan.py"
+SESSION = "src/repro/api/session.py"
 PROBES = "tests/test_kernel_boundaries.py"
 FOLD = "tests/test_overhead_fold.py"
+CURSOR = "tests/test_sweep_cursor.py"
 SUPPORT_FILES = ("conftest.py", "helpers.py")
 
 #: (name, file, anchor, replacement, test file): one-token changes it must catch
@@ -83,6 +88,20 @@ MUTANTS = (
         "return float(np.cumsum(overheads)[-1]) if overheads.size else 0.0",
         "return float(self.manager_overheads.sum())",
         FOLD,
+    ),
+    (
+        "re-draw compare plan reports no draws",
+        PLAN,
+        "draws=cycles if sampler is not None else 0",
+        "draws=0 if sampler is not None else 0",
+        CURSOR,
+    ),
+    (
+        "fan-in advances the sampler on a transport failure",
+        SESSION,
+        'consumed = bool(getattr(error, "failures", ()))',
+        "consumed = True",
+        CURSOR,
     ),
 )
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import os
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,7 @@ from repro.core import (  # noqa: E402
 
 __all__ = [
     "BaseRowSampler",
+    "InlineWorker",
     "NoiseSampler",
     "TensorOnlySampler",
     "make_deadline",
@@ -151,3 +154,40 @@ def system_from_sampler(
         0.5 * worst_case,
         scenario_sampler=sampler,
     )
+
+
+class InlineWorker:
+    """A spool worker draining ``spool`` in a background thread of this process.
+
+    Use as a context manager around a spool sweep; the thread stops (and is
+    joined) on exit.
+    """
+
+    def __init__(self, spool: str | os.PathLike, *, worker_id: str | None = None) -> None:
+        from repro.runtime import SpoolWorker
+
+        self._worker = SpoolWorker(
+            spool,
+            poll_interval=0.02,
+            heartbeat=0.05,
+            worker_id=worker_id,
+        )
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._drain, daemon=True)
+
+    def _drain(self) -> None:
+        while not self._stop.is_set():
+            claim = self._worker.claim_one()
+            if claim is None:
+                self._stop.wait(0.02)
+                continue
+            self._worker._execute_claim(claim)
+
+    def __enter__(self):
+        self._thread.start()
+        return self._worker
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._stop.set()
+        self._thread.join(timeout=10.0)
+        assert not self._thread.is_alive(), "the inline spool worker did not stop"

@@ -238,8 +238,6 @@ class TestSessionValidation:
             lambda session: session.parallel(2.5),
             lambda session: session.parallel("3"),
             lambda session: session.parallel(0),
-            lambda session: session.parallel(2, chunk_size=0),
-            lambda session: session.parallel(2, chunk_size=1.5),
             lambda session: session.run_many([{"cycles": 1}], workers=2.5),
             lambda session: session.compare("numeric", cycles=1, workers=2.5),
             lambda session: session.remote(_NO_SPOOL, local_workers=2.5),
@@ -275,8 +273,6 @@ class TestSessionValidation:
             "parallel-workers-fractional",
             "parallel-workers-string",
             "parallel-workers-zero",
-            "parallel-chunk_size-zero",
-            "parallel-chunk_size-fractional",
             "run_many-workers-fractional",
             "compare-workers-fractional",
             "remote-local_workers-fractional",

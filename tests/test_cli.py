@@ -144,6 +144,16 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "worker exiting after 0 unit(s)" in output
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--max-units", "-1"), ("--max-idle", "-3"), ("--poll", "nan"), ("--heartbeat", "0")],
+    )
+    def test_worker_rejects_limits_that_would_run_nothing(self, capsys, tmp_path, flag, value):
+        """A negative limit or a NaN interval is an error, not a worker that
+        exits 0 having run nothing (or polls at a NaN cadence)."""
+        assert main(["worker", "--spool", str(tmp_path / "spool"), flag, value]) == 2
+        assert "error:" in capsys.readouterr().out
+
     def test_sweep_runs_over_a_spool(self, capsys, tmp_path):
         assert (
             main(

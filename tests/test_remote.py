@@ -29,6 +29,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import InlineWorker
+
 from repro.api import Session, SessionError
 from repro.runtime import (
     RemoteSweepExecutor,
@@ -82,36 +84,6 @@ def _batches_identical(first, second) -> None:
         assert a.manager_name == b.manager_name
         assert a.seed == b.seed
         assert _outcomes_equal(a.outcomes, b.outcomes), label
-
-
-class _InlineWorker:
-    """A spool worker draining in a background thread of this process."""
-
-    def __init__(self, tmp_path: Path, *, worker_id: str | None = None) -> None:
-        self._worker = SpoolWorker(
-            tmp_path / "spool",
-            poll_interval=0.02,
-            heartbeat=0.05,
-            worker_id=worker_id,
-        )
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._drain, daemon=True)
-
-    def _drain(self) -> None:
-        while not self._stop.is_set():
-            claim = self._worker.claim_one()
-            if claim is None:
-                self._stop.wait(0.02)
-                continue
-            self._worker._execute_claim(claim)
-
-    def __enter__(self) -> SpoolWorker:
-        self._thread.start()
-        return self._worker
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._stop.set()
-        self._thread.join(timeout=10.0)
 
 
 # --------------------------------------------------------------------------- #
@@ -187,7 +159,7 @@ def test_stream_cleans_the_spool_afterwards(tmp_path):
     executor = RemoteSweepExecutor(
         tmp_path / "spool", poll_interval=0.02, timeout=60.0
     )
-    with _InlineWorker(tmp_path):
+    with InlineWorker(tmp_path / "spool"):
         outcome = executor.run(plan)
     assert outcome.ok and set(outcome.outcomes) == {0, 1}
     layout = executor.spool
@@ -250,7 +222,7 @@ def test_unpicklable_payload_fails_before_touching_the_spool(tmp_path):
 def test_run_many_remote_matches_serial_inline(tmp_path):
     serial = _session(tmp_path).run_many(_GRID)
     session = _remote_session(tmp_path)
-    with _InlineWorker(tmp_path):
+    with InlineWorker(tmp_path / "spool"):
         remote = session.run_many(_GRID)
     _batches_identical(serial, remote)
 
@@ -258,7 +230,7 @@ def test_run_many_remote_matches_serial_inline(tmp_path):
 def test_compare_remote_redraw_matches_serial_inline(tmp_path):
     serial = _session(tmp_path).compare(cycles=4)
     session = _remote_session(tmp_path)
-    with _InlineWorker(tmp_path):
+    with InlineWorker(tmp_path / "spool"):
         remote = session.compare(cycles=4)
     _batches_identical(serial, remote)
     # the default remote transport is re-draw: nothing big hit the spool
@@ -285,7 +257,7 @@ def test_compare_remote_value_transport_matches_serial(tmp_path):
     remote = session().remote(
         tmp_path / "spool", lease_timeout=15.0, poll_interval=0.02, timeout=120.0
     )
-    with _InlineWorker(tmp_path):
+    with InlineWorker(tmp_path / "spool"):
         spooled = remote.compare(cycles=4)
     _batches_identical(serial, spooled)
 
@@ -303,68 +275,9 @@ def test_remote_compare_two_subprocess_workers_bit_identical(tmp_path):
     _batches_identical(serial, remote)
 
 
-def test_stateful_sampler_stream_ends_where_serial_does(tmp_path):
-    """After a remote sweep the parent's sampler stands at the serial position."""
-    serial_session = _session(tmp_path)
-    serial = serial_session.run_many(_GRID)
-    serial_cursor = serial_session.resolved_system().timing.scenario_sampler.cursor
-
-    remote_session = _remote_session(tmp_path)
-    with _InlineWorker(tmp_path):
-        remote_session.run_many(_GRID)
-    remote_cursor = remote_session.resolved_system().timing.scenario_sampler.cursor
-    assert remote_cursor == serial_cursor
-
-    # and the *next* run therefore matches serially too
-    follow_serial = serial_session.run_many([{"seed": 9, "cycles": 2}])
-    with _InlineWorker(tmp_path):
-        follow_remote = remote_session.run_many([{"seed": 9, "cycles": 2}])
-    _batches_identical(follow_serial, follow_remote)
-
-
 # --------------------------------------------------------------------------- #
-# streaming fan-in
+# withdrawn plans, eager validation, unit failures
 # --------------------------------------------------------------------------- #
-
-
-def test_stream_yields_incrementally_and_matches_serial(tmp_path):
-    serial = _session(tmp_path).run_many(_GRID)
-    session = _remote_session(tmp_path)
-    seen: list[str] = []
-    with _InlineWorker(tmp_path):
-        stream = session.run_many(_GRID, stream=True)
-        collected = {}
-        for label, run in stream:
-            seen.append(label)
-            collected[label] = run
-    assert sorted(seen) == sorted(serial.runs)
-    for label, run in collected.items():
-        assert _outcomes_equal(run.outcomes, serial[label].outcomes), label
-
-
-def test_stream_early_break_restores_the_sampler_and_spool(tmp_path):
-    """Abandoning a stream mid-drain must not diverge the session's scenario
-    stream from the serial position, and must withdraw the plan."""
-    serial_session = _session(tmp_path)
-    serial_session.run_many(_GRID)
-    serial_cursor = serial_session.resolved_system().timing.scenario_sampler.cursor
-
-    remote_session = _remote_session(tmp_path)
-    with _InlineWorker(tmp_path):
-        stream = remote_session.run_many(_GRID, stream=True)
-        next(stream)  # consume one result ...
-        stream.close()  # ... then abandon the rest
-    remote_cursor = remote_session.resolved_system().timing.scenario_sampler.cursor
-    assert remote_cursor == serial_cursor
-    layout = SpoolLayout(tmp_path / "spool")
-    assert not list(layout.plans.iterdir())
-    assert not list(layout.pending.iterdir())
-
-    # the next sweep therefore still matches serial bit-for-bit
-    follow_serial = serial_session.run_many([{"seed": 5, "cycles": 2}])
-    with _InlineWorker(tmp_path):
-        follow_remote = remote_session.run_many([{"seed": 5, "cycles": 2}])
-    _batches_identical(follow_serial, follow_remote)
 
 
 def test_no_result_written_after_plan_withdrawn(tmp_path):
@@ -384,23 +297,6 @@ def test_no_result_written_after_plan_withdrawn(tmp_path):
     assert not executor.spool.result_path(plan_id, second_index).is_file()
     assert plan_id not in worker._runtimes  # cached runtime evicted too
     executor._cleanup(plan_id)
-
-
-def test_stream_compare_labels_are_manager_names(tmp_path):
-    session = _remote_session(tmp_path)
-    with _InlineWorker(tmp_path):
-        labels = {label for label, _ in session.compare(cycles=2, stream=True)}
-    serial = _session(tmp_path).compare(cycles=2)
-    assert labels == set(serial.runs)
-
-
-def test_stream_keeps_iterator_shape_on_edge_inputs(tmp_path):
-    """An empty spec list skips the spool but must still yield, not return
-    a BatchResult (the documented (label, RunResult) contract)."""
-    session = _remote_session(tmp_path)
-    result = session.run_many([], stream=True)
-    assert not isinstance(result, type(_session(tmp_path).run_many([])))
-    assert list(result) == []
 
 
 def test_remote_builder_validates_eagerly(tmp_path):
@@ -431,49 +327,13 @@ def test_worker_evicts_withdrawn_plan_runtimes(tmp_path):
     assert plan_id not in worker._runtimes and plan_id not in worker._plans
 
 
-def test_stream_requires_the_remote_transport(tmp_path):
-    with pytest.raises(SessionError, match="stream=True"):
-        _session(tmp_path).run_many(_GRID, stream=True)
-    with pytest.raises(SessionError, match="stream=True"):
-        _session(tmp_path).parallel(2).compare(cycles=2, stream=True)
-
-
-def test_stream_raises_collected_failures_after_draining(tmp_path):
-    grid = [
-        {"label": "ok", "manager": "relaxation", "seed": 1, "cycles": 2},
-        {"label": "bad", "manager": "constant:level=99", "seed": 2, "cycles": 2},
-    ]
-    session = _remote_session(tmp_path)
-    with _InlineWorker(tmp_path):
-        stream = session.run_many(grid, stream=True)
-        with pytest.raises(SweepExecutionError, match="bad"):
-            for _label, _run in stream:
-                pass
-
-
-def test_failed_sweep_still_advances_the_sampler_to_the_serial_position(tmp_path):
-    """Catching a SweepExecutionError and continuing must keep the session on
-    the serial scenario stream (the whole plan's draws were consumed)."""
-    grid = [
-        {"label": "ok", "manager": "relaxation", "seed": 1, "cycles": 2},
-        {"label": "bad", "manager": "constant:level=99", "seed": 2, "cycles": 3},
-    ]
-    session = _remote_session(tmp_path)
-    before = session.resolved_system().timing.scenario_sampler.cursor
-    with _InlineWorker(tmp_path):
-        with pytest.raises(SweepExecutionError):
-            session.run_many(grid)
-    after = session.resolved_system().timing.scenario_sampler.cursor
-    assert after == before + 5  # 2 + 3 cycles of draws, failures included
-
-
 def test_run_surfaces_unit_failures_like_the_pool(tmp_path):
     grid = [
         {"label": "ok", "manager": "relaxation", "seed": 1, "cycles": 2},
         {"label": "bad", "manager": "constant:level=99", "seed": 2, "cycles": 2},
     ]
     session = _remote_session(tmp_path)
-    with _InlineWorker(tmp_path):
+    with InlineWorker(tmp_path / "spool"):
         with pytest.raises(SweepExecutionError) as excinfo:
             session.run_many(grid)
     (failure,) = excinfo.value.failures
@@ -511,7 +371,7 @@ def test_stale_lease_is_requeued_and_completed(tmp_path):
 
     outstanding = {unit.index for unit in plan.units}
     records = []
-    with _InlineWorker(tmp_path):
+    with InlineWorker(tmp_path / "spool"):
         deadline = time.monotonic() + 60.0
         while outstanding and time.monotonic() < deadline:
             records.extend(executor._drain_done(plan_id, outstanding))
@@ -540,7 +400,7 @@ def test_lease_stamped_in_the_future_is_requeued_and_completed(tmp_path):
 
     outstanding = {unit.index for unit in plan.units}
     records = []
-    with _InlineWorker(tmp_path):
+    with InlineWorker(tmp_path / "spool"):
         deadline = time.monotonic() + 60.0
         while outstanding and time.monotonic() < deadline:
             records.extend(executor._drain_done(plan_id, outstanding))
@@ -617,7 +477,7 @@ def test_killed_subprocess_worker_survived_by_requeue(tmp_path):
         victim.send_signal(signal.SIGKILL)
         victim.wait(timeout=30.0)
         # a surviving worker picks the requeued unit up after the lease expires
-        with _InlineWorker(tmp_path, worker_id="survivor"):
+        with InlineWorker(tmp_path / "spool", worker_id="survivor"):
             parent.join(timeout=120.0)
         assert not parent.is_alive(), "fan-in never completed after the kill"
     finally:
@@ -695,7 +555,7 @@ def _fan_in_past_torn_result(tmp_path: Path, age: float) -> dict:
     _age_file(torn, age)
     outstanding = {unit.index for unit in plan.units}
     records = []
-    with _InlineWorker(tmp_path):
+    with InlineWorker(tmp_path / "spool"):
         deadline = time.monotonic() + 30.0
         while outstanding and time.monotonic() < deadline:
             records.extend(executor._drain_done(plan_id, outstanding))
@@ -809,6 +669,64 @@ def test_fresh_torn_result_file_is_retried(tmp_path):
     (record,) = executor._drain_done(plan_id, outstanding)
     executor._cleanup(plan_id)
     assert record[2] == "delivered late" and outstanding == {1}
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda spool: Session().remote(spool, timeout=_NAN),
+        lambda spool: Session().remote(spool, lease_timeout=_NAN),
+        lambda spool: Session().remote(spool, poll_interval=float("inf")),
+        lambda spool: RemoteSweepExecutor(spool, timeout=_NAN),
+        lambda spool: RemoteSweepExecutor(spool, lease_timeout=_NAN),
+        lambda spool: RemoteSweepExecutor(spool, poll_interval=_NAN),
+        lambda spool: SpoolWorker(spool, heartbeat=_NAN),
+        lambda spool: SpoolWorker(spool, poll_interval=_NAN),
+        lambda spool: SpoolWorker(spool).run(max_idle=-3.0),
+        lambda spool: SpoolWorker(spool).run(max_idle=_NAN),
+    ],
+    ids=[
+        "session-timeout-nan",
+        "session-lease_timeout-nan",
+        "session-poll_interval-inf",
+        "executor-timeout-nan",
+        "executor-lease_timeout-nan",
+        "executor-poll_interval-nan",
+        "worker-heartbeat-nan",
+        "worker-poll_interval-nan",
+        "worker-max_idle-negative",
+        "worker-max_idle-nan",
+    ],
+)
+def test_seconds_must_be_finite_and_positive(tmp_path, build):
+    """A NaN timeout never fires and a NaN lease makes every claim look
+    expired (every comparison with NaN is false), so both fail here."""
+    with pytest.raises(ValueError, match="finite number of seconds > 0"):
+        build(tmp_path / "spool")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda spool: RemoteSweepExecutor(spool, local_workers=1.5),
+        lambda spool: RemoteSweepExecutor(spool, max_requeues=0.5),
+        lambda spool: SpoolWorker(spool).run(max_units=-1),
+        lambda spool: SpoolWorker(spool).run(max_units=1.5),
+    ],
+    ids=[
+        "executor-local_workers-fractional",
+        "executor-max_requeues-fractional",
+        "worker-max_units-negative",
+        "worker-max_units-fractional",
+    ],
+)
+def test_spool_counts_take_the_facade_count_rule(tmp_path, build):
+    """Counts are never truncated: 1.5 local workers is an error, not 1."""
+    with pytest.raises(ValueError, match="must be an integer >= [01]"):
+        build(tmp_path / "spool")
 
 
 def test_worker_validates_intervals(tmp_path):
@@ -925,7 +843,7 @@ def test_garbage_unit_file_never_kills_the_worker(tmp_path):
     layout = executor.spool
     # a foreign file shaped almost like a unit, sorted ahead of real units
     (layout.pending / "0-junk.unit").write_bytes(b"not a unit at all")
-    with _InlineWorker(tmp_path):
+    with InlineWorker(tmp_path / "spool"):
         outcome = executor.run(plan)
     assert outcome.ok and set(outcome.outcomes) == {0, 1}
     # the junk was never claimed and still sits in pending for the operator
@@ -1087,7 +1005,7 @@ def test_workers_zero_is_valid_on_the_spool_transport(tmp_path):
     with pytest.raises(SessionError, match="workers"):
         session._pool_config(None, -1)
     # and it actually runs with external (inline) workers attached
-    with _InlineWorker(tmp_path):
+    with InlineWorker(tmp_path / "spool"):
         batch = session.run_many(_GRID[:2], workers=0)
     assert set(batch.runs) == {"u0", "u1"}
 
@@ -1108,7 +1026,4 @@ def test_remote_wins_over_parallel_and_can_be_disabled(tmp_path):
     session = _remote_session(tmp_path).parallel(2)
     config = session._pool_config(None, None)
     assert config is not None and config.get("remote") is not None
-    session.remote(enabled=False)
-    config = session._pool_config(None, None)
-    assert config is not None and config.get("remote") is None  # pool again
     assert session._pool_config(False, None) is None  # parallel=False wins

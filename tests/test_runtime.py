@@ -326,18 +326,20 @@ class TestPlans:
         plan = plan_run_many(_payload(system, deadlines), entries)
         assert plan.labels == ("a", "a-1", "b")
         assert [unit.sampler_offset for unit in plan.units] == [0, 2, 5]
-        assert plan.total_draws == 6 and plan.total_cycles == 6
+        assert plan.draws == 6 and plan.total_cycles == 6
 
     def test_run_many_without_tracking(self, encoder_inputs):
-        system, deadlines = encoder_inputs
+        from helpers import make_seekless_system
+
         from repro.api import ManagerSpec
 
+        _, deadlines = encoder_inputs
         plan = plan_run_many(
-            _payload(system, deadlines),
+            _payload(make_seekless_system(), deadlines),
             [("x", ManagerSpec("numeric"), 2, 0)],
-            track_sampler=False,
         )
         assert plan.units[0].sampler_offset is None
+        assert plan.draws == 0
 
     def test_compare_units_share_scenarios(self, encoder_inputs):
         system, deadlines = encoder_inputs
@@ -350,7 +352,7 @@ class TestPlans:
             [ManagerSpec("numeric"), ManagerSpec("region")],
             scenarios,
         )
-        assert plan.total_draws == 0
+        assert plan.draws == 0
         assert all(unit.scenarios is plan.units[0].scenarios for unit in plan.units)
         with pytest.raises(PlanError):
             plan_compare(_payload(system, deadlines), [ManagerSpec("numeric")], [])
@@ -528,8 +530,12 @@ class TestPoolMechanics:
     def test_executor_validation(self):
         with pytest.raises(ValueError):
             SweepExecutor(max_workers=0)
-        with pytest.raises(ValueError):
-            SweepExecutor(chunk_size=0)
+
+    @pytest.mark.parametrize("workers", [2.5, "3", float("nan")])
+    def test_executor_takes_the_facade_count_rule(self, workers):
+        """A worker count is never truncated or parsed from text."""
+        with pytest.raises(ValueError, match="max_workers must be an integer >= 1"):
+            SweepExecutor(workers)
 
     def test_baseline_only_sweep_never_compiles(self, monkeypatch):
         """Workers compile lazily: a sweep of pure baselines builds no

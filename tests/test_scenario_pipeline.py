@@ -413,7 +413,8 @@ class TestCompareTransport:
             self._session().compare(*specs, cycles=6),
             self._session().compare(*specs, cycles=6, workers=1),
         )
-        assert all(unit.redraw and unit.scenarios is None for unit in plans[-1].units)
+        assert plans[-1].draws == 6
+        assert all(unit.scenarios is None for unit in plans[-1].units)
 
         seekless = make_seekless_system()
         assert_runs_identical(
@@ -421,26 +422,9 @@ class TestCompareTransport:
             self._session(seekless).parallel(workers=1).compare(*specs, cycles=6),
         )
         units = plans[-1].units
-        assert all(not unit.redraw and len(unit.scenarios) == 6 for unit in units)
+        assert plans[-1].draws == 0
+        assert all(len(unit.scenarios) == 6 for unit in units)
         assert all(unit.scenarios is units[0].scenarios for unit in units)
-
-    def test_redraw_leaves_the_stream_where_serial_would(self):
-        """Back-to-back compares see consecutive frame windows in both modes."""
-        serial = self._session()
-        redraw = self._session()
-        assert_runs_identical(
-            serial.compare("region", cycles=5),
-            redraw.compare("region", cycles=5, workers=1),
-        )
-        assert (
-            serial.resolved_system().timing.scenario_sampler.cursor
-            == redraw.resolved_system().timing.scenario_sampler.cursor
-            == 5
-        )
-        assert_runs_identical(
-            serial.compare("relaxation", cycles=3),
-            redraw.compare("relaxation", cycles=3, workers=1),
-        )
 
     def test_run_many_units_carry_no_scenarios(self, monkeypatch):
         """Grid units draw worker-side, whatever the sampler."""
@@ -451,9 +435,7 @@ class TestCompareTransport:
                 self._session(system).run_many(specs),
                 self._session(system).run_many(specs, workers=1),
             )
-            assert all(
-                unit.scenarios is None and not unit.redraw for unit in plans[-1].units
-            )
+            assert all(unit.scenarios is None for unit in plans[-1].units)
 
     def test_samplerless_system_supports_redraw(self, monkeypatch):
         plans = record_plans(monkeypatch)
@@ -464,7 +446,8 @@ class TestCompareTransport:
                 "region", "constant:level=1", cycles=3, workers=1
             ),
         )
-        assert all(unit.redraw for unit in plans[-1].units)
+        assert plans[-1].draws == 0  # no sampler, no stream to move
+        assert all(unit.scenarios is None for unit in plans[-1].units)
 
     def test_redraw_units_ship_no_scenario_data(self):
         from repro.api.registry import ManagerSpec
@@ -490,7 +473,7 @@ class TestCompareTransport:
         redraw_bytes = len(pickle.dumps(redraw.units[0]))
         assert value_bytes > scenarios.nbytes()  # the tensor travels
         assert redraw_bytes < 1024  # the recipe is a few plain fields
-        assert redraw.total_draws == 0
+        assert redraw.draws == 32 and value.draws == 0
         assert value.units[0].scenarios == scenarios
 
     def test_redraw_plan_rejects_seekless_stateful_samplers(self):
@@ -511,22 +494,6 @@ class TestCompareTransport:
 
 
 class TestSweepUnitValidation:
-    def test_redraw_with_scenarios_rejected(self):
-        from repro.api.registry import ManagerSpec
-        from repro.runtime.plan import PlanError, SweepUnit
-
-        system = make_synthetic_system(n_actions=6, n_levels=3)
-        batch = system.draw_scenarios(2, np.random.default_rng(0))
-        with pytest.raises(PlanError):
-            SweepUnit(
-                index=0,
-                label="x",
-                manager=ManagerSpec("constant"),
-                cycles=2,
-                scenarios=batch,
-                redraw=True,
-            )
-
     def test_legacy_scenario_tuples_are_coerced(self):
         from repro.api.registry import ManagerSpec
         from repro.runtime.plan import SweepUnit
@@ -542,7 +509,6 @@ class TestSweepUnitValidation:
             scenarios=scenarios,
         )
         assert isinstance(unit.scenarios, ScenarioBatch)
-        assert unit.draws == 0
 
     def test_worker_rejects_foreign_scenario_tensor(self):
         """A tensor drawn for another system fails with a clear message."""
