@@ -97,7 +97,6 @@ def _time_compare_plans(system, deadlines) -> dict:
         deadlines=deadlines,
         policy=None,
         relaxation_steps=(1, 10),
-        require_feasible=True,
     )
     sampler = system.timing.scenario_sampler
     start = sampler.cursor
@@ -278,7 +277,6 @@ def bench_scenario_pipeline(paper_workload, paper_deadlines):
         deadlines=paper_deadlines,
         policy=None,
         relaxation_steps=(1, 10),
-        require_feasible=True,
     )
     transport_batch = batched_system.draw_scenarios(
         _N_TRANSPORT_CYCLES, np.random.default_rng(1)

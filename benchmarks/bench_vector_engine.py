@@ -39,8 +39,6 @@ from repro.core import (
     compile_decision_kernel,
     run_cycle,
     run_cycles_vectorized,
-    run_fixed_quality,
-    run_fixed_quality_batch,
 )
 from repro.platform.overhead import IPOD_LIKE, LinearOverheadModel
 
@@ -180,23 +178,6 @@ def bench_vector_engine_speedup(paper_system, paper_deadlines, paper_controllers
             _measure(paper_system, manager, grid_scenarios, overhead_model),
             n_cycles=_N_CYCLES_GRID,
         )
-
-    # fixed-quality baseline batch (the read-only fast path + one cumsum)
-    started = time.perf_counter()
-    fixed_scalar = [run_fixed_quality(paper_system, 3, scenario=s) for s in scenarios]
-    fixed_scalar_s = time.perf_counter() - started
-    started = time.perf_counter()
-    fixed_batch = run_fixed_quality_batch(paper_system, 3, scenarios)
-    fixed_batch_s = time.perf_counter() - started
-    assert _outcomes_identical(fixed_scalar, fixed_batch)
-    measurements["fixed-quality"] = {
-        "scalar_seconds": fixed_scalar_s,
-        "vectorized_seconds": fixed_batch_s,
-        "scalar_cycles_per_sec": _N_CYCLES / fixed_scalar_s,
-        "vectorized_cycles_per_sec": _N_CYCLES / fixed_batch_s,
-        "speedup": fixed_scalar_s / fixed_batch_s,
-        "n_cycles": _N_CYCLES,
-    }
 
     _write_report(
         {

@@ -11,9 +11,10 @@ The library provides:
 * :mod:`repro.core` — the quality-management model: parameterized systems,
   quality-management policies, the numeric Quality Manager, speed diagrams,
   quality regions, control relaxation regions and the controller compiler.
-* :mod:`repro.platform` — a virtual execution platform: virtual clock,
+* :mod:`repro.platform` — a virtual execution platform: machine presets,
   overhead models for the different manager implementations, a profiler and
-  an executor that charges management overhead.
+  execution-trace helpers.  :meth:`repro.api.Session.machine` runs a system
+  on a machine and charges its management overhead.
 * :mod:`repro.media` — a synthetic MPEG-like video encoder workload
   generator reproducing the shape of the paper's 1,189-action encoder.
 * :mod:`repro.baselines` — quality/overload managers from related work used

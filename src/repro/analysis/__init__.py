@@ -1,7 +1,7 @@
 """Analysis utilities: metrics, diagram rendering, reports and sweeps."""
 
 from .diagrams import render_ascii_plot, render_speed_diagram, series_to_csv, sparkline
-from .metrics import QualityMetrics, compare_outcomes, compute_metrics, smoothness_index
+from .metrics import QualityMetrics, compute_metrics, smoothness_index
 from .reports import (
     format_table,
     memory_report,
@@ -14,7 +14,6 @@ from .sweep import SweepPoint, grid_specs, run_session_sweep, run_sweep, sweep_t
 __all__ = [
     "QualityMetrics",
     "compute_metrics",
-    "compare_outcomes",
     "smoothness_index",
     "render_ascii_plot",
     "render_speed_diagram",

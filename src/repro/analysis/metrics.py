@@ -8,7 +8,7 @@ fluctuation) — plus the management overhead the symbolic machinery targets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from repro.core.deadlines import DeadlineFunction
 from repro.core.streaming import StreamingMetrics, outcome_arrays
 from repro.core.system import CycleOutcome
 
-__all__ = ["QualityMetrics", "compute_metrics", "smoothness_index", "compare_outcomes"]
+__all__ = ["QualityMetrics", "compute_metrics", "smoothness_index"]
 
 
 def smoothness_index(qualities: np.ndarray) -> float:
@@ -86,14 +86,3 @@ def compute_metrics(
     accumulator = StreamingMetrics(deadlines)
     accumulator.update_chunk(*outcome_arrays(outcomes))
     return accumulator.metrics()
-
-
-def compare_outcomes(
-    labelled_outcomes: dict[str, Sequence[CycleOutcome]],
-    deadlines: DeadlineFunction,
-) -> dict[str, QualityMetrics]:
-    """Metrics for several managers run on the same workload, keyed by label."""
-    return {
-        label: compute_metrics(outcomes, deadlines)
-        for label, outcomes in labelled_outcomes.items()
-    }

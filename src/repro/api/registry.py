@@ -170,7 +170,8 @@ class BuildContext:
         relaxation_steps: Sequence[int] = DEFAULT_RELAXATION_STEPS,
         require_feasible: bool = True,
     ) -> "BuildContext":
-        """A standalone context with its own one-entry compilation cache."""
+        """A standalone context with its own compilation cache, one entry per
+        relaxation step set."""
         steps = tuple(relaxation_steps)
         cache: dict[tuple[int, ...], CompiledControllers] = {}
 

@@ -1,8 +1,9 @@
 """Fluent session builder: configure once, compile lazily, run many times.
 
 The session replaces the hand-wired five-step dance
-(``build_encoder_system`` → ``DeadlineFunction`` → ``QualityManagerCompiler``
-→ pick a manager → ``run_cycle``) with one chainable object::
+(``EncoderWorkload.build_system`` → ``DeadlineFunction`` →
+``QualityManagerCompiler`` → pick a manager → ``run_cycle``) with one
+chainable object::
 
     from repro.api import Session
 
@@ -209,7 +210,6 @@ class Session:
         self._period: float | None = None
         self._policy: QualityManagementPolicy | None = None
         self._steps: tuple[int, ...] = tuple(DEFAULT_RELAXATION_STEPS)
-        self._require_feasible: bool = True
         self._spec: ManagerSpec = ManagerSpec("relaxation")
         self._machine: Any = None  # platform.Machine
         self._overhead: Any = None  # model / parameters / preset string
@@ -249,10 +249,6 @@ class Session:
             )
         self._invalidate()
         return self
-
-    def workload(self, workload: Any) -> "Session":
-        """Alias of :meth:`system` for encoder workloads (reads better)."""
-        return self.system(workload)
 
     def deadlines(
         self,
@@ -305,12 +301,6 @@ class Session:
         if cleaned != self._steps:
             self._steps = cleaned
             self._invalidate()
-        return self
-
-    def require_feasible(self, required: bool = True) -> "Session":
-        """Whether compilation refuses infeasible systems (default true)."""
-        self._require_feasible = bool(required)
-        self._invalidate()
         return self
 
     def manager(self, spec: ManagerSpec | str, **params: Any) -> "Session":
@@ -612,15 +602,10 @@ class Session:
                     self.resolved_deadlines(),
                     policy=self._policy,
                     relaxation_steps=key,
-                    require_feasible=self._require_feasible,
                 )
                 self._compile_cache[key] = compiled
             else:
-                compiler = QualityManagerCompiler(
-                    policy=self._policy,
-                    relaxation_steps=key,
-                    require_feasible=self._require_feasible,
-                )
+                compiler = QualityManagerCompiler(policy=self._policy, relaxation_steps=key)
                 self._compile_cache[key] = compiler.compile(
                     self.resolved_system(), self.resolved_deadlines()
                 )
@@ -1025,7 +1010,6 @@ class Session:
             deadlines=self.resolved_deadlines(),
             policy=self._policy,
             relaxation_steps=self._steps,
-            require_feasible=self._require_feasible,
             machine=self._machine,
             overhead=self._overhead,
             chunk_size=chunk_size,

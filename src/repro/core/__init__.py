@@ -8,12 +8,7 @@ them.
 """
 
 from .compiler import CompilationReport, CompiledControllers, QualityManagerCompiler
-from .controller import (
-    ControlledSystem,
-    run_cycle,
-    run_fixed_quality,
-    run_fixed_quality_batch,
-)
+from .controller import run_cycle, run_fixed_quality
 from .deadlines import DeadlineFunction
 from .engine import (
     CycleOutcomes,
@@ -49,15 +44,7 @@ from .speed import SpeedAssessment, SpeedDiagram
 from .streaming import QuantileSketch, StreamingMetrics, run_cycles_streamed
 from .system import CycleOutcome, ParameterizedSystem
 from .tdtable import TDTable, compute_td_table
-from .timing import (
-    ActualTimeScenario,
-    ScenarioBatch,
-    TimingModel,
-    TimingTable,
-    blend_tables,
-    build_table,
-    scaled_table,
-)
+from .timing import ActualTimeScenario, ScenarioBatch, TimingModel, TimingTable
 from .types import (
     Action,
     DeadlineMissError,
@@ -92,9 +79,6 @@ __all__ = [
     "TimingModel",
     "ActualTimeScenario",
     "ScenarioBatch",
-    "build_table",
-    "scaled_table",
-    "blend_tables",
     # deadlines / system
     "DeadlineFunction",
     "ParameterizedSystem",
@@ -126,10 +110,8 @@ __all__ = [
     "QualityManagerCompiler",
     "CompiledControllers",
     "CompilationReport",
-    "ControlledSystem",
     "run_cycle",
     "run_fixed_quality",
-    "run_fixed_quality_batch",
     # vectorised batch engine
     "CycleOutcomes",
     "EngineError",

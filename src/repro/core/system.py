@@ -357,23 +357,3 @@ class ParameterizedSystem:
         Per-cycle views are available via indexing/iteration.
         """
         return self._timing.sample_scenarios(count, rng)
-
-    def sample_actual_times(
-        self,
-        qualities: Sequence[int] | np.ndarray,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Draw actual execution times for a full cycle at the given quality levels.
-
-        ``qualities`` holds one quality *level* per action; the result is
-        clipped into ``[0, C^wc]``.
-        """
-        levels = np.asarray(qualities, dtype=np.int64)
-        if levels.shape != (self.n_actions,):
-            raise ValueError(
-                f"expected {self.n_actions} quality levels, got shape {levels.shape}"
-            )
-        rows = levels - self.qualities.minimum
-        if rows.min(initial=0) < 0 or rows.max(initial=0) >= len(self.qualities):
-            raise ValueError("quality levels outside the system's quality set")
-        return self._timing.sample_actual(rows, rng)

@@ -18,7 +18,7 @@ rest of the library can assume the model's hypotheses hold.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,9 +29,6 @@ from .types import InvalidTimingError, QualitySet
 
 __all__ = [
     "TimingTable",
-    "build_table",
-    "scaled_table",
-    "blend_tables",
     "ActualTimeScenario",
     "ScenarioBatch",
     "ScenarioFactors",
@@ -210,76 +207,6 @@ class TimingTable:
         return bool(np.all(self._values + tolerance >= other._values))
 
 
-def build_table(
-    qualities: QualitySet,
-    per_action: Sequence[Mapping[int, float]] | Sequence[Sequence[float]],
-    *,
-    name: str = "C",
-) -> TimingTable:
-    """Build a :class:`TimingTable` from per-action specifications.
-
-    ``per_action`` holds one entry per action, either a mapping
-    ``{quality: time}`` covering every level of ``qualities`` or a sequence of
-    times ordered from the lowest to the highest level.
-    """
-    n_levels = len(qualities)
-    columns: list[list[float]] = []
-    for position, spec in enumerate(per_action, start=1):
-        if isinstance(spec, Mapping):
-            try:
-                column = [float(spec[level]) for level in qualities]
-            except KeyError as missing:
-                raise InvalidTimingError(
-                    f"{name}: action {position} is missing quality level {missing.args[0]}"
-                ) from None
-        else:
-            column = [float(v) for v in spec]
-            if len(column) != n_levels:
-                raise InvalidTimingError(
-                    f"{name}: action {position} provides {len(column)} times, "
-                    f"expected {n_levels}"
-                )
-        columns.append(column)
-    values = np.array(columns, dtype=np.float64).T if columns else np.zeros((n_levels, 0))
-    return TimingTable(qualities, values, name=name)
-
-
-def scaled_table(table: TimingTable, factor: float, *, name: str | None = None) -> TimingTable:
-    """Return a copy of ``table`` with every entry multiplied by ``factor``.
-
-    Used to derive worst-case estimates from average estimates (or vice versa)
-    and to model platforms of different speeds.
-    """
-    if factor < 0.0:
-        raise InvalidTimingError(f"scaling factor must be non-negative, got {factor}")
-    return TimingTable(
-        table.qualities,
-        table.values * float(factor),
-        name=name or table.name,
-        validate=False,
-    )
-
-
-def blend_tables(
-    first: TimingTable,
-    second: TimingTable,
-    weight: float,
-    *,
-    name: str = "Cblend",
-) -> TimingTable:
-    """Convex combination ``weight * first + (1 - weight) * second``.
-
-    Useful for sensitivity studies on the quality of the average estimate
-    (e.g. blending the true average with the worst case).
-    """
-    if not 0.0 <= weight <= 1.0:
-        raise InvalidTimingError(f"blend weight must lie in [0, 1], got {weight}")
-    if first.qualities != second.qualities or first.n_actions != second.n_actions:
-        raise InvalidTimingError("blended tables must share shape and quality set")
-    values = weight * first.values + (1.0 - weight) * second.values
-    return TimingTable(first.qualities, values, name=name)
-
-
 class ActualTimeScenario:
     """Actual execution times ``C(a, q)`` for one cycle, for every level.
 
@@ -335,11 +262,6 @@ class ActualTimeScenario:
                 f"action index {action_index} out of range 1..{self.n_actions}"
             )
         return float(self._matrix[self._qualities.index_of(quality), action_index - 1])
-
-    def times_for(self, quality_rows: np.ndarray) -> np.ndarray:
-        """Per-action actual times for a vector of 0-based quality row indices."""
-        rows = np.asarray(quality_rows, dtype=np.intp)
-        return self._matrix[rows, np.arange(self.n_actions)]
 
 
 def _without_writable_aliases(array: np.ndarray) -> np.ndarray:
@@ -1002,20 +924,3 @@ class TimingModel:
         if not owned or not drawn.flags.writeable:
             drawn = drawn.copy()
         return drawn
-
-    def sample_actual(
-        self,
-        quality_rows: np.ndarray,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Draw actual execution times for a cycle run at fixed per-action levels.
-
-        ``quality_rows`` holds the 0-based quality row index chosen for every
-        action.  Convenience wrapper over :meth:`sample_scenario`.
-        """
-        rows = np.asarray(quality_rows, dtype=np.intp)
-        if rows.shape != (self.n_actions,):
-            raise ValueError(
-                f"expected one quality row per action ({self.n_actions}), got shape {rows.shape}"
-            )
-        return self.sample_scenario(rng).times_for(rows)

@@ -7,7 +7,8 @@ One module per artefact:
 * :mod:`repro.experiments.exp_fig7` — E3, Figure 7;
 * :mod:`repro.experiments.exp_fig8` — E4, Figure 8;
 * :mod:`repro.experiments.exp_diagrams` — E5, the geometry of Figures 3–6;
-* :mod:`repro.experiments.runner` — run everything and print paper-style reports.
+* :mod:`repro.experiments.runner` — run everything and print paper-style
+  reports (``python -m repro experiments`` from the command line).
 """
 
 from .config import PAPER_REFERENCE, PAPER_SETUP, PaperReference, PaperSetup

@@ -1,6 +1,6 @@
 """Experiment runner: regenerate every paper artefact in one call.
 
-``python -m repro.experiments.runner`` runs the full paper-scale evaluation
+``python -m repro experiments`` runs the full paper-scale evaluation
 (29 CIF frames, 1,189 actions per frame) and prints the reports; the ``fast``
 mode used by tests runs a QCIF-sized workload with fewer frames so the whole
 suite stays quick.
@@ -8,7 +8,6 @@ suite stays quick.
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
 
 from repro.api.session import Session
@@ -20,7 +19,7 @@ from .exp_fig8 import Fig8Result, run_fig8_experiment
 from .exp_memory import MemoryExperimentResult, run_memory_experiment
 from .exp_overhead import OverheadExperimentResult, run_overhead_experiment
 
-__all__ = ["ExperimentSuiteResult", "run_all_experiments", "main"]
+__all__ = ["ExperimentSuiteResult", "run_all_experiments"]
 
 
 @dataclass(frozen=True)
@@ -104,51 +103,3 @@ def run_all_experiments(
     return ExperimentSuiteResult(
         memory=memory, overhead=overhead, fig7=fig7, fig8=fig8, diagrams=diagrams
     )
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Command-line entry point."""
-    parser = argparse.ArgumentParser(description="Reproduce the paper's experiments")
-    parser.add_argument("--fast", action="store_true", help="small workload for a quick run")
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="run the manager comparisons through the sweep pool with N workers",
-    )
-    parser.add_argument(
-        "--spool",
-        default=None,
-        help="shared spool directory for distributed comparisons (see docs/distributed-sweeps.md)",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="overall bound in seconds for a --spool run (default: wait forever)",
-    )
-    parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        help=(
-            "stream the metric-only experiments in chunks of N cycles "
-            "(default: materialised)"
-        ),
-    )
-    arguments = parser.parse_args(argv)
-    result = run_all_experiments(
-        fast=arguments.fast,
-        seed=arguments.seed,
-        workers=arguments.workers,
-        spool=arguments.spool,
-        spool_timeout=arguments.timeout,
-        chunk_size=arguments.chunk_size,
-    )
-    print(result.render())
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    raise SystemExit(main())

@@ -17,12 +17,7 @@ from .gop import GopStructure
 from .quality import DEFAULT_SEMANTICS, QualityLevelSemantics
 from .timing_model import EncoderTimingModel, FrameScenarioSampler
 from .video import CIF, QCIF, SD, FrameContent, SyntheticVideoSource, VideoFormat
-from .workload import (
-    EncoderWorkload,
-    build_encoder_system,
-    paper_encoder,
-    small_encoder,
-)
+from .workload import EncoderWorkload, paper_encoder, small_encoder
 
 __all__ = [
     "VideoFormat",
@@ -41,7 +36,6 @@ __all__ = [
     "EncoderTimingModel",
     "FrameScenarioSampler",
     "EncoderWorkload",
-    "build_encoder_system",
     "paper_encoder",
     "small_encoder",
 ]

@@ -19,7 +19,7 @@ from .gop import GopStructure
 from .timing_model import EncoderTimingModel, FrameScenarioSampler
 from .video import CIF, QCIF, SyntheticVideoSource, VideoFormat
 
-__all__ = ["EncoderWorkload", "build_encoder_system", "paper_encoder", "small_encoder"]
+__all__ = ["EncoderWorkload", "paper_encoder", "small_encoder"]
 
 
 @dataclass(frozen=True)
@@ -121,25 +121,6 @@ class EncoderWorkload:
     def with_overrides(self, **changes) -> "EncoderWorkload":
         """A copy of the workload with the given fields replaced."""
         return replace(self, **changes)
-
-
-def build_encoder_system(
-    *,
-    video_format: VideoFormat = CIF,
-    n_levels: int = 7,
-    n_frames: int = 29,
-    seed: int = 0,
-    time_scale: float = 1.0,
-) -> ParameterizedSystem:
-    """Convenience constructor used in the documentation examples."""
-    workload = EncoderWorkload(
-        video_format=video_format,
-        n_levels=n_levels,
-        n_frames=n_frames,
-        seed=seed,
-        time_scale=time_scale,
-    )
-    return workload.build_system()
 
 
 def paper_encoder(*, seed: int = 0) -> EncoderWorkload:

@@ -1,15 +1,16 @@
 """Virtual execution platform.
 
 Models everything the paper's bare-metal iPod target contributes to the
-experiments: the real-time clock, the per-invocation Quality-Manager overhead
-(the quantity symbolic management reduces), the profiling step that produces
-the ``C^av`` / ``C^wc`` estimates, and the execution traces the experiments
-read.  Controlled software runs on a machine through
-:meth:`repro.api.Session.machine`, which deploys the system on the machine
-and charges its overhead model, with one clock read per manager invocation.
+experiments: the per-invocation Quality-Manager overhead (the quantity
+symbolic management reduces), the profiling step that produces the
+``C^av`` / ``C^wc`` estimates, and the execution traces the experiments
+read.  The real-time clock is ideal: its reads are exact, and each costs
+``Machine.clock_read_overhead``.  Controlled software runs on a machine
+through :meth:`repro.api.Session.machine`, which deploys the system on the
+machine and charges its overhead model, with one clock read per manager
+invocation.
 """
 
-from .clock import VirtualClock
 from .machine import Machine, desktop, fast_embedded, ipod_video
 from .overhead import (
     DESKTOP_LIKE,
@@ -29,7 +30,6 @@ from .tracing import (
 )
 
 __all__ = [
-    "VirtualClock",
     "Machine",
     "ipod_video",
     "fast_embedded",

@@ -2,7 +2,7 @@
 
 A :class:`Machine` bundles everything the controlled software sees of the
 hardware: a relative speed factor applied to the application's execution
-times, the real-time clock characteristics and the per-unit costs of Quality
+times, the cost of one real-time clock read and the per-unit costs of Quality
 Manager work.  Pre-defined machines model the paper's Apple iPod Video (5G)
 target and two faster reference points used in scaling studies.
 """
@@ -13,14 +13,7 @@ from dataclasses import dataclass, replace
 
 from repro.core.system import ParameterizedSystem
 
-from .clock import VirtualClock
-from .overhead import (
-    DESKTOP_LIKE,
-    FAST_EMBEDDED,
-    IPOD_LIKE,
-    LinearOverheadModel,
-    OverheadParameters,
-)
+from .overhead import DESKTOP_LIKE, FAST_EMBEDDED, IPOD_LIKE, OverheadParameters
 
 __all__ = ["Machine", "ipod_video", "fast_embedded", "desktop"]
 
@@ -38,8 +31,6 @@ class Machine:
         (``> 1`` means a slower platform).
     overhead:
         Per-unit Quality Manager costs on this platform.
-    clock_granularity:
-        Tick size of the real-time clock (0 for continuous).
     clock_read_overhead:
         Cost of one clock read, charged per manager invocation.
     """
@@ -47,23 +38,11 @@ class Machine:
     name: str
     speed_factor: float = 1.0
     overhead: OverheadParameters = IPOD_LIKE
-    clock_granularity: float = 0.0
     clock_read_overhead: float = 0.0
 
     def __post_init__(self) -> None:
         if self.speed_factor <= 0.0:
             raise ValueError(f"speed factor must be > 0, got {self.speed_factor}")
-
-    def overhead_model(self) -> LinearOverheadModel:
-        """A fresh overhead model for one experiment run."""
-        return LinearOverheadModel(self.overhead)
-
-    def clock(self) -> VirtualClock:
-        """A fresh virtual clock for one experiment run."""
-        return VirtualClock(
-            granularity=self.clock_granularity,
-            read_overhead=self.clock_read_overhead,
-        )
 
     def deploy(self, system: ParameterizedSystem) -> ParameterizedSystem:
         """The application's timing as observed on this platform.
@@ -88,7 +67,7 @@ class Machine:
 def ipod_video() -> Machine:
     """The paper's target: an Apple iPod Video (5G) class platform.
 
-    Slow CPU, reliable real-time clock with microsecond-class granularity.
+    Slow CPU with a reliable real-time clock; reads are exact and, here, free.
     The paper stresses that absolute numbers on this machine are indicative
     only; the same holds here.
     """
@@ -96,7 +75,6 @@ def ipod_video() -> Machine:
         name="iPod Video (5G)",
         speed_factor=1.0,
         overhead=IPOD_LIKE,
-        clock_granularity=1.0e-5,
         clock_read_overhead=0.0,
     )
 
@@ -107,7 +85,6 @@ def fast_embedded() -> Machine:
         name="fast embedded",
         speed_factor=0.1,
         overhead=FAST_EMBEDDED,
-        clock_granularity=1.0e-6,
     )
 
 
@@ -117,5 +94,4 @@ def desktop() -> Machine:
         name="desktop",
         speed_factor=0.001,
         overhead=DESKTOP_LIKE,
-        clock_granularity=1.0e-7,
     )

@@ -400,7 +400,9 @@ class CompiledArtifactCache:
         return compiled
 
     def _read(self, path: Path, key: str, *, require_feasible: bool) -> CompiledControllers:
-        with np.load(path, allow_pickle=False) as payload:
+        # the handle is ours, so a truncated archive that np.load rejects
+        # still closes it
+        with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as payload:
             names = set(payload.files)
             if "meta" not in names or "checksum" not in names:
                 raise ArtifactIntegrityError(f"{path}: missing metadata members")

@@ -106,7 +106,6 @@ class ExecutionPayload:
     deadlines: DeadlineFunction
     policy: QualityManagementPolicy | None
     relaxation_steps: tuple[int, ...]
-    require_feasible: bool
     machine: Any = None  # repro.platform.machine.Machine | None
     overhead: Any = None
     chunk_size: int | None = None

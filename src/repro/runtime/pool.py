@@ -14,9 +14,9 @@ the serial execution order would have left it in.  The executor only decides
 
 Failure handling captures per-unit exceptions (with tracebacks) instead of
 tearing down the pool: one infeasible scenario in a 10,000-unit sweep should
-cost one unit, not the sweep.  ``on_error="raise"`` (the default) re-raises
-them collectively after the sweep drains; ``on_error="capture"`` returns them
-in the :class:`SweepOutcome`.
+cost one unit, not the sweep.  The executor re-raises them collectively after
+the sweep drains, as one :class:`SweepExecutionError` whose ``failures``
+hold every failed unit.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from repro.obs import trace as obs_trace
 from repro.obs.metrics import registry as obs_registry
 from repro.obs.state import enabled as obs_enabled
 from repro.core.checks import whole_number
-from repro.core.compiler import CompiledControllers, QualityManagerCompiler
 from repro.core.streaming import stream_or_materialise
 from repro.core.timing import supports_replay
 
@@ -86,7 +85,8 @@ class UnitFailure:
 
 
 class SweepExecutionError(RuntimeError):
-    """Raised when sweep units failed and ``on_error="raise"`` (the default)."""
+    """Raised when sweep units failed (``failures`` holds them, by unit index)
+    or when the sweep could not run at all (``failures`` is empty)."""
 
     def __init__(self, failures: Sequence[UnitFailure], message: str | None = None) -> None:
         self.failures = tuple(failures)
@@ -115,12 +115,6 @@ class SweepOutcome:
     plan: SweepPlan
     outcomes: dict[int, Any] = field(default_factory=dict)
     manager_names: dict[int, str] = field(default_factory=dict)
-    failures: tuple[UnitFailure, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        """True when every unit completed."""
-        return not self.failures
 
 
 # --------------------------------------------------------------------------- #
@@ -144,29 +138,12 @@ class _WorkerRuntime:
         self._overhead_model = resolve_overhead_model(machine, payload.overhead)
         self._sampler = self._base_system.timing.scenario_sampler
         self._base_cursor = getattr(self._sampler, "cursor", None)
-        self._compiled: dict[tuple[int, ...], CompiledControllers] = {}
-
-    def _compile(self, *, steps_override: Sequence[int] | None = None) -> CompiledControllers:
-        key = (
-            tuple(steps_override)
-            if steps_override is not None
-            else tuple(self._payload.relaxation_steps)
-        )
-        if key not in self._compiled:
-            self._compiled[key] = QualityManagerCompiler(
-                policy=self._payload.policy,
-                relaxation_steps=key,
-                require_feasible=self._payload.require_feasible,
-            ).compile(self._base_system, self._payload.deadlines)
-        return self._compiled[key]
-
-    def _context(self) -> BuildContext:
-        return BuildContext(
-            system=self._base_system,
-            deadlines=self._payload.deadlines,
-            policy=self._payload.policy,
-            relaxation_steps=tuple(self._payload.relaxation_steps),
-            compile=self._compile,
+        # compiles once per relaxation step set, for every unit of the runtime
+        self._context = BuildContext.create(
+            self._base_system,
+            payload.deadlines,
+            policy=payload.policy,
+            relaxation_steps=payload.relaxation_steps,
         )
 
     def _check_unit_scenarios(self, unit: SweepUnit) -> None:
@@ -208,7 +185,7 @@ class _WorkerRuntime:
         worker memory, a few hundred bytes over the wire) whose metrics are
         bit-identical to the materialised outcomes.
         """
-        manager = build_manager(unit.manager, self._context())
+        manager = build_manager(unit.manager, self._context)
         rng = None
         if unit.scenarios is not None:
             self._check_unit_scenarios(unit)
@@ -273,14 +250,14 @@ def _run_chunk(units: tuple[SweepUnit, ...]) -> list[tuple]:
 # --------------------------------------------------------------------------- #
 
 
-def collect_outcome(plan: SweepPlan, records: Sequence[tuple], *, on_error: str) -> SweepOutcome:
+def collect_outcome(plan: SweepPlan, records: Sequence[tuple]) -> SweepOutcome:
     """Fan per-unit records into one :class:`SweepOutcome`.
 
     The single fan-in shared by every executor (the process pool here, the
     spool transport in :mod:`repro.runtime.remote`): records are the
     ``(index, True, manager_name, outcomes)`` / ``(index, False, error,
-    traceback)`` tuples workers produce, in any order.  ``on_error="raise"``
-    raises a collective :class:`SweepExecutionError` when any unit failed.
+    traceback)`` tuples workers produce, in any order.  Raises a collective
+    :class:`SweepExecutionError` when any unit failed.
     """
     outcomes: dict[int, Any] = {}
     names: dict[int, str] = {}
@@ -297,13 +274,9 @@ def collect_outcome(plan: SweepPlan, records: Sequence[tuple], *, on_error: str)
                     traceback=tail,
                 )
             )
-    failures.sort(key=lambda failure: failure.index)
-    result = SweepOutcome(
-        plan=plan, outcomes=outcomes, manager_names=names, failures=tuple(failures)
-    )
-    if failures and on_error == "raise":
-        raise SweepExecutionError(failures)
-    return result
+    if failures:
+        raise SweepExecutionError(sorted(failures, key=lambda failure: failure.index))
+    return SweepOutcome(plan=plan, outcomes=outcomes, manager_names=names)
 
 
 class SweepExecutor:
@@ -330,20 +303,13 @@ class SweepExecutor:
         return self._max_workers
 
     def run(
-        self,
-        plan: SweepPlan,
-        *,
-        progress: ProgressCallback | None = None,
-        on_error: str = "raise",
+        self, plan: SweepPlan, *, progress: ProgressCallback | None = None
     ) -> SweepOutcome:
         """Execute every unit of the plan and collect the results.
 
-        ``on_error="raise"`` raises :class:`SweepExecutionError` after the
-        sweep drains if any unit failed; ``"capture"`` returns the failures in
-        the outcome instead.
+        Raises :class:`SweepExecutionError` after the sweep drains if any
+        unit failed.
         """
-        if on_error not in ("raise", "capture"):
-            raise ValueError(f"on_error must be 'raise' or 'capture', got {on_error!r}")
         if not plan.units:
             return SweepOutcome(plan=plan)
         payload_bytes = self._pickle_payload(plan.payload)
@@ -352,7 +318,7 @@ class SweepExecutor:
         else:
             records = self._run_pool(plan, progress)
         obs_export.flush()
-        return collect_outcome(plan, records, on_error=on_error)
+        return collect_outcome(plan, records)
 
     @staticmethod
     def _pickle_payload(payload: ExecutionPayload) -> bytes:

@@ -753,24 +753,17 @@ class RemoteSweepExecutor:
                 self._cleanup(plan_id)
 
     def run(
-        self,
-        plan: SweepPlan,
-        *,
-        progress: ProgressCallback | None = None,
-        on_error: str = "raise",
+        self, plan: SweepPlan, *, progress: ProgressCallback | None = None
     ) -> SweepOutcome:
         """Execute the whole plan and collect a :class:`SweepOutcome`.
 
-        Same contract as :meth:`repro.runtime.pool.SweepExecutor.run`:
-        ``on_error="raise"`` (default) raises :class:`SweepExecutionError`
-        after the sweep drains if any unit failed, ``"capture"`` returns the
-        failures in the outcome.
+        Same contract as :meth:`repro.runtime.pool.SweepExecutor.run`: raises
+        :class:`SweepExecutionError` after the sweep drains if any unit
+        failed.
         """
-        if on_error not in ("raise", "capture"):
-            raise ValueError(f"on_error must be 'raise' or 'capture', got {on_error!r}")
         records = list(self._stream(plan, progress))
         obs_export.flush()
-        return collect_outcome(plan, records, on_error=on_error)
+        return collect_outcome(plan, records)
 
     # ------------------------------------------------------------------ #
     # fan-in internals

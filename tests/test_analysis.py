@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    QualityMetrics,
-    compare_outcomes,
     compute_metrics,
     format_table,
     memory_report,
@@ -73,19 +71,12 @@ class TestComputeMetrics:
         with pytest.raises(ValueError):
             compute_metrics([], deadlines)
 
-    def test_compare_outcomes(self, setup):
-        _, deadlines, _, results = setup
-        comparison = compare_outcomes(
-            {name: result.outcomes for name, result in results.items()}, deadlines
-        )
-        assert set(comparison) == set(results)
-        assert all(isinstance(m, QualityMetrics) for m in comparison.values())
-
     def test_overhead_ordering_visible_in_metrics(self, setup):
         _, deadlines, _, results = setup
-        comparison = compare_outcomes(
-            {name: result.outcomes for name, result in results.items()}, deadlines
-        )
+        comparison = {
+            name: compute_metrics(result.outcomes, deadlines)
+            for name, result in results.items()
+        }
         assert (
             comparison["numeric"].overhead_fraction
             > comparison["region"].overhead_fraction
@@ -148,18 +139,20 @@ class TestReports:
 
     def test_overhead_report(self, setup):
         _, deadlines, _, results = setup
-        comparison = compare_outcomes(
-            {name: result.outcomes for name, result in results.items()}, deadlines
-        )
+        comparison = {
+            name: compute_metrics(result.outcomes, deadlines)
+            for name, result in results.items()
+        }
         report = overhead_report(comparison)
         assert "numeric" in report and "relaxation" in report
         assert "%" in report
 
     def test_metrics_report(self, setup):
         _, deadlines, _, results = setup
-        comparison = compare_outcomes(
-            {name: result.outcomes for name, result in results.items()}, deadlines
-        )
+        comparison = {
+            name: compute_metrics(result.outcomes, deadlines)
+            for name, result in results.items()
+        }
         report = metrics_report(comparison)
         assert "smoothness" in report
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -189,7 +191,7 @@ class TestCommands:
         # the sweep help text quotes the lease default: keep it honest
         import repro.cli as cli
 
-        source = open(cli.__file__).read()
+        source = Path(cli.__file__).read_text()
         assert f"(default: {remote.DEFAULT_LEASE_TIMEOUT:.0f})" in source
 
     def test_sweep_rejects_negative_workers(self, capsys):

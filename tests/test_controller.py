@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    ControlledSystem,
     ManagerWork,
     NumericQualityManager,
     QualityManagerCompiler,
     compute_td_table,
     run_cycle,
+    run_cycles_batch,
     run_fixed_quality,
 )
 
@@ -123,45 +123,27 @@ class TestRunFixedQuality:
         outcome = run_fixed_quality(system, 0, scenario=scenario)
         assert np.allclose(outcome.durations, scenario.matrix[0])
 
+    def test_scenario_of_another_length_rejected(self, setup):
+        system, _, _ = setup
+        shorter = make_synthetic_system(n_actions=system.n_actions - 1, n_levels=3, seed=1)
+        scenario = shorter.draw_scenario(np.random.default_rng(0))
+        assert scenario.qualities == system.qualities
+        with pytest.raises(ValueError, match="actions"):
+            run_fixed_quality(system, 0, scenario=scenario)
 
-class TestControlledSystem:
-    def test_run_cycles_count(self, setup):
-        system, deadlines, td = setup
-        controlled = ControlledSystem(system, deadlines, NumericQualityManager(td))
-        outcomes = controlled.run_cycles(4, rng=np.random.default_rng(0))
-        assert len(outcomes) == 4
 
+class TestBatchExecution:
     def test_run_cycles_with_scenarios(self, setup):
-        system, deadlines, td = setup
+        system, _, td = setup
         rng = np.random.default_rng(9)
         scenarios = [system.draw_scenario(rng) for _ in range(3)]
-        controlled = ControlledSystem(system, deadlines, NumericQualityManager(td))
-        outcomes = controlled.run_cycles(3, scenarios=scenarios)
+        outcomes = run_cycles_batch(system, NumericQualityManager(td), 3, scenarios=scenarios)
         for outcome, scenario in zip(outcomes, scenarios):
+            rows = outcome.qualities - system.qualities.minimum
             assert np.allclose(
                 outcome.durations,
-                scenario.times_for(outcome.qualities - system.qualities.minimum),
+                scenario.matrix[rows, np.arange(system.n_actions)],
             )
-
-    def test_scenario_count_mismatch_rejected(self, setup):
-        system, deadlines, td = setup
-        controlled = ControlledSystem(system, deadlines, NumericQualityManager(td))
-        with pytest.raises(ValueError):
-            controlled.run_cycles(2, scenarios=[system.draw_scenario(np.random.default_rng(0))])
-
-    def test_invalid_cycle_count(self, setup):
-        system, deadlines, td = setup
-        controlled = ControlledSystem(system, deadlines, NumericQualityManager(td))
-        with pytest.raises(ValueError):
-            controlled.run_cycles(0)
-
-    def test_properties(self, setup):
-        system, deadlines, td = setup
-        manager = NumericQualityManager(td)
-        controlled = ControlledSystem(system, deadlines, manager)
-        assert controlled.system is system
-        assert controlled.deadlines is deadlines
-        assert controlled.manager is manager
 
 
 class TestRelaxationExecution:

@@ -4,7 +4,8 @@ carry docstrings.
 The markdown link check runs over README.md and every file in ``docs/``
 (relative links must point at real files, in-page anchors at real headings);
 the CLI audit asserts every ``repro <cmd> --help`` epilog states its
-defaults; the docstring audit keeps every ``repro`` module documented.
+defaults; the docstring audit keeps every ``repro`` module documented, and
+the export audit keeps every ``__all__`` name resolvable.
 These are the tests the CI ``docs-and-examples`` job runs.
 """
 
@@ -158,3 +159,21 @@ def test_every_repro_module_has_a_docstring():
         if not (module.__doc__ or "").strip():
             missing.append(info.name)
     assert not missing, f"modules without docstrings: {missing}"
+
+
+def test_every_all_name_resolves():
+    """Every name a ``repro`` module lists in ``__all__`` is an attribute of
+    it, so a deleted function cannot linger in a re-export list."""
+    import repro
+
+    modules = [repro] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
+    ]
+    dangling = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert not dangling, f"__all__ names with no attribute: {dangling}"

@@ -27,7 +27,6 @@ from repro.core import (
     run_cycles_streamed,
     run_cycles_vectorized,
     run_fixed_quality,
-    run_fixed_quality_batch,
 )
 from repro.core.regions import QualityRegionTable, RegionQualityManager
 from repro.core.relaxation import RelaxationQualityManager, RelaxationTable
@@ -419,27 +418,6 @@ class TestFixedQualityFastPath:
         outcome = run_fixed_quality(system, 2, rng=np.random.default_rng(6))
         assert outcome.durations.base is None or outcome.durations.flags.owndata
 
-    def test_batch_matches_scalar(self, setup):
-        system, _, _ = setup
-        scenarios = system.draw_scenarios(5, np.random.default_rng(8))
-        scalar = [run_fixed_quality(system, 1, scenario=s) for s in scenarios]
-        batch = run_fixed_quality_batch(system, 1, scenarios)
-        assert_outcomes_identical(scalar, batch)
-        # outcomes own independent quality arrays (mutating one is local)
-        assert batch[0].qualities is not batch[1].qualities
-
-    def test_batch_validates_level_and_shape(self, setup):
-        system, _, _ = setup
-        scenarios = system.draw_scenarios(2, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            run_fixed_quality_batch(system, 99, scenarios)
-        other = make_synthetic_system(n_actions=9, n_levels=5, seed=1)
-        with pytest.raises(ValueError):
-            run_fixed_quality_batch(
-                system, 1, [other.draw_scenario(np.random.default_rng(0))]
-            )
-        assert run_fixed_quality_batch(system, 1, []) == ()
-
 
 class TestSessionWiring:
     def _session(self):
@@ -550,16 +528,3 @@ class TestSessionWiring:
         assert serial.labels == spooled.labels
         for label in serial.labels:
             assert_outcomes_identical(serial[label].outcomes, spooled[label].outcomes)
-
-
-class TestControlledSystemWiring:
-    def test_run_cycles_uses_the_engine_transparently(self, setup):
-        from repro.core import ControlledSystem
-
-        system, deadlines, context = setup
-        manager = build_manager("relaxation", context)
-        controlled = ControlledSystem(system, deadlines, manager)
-        batch = controlled.run_cycles(4, rng=np.random.default_rng(3))
-        rng = np.random.default_rng(3)
-        scalar = [controlled.run_cycle(rng=rng) for _ in range(4)]
-        assert_outcomes_identical(scalar, batch)

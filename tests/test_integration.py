@@ -13,10 +13,11 @@ import pytest
 from repro.analysis import compute_metrics, metrics_report, render_speed_diagram
 from repro.api import Session
 from repro.core import (
-    ControlledSystem,
     QualityManagerCompiler,
     SpeedDiagram,
     audit_trace,
+    run_cycle,
+    run_cycles_batch,
 )
 from repro.media import small_encoder
 from repro.platform import Profiler
@@ -71,8 +72,9 @@ class TestFullToolchain:
         controllers = QualityManagerCompiler(require_feasible=False).compile(
             profiled, deadlines
         )
-        controlled = ControlledSystem(profiled, deadlines, controllers.relaxation)
-        outcomes = controlled.run_cycles(3, rng=np.random.default_rng(1))
+        outcomes = run_cycles_batch(
+            profiled, controllers.relaxation, 3, rng=np.random.default_rng(1)
+        )
         metrics = compute_metrics(outcomes, deadlines)
         assert metrics.deadline_misses == 0
         assert report.runs_per_level == 5
@@ -82,9 +84,7 @@ class TestFullToolchain:
         deadlines = workload.deadlines()
         controllers = QualityManagerCompiler().compile(system, deadlines)
         diagram = SpeedDiagram(system, deadlines, td_table=controllers.td_table)
-        outcome = ControlledSystem(system, deadlines, controllers.region).run_cycle(
-            rng=np.random.default_rng(2)
-        )
+        outcome = run_cycle(system, controllers.region, rng=np.random.default_rng(2))
         picture = render_speed_diagram(diagram, outcome)
         assert len(picture.splitlines()) > 10
 
@@ -135,8 +135,7 @@ class TestFullToolchain:
         system = workload.build_system()
         deadlines = workload.deadlines()
         controllers = QualityManagerCompiler().compile(system, deadlines)
-        controlled = ControlledSystem(system, deadlines, controllers.region)
-        outcomes = controlled.run_cycles(4, rng=np.random.default_rng(3))
+        outcomes = run_cycles_batch(system, controllers.region, 4, rng=np.random.default_rng(3))
         for outcome in outcomes:
             assert audit_trace(outcome, deadlines).is_safe
             assert outcome.completion_times[0] == pytest.approx(

@@ -1,4 +1,4 @@
-"""Tests for the virtual platform: clock, overhead models, machines."""
+"""Tests for the virtual platform: overhead models and machines."""
 
 from __future__ import annotations
 
@@ -13,57 +13,12 @@ from repro.platform import (
     Machine,
     NullOverheadModel,
     OverheadParameters,
-    VirtualClock,
     desktop,
     fast_embedded,
     ipod_video,
 )
 
 from helpers import make_synthetic_system
-
-
-class TestVirtualClock:
-    def test_starts_at_zero(self):
-        clock = VirtualClock()
-        assert clock.now == 0.0
-        assert clock.read() == 0.0
-
-    def test_advance_and_read(self):
-        clock = VirtualClock()
-        clock.advance(1.5)
-        clock.advance(0.25)
-        assert clock.now == pytest.approx(1.75)
-        assert clock.read() == pytest.approx(1.75)
-
-    def test_negative_advance_rejected(self):
-        with pytest.raises(ValueError):
-            VirtualClock().advance(-0.1)
-
-    def test_granularity_quantises_reads(self):
-        clock = VirtualClock(granularity=0.1)
-        clock.advance(0.27)
-        assert clock.read() == pytest.approx(0.2)
-        assert clock.now == pytest.approx(0.27)
-
-    def test_reset(self):
-        clock = VirtualClock()
-        clock.advance(3.0)
-        clock.read()
-        clock.reset()
-        assert clock.now == 0.0
-        assert clock.reads == 0
-
-    def test_read_counter(self):
-        clock = VirtualClock()
-        for _ in range(5):
-            clock.read()
-        assert clock.reads == 5
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            VirtualClock(granularity=-1.0)
-        with pytest.raises(ValueError):
-            VirtualClock(read_overhead=-1.0)
 
 
 class TestOverheadParameters:
@@ -150,9 +105,3 @@ class TestMachine:
         machine = ipod_video().scaled(10.0)
         assert machine.speed_factor == pytest.approx(10.0)
         assert machine.overhead.per_call == pytest.approx(IPOD_LIKE.per_call * 10.0)
-
-    def test_fresh_overhead_model_and_clock(self):
-        machine = ipod_video()
-        assert machine.overhead_model() is not machine.overhead_model()
-        clock = machine.clock()
-        assert clock.granularity == machine.clock_granularity

@@ -161,7 +161,7 @@ def test_stream_cleans_the_spool_afterwards(tmp_path):
     )
     with InlineWorker(tmp_path / "spool"):
         outcome = executor.run(plan)
-    assert outcome.ok and set(outcome.outcomes) == {0, 1}
+    assert set(outcome.outcomes) == {0, 1}
     layout = executor.spool
     assert not list(layout.plans.iterdir())
     assert not list(layout.pending.iterdir())
@@ -604,8 +604,8 @@ def _full_done_directory(monkeypatch, layout: SpoolLayout, failing_writes: int |
 
 
 def _run_with_worker(tmp_path: Path, executor: RemoteSweepExecutor, plan, messages: list):
-    """``executor.run(plan, on_error="capture")`` against one SpoolWorker
-    running its own claim loop in a background thread."""
+    """``executor.run(plan)`` against one SpoolWorker running its own claim
+    loop in a background thread."""
     worker = SpoolWorker(
         tmp_path / "spool",
         poll_interval=0.02,
@@ -615,7 +615,7 @@ def _run_with_worker(tmp_path: Path, executor: RemoteSweepExecutor, plan, messag
     thread = threading.Thread(target=worker.run, daemon=True)
     thread.start()
     try:
-        return executor.run(plan, on_error="capture")
+        return executor.run(plan)
     finally:
         worker.request_stop()
         thread.join(timeout=30.0)
@@ -632,7 +632,7 @@ def test_result_write_hitting_enospc_is_requeued_and_completed(tmp_path, monkeyp
     messages: list[str] = []
     outcome = _run_with_worker(tmp_path, executor, plan, messages)
     assert failed["n"] == 1
-    assert outcome.ok and set(outcome.outcomes) == {0, 1}
+    assert set(outcome.outcomes) == {0, 1}
     assert any("errored" in line and "No space left" in line for line in messages)
     assert any(" attempt 1 ok" in line for line in messages)  # the requeued retry
     assert not list(executor.spool.claimed.iterdir())
@@ -648,11 +648,12 @@ def test_result_writes_always_hitting_enospc_become_lease_failures(tmp_path, mon
         max_requeues=1, timeout=60.0,
     )
     failed = _full_done_directory(monkeypatch, executor.spool, failing_writes=None)
-    outcome = _run_with_worker(tmp_path, executor, plan, [])
+    with pytest.raises(SweepExecutionError) as caught:
+        _run_with_worker(tmp_path, executor, plan, [])
     assert failed["n"] >= 4  # two attempts per unit, each refused
-    assert not outcome.outcomes
-    assert sorted(failure.index for failure in outcome.failures) == [0, 1]
-    for failure in outcome.failures:
+    # every unit failed: no outcome reached the fan-in
+    assert sorted(failure.index for failure in caught.value.failures) == [0, 1]
+    for failure in caught.value.failures:
         assert "lease expired 2 time(s)" in failure.error
     assert not list(executor.spool.claimed.iterdir())
     assert not list(executor.spool.done.iterdir())
@@ -845,7 +846,7 @@ def test_garbage_unit_file_never_kills_the_worker(tmp_path):
     (layout.pending / "0-junk.unit").write_bytes(b"not a unit at all")
     with InlineWorker(tmp_path / "spool"):
         outcome = executor.run(plan)
-    assert outcome.ok and set(outcome.outcomes) == {0, 1}
+    assert set(outcome.outcomes) == {0, 1}
     # the junk was never claimed and still sits in pending for the operator
     assert [path.name for path in layout.pending.iterdir()] == ["0-junk.unit"]
     # and a claimed malformed file (crashed writer, hand-made) is discarded
@@ -892,7 +893,7 @@ def test_empty_plan_is_a_no_op(tmp_path):
     empty = SweepPlan(payload=plan.payload, units=())
     executor = RemoteSweepExecutor(tmp_path / "spool", timeout=1.0)
     outcome = executor.run(empty)
-    assert outcome.ok and not outcome.outcomes
+    assert not outcome.outcomes
 
 
 def test_crashed_local_workers_raise_instead_of_hanging(tmp_path, monkeypatch):

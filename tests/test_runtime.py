@@ -312,7 +312,6 @@ def _payload(system, deadlines) -> ExecutionPayload:
         deadlines=deadlines,
         policy=None,
         relaxation_steps=(1, 10),
-        require_feasible=True,
     )
 
 
@@ -512,20 +511,18 @@ class TestPoolMechanics:
             _payload(system, deadlines),
             [("good", good, 1, 0), ("bad", bad, 1, 1)],
         )
-        executor = SweepExecutor(max_workers=1)
-        outcome = executor.run(plan, on_error="capture")
-        assert not outcome.ok
-        assert set(outcome.outcomes) == {0}
-        (failure,) = outcome.failures
+        with pytest.raises(SweepExecutionError, match="bad") as caught:
+            SweepExecutor(max_workers=1).run(plan)
+        # the good unit ran: the bad one is the only failure
+        (failure,) = caught.value.failures
+        assert failure.index == 1
         assert failure.label == "bad" and "steps" in failure.error
-        with pytest.raises(SweepExecutionError, match="bad"):
-            executor.run(plan)
 
     def test_empty_plan(self, encoder_inputs):
         system, deadlines = encoder_inputs
         plan = plan_run_many(_payload(system, deadlines), [])
         outcome = SweepExecutor(max_workers=1).run(plan)
-        assert outcome.ok and not outcome.outcomes
+        assert not outcome.outcomes
 
     def test_executor_validation(self):
         with pytest.raises(ValueError):

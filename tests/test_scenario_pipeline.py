@@ -299,19 +299,16 @@ class TestScenarioBatchViews:
 
     def test_fixed_quality_rejects_foreign_quality_sets(self):
         """The row gather uses the system's mapping; foreign sets must raise."""
-        from repro.core import run_fixed_quality, run_fixed_quality_batch
+        from repro.core import run_fixed_quality
 
         system, batch = self._batch()
         foreign = make_synthetic_system(n_actions=9, n_levels=4, seed=2)
         foreign_batch = foreign.draw_scenarios(2, np.random.default_rng(0))
         with pytest.raises(ValueError, match="quality set"):
-            run_fixed_quality_batch(system, 1, foreign_batch[:2])
-        with pytest.raises(ValueError, match="quality set"):
-            run_fixed_quality_batch(system, 1, [foreign_batch[0], foreign_batch[1]])
-        with pytest.raises(ValueError, match="quality set"):
             run_fixed_quality(system, 1, scenario=foreign_batch[0])
         # same-set scenarios keep working
-        assert len(run_fixed_quality_batch(system, 1, batch)) == len(batch)
+        outcome = run_fixed_quality(system, 1, scenario=batch[0])
+        assert outcome.durations.shape == (system.n_actions,)
 
     def test_per_cycle_consumers_accept_views(self):
         """run_cycle and run_cycles_batch consume views / batches unchanged."""
@@ -464,7 +461,6 @@ class TestCompareTransport:
             deadlines=workload.deadlines(),
             policy=None,
             relaxation_steps=(1, 10),
-            require_feasible=True,
         )
         scenarios = system.draw_scenarios(32, np.random.default_rng(0))
         value = plan_compare(payload, [ManagerSpec("region")], scenarios)
@@ -487,7 +483,6 @@ class TestCompareTransport:
             deadlines=make_deadline(system),
             policy=None,
             relaxation_steps=(1, 10),
-            require_feasible=True,
         )
         with pytest.raises(PlanError, match="seek/cursor"):
             plan_compare_redraw(payload, [ManagerSpec("region")], 4, 0)
@@ -514,7 +509,7 @@ class TestSweepUnitValidation:
         """A tensor drawn for another system fails with a clear message."""
         from repro.api.registry import ManagerSpec
         from repro.runtime.plan import ExecutionPayload, SweepPlan, SweepUnit
-        from repro.runtime.pool import SweepExecutor
+        from repro.runtime.pool import SweepExecutionError, SweepExecutor
 
         workload = small_encoder(seed=0, n_frames=3)
         system = workload.build_system()
@@ -526,7 +521,6 @@ class TestSweepUnitValidation:
                 deadlines=workload.deadlines(),
                 policy=None,
                 relaxation_steps=(1, 10),
-                require_feasible=True,
             ),
             units=(
                 SweepUnit(
@@ -538,9 +532,10 @@ class TestSweepUnitValidation:
                 ),
             ),
         )
-        outcome = SweepExecutor(max_workers=1).run(plan, on_error="capture")
-        assert not outcome.ok and len(outcome.failures) == 1
-        failure = outcome.failures[0]
+        with pytest.raises(SweepExecutionError) as caught:
+            SweepExecutor(max_workers=1).run(plan)
+        assert len(caught.value.failures) == 1
+        failure = caught.value.failures[0]
         assert "scenario tensor" in failure.error
         assert "(levels, actions)" in failure.error
         assert "broadcast" not in failure.error.lower()

@@ -142,7 +142,6 @@ def _payload(system, deadlines=None) -> ExecutionPayload:
         deadlines=deadlines if deadlines is not None else make_deadline(system),
         policy=None,
         relaxation_steps=(1, 10),
-        require_feasible=True,
     )
 
 

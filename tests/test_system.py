@@ -116,18 +116,6 @@ class TestSampling:
         assert np.all(scenario.matrix <= system.worst_case.values + 1e-12)
         assert np.all(scenario.matrix >= 0.0)
 
-    def test_sample_actual_times_shape_and_levels(self):
-        system = make_synthetic_system(n_actions=8, n_levels=3)
-        times = system.sample_actual_times([0, 1, 2, 0, 1, 2, 0, 1], np.random.default_rng(0))
-        assert times.shape == (8,)
-
-    def test_sample_actual_times_validates_levels(self):
-        system = make_synthetic_system(n_actions=3, n_levels=3)
-        with pytest.raises(ValueError):
-            system.sample_actual_times([0, 1], np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            system.sample_actual_times([0, 1, 9], np.random.default_rng(0))
-
 
 class TestCycleOutcome:
     def make_outcome(self) -> CycleOutcome:

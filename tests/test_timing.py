@@ -13,9 +13,6 @@ from repro.core import (
     QualitySet,
     TimingModel,
     TimingTable,
-    blend_tables,
-    build_table,
-    scaled_table,
 )
 from repro.core.timing import _factored_batch
 
@@ -128,57 +125,6 @@ class TestTimingTableQueries:
         assert np.array_equal(renamed.values, table.values)
 
 
-class TestBuildTable:
-    def test_from_mappings(self, qualities):
-        table = build_table(
-            qualities,
-            [{0: 1.0, 1: 2.0, 2: 3.0}, {0: 0.5, 1: 0.6, 2: 0.7}],
-        )
-        assert table.of(1, 2) == pytest.approx(3.0)
-        assert table.of(2, 0) == pytest.approx(0.5)
-
-    def test_from_sequences(self, qualities):
-        table = build_table(qualities, [[1.0, 2.0, 3.0]])
-        assert table.n_actions == 1
-
-    def test_missing_level_in_mapping(self, qualities):
-        with pytest.raises(InvalidTimingError):
-            build_table(qualities, [{0: 1.0, 1: 2.0}])
-
-    def test_wrong_sequence_length(self, qualities):
-        with pytest.raises(InvalidTimingError):
-            build_table(qualities, [[1.0, 2.0]])
-
-    def test_empty_actions(self, qualities):
-        table = build_table(qualities, [])
-        assert table.n_actions == 0
-
-
-class TestDerivedTables:
-    def test_scaled_table(self, table):
-        doubled = scaled_table(table, 2.0)
-        assert np.allclose(doubled.values, table.values * 2.0)
-
-    def test_scaled_table_rejects_negative_factor(self, table):
-        with pytest.raises(InvalidTimingError):
-            scaled_table(table, -1.0)
-
-    def test_blend_tables_endpoints(self, qualities, table):
-        other = TimingTable(qualities, table.values * 3.0)
-        assert np.allclose(blend_tables(table, other, 1.0).values, table.values)
-        assert np.allclose(blend_tables(table, other, 0.0).values, other.values)
-
-    def test_blend_tables_midpoint(self, qualities, table):
-        other = TimingTable(qualities, table.values * 3.0)
-        blended = blend_tables(table, other, 0.5)
-        assert np.allclose(blended.values, table.values * 2.0)
-
-    def test_blend_rejects_bad_weight(self, qualities, table):
-        other = TimingTable(qualities, table.values)
-        with pytest.raises(InvalidTimingError):
-            blend_tables(table, other, 1.5)
-
-
 class TestActualTimeScenario:
     def test_actual_time_lookup(self, qualities):
         matrix = np.array([[1.0, 2.0], [1.5, 2.5], [2.0, 3.0]])
@@ -190,11 +136,6 @@ class TestActualTimeScenario:
         scenario = ActualTimeScenario(qualities, np.ones((3, 2)))
         with pytest.raises(IndexError):
             scenario.actual_time(3, 0)
-
-    def test_times_for_rows(self, qualities):
-        matrix = np.array([[1.0, 2.0], [1.5, 2.5], [2.0, 3.0]])
-        scenario = ActualTimeScenario(qualities, matrix)
-        assert np.allclose(scenario.times_for(np.array([0, 2])), [1.0, 3.0])
 
     def test_shape_validation(self, qualities):
         with pytest.raises(InvalidTimingError):
@@ -256,16 +197,6 @@ class TestTimingModel:
         model = self.make_model(qualities, sampler)
         with pytest.raises(InvalidTimingError):
             model.sample_scenario(np.random.default_rng(0))
-
-    def test_sample_actual_per_rows(self, qualities):
-        model = self.make_model(qualities)
-        actual = model.sample_actual(np.array([0, 2]), np.random.default_rng(0))
-        assert np.allclose(actual, [1.0, 4.0])
-
-    def test_sample_actual_requires_one_row_per_action(self, qualities):
-        model = self.make_model(qualities)
-        with pytest.raises(ValueError):
-            model.sample_actual(np.array([0]), np.random.default_rng(0))
 
 
 # --------------------------------------------------------------------------- #
