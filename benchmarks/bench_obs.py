@@ -1,6 +1,6 @@
 """Telemetry overhead gate: the obs layer must be near-free.
 
-The instrumented hot seam is :func:`repro.core.engine.run_cycles_batch`
+The instrumented hot seam is the run driver :func:`repro.core.run_cycles_batch`
 (two counter increments behind a cached ``enabled()`` check) plus the
 session-style span wrapped around each batch.  This bench runs the
 BENCH_engine workload — 256 paper-scale cycles of the relaxation manager
@@ -29,7 +29,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.engine import run_cycles_batch
+from repro.core import run_cycles_batch
 from repro.obs import enable, export, metrics, reset_enabled, trace
 from repro.platform.overhead import IPOD_LIKE, LinearOverheadModel
 

@@ -32,17 +32,17 @@ Design contract (the three facade guarantees):
   yields the scalar ``run_cycle`` oracle's
   :class:`~repro.core.system.CycleOutcome` objects one at a time.
 
-The batched run methods execute every manager that lowers to a kernel spec
-(all registry keys do) through the vectorised cycle engine
-(:mod:`repro.core.engine`): scenarios are drawn as one columnar
-:class:`~repro.core.timing.ScenarioBatch` tensor and the cycles run as NumPy
-kernels, bit-identical to the scalar loop but without its per-action Python
-cost.  A manager without a kernel, or an overhead model whose charges are not
-deterministic, transparently runs the scalar ``run_cycle`` loop.  Parallel
-:meth:`Session.compare` ships its shared scenarios as a draw recipe the
-workers replay whenever the sampler is absent or can seek; only a sampler
-that cannot seek gets its batch drawn here and shipped by value.  Results
-are identical either way.
+Every run goes through the one run driver
+(:func:`~repro.core.streaming.run_cycles_batch`): managers that lower to
+a kernel spec (all registry keys do) run on the vectorised cycle engine
+(:mod:`repro.core.engine`), bit-identical to the scalar loop but without
+its per-action Python cost; a manager without a kernel, or an overhead
+model whose charges are not deterministic, runs the scalar ``run_cycle``
+loop.  :meth:`Session.compare` and :meth:`Session.run_many` always build
+a sweep plan, which serial and parallel sweeps run through the same unit
+runner.  A parallel compare ships its shared scenarios as a draw recipe
+whenever the sampler is absent or can seek; otherwise the batch is drawn
+here and shipped by value.  Results are identical either way.
 
 Two optional :mod:`repro.runtime` integrations reach beyond one process:
 
@@ -86,7 +86,7 @@ from repro.core.deadlines import DeadlineFunction
 from repro.core.manager import QualityManager
 from repro.core.policy import AveragePolicy, MixedPolicy, QualityManagementPolicy, SafePolicy
 from repro.core.relaxation import DEFAULT_RELAXATION_STEPS
-from repro.core.streaming import StreamingMetrics, stream_or_materialise
+from repro.core.streaming import StreamingMetrics, run_cycles_batch
 from repro.core.system import CycleOutcome, ParameterizedSystem
 from repro.core.timing import ActualTimeScenario, ScenarioBatch, supports_replay
 
@@ -704,15 +704,15 @@ class Session:
             with obs_trace.span("session.compile"):
                 manager = self.build()
             with obs_trace.span("session.execute"):
-                tail = stream_or_materialise(
+                tail = run_cycles_batch(
                     self._execution_system(),
                     manager,
                     n_cycles,
-                    deadlines=self.resolved_deadlines(),
-                    chunk_size=chunk,
                     scenarios=scenarios,
                     rng=np.random.default_rng(used_seed),
                     overhead_model=self._resolve_overhead_model(),
+                    chunk_size=chunk,
+                    deadlines=self.resolved_deadlines(),
                 )
         obs_export.flush()
         return self._result(self._spec, manager.name, used_seed, tail)
@@ -761,55 +761,26 @@ class Session:
         ]
         n_cycles, used_seed = self._count_and_seed(cycles, seed)
         system = self._execution_system()
-        deadlines = self.resolved_deadlines()
         chunk = self._effective_chunk_size(chunk_size)
         pool_config = self._pool_config(parallel, workers)
-        # (spec, manager name, outcomes or summary) per manager, in spec order
-        executed: list[tuple[ManagerSpec, str, Any]] = []
-        if pool_config is not None:
-            sampler = self.resolved_system().timing.scenario_sampler
-            redraw = sampler is None or supports_replay(sampler)
-            with obs_trace.span(
-                "session.compare",
-                managers=len(chosen),
-                transport="redraw" if redraw else "value",
-            ):
-                with obs_trace.span("session.plan"):
-                    payload = self._execution_payload(chunk)
-                    if redraw:
-                        plan = plan_compare_redraw(payload, chosen, n_cycles, used_seed)
-                    else:
-                        drawn = system.draw_scenarios(n_cycles, np.random.default_rng(used_seed))
-                        plan = plan_compare(payload, chosen, drawn)
-                for unit, name, tail in self._run_plan(plan, pool_config, progress):
-                    executed.append((unit.manager, name, tail))
-        else:
-            with obs_trace.span("session.draw", cycles=n_cycles):
-                scenarios = system.draw_scenarios(
-                    n_cycles, np.random.default_rng(used_seed)
-                )
-            context = self.build_context()
-            overhead_model = self._resolve_overhead_model()
-            for index, spec in enumerate(chosen):
-                manager = build_manager(spec, context)
-                with obs_trace.span("session.execute", manager=str(spec)):
-                    tail = stream_or_materialise(
-                        system,
-                        manager,
-                        deadlines=deadlines,
-                        chunk_size=chunk,
-                        scenarios=scenarios,
-                        overhead_model=overhead_model,
-                    )
-                executed.append((spec, manager.name, tail))
-                if progress is not None:
-                    # the spec string, exactly what the parallel path reports
-                    # (final labels need the executed managers' names)
-                    progress(index + 1, len(chosen), str(spec))
+        sampler = self.resolved_system().timing.scenario_sampler
+        redraw = pool_config is not None and (sampler is None or supports_replay(sampler))
+        transport = "serial" if pool_config is None else ("redraw" if redraw else "value")
+        with obs_trace.span("session.compare", managers=len(chosen), transport=transport):
+            with obs_trace.span("session.plan"):
+                payload = self._execution_payload(chunk)
+                if redraw:
+                    plan = plan_compare_redraw(payload, chosen, n_cycles, used_seed)
+                else:
+                    drawn = system.draw_scenarios(n_cycles, np.random.default_rng(used_seed))
+                    plan = plan_compare(payload, chosen, drawn)
+            executed = self._run_plan(plan, pool_config, progress)
         obs_export.flush()
         runs: dict[str, RunResult] = {}
-        for index, (spec, name, tail) in enumerate(executed):
-            runs[unique_label(runs, name, index)] = self._result(spec, name, used_seed, tail)
+        for index, (unit, name, tail) in enumerate(executed):
+            runs[unique_label(runs, name, index)] = self._result(
+                unit.manager, name, used_seed, tail
+            )
         return BatchResult(runs=runs)
 
     def run_many(
@@ -851,43 +822,23 @@ class Session:
         results are summary-only, with metrics bit-identical to the
         materialised path.
         """
-        from repro.runtime.plan import plan_run_many, unique_label
+        from repro.runtime.plan import plan_run_many
 
         entries = self._coerce_run_many_entries(scenarios)
         chunk = self._effective_chunk_size(chunk_size)
         pool_config = self._pool_config(parallel, workers)
-        runs: dict[str, RunResult] = {}
-        if pool_config is not None and entries:
-            with obs_trace.span("session.run_many", units=len(entries)):
-                with obs_trace.span("session.plan"):
-                    plan = plan_run_many(self._execution_payload(chunk), entries)
-                for unit, name, tail in self._run_plan(plan, pool_config, progress):
-                    runs[unit.label] = self._result(unit.manager, name, unit.seed, tail)
-            obs_export.flush()
-            return BatchResult(runs=runs)
-
-        context = self.build_context()
-        system = self._execution_system()
-        deadlines = self.resolved_deadlines()
-        overhead_model = self._resolve_overhead_model()
-        for index, (label, manager_spec, n_cycles, used_seed) in enumerate(entries):
-            manager = build_manager(manager_spec, context)
-            with obs_trace.span("session.execute", label=label, manager=manager_spec.key):
-                tail = stream_or_materialise(
-                    system,
-                    manager,
-                    n_cycles,
-                    deadlines=deadlines,
-                    chunk_size=chunk,
-                    rng=np.random.default_rng(used_seed),
-                    overhead_model=overhead_model,
-                )
-            final_label = unique_label(runs, label, index)
-            runs[final_label] = self._result(manager_spec, manager.name, used_seed, tail)
-            if progress is not None:
-                progress(index + 1, len(entries), final_label)
+        transport = "serial" if pool_config is None else "redraw"
+        with obs_trace.span("session.run_many", units=len(entries), transport=transport):
+            with obs_trace.span("session.plan"):
+                plan = plan_run_many(self._execution_payload(chunk), entries)
+            executed = self._run_plan(plan, pool_config, progress)
         obs_export.flush()
-        return BatchResult(runs=runs)
+        return BatchResult(
+            runs={
+                unit.label: self._result(unit.manager, name, unit.seed, tail)
+                for unit, name, tail in executed
+            }
+        )
 
     def _coerce_run_many_entries(
         self, scenarios: Iterable[ScenarioSpec | dict | str | int | ManagerSpec]
@@ -1029,19 +980,45 @@ class Session:
             options["local_workers"] = config["workers"]
         return RemoteSweepExecutor(**options)
 
-    def _run_plan(self, plan: Any, config: dict[str, Any], progress: Any) -> list[tuple]:
-        """Run a sweep plan: the one fan-in of every parallel run.
+    def _run_plan(
+        self, plan: Any, config: dict[str, Any] | None, progress: Any
+    ) -> list[tuple]:
+        """Run a sweep plan: the one fan-in of every sweep, serial or parallel.
 
         Returns ``(unit, manager name, outcomes or summary)`` in plan order.
-        The parent's scenario sampler is seeked by ``plan.draws`` iff the
-        sweep consumed its window, which leaves it where the serial path
-        would.  Unit failures mean the sweep ran, so a caller that catches
-        the :class:`~repro.runtime.pool.SweepExecutionError` and continues
+        With no ``config`` the unit runner runs in-process on this
+        session's compile cache, deployed system and live sampler: a unit's
+        exception propagates as it is, and the units moved the sampler
+        themselves.  Otherwise the parent's scenario sampler is seeked by
+        ``plan.draws`` iff the sweep consumed its window, which leaves it
+        where the serial path would.  Unit failures mean the sweep ran, so
+        a caller that catches the
+        :class:`~repro.runtime.pool.SweepExecutionError` and continues
         stays on the serial stream.  A transport failure (an executor error
         with no per-unit ``failures``: unpicklable payload, timeout, dead
         pool) and an interrupt consumed nothing, and a serial retry must
         still see the window.
         """
+        if not plan.units:
+            return []
+        if config is None:
+            from repro.runtime.pool import _WorkerRuntime
+
+            runtime = _WorkerRuntime(
+                self.resolved_system(),
+                self._execution_system(),
+                plan.payload.deadlines,
+                self._resolve_overhead_model(),
+                self.build_context(),
+                plan.payload.chunk_size,
+            )
+            executed = []
+            for done, unit in enumerate(plan.units, start=1):
+                with obs_trace.span("session.execute", label=unit.label, manager=unit.manager.key):
+                    executed.append((unit, *runtime.execute(unit)))
+                if progress is not None:
+                    progress(done, len(plan.units), unit.label)
+            return executed
         report = (
             None
             if progress is None

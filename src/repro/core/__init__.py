@@ -15,7 +15,6 @@ from .engine import (
     EngineError,
     compile_decision_kernel,
     kernel_spec,
-    run_cycles_batch,
     run_cycles_vectorized,
 )
 from .kernelspec import PRIMITIVE_OPS, KernelSpec
@@ -41,7 +40,7 @@ from .relaxation import (
     RelaxationTable,
 )
 from .speed import SpeedAssessment, SpeedDiagram
-from .streaming import QuantileSketch, StreamingMetrics, run_cycles_streamed
+from .streaming import QuantileSketch, StreamingMetrics, run_cycles_batch
 from .system import CycleOutcome, ParameterizedSystem
 from .tdtable import TDTable, compute_td_table
 from .timing import ActualTimeScenario, ScenarioBatch, TimingModel, TimingTable
@@ -118,11 +117,10 @@ __all__ = [
     "compile_decision_kernel",
     "kernel_spec",
     "run_cycles_vectorized",
+    # the run driver and its streaming accumulator
     "run_cycles_batch",
-    # streaming chunked execution
     "QuantileSketch",
     "StreamingMetrics",
-    "run_cycles_streamed",
     # kernel specs
     "KernelSpec",
     "PRIMITIVE_OPS",

@@ -11,8 +11,8 @@ The execution loop lives here, in the core package, so that it can be used
 without the platform layer (zero overhead, ideal clock).  Running on a
 virtual machine (:meth:`repro.api.Session.machine`) supplies a calibrated
 overhead model, clock read included.  This loop stays the reference oracle
-that the vectorised engine (:func:`repro.core.engine.run_cycles_batch`) is
-checked against.
+that the run driver (:func:`repro.core.streaming.run_cycles_batch`) and its
+vectorised engine are checked against.
 """
 
 from __future__ import annotations

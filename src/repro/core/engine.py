@@ -8,7 +8,8 @@ that per-action work is mechanically the same across cycles: a batch of
 cycles can execute in lockstep, one NumPy operation per action covering every
 cycle at once.
 
-The engine works in three parts:
+The engine works in two parts, which the one run driver
+(:func:`repro.core.streaming.run_cycles_batch`) drives chunk by chunk:
 
 * **decision kernels** — each manager lowers itself once into a declarative
   :class:`~repro.core.kernelspec.KernelSpec` (pre-computed tables plus one
@@ -20,22 +21,18 @@ The engine works in three parts:
   The engine never branches on manager classes:
   every registered manager — numeric, the adaptive baselines (skip, elastic,
   feedback), the symbolic managers and the extensions (dvfs, multitask,
-  linear-approx) — runs through the same spec protocol;
+  linear-approx) — runs through the same spec protocol, and
+  :func:`kernel_spec` is the one rule that grants a kernel or sends a run
+  to the scalar :func:`~repro.core.controller.run_cycle` oracle (same
+  results, slower, counted under ``engine.scalar_fallback`` in
+  :mod:`repro.obs`);
 * **the lockstep executor** — :func:`run_lockstep_arrays` advances every
-  cycle of the batch by exactly one action per iteration, so the per-cycle
-  sequence of floating-point additions (overhead, then one duration per
-  action) is *identical* to the scalar loop, and returns the five outcome
-  columns, which :class:`CycleOutcomes` keeps as they are;
-* **the dispatcher** — :func:`run_cycles_batch` draws scenarios through the
-  batched :meth:`~repro.core.system.ParameterizedSystem.draw_scenarios` API
-  (a columnar :class:`~repro.core.timing.ScenarioBatch`, a tensor or
-  factored base rows, which the executor reads through one duration hook
-  with no re-stacking) and runs the kernel when
-  :func:`kernel_spec` grants one; otherwise the scalar
-  :func:`~repro.core.controller.run_cycle` loop — the reference oracle —
-  runs instead and its outcomes are stacked into the same columns once
-  (same results, slower, counted under ``engine.scalar_fallback`` in
-  :mod:`repro.obs`).
+  cycle of a :class:`~repro.core.timing.ScenarioBatch` (a tensor or
+  factored base rows, read through one duration hook with no re-stacking)
+  by exactly one action per iteration, so the per-cycle sequence of
+  floating-point additions (overhead, then one duration per action) is
+  *identical* to the scalar loop, and returns the five outcome columns,
+  which :class:`CycleOutcomes` keeps as they are.
 
 Determinism contract: for any manager/overhead/scenario combination, the
 :class:`~repro.core.system.CycleOutcome` views of the columns returned by
@@ -56,10 +53,7 @@ from typing import Callable, Iterable, Iterator, Protocol, Sequence, runtime_che
 
 import numpy as np
 
-from repro.obs.metrics import registry as _obs_registry
-from repro.obs.state import enabled as _obs_enabled
-
-from .controller import OverheadModelProtocol, run_cycle
+from .controller import OverheadModelProtocol
 from .kernelspec import KernelSpec, build_program
 from .manager import ManagerWork, QualityManager
 from .system import CycleOutcome, ParameterizedSystem
@@ -75,7 +69,6 @@ __all__ = [
     "scenarios_vectorizable",
     "run_cycles_vectorized",
     "run_lockstep_arrays",
-    "run_cycles_batch",
 ]
 
 
@@ -230,8 +223,8 @@ def kernel_spec(
     overhead model's charges are deterministic and any shipped
     ``scenarios`` index ``system``'s own quality set.  ``None`` means the
     scalar :func:`~repro.core.controller.run_cycle` loop must run — same
-    outcomes, slower.  The one rule behind :func:`run_cycles_batch`,
-    :func:`~repro.core.streaming.run_cycles_streamed` and
+    outcomes, slower.  The one rule behind
+    :func:`~repro.core.streaming.run_cycles_batch` and
     :meth:`~repro.core.fleet.FleetPlan.plan`.
     """
     if not overhead_model_vectorizable(overhead_model):
@@ -472,9 +465,10 @@ def run_cycles_vectorized(
     added at each invocation, one duration added per action) and the
     returned outcomes are bit-identical to per-cycle
     :func:`~repro.core.controller.run_cycle` calls.  A thin wrapper that
-    builds every :class:`CycleOutcomes` view; :func:`run_cycles_batch`
-    returns the columns themselves.  Raises :class:`EngineError` when the
-    manager has no kernel.
+    builds every :class:`CycleOutcomes` view;
+    :func:`~repro.core.streaming.run_cycles_batch` returns the columns
+    themselves.  Raises :class:`EngineError` when the manager has no
+    kernel.
     """
     if kernel is None:
         kernel = compile_decision_kernel(manager, overhead_model)
@@ -512,11 +506,11 @@ def run_lockstep_arrays(
     action-major, ``(n_actions, n_cycles)``, so step ``i`` writes one
     contiguous row; the first three are returned as transposed (``.T``)
     views of those buffers.
-    :func:`run_cycles_batch` keeps the arrays as :class:`CycleOutcomes`
-    columns; the streaming driver (:mod:`repro.core.streaming`) folds them
-    into an accumulator chunk by chunk instead.  Overhead-model accounting is
-    replayed through ``charge_batch`` before returning, exactly as the
-    materialised path does.
+    The run driver (:func:`~repro.core.streaming.run_cycles_batch`) keeps
+    each chunk's arrays as :class:`CycleOutcomes` columns and returns them,
+    or folds them into an accumulator chunk by chunk.  Overhead-model
+    accounting is replayed through ``charge_batch`` before returning, so a
+    model sees every chunk's invocations.
     """
     n_cycles = matrices.shape[0]
     n_actions = system.n_actions
@@ -578,83 +572,3 @@ def run_lockstep_arrays(
                     charge_batch(work, count)
 
     return qualities.T, durations.T, completion.T, invoked, invocation_overheads
-
-
-def _check_batch_input(
-    cycles: int | None,
-    scenarios: ScenarioBatch | Sequence[ActualTimeScenario] | None,
-) -> tuple[ScenarioBatch | tuple[ActualTimeScenario, ...] | None, int]:
-    """Validate a driver's ``cycles``/``scenarios`` pair.
-
-    Returns the scenarios (a batch as given, any other sequence as a tuple;
-    ``None`` when the driver draws its own) and the cycle count.
-    """
-    if scenarios is None:
-        if cycles is None:
-            raise EngineError("pass a cycle count or an explicit scenario batch")
-        if int(cycles) < 0:
-            raise EngineError(f"cycles must be >= 0, got {cycles}")
-        return None, int(cycles)
-    if not isinstance(scenarios, ScenarioBatch):
-        scenarios = tuple(scenarios)
-    if cycles is not None and len(scenarios) != int(cycles):
-        raise EngineError(f"expected {cycles} scenarios, got {len(scenarios)}")
-    return scenarios, len(scenarios)
-
-
-def _count_dispatch(
-    manager: QualityManager, kernel: DecisionKernel | None, n_cycles: int
-) -> None:
-    """Record a driver's kernel-or-oracle outcome in :mod:`repro.obs`."""
-    if not _obs_enabled():
-        return
-    label = "vectorized" if kernel is not None else "scalar"
-    registry = _obs_registry()
-    registry.inc(f"engine.batches.{label}.{type(manager).__name__}")
-    registry.inc(f"engine.cycles.{label}", n_cycles)
-    if kernel is None:
-        registry.inc(f"engine.scalar_fallback.{type(manager).__name__}")
-
-
-def run_cycles_batch(
-    system: ParameterizedSystem,
-    manager: QualityManager,
-    cycles: int | None = None,
-    *,
-    scenarios: ScenarioBatch | Sequence[ActualTimeScenario] | None = None,
-    rng: np.random.Generator | None = None,
-    overhead_model: OverheadModelProtocol | None = None,
-) -> CycleOutcomes:
-    """Execute a batch of cycles: the kernel when one exists, else the oracle.
-
-    The batch entry point used by :class:`~repro.api.session.Session` and the
-    :mod:`~repro.runtime.pool` workers.  ``scenarios`` fixes the actual times
-    of every cycle — a :class:`~repro.core.timing.ScenarioBatch` tensor is
-    executed directly, a sequence of per-cycle scenarios is accepted too;
-    when omitted, ``cycles`` scenarios are drawn up-front as one batch via
-    :meth:`~repro.core.system.ParameterizedSystem.draw_scenarios`
-    (bit-identical to the scalar loop's per-cycle draws, including the
-    sampler-state advancement).  :func:`kernel_spec` decides between the
-    lockstep kernel, whose five arrays become the returned
-    :class:`CycleOutcomes` as they are, and the scalar
-    :func:`~repro.core.controller.run_cycle` loop, whose outcomes are
-    stacked into the same columns once; the outcomes are bit-identical
-    either way.
-    """
-    scenarios, n_cycles = _check_batch_input(cycles, scenarios)
-    if scenarios is None:
-        generator = rng if rng is not None else np.random.default_rng(0)
-        scenarios = system.draw_scenarios(n_cycles, generator)
-    kernel = compile_decision_kernel(
-        manager, overhead_model, system=system, scenarios=scenarios
-    )
-    _count_dispatch(manager, kernel, n_cycles)
-    if kernel is not None:
-        matrices = _lockstep_scenarios(system, scenarios)
-        return CycleOutcomes(
-            *run_lockstep_arrays(system, manager, kernel, matrices, overhead_model)
-        )
-    return CycleOutcomes.of(
-        run_cycle(system, manager, scenario=scenario, overhead_model=overhead_model)
-        for scenario in scenarios
-    )

@@ -5,13 +5,14 @@ a fleet is many independent pairs — each its own quality set, deadlines,
 manager, chunk size, overhead model and seed (or shipped scenarios) —
 run in one call.
 
-A fleet is a loop of solo streamed runs: every member goes through
-:func:`~repro.core.streaming.run_cycles_streamed` with its own chunk
-size and its own ``np.random.default_rng(seed)`` stream, so each
+A fleet is a loop of solo streamed runs: every member goes through the
+run driver :func:`~repro.core.streaming.run_cycles_batch` with its own
+chunk size and its own ``np.random.default_rng(seed)`` stream, so each
 summary is **bit-identical** to running that member alone by
-construction (``tests/test_fleet_differential.py`` fuzzes it across the
-whole manager registry).  Members are independent inspections whose
-exact summaries never mix, so they share no lanes and no state.
+construction (``tests/test_fleet_differential.py`` fuzzes it against the
+scalar ``run_cycle`` oracle across the whole manager registry).  Members
+are independent inspections whose exact summaries never mix, so they
+share no lanes and no state.
 
 :class:`FleetPlan` validates the fleet and records the engine's
 kernel-or-oracle routing (:func:`~repro.core.engine.kernel_spec`) for
@@ -33,7 +34,7 @@ from .controller import OverheadModelProtocol
 from .deadlines import DeadlineFunction
 from .engine import kernel_spec
 from .manager import QualityManager
-from .streaming import StreamingMetrics, run_cycles_streamed
+from .streaming import StreamingMetrics, run_cycles_batch
 from .system import ParameterizedSystem
 from .timing import ScenarioBatch
 
@@ -160,7 +161,7 @@ def run_fleet(
     """Execute a whole fleet, one :class:`StreamingMetrics` per member.
 
     Each member runs alone through
-    :func:`~repro.core.streaming.run_cycles_streamed`, in member order,
+    :func:`~repro.core.streaming.run_cycles_batch`, in member order,
     so the returned summaries are bit-identical to running every member
     alone with its own seed.  Pass a pre-computed ``plan`` to skip
     re-validation (it must have been built from the same members).
@@ -171,15 +172,15 @@ def run_fleet(
     elif plan.members != members:
         raise FleetError("the supplied plan was built from different members")
     summaries = [
-        run_cycles_streamed(
+        run_cycles_batch(
             member.system,
             member.manager,
             member.cycles,
-            deadlines=member.deadlines,
-            chunk_size=member.effective_chunk(),
             scenarios=member.scenarios,
             rng=member.make_rng() if member.scenarios is None else None,
             overhead_model=member.overhead_model,
+            chunk_size=member.effective_chunk(),
+            deadlines=member.deadlines,
         )
         for member in plan.members
     ]

@@ -1,17 +1,17 @@
-"""Streaming chunked execution: constant-memory cycle batches.
+"""The run driver: cycles executed chunk by chunk, kept or folded.
 
-The materialised pipeline of :mod:`repro.core.engine` keeps every cycle's
-outcome columns (:class:`~repro.core.engine.CycleOutcomes`), memory that
-grows with the cycle count, which rules out million-cycle runs by
-construction.  This module applies the paper's "combine" step
-incrementally inside a single run: the engine pulls
+:func:`run_cycles_batch` is the one driver of every run.  It pulls
 fixed-size :class:`~repro.core.timing.ScenarioBatch` chunks (drawn through
 the sampler's replayable stream, or sliced zero-copy from a caller-supplied
-batch), executes each chunk through the compiled kernel spec, and folds the
-outcome arrays into a mergeable :class:`StreamingMetrics` accumulator —
-running counts and sums, a per-level quality histogram, and a power-of-two
-:class:`QuantileSketch` over per-cycle makespans — instead of retaining
-per-cycle arrays.
+batch) and executes each through the compiled kernel spec or the scalar
+oracle.  A materialised run is one chunk of every cycle whose outcome
+columns (:class:`~repro.core.engine.CycleOutcomes`) are kept, memory that
+grows with the cycle count.  A streamed run applies the paper's "combine"
+step incrementally instead: each chunk's outcome arrays fold into a
+mergeable :class:`StreamingMetrics` accumulator — running counts and sums,
+a per-level quality histogram, and a power-of-two :class:`QuantileSketch`
+over per-cycle makespans — and the chunk is dropped before the next one is
+drawn, so memory stays at one chunk whatever the run length.
 
 Determinism contract: the accumulated metrics are **bit-identical** to the
 materialised path at any ``chunk_size``.  Exactness comes in four flavours:
@@ -38,7 +38,8 @@ materialised path at any ``chunk_size``.  Exactness comes in four flavours:
   run folds its own :class:`~repro.core.engine.CycleOutcomes` columns
   once, and the scalar oracle fallback and
   :func:`repro.analysis.metrics.compute_metrics` over loose outcomes
-  stack them into the same columns first (:func:`outcome_arrays`).
+  stack them into the same columns first
+  (:meth:`~repro.core.engine.CycleOutcomes.of`).
 
 Quantiles are the exception: the sketch answers them within a gated
 relative error (:attr:`QuantileSketch.relative_error`), never exactly.
@@ -66,12 +67,10 @@ from .controller import OverheadModelProtocol, run_cycle
 from .deadlines import DeadlineFunction
 from .engine import (
     CycleOutcomes,
+    DecisionKernel,
     EngineError,
-    _check_batch_input,
-    _count_dispatch,
     _lockstep_scenarios,
     compile_decision_kernel,
-    run_cycles_batch,
     run_lockstep_arrays,
 )
 from .manager import QualityManager
@@ -82,8 +81,7 @@ __all__ = [
     "QuantileSketch",
     "StreamingMetrics",
     "outcome_arrays",
-    "run_cycles_streamed",
-    "stream_or_materialise",
+    "run_cycles_batch",
 ]
 
 
@@ -503,114 +501,117 @@ def outcome_arrays(
     )
 
 
-def run_cycles_streamed(
+def _check_batch_input(
+    cycles: int | None,
+    scenarios: ScenarioBatch | Sequence[ActualTimeScenario] | None,
+) -> tuple[ScenarioBatch | tuple[ActualTimeScenario, ...] | None, int]:
+    """Validate the driver's ``cycles``/``scenarios`` pair.
+
+    Returns the scenarios (a batch as given, any other sequence as a tuple;
+    ``None`` when the driver draws its own) and the cycle count.
+    """
+    if scenarios is None:
+        if cycles is None:
+            raise EngineError("pass a cycle count or an explicit scenario batch")
+        if int(cycles) < 0:
+            raise EngineError(f"cycles must be >= 0, got {cycles}")
+        return None, int(cycles)
+    if not isinstance(scenarios, ScenarioBatch):
+        scenarios = tuple(scenarios)
+    if cycles is not None and len(scenarios) != int(cycles):
+        raise EngineError(f"expected {cycles} scenarios, got {len(scenarios)}")
+    return scenarios, len(scenarios)
+
+
+def _execute_chunk(
+    system: ParameterizedSystem,
+    manager: QualityManager,
+    kernel: DecisionKernel | None,
+    batch: ScenarioBatch | Sequence[ActualTimeScenario],
+    overhead_model: OverheadModelProtocol | None,
+) -> CycleOutcomes:
+    """One chunk's outcome columns: the lockstep kernel, else the oracle."""
+    if kernel is not None:
+        matrices = _lockstep_scenarios(system, batch)
+        return CycleOutcomes(
+            *run_lockstep_arrays(system, manager, kernel, matrices, overhead_model)
+        )
+    return CycleOutcomes.of(
+        run_cycle(system, manager, scenario=scenario, overhead_model=overhead_model)
+        for scenario in batch
+    )
+
+
+def run_cycles_batch(
     system: ParameterizedSystem,
     manager: QualityManager,
     cycles: int | None = None,
     *,
-    deadlines: DeadlineFunction,
-    chunk_size: int,
     scenarios: ScenarioBatch | Sequence[ActualTimeScenario] | None = None,
     rng: np.random.Generator | None = None,
     overhead_model: OverheadModelProtocol | None = None,
-) -> StreamingMetrics:
-    """Execute cycles in fixed-size chunks, folding into a stream summary.
+    chunk_size: int | None = None,
+    deadlines: DeadlineFunction | None = None,
+) -> CycleOutcomes | StreamingMetrics:
+    """Execute cycles chunk by chunk: the kernel when one exists, else the oracle.
 
-    The streaming counterpart of :func:`~repro.core.engine.run_cycles_batch`:
-    same draw semantics (one RNG threaded through per-chunk
-    :meth:`~repro.core.system.ParameterizedSystem.draw_scenarios` calls is
-    bit-identical to one up-front draw), same kernel-or-oracle rule
-    (:func:`~repro.core.engine.kernel_spec`) — but at no point does the full
-    scenario tensor or a per-cycle outcome list exist.  Caller-supplied
-    ``scenarios`` are consumed chunk by chunk as zero-copy slices.  Returns
-    the :class:`StreamingMetrics` accumulator; its
-    :meth:`~StreamingMetrics.metrics` are bit-identical to the materialised
-    path at any ``chunk_size``.
+    The one run driver of the session, the sweep workers and the fleet.
+    ``scenarios`` fixes every cycle's actual times (a
+    :class:`~repro.core.timing.ScenarioBatch` in either form, or per-cycle
+    scenarios); without it each chunk is drawn by one
+    :meth:`~repro.core.system.ParameterizedSystem.draw_scenarios` call on
+    ``rng``, bit-identical to the scalar loop's per-cycle draws, sampler
+    advance included.  :func:`~repro.core.engine.kernel_spec` chooses once
+    per run between the lockstep kernel and the scalar
+    :func:`~repro.core.controller.run_cycle` oracle; the outcomes are
+    bit-identical either way.
+
+    Without ``chunk_size`` the run is one chunk of every cycle, and its
+    :class:`~repro.core.engine.CycleOutcomes` columns are returned.  With
+    it, ``deadlines`` is required: each chunk folds into the returned
+    :class:`StreamingMetrics`, bit-identical in its metrics to the
+    materialised run, and is released before the next one is drawn.
     """
-    chunk = int(chunk_size)
-    if chunk < 1:
-        raise EngineError(f"chunk_size must be >= 1, got {chunk_size}")
     scenarios, n_cycles = _check_batch_input(cycles, scenarios)
-    generator = rng
-    if scenarios is None and generator is None:
-        generator = np.random.default_rng(0)
+    chunk, accumulator = n_cycles, None
+    if chunk_size is not None:
+        chunk = int(chunk_size)
+        if chunk < 1:
+            raise EngineError(f"chunk_size must be >= 1, got {chunk_size}")
+        if deadlines is None:
+            raise EngineError("a chunked run folds into a summary and needs deadlines")
+        accumulator = StreamingMetrics(deadlines)
+    if scenarios is None and rng is None:
+        rng = np.random.default_rng(0)
     kernel = compile_decision_kernel(
         manager, overhead_model, system=system, scenarios=scenarios
     )
-    accumulator = StreamingMetrics(deadlines)
-    _count_dispatch(manager, kernel, n_cycles)
     if _obs_enabled():
-        _obs_registry().inc("engine.cycles.streamed", n_cycles)
-    chunks = 0
+        label = "vectorized" if kernel is not None else "scalar"
+        registry = _obs_registry()
+        registry.inc(f"engine.batches.{label}.{type(manager).__name__}")
+        registry.inc(f"engine.cycles.{label}", n_cycles)
+        if kernel is None:
+            registry.inc(f"engine.scalar_fallback.{type(manager).__name__}")
+    starts = (0,) if accumulator is None else range(0, n_cycles, chunk)
     peak_chunk_bytes = 0
-    start = 0
-    while start < n_cycles:
+    for start in starts:
         stop = min(start + chunk, n_cycles)
         if scenarios is None:
-            batch = system.draw_scenarios(stop - start, generator)
+            batch = system.draw_scenarios(stop - start, rng)
         else:
             batch = scenarios[start:stop]
-        chunks += 1
+        columns = _execute_chunk(system, manager, kernel, batch, overhead_model)
+        if accumulator is None:
+            return columns
         if isinstance(batch, ScenarioBatch):
             peak_chunk_bytes = max(peak_chunk_bytes, batch.nbytes())
-        if kernel is not None:
-            matrices = _lockstep_scenarios(system, batch)
-            qualities, _, completion, invoked, overheads = run_lockstep_arrays(
-                system, manager, kernel, matrices, overhead_model
-            )
-        else:
-            qualities, completion, invoked, overheads = outcome_arrays(
-                [
-                    run_cycle(
-                        system, manager, scenario=scenario, overhead_model=overhead_model
-                    )
-                    for scenario in batch
-                ]
-            )
-        accumulator.update_chunk(qualities, completion, invoked, overheads)
-        start = stop
+        accumulator.update_chunk(*outcome_arrays(columns))
+        # drop this chunk before the next is drawn: one chunk at a time
+        del batch, columns
     if _obs_enabled():
         registry = _obs_registry()
-        registry.inc("engine.chunks", chunks)
+        registry.inc("engine.cycles.streamed", n_cycles)
+        registry.inc("engine.chunks", len(starts))
         registry.set("engine.peak_chunk_bytes", float(peak_chunk_bytes))
     return accumulator
-
-
-def stream_or_materialise(
-    system: ParameterizedSystem,
-    manager: QualityManager,
-    cycles: int | None = None,
-    *,
-    deadlines: DeadlineFunction,
-    chunk_size: int | None,
-    scenarios: ScenarioBatch | Sequence[ActualTimeScenario] | None = None,
-    rng: np.random.Generator | None = None,
-    overhead_model: OverheadModelProtocol | None = None,
-) -> CycleOutcomes | StreamingMetrics:
-    """One run, streamed when ``chunk_size`` is set and materialised otherwise.
-
-    The one place the facade and the sweep workers choose between
-    :func:`run_cycles_streamed` (a :class:`StreamingMetrics` summary) and
-    :func:`~repro.core.engine.run_cycles_batch` (the
-    :class:`~repro.core.engine.CycleOutcomes` columns), so a serial run and
-    a pool unit with the same inputs take the same path.
-    """
-    if chunk_size is None:
-        return run_cycles_batch(
-            system,
-            manager,
-            cycles,
-            scenarios=scenarios,
-            rng=rng,
-            overhead_model=overhead_model,
-        )
-    return run_cycles_streamed(
-        system,
-        manager,
-        cycles,
-        deadlines=deadlines,
-        chunk_size=chunk_size,
-        scenarios=scenarios,
-        rng=rng,
-        overhead_model=overhead_model,
-    )

@@ -1,9 +1,10 @@
 """Process-based sweep execution: shard a :class:`SweepPlan` across workers.
 
-Each worker process compiles the symbolic tables where it runs, from the
-shipped :class:`~repro.runtime.plan.ExecutionPayload` alone — once per
-relaxation step set, for all its units — and builds its managers from them
-via the ordinary registry.  No file passes between parent and workers.
+Each worker process hydrates the one unit runner, :class:`_WorkerRuntime`,
+from the shipped :class:`~repro.runtime.plan.ExecutionPayload` alone: it
+compiles the symbolic tables once per relaxation step set, for all its
+units, and builds its managers via the ordinary registry.  No file passes
+between parent and workers.
 
 Determinism contract: for fixed seeds the outcome of every unit is
 bit-identical to what the serial baseline produces, because each unit (a)
@@ -37,7 +38,10 @@ from repro.obs import trace as obs_trace
 from repro.obs.metrics import registry as obs_registry
 from repro.obs.state import enabled as obs_enabled
 from repro.core.checks import whole_number
-from repro.core.streaming import stream_or_materialise
+from repro.core.controller import OverheadModelProtocol
+from repro.core.deadlines import DeadlineFunction
+from repro.core.streaming import run_cycles_batch
+from repro.core.system import ParameterizedSystem
 from repro.core.timing import supports_replay
 
 from .plan import ExecutionPayload, SweepPlan, SweepUnit
@@ -123,27 +127,51 @@ class SweepOutcome:
 
 
 class _WorkerRuntime:
-    """Per-process execution environment rebuilt from an :class:`ExecutionPayload`."""
+    """The one unit runner: executes sweep units on one execution environment.
 
-    def __init__(self, payload: ExecutionPayload) -> None:
+    Pool and spool workers :meth:`hydrate` it from a shipped
+    :class:`ExecutionPayload`; a serial ``Session.compare`` or
+    ``run_many`` builds it from the session's own compile cache, deployed
+    system and live sampler, and runs the same plan in-process.
+    """
+
+    def __init__(
+        self,
+        base_system: ParameterizedSystem,
+        exec_system: ParameterizedSystem,
+        deadlines: DeadlineFunction,
+        overhead_model: OverheadModelProtocol | None,
+        context: BuildContext,
+        chunk_size: int | None,
+    ) -> None:
+        self._exec_system = exec_system
+        self._deadlines = deadlines
+        self._overhead_model = overhead_model
+        self._context = context
+        self._chunk_size = chunk_size
+        self._sampler = base_system.timing.scenario_sampler
+        self._base_cursor = getattr(self._sampler, "cursor", None)
+
+    @classmethod
+    def hydrate(cls, payload: ExecutionPayload) -> "_WorkerRuntime":
+        """The runtime a worker rebuilds from a payload alone, compiling once
+        per relaxation step set for every unit it runs."""
         # resolved lazily to avoid importing the api package before fork
         from repro.api.session import resolve_overhead_model
 
-        self._payload = payload
-        self._base_system = payload.system
-        machine = payload.machine
-        self._exec_system = (
-            machine.deploy(self._base_system) if machine is not None else self._base_system
-        )
-        self._overhead_model = resolve_overhead_model(machine, payload.overhead)
-        self._sampler = self._base_system.timing.scenario_sampler
-        self._base_cursor = getattr(self._sampler, "cursor", None)
-        # compiles once per relaxation step set, for every unit of the runtime
-        self._context = BuildContext.create(
-            self._base_system,
+        system, machine = payload.system, payload.machine
+        return cls(
+            system,
+            machine.deploy(system) if machine is not None else system,
             payload.deadlines,
-            policy=payload.policy,
-            relaxation_steps=payload.relaxation_steps,
+            resolve_overhead_model(machine, payload.overhead),
+            BuildContext.create(
+                system,
+                payload.deadlines,
+                policy=payload.policy,
+                relaxation_steps=payload.relaxation_steps,
+            ),
+            payload.chunk_size,
         )
 
     def _check_unit_scenarios(self, unit: SweepUnit) -> None:
@@ -169,18 +197,15 @@ class _WorkerRuntime:
     def execute(self, unit: SweepUnit) -> tuple[str, object]:
         """Run one unit and return ``(manager_name, outcomes-or-summary)``.
 
-        Units run through :func:`~repro.core.streaming.stream_or_materialise`,
-        the helper the serial facade runs through too: each shard executes
-        its chunk vectorised when the unit's manager lowers to a decision
-        kernel, and through the scalar loop otherwise — in both cases
-        bit-identical to the serial baseline, and returned as
-        :class:`~repro.core.engine.CycleOutcomes` columns, which pickle as
-        five arrays.  Shipped scenario batches are validated against the
-        hydrated system first; draw and re-draw units position the sampler
-        stream and draw their own batch.
-
-        With a payload ``chunk_size`` the unit is streamed instead: the
-        second element is a
+        Units run through the one run driver,
+        :func:`~repro.core.streaming.run_cycles_batch`: vectorised when the
+        unit's manager lowers to a decision kernel, through the scalar loop
+        otherwise, and bit-identical to the serial baseline either way.
+        Shipped scenario batches are validated against the hydrated system
+        first; draw and re-draw units position the sampler stream and draw
+        their own batch.  The second element is the run's
+        :class:`~repro.core.engine.CycleOutcomes` columns (five arrays over
+        the wire), or with a ``chunk_size`` its
         :class:`~repro.core.streaming.StreamingMetrics` summary (constant
         worker memory, a few hundred bytes over the wire) whose metrics are
         bit-identical to the materialised outcomes.
@@ -197,15 +222,15 @@ class _WorkerRuntime:
             ):
                 self._sampler.seek(self._base_cursor + unit.sampler_offset)
             rng = np.random.default_rng(unit.seed)
-        return manager.name, stream_or_materialise(
+        return manager.name, run_cycles_batch(
             self._exec_system,
             manager,
             unit.cycles,
-            deadlines=self._payload.deadlines,
-            chunk_size=self._payload.chunk_size,
             scenarios=unit.scenarios,
             rng=rng,
             overhead_model=self._overhead_model,
+            chunk_size=self._chunk_size,
+            deadlines=self._deadlines,
         )
 
 
@@ -217,7 +242,7 @@ def _init_worker(
     payload: ExecutionPayload, trace_ids: tuple[str, str] | None = None
 ) -> None:
     global _RUNTIME, _TRACE
-    _RUNTIME = _WorkerRuntime(payload)
+    _RUNTIME = _WorkerRuntime.hydrate(payload)
     _TRACE = trace_ids
 
 
@@ -342,7 +367,7 @@ class SweepExecutor:
     ) -> list[tuple]:
         # the pickle round-trip gives the same isolation as a worker process:
         # the parent's sampler/caches are never touched by plan execution
-        runtime = _WorkerRuntime(pickle.loads(payload_bytes))
+        runtime = _WorkerRuntime.hydrate(pickle.loads(payload_bytes))
         records: list[tuple] = []
         for done, unit in enumerate(plan.units, start=1):
             records.append(_execute_record(runtime, unit))

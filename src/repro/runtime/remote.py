@@ -374,7 +374,7 @@ class SpoolWorker:
     def _runtime_for(self, plan_id: str, meta: dict) -> _WorkerRuntime:
         """The per-plan execution runtime, built from the plan's payload."""
         if plan_id not in self._runtimes:
-            self._runtimes[plan_id] = _WorkerRuntime(meta["payload"])
+            self._runtimes[plan_id] = _WorkerRuntime.hydrate(meta["payload"])
         return self._runtimes[plan_id]
 
     def _plan_withdrawn(self, plan_id: str) -> bool:

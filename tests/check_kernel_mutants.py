@@ -1,4 +1,5 @@
-"""Mutation gate for the interval kernel, the metrics fold and the sweep fan-in.
+"""Mutation gate for the interval kernel, the metrics fold, the lockstep's
+overhead charge and the sweep fan-in.
 
 Usage, from the repository root::
 
@@ -7,7 +8,9 @@ Usage, from the repository root::
 Each text mutant below names the test file it must fail: the interval
 kernel's mutants the boundary probes (``tests/test_kernel_boundaries.py``),
 the fold's mutants the overhead-fold checks (``tests/test_overhead_fold.py``),
-and the runtime's mutants of how far a parallel sweep moves the shared frame
+the lockstep's mutants that drop the decided lanes' overhead charge the
+oracle-referenced fleet fuzz (``tests/test_fleet_differential.py``), and the
+runtime's mutants of how far a parallel sweep moves the shared frame
 sampler the cursor grid (``tests/test_sweep_cursor.py``).
 For each mutant the script copies ``src/`` and that test file (with the
 suite's ``conftest.py`` and ``helpers.py``) to a temporary directory,
@@ -29,12 +32,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 KERNELSPEC = "src/repro/core/kernelspec.py"
+ENGINE = "src/repro/core/engine.py"
 STREAMING = "src/repro/core/streaming.py"
 SYSTEM = "src/repro/core/system.py"
 PLAN = "src/repro/runtime/plan.py"
 SESSION = "src/repro/api/session.py"
 PROBES = "tests/test_kernel_boundaries.py"
 FOLD = "tests/test_overhead_fold.py"
+FUZZ = "tests/test_fleet_differential.py"
 CURSOR = "tests/test_sweep_cursor.py"
 SUPPORT_FILES = ("conftest.py", "helpers.py")
 
@@ -88,6 +93,20 @@ MUTANTS = (
         "return float(np.cumsum(overheads)[-1]) if overheads.size else 0.0",
         "return float(self.manager_overheads.sum())",
         FOLD,
+    ),
+    (
+        "lockstep drops the overhead when all lanes decide",
+        ENGINE,
+        "elapsed += decided_overheads",
+        "elapsed += 0.0",
+        FUZZ,
+    ),
+    (
+        "lockstep drops the overhead when some lanes decide",
+        ENGINE,
+        "elapsed.put(lanes, times + decided_overheads)",
+        "elapsed.put(lanes, times)",
+        FUZZ,
     ),
     (
         "re-draw compare plan reports no draws",

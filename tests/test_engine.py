@@ -9,10 +9,13 @@ loop, the reference oracle.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.analysis.metrics import compute_metrics
+from repro.api import Session
 from repro.api.registry import BuildContext, available_managers, build_manager
 from repro.core import (
     EngineError,
@@ -24,7 +27,6 @@ from repro.core import (
     compute_td_table,
     run_cycle,
     run_cycles_batch,
-    run_cycles_streamed,
     run_cycles_vectorized,
     run_fixed_quality,
 )
@@ -86,6 +88,10 @@ def _overhead_models():
     return [None, LinearOverheadModel(IPOD_LIKE), NullOverheadModel(), PureCharge()]
 
 
+#: cycles per parity case: chunk sizes 1, 2 and 7 leave a ragged last chunk
+N_CYCLES = 10
+
+
 # every registered manager lowers to exactly one kernel-spec primitive
 _EXPECTED_OPS = {
     "average-only": "interval",
@@ -104,39 +110,34 @@ _EXPECTED_OPS = {
 
 
 class TestParityGrid:
-    @pytest.mark.parametrize("chunk_size", [None, 2])
+    @pytest.mark.parametrize("chunk_size", [None, 1, 2, 7, N_CYCLES, N_CYCLES + 1])
     @pytest.mark.parametrize("key", available_managers())
     @pytest.mark.parametrize("model_index", range(4))
     def test_every_registered_manager_is_bit_identical(
         self, setup, key, model_index, chunk_size
     ):
-        """Materialised outcomes (chunk_size None) and streamed metrics equal
-        the scalar oracle's exactly."""
-        system, deadlines, context = setup
-        model = _overhead_models()[model_index]
-        manager = build_manager(key, context)
-        rng = np.random.default_rng(17)
-        scenarios = system.draw_scenarios(6, rng)
-        manager.reset()
-        scalar = [
-            run_cycle(system, manager, scenario=s, overhead_model=model)
-            for s in scenarios
-        ]
+        """The one driver, through ``Session.run``, equals the scalar oracle:
+        materialised outcomes (chunk_size None) bit for bit, and streamed
+        metrics, histogram and cycle count at every chunk size, edges and
+        overhang included."""
+        system, deadlines, _ = setup
+        session = (
+            Session()
+            .system(system)
+            .deadlines(deadlines)
+            .manager(key)
+            .overhead(_overhead_models()[model_index])
+        )
+        scenarios = system.draw_scenarios(N_CYCLES, np.random.default_rng(17))
+        oracle = list(session.oracle(N_CYCLES, scenarios=scenarios))
+        run = session.run(N_CYCLES, scenarios=scenarios, chunk_size=chunk_size)
         if chunk_size is None:
-            batch = run_cycles_batch(
-                system, manager, scenarios=scenarios, overhead_model=model
-            )
-            assert_outcomes_identical(scalar, batch)
+            assert_outcomes_identical(oracle, run.outcomes)
         else:
-            streamed = run_cycles_streamed(
-                system,
-                manager,
-                scenarios=scenarios,
-                deadlines=deadlines,
-                chunk_size=chunk_size,
-                overhead_model=model,
-            )
-            assert streamed.metrics() == compute_metrics(scalar, deadlines)
+            histogram = Counter(np.concatenate([o.qualities for o in oracle]).tolist())
+            assert run.metrics == compute_metrics(oracle, deadlines)
+            assert run.quality_histogram == histogram
+            assert run.n_cycles == N_CYCLES
 
     @pytest.mark.parametrize(
         "key", ("numeric", "skip", "feedback", "elastic", "dvfs", "multitask", "linear-approx")

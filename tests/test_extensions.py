@@ -8,7 +8,6 @@ import pytest
 from repro.core import (
     QualityManagerCompiler,
     audit_trace,
-    compute_td_table,
     run_cycle,
     run_fixed_quality,
 )

@@ -66,9 +66,9 @@ def make_member(
 
 def solo_summary(member: FleetMember):
     """The member's summary from a solo streamed run (the parity baseline)."""
-    from repro.core.streaming import run_cycles_streamed
+    from repro.core.streaming import run_cycles_batch
 
-    return run_cycles_streamed(
+    return run_cycles_batch(
         member.system,
         member.manager,
         member.cycles,

@@ -1,11 +1,14 @@
-"""Differential fuzz harness: fleet execution vs solo runs, whole registry.
+"""Differential fuzz harness: fleet execution vs the scalar oracle, whole registry.
 
 Every case derives a random fleet from one :class:`numpy.random.SeedSequence`
-— mixed managers (cycling through all 12 registry keys), ragged system
-shapes and quality-set sizes, cycle counts from 1 to 40, chunk sizes from
-{1, 7, default} — runs it through :func:`repro.core.fleet.run_fleet` and
-asserts every member's summary is **bit-identical** to that member's solo
-streamed run.  The grid is fully deterministic: case ``k`` generates the
+— mixed managers (cycling through all 12 registry keys, compiled for the
+small step set ρ = {1, 2, 3} so relaxation covers partial windows), ragged
+system shapes and quality-set sizes, cycle counts from 1 to 40, chunk sizes
+from {1, 7, default}, no overhead or the ipod overhead model — runs it
+through :func:`repro.core.fleet.run_fleet` and asserts every member's
+summary is **bit-identical** to that member's cycles run one by one through
+the scalar :func:`~repro.core.controller.run_cycle` oracle on the member's
+own RNG stream.  The grid is fully deterministic: case ``k`` generates the
 same fleet on every machine and every run.
 
 CI runs the bounded 200-case grid; set ``REPRO_FUZZ_CASES`` to widen it::
@@ -23,8 +26,10 @@ import pytest
 
 from repro.api import Session
 from repro.api.registry import available_managers
+from repro.core.controller import run_cycle
 from repro.core.fleet import FleetMember, run_fleet
-from repro.core.streaming import run_cycles_streamed
+from repro.core.streaming import StreamingMetrics, outcome_arrays
+from repro.platform.overhead import IPOD_LIKE, LinearOverheadModel
 
 from helpers import make_deadline, make_synthetic_system
 
@@ -40,13 +45,15 @@ def _cell(key: str, n_actions: int, n_levels: int, system_seed: int):
     """One (system, deadlines, manager) grid cell, shared across cases.
 
     Sharing is safe: synthetic samplers are stateless closures, managers
-    are reset by every executor before use, and the solo baseline reruns
-    with exactly the member's own RNG stream.
+    are reset by every executor before use, and the oracle baseline reruns
+    with exactly the member's own RNG stream.  The step set ρ = {1, 2, 3}
+    relaxes every few actions, so some lockstep lanes decide while others
+    are still inside a window.
     """
     system = make_synthetic_system(n_actions, n_levels, seed=system_seed)
     deadlines = make_deadline(system)
-    manager = Session().system(system).deadlines(deadlines).manager(key).build()
-    return system, deadlines, manager
+    session = Session().system(system).deadlines(deadlines).relaxation_steps(1, 2, 3)
+    return system, deadlines, session.manager(key).build()
 
 
 def case_keys(case: int) -> list[str]:
@@ -89,22 +96,29 @@ def case_members(case: int) -> list[FleetMember]:
                 cycles=int(rng.integers(1, 41)),
                 seed=int(rng.integers(0, 2**31)),
                 chunk_size=CHUNK_CHOICES[int(rng.integers(0, len(CHUNK_CHOICES)))],
+                overhead_model=_overhead_model() if rng.integers(0, 2) else None,
             )
         )
     return members
 
 
-def solo_baseline(member: FleetMember):
-    """The member's summary from its own solo streamed run."""
-    return run_cycles_streamed(
-        member.system,
-        member.manager,
-        member.cycles,
-        deadlines=member.deadlines,
-        chunk_size=member.effective_chunk(),
-        rng=member.make_rng(),
-        overhead_model=member.overhead_model,
-    )
+def _overhead_model() -> LinearOverheadModel:
+    """A fresh ipod overhead model: every member and every baseline gets its own."""
+    return LinearOverheadModel(IPOD_LIKE)
+
+
+def solo_baseline(member: FleetMember) -> StreamingMetrics:
+    """The member's summary from the scalar oracle: one ``run_cycle`` per cycle
+    on the member's RNG stream, folded once."""
+    rng = member.make_rng()
+    model = None if member.overhead_model is None else _overhead_model()
+    outcomes = [
+        run_cycle(member.system, member.manager, rng=rng, overhead_model=model)
+        for _ in range(member.cycles)
+    ]
+    summary = StreamingMetrics(member.deadlines)
+    summary.update_chunk(*outcome_arrays(outcomes))
+    return summary
 
 
 def assert_case_parity(case: int) -> None:
@@ -155,5 +169,6 @@ class TestDifferentialGrid:
             assert a.cycles == b.cycles
             assert a.seed == b.seed
             assert a.chunk_size == b.chunk_size
+            assert (a.overhead_model is None) == (b.overhead_model is None)
             assert a.system is b.system  # same grid cell
 

@@ -86,3 +86,21 @@ def test_solo_lockstep_returns_views_of_action_major_buffers(paper):
     assert invoked.dtype == bool and invoked.flags.c_contiguous
     assert qualities.min() >= system.qualities.minimum
     assert qualities.max() <= system.qualities.maximum
+
+
+#: cycles per chunk of the streamed runs below
+STREAM_CHUNK = 256
+
+
+def test_streamed_run_holds_one_chunk():
+    """A streamed run drops each chunk before it draws the next one, so a
+    run of three chunks peaks where a run of one does."""
+    session = Session().system("paper").manager("relaxation")
+    session.run(cycles=STREAM_CHUNK, chunk_size=STREAM_CHUNK)  # compile, warm caches
+    one, three = (
+        traced_peak(lambda: session.run(cycles=n * STREAM_CHUNK, chunk_size=STREAM_CHUNK))[1]
+        for n in (1, 3)
+    )
+    assert three <= 1.05 * one, (
+        f"3 chunks peak at {three / 2**20:.1f} MiB, 1 chunk at {one / 2**20:.1f} MiB"
+    )

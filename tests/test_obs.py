@@ -268,6 +268,27 @@ def test_spool_sweep_with_subprocess_worker_merges_into_one_trace_tree(
     assert merged["spool.plans_submitted"]["value"] == 1
 
 
+def test_serial_sweeps_emit_the_parallel_span_shape(tmp_path, obs_dir):
+    """A serial sweep runs its plan in-process: one root per call, the plan
+    (draw included) and one ``session.execute`` per unit beneath it."""
+    session = _session(tmp_path)
+    session.compare("relaxation", "region", cycles=2)
+    session.run_many(_GRID)
+    trees = export.build_report(export.read_events(obs_dir))["trees"]
+    shapes = [
+        (
+            tree["span"]["name"],
+            tree["span"]["attrs"]["transport"],
+            [child["span"]["name"] for child in tree["children"]],
+        )
+        for tree in trees
+    ]
+    assert shapes == [
+        ("session.compare", "serial", ["session.plan"] + ["session.execute"] * 2),
+        ("session.run_many", "serial", ["session.plan"] + ["session.execute"] * len(_GRID)),
+    ]
+
+
 def test_cli_obs_report_renders_and_emits_json(tmp_path, monkeypatch, obs_dir, capsys):
     from repro.cli import main
 

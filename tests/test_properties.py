@@ -15,7 +15,6 @@ parameterized systems, deadlines and actual-time draws:
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

@@ -6,7 +6,8 @@ overhead model and ``chunk_size``, a streamed run's metrics must equal the
 oracle and of the materialised path field for field — including runs whose
 chunk edges land mid-way through a frame sampler's wrap-around — and
 pool/spool fan-in of streamed accumulators must match serial execution
-exactly.
+exactly.  The registry-wide grid over managers, overhead models and chunk
+sizes is ``tests/test_engine.py::TestParityGrid``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro.api import Session
-from repro.api.registry import available_managers
 from repro.api.results import RunResult
 from repro.core import (
     EngineError,
@@ -26,7 +26,6 @@ from repro.core import (
     ScenarioBatch,
     StreamingMetrics,
     run_cycles_batch,
-    run_cycles_streamed,
 )
 from repro.core.streaming import outcome_arrays
 from repro.analysis.metrics import compute_metrics
@@ -35,14 +34,12 @@ from repro.media import small_encoder
 
 from helpers import make_deadline, make_seekless_system, make_synthetic_system
 
-ALL_KEYS = sorted(available_managers())
 N_CYCLES = 10
-CHUNK_SIZES = (1, 7, 64, N_CYCLES, N_CYCLES + 1)
 
 
 @pytest.fixture(scope="module")
 def parity_setup():
-    """One synthetic system, deadline, pre-drawn batch, shared per grid cell."""
+    """One synthetic system, deadline and pre-drawn batch, shared per test."""
     system = make_synthetic_system()
     deadlines = make_deadline(system)
     scenarios = system.draw_scenarios(N_CYCLES, np.random.default_rng(7))
@@ -55,28 +52,7 @@ def assert_metrics_identical(expected, actual, context=""):
 
 
 class TestChunkParityGrid:
-    """Every registry key x overhead model x chunk size matches the oracle."""
-
-    @pytest.mark.parametrize("overhead", [None, "ipod"])
-    @pytest.mark.parametrize("key", ALL_KEYS)
-    def test_streamed_metrics_bit_identical(self, parity_setup, key, overhead):
-        system, deadlines, scenarios = parity_setup
-        session = (
-            Session().system(system).deadlines(deadlines).manager(key).overhead(overhead)
-        )
-        oracle = compute_metrics(list(session.oracle(N_CYCLES, scenarios=scenarios)), deadlines)
-        baseline = session.run(scenarios=scenarios, cycles=N_CYCLES)
-        assert_metrics_identical(oracle, baseline.metrics, f"{key} materialised")
-        for chunk in CHUNK_SIZES:
-            streamed = session.run(
-                scenarios=scenarios, cycles=N_CYCLES, chunk_size=chunk
-            )
-            assert streamed.is_summary
-            assert_metrics_identical(
-                baseline.metrics, streamed.metrics, f"{key} chunk={chunk}"
-            )
-            assert baseline.quality_histogram == streamed.quality_histogram
-            assert streamed.n_cycles == N_CYCLES
+    """The driver called directly; the registry-wide grid is ``test_engine.TestParityGrid``."""
 
     def test_direct_engine_call_matches_compute_metrics(self, parity_setup):
         system, deadlines, scenarios = parity_setup
@@ -85,7 +61,7 @@ class TestChunkParityGrid:
         outcomes = run_cycles_batch(system, manager, scenarios=scenarios)
         expected = compute_metrics(outcomes, deadlines)
         for chunk in (1, 3, N_CYCLES):
-            summary = run_cycles_streamed(
+            summary = run_cycles_batch(
                 system,
                 manager,
                 scenarios=scenarios,
@@ -100,7 +76,7 @@ class TestChunkParityGrid:
             Session().system(system).deadlines(deadlines).manager("constant").build()
         )
         with pytest.raises(EngineError, match="chunk_size"):
-            run_cycles_streamed(
+            run_cycles_batch(
                 system,
                 manager,
                 scenarios=scenarios,
