@@ -11,7 +11,8 @@ Each session's summary is **bit-identical** to calling that session's
 :meth:`~repro.api.session.Session.run` alone (with a chunked
 ``chunk_size``): the fleet spawns no shared state between members — a
 session backed by a *stateful* replayable scenario sampler (the encoder
-workloads' ``FrameScenarioSampler``) is snapshotted per member, so
+workloads' ``FrameScenarioSampler``) runs on a
+:meth:`~repro.core.system.ParameterizedSystem.fork` of its system, so
 cloned sessions sharing one sampler still draw exactly the frames a
 solo run from the current cursor would, and the shared sampler's
 cursor stays where it was.
@@ -23,7 +24,6 @@ member label.
 
 from __future__ import annotations
 
-import pickle
 from collections.abc import Mapping
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
@@ -33,7 +33,6 @@ from typing import TYPE_CHECKING, Any, Iterable, Sequence
 # repro.runtime first and would otherwise hit a circular import.
 from repro.core.fleet import FleetMember, FleetPlan
 from repro.core.fleet import run_fleet as _run_core_fleet
-from repro.core.timing import supports_replay
 from repro.obs import export as obs_export
 from repro.obs import trace as obs_trace
 
@@ -77,23 +76,17 @@ def _isolated_system(session: "Session"):
 
     Stateless (or absent) samplers are side-effect free, so the member
     uses the session's own deployed system.  A stateful replayable
-    sampler is snapshotted — pickled from the *bare* system (deployed
-    systems may not pickle) and seeked to the session's current cursor,
-    then deployed — so every member draws exactly the stream a solo
-    ``session.run()`` issued now would, even when cloned sessions share
-    one sampler object.
+    sampler is forked at the session's current cursor — the fork shares
+    the tables and frames and owns its cursor — and the fork is deployed,
+    so every member draws exactly the stream a solo ``session.run()``
+    issued now would, even when cloned sessions share one sampler object.
     """
     base = session.resolved_system()
-    sampler = base.timing.scenario_sampler
-    if sampler is None or not supports_replay(sampler):
+    private = base.fork()
+    if private is base:
         return session._execution_system()
-    cursor = getattr(sampler, "cursor", None)
-    snapshot = pickle.loads(pickle.dumps(base))
-    private = snapshot.timing.scenario_sampler
-    if cursor is not None and supports_replay(private):
-        private.seek(cursor)
     machine = session._machine
-    return machine.deploy(snapshot) if machine is not None else snapshot
+    return machine.deploy(private) if machine is not None else private
 
 
 def run_fleet(

@@ -517,15 +517,21 @@ class Session:
 
         The clone reuses the compiled tables; as soon as either session
         changes something the tables depend on, it detaches onto a fresh
-        cache and the other session is unaffected.  Workload-built systems
-        are *not* shared: they carry a stateful frame sampler, so the clone
-        rebuilds its own (starting the video sequence from frame 0) rather
-        than advancing the caller's.  Use this to hand a configured session
-        to code that reconfigures it (e.g. the experiment runners).
+        cache and the other session is unaffected.  A workload's system is
+        built once, in this session, and the clone gets a
+        :meth:`~repro.core.system.ParameterizedSystem.fork` of it: the same
+        tables and frames, with a private frame cursor at frame 0, so the
+        clone's runs never advance the caller's video sequence nor the
+        caller's runs the clone's.  A bare ``ParameterizedSystem`` is shared
+        as given.  Use this to hand a configured session to code that
+        reconfigures it (e.g. the experiment runners).
         """
         other = copy.copy(self)
-        other._built_system = None
         other._deployed = None
+        if self._resolved_workload() is not None:
+            fork = self.resolved_system().fork()
+            fork.timing.scenario_sampler.seek(0)
+            other._built_system = fork
         return other
 
     def resolved_workload(self):

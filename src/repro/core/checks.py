@@ -1,9 +1,11 @@
 """Boundary checks for the counts and durations callers hand in.
 
 One rule per kind of value, shared by the facade (:mod:`repro.api.session`),
-the sweep runtime (:mod:`repro.runtime.pool`, :mod:`repro.runtime.remote`)
-and through them the CLI: a value one layer rejects, no other layer
-truncates, converts from text or lets through as NaN.
+the sweep runtime (:mod:`repro.runtime.pool`, :mod:`repro.runtime.remote`),
+the run driver and fleet members (:mod:`repro.core.streaming`,
+:mod:`repro.core.fleet`) and through them the CLI: a value one layer
+rejects, no other layer truncates, converts from text or lets through as
+NaN.
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ import numpy as np
 from repro.obs.metrics import registry as _obs_registry
 from repro.obs.state import enabled as _obs_enabled
 
+from .checks import whole_number
 from .controller import OverheadModelProtocol
 from .deadlines import DeadlineFunction
 from .engine import kernel_spec
@@ -62,8 +63,10 @@ class FleetMember:
     :class:`~repro.api.session.Session` objects; the core accepts them
     directly so tests can bypass the facade.  A member's ``system`` must
     not share a *stateful* scenario sampler with another member (the API
-    layer snapshots such samplers) — otherwise one member's draws would
-    move the stream the next member reads, breaking solo parity.
+    layer gives each member a
+    :meth:`~repro.core.system.ParameterizedSystem.fork`) — otherwise one
+    member's draws would move the stream the next member reads, breaking
+    solo parity.  ``cycles`` and ``chunk_size`` are whole numbers >= 1.
     """
 
     label: str
@@ -77,28 +80,27 @@ class FleetMember:
     overhead_model: OverheadModelProtocol | None = None
 
     def __post_init__(self) -> None:
-        cycles = int(self.cycles)
-        if cycles < 1:
-            raise FleetError(
-                f"fleet member {self.label!r} needs cycles >= 1, got {self.cycles}"
-            )
-        object.__setattr__(self, "cycles", cycles)
+        object.__setattr__(self, "cycles", self._count("cycles"))
         if self.chunk_size is not None:
-            chunk = int(self.chunk_size)
-            if chunk < 1:
-                raise FleetError(
-                    f"fleet member {self.label!r} needs chunk_size >= 1, "
-                    f"got {self.chunk_size}"
-                )
-            object.__setattr__(self, "chunk_size", chunk)
+            object.__setattr__(self, "chunk_size", self._count("chunk_size"))
         if self.scenarios is not None:
             batch = ScenarioBatch.coerce(self.scenarios)
-            if len(batch) != cycles:
+            if len(batch) != self.cycles:
                 raise FleetError(
                     f"fleet member {self.label!r} carries {len(batch)} scenarios "
-                    f"for {cycles} cycles"
+                    f"for {self.cycles} cycles"
                 )
             object.__setattr__(self, "scenarios", batch)
+
+    def _count(self, name: str) -> int:
+        """The field ``name`` as an integer >= 1, by :func:`~repro.core.checks.whole_number`."""
+        value = getattr(self, name)
+        try:
+            return whole_number(value, name, 1)
+        except ValueError:
+            raise FleetError(
+                f"fleet member {self.label!r} needs an integer {name} >= 1, got {value!r}"
+            ) from None
 
     def effective_chunk(self) -> int:
         """The member's streaming chunk size (its own, else the fleet default)."""

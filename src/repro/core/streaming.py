@@ -63,6 +63,7 @@ import numpy as np
 from repro.obs.metrics import registry as _obs_registry
 from repro.obs.state import enabled as _obs_enabled
 
+from .checks import whole_number
 from .controller import OverheadModelProtocol, run_cycle
 from .deadlines import DeadlineFunction
 from .engine import (
@@ -510,15 +511,15 @@ def _check_batch_input(
     Returns the scenarios (a batch as given, any other sequence as a tuple;
     ``None`` when the driver draws its own) and the cycle count.
     """
+    if cycles is not None:
+        cycles = whole_number(cycles, "cycles", 0, EngineError)
     if scenarios is None:
         if cycles is None:
             raise EngineError("pass a cycle count or an explicit scenario batch")
-        if int(cycles) < 0:
-            raise EngineError(f"cycles must be >= 0, got {cycles}")
-        return None, int(cycles)
+        return None, cycles
     if not isinstance(scenarios, ScenarioBatch):
         scenarios = tuple(scenarios)
-    if cycles is not None and len(scenarios) != int(cycles):
+    if cycles is not None and len(scenarios) != cycles:
         raise EngineError(f"expected {cycles} scenarios, got {len(scenarios)}")
     return scenarios, len(scenarios)
 
@@ -571,13 +572,13 @@ def run_cycles_batch(
     it, ``deadlines`` is required: each chunk folds into the returned
     :class:`StreamingMetrics`, bit-identical in its metrics to the
     materialised run, and is released before the next one is drawn.
+    ``cycles`` (>= 0) and ``chunk_size`` (>= 1) are whole numbers, else
+    :class:`~repro.core.engine.EngineError`.
     """
     scenarios, n_cycles = _check_batch_input(cycles, scenarios)
     chunk, accumulator = n_cycles, None
     if chunk_size is not None:
-        chunk = int(chunk_size)
-        if chunk < 1:
-            raise EngineError(f"chunk_size must be >= 1, got {chunk_size}")
+        chunk = whole_number(chunk_size, "chunk_size", 1, EngineError)
         if deadlines is None:
             raise EngineError("a chunked run folds into a summary and needs deadlines")
         accumulator = StreamingMetrics(deadlines)

@@ -10,13 +10,14 @@ and the :meth:`ParameterizedSystem.rescaled` helper.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .deadlines import DeadlineFunction
-from .timing import ActualTimeScenario, ScenarioBatch, TimingModel, TimingTable
+from .timing import ActualTimeScenario, ScenarioBatch, TimingModel, TimingTable, supports_replay
 from .types import InvalidTimingError, QualitySet, ScheduledSequence
 
 __all__ = ["ParameterizedSystem", "CycleOutcome"]
@@ -32,7 +33,9 @@ class _TransformedSampler:
     sampler offers, except the factored-draw hooks (``scenario_factors`` and
     ``sample_base``), which a wrapper offers only by overriding them.
     Instances are plain picklable objects — a derived system built from a
-    picklable sampler can cross a process boundary.
+    picklable sampler can cross a process boundary — and ``copy.deepcopy``
+    reaches the inner sampler through the same state hooks, so a
+    :meth:`ParameterizedSystem.fork` copies through any stack of wrappers.
     """
 
     __slots__ = ("_inner",)
@@ -216,6 +219,11 @@ class ParameterizedSystem:
     timing:
         The timing model providing ``C^wc``, ``C^av`` and the actual-time
         sampler.  Must cover exactly the actions of ``sequence``.
+
+    The one mutable piece is the position of a replayable (``seek``/
+    ``cursor``) sampler in its frame sequence; :meth:`fork` gives a
+    second run over the same system a private position and shares the
+    rest.
     """
 
     __slots__ = ("_sequence", "_timing")
@@ -339,6 +347,22 @@ class ParameterizedSystem:
             None if sampler is None else _TruncatedSampler(sampler, n_actions)
         )
         return ParameterizedSystem(sequence, TimingModel(wc, av, truncated_sampler))
+
+    def fork(self) -> "ParameterizedSystem":
+        """The same system with a private copy of the sampler's cursor.
+
+        The fork shares the sequence, both tables and the sampler's
+        read-only frames and factor tables, and starts where this system's
+        sampler stands; draws on either side never move the other.  A
+        sampler that cannot be repositioned (none, or one without
+        ``seek``/``cursor``) holds no state to make private: the system
+        itself is returned.  Any other replayable sampler is deep-copied.
+        """
+        sampler = self._timing.scenario_sampler
+        if sampler is None or not supports_replay(sampler):
+            return self
+        timing = TimingModel(self.worst_case, self.average, copy.deepcopy(sampler))
+        return ParameterizedSystem(self._sequence, timing)
 
     # ------------------------------------------------------------------ #
     # sampling

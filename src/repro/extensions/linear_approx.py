@@ -92,14 +92,10 @@ class LinearRelaxationTable:
             lower = np.empty((n_levels, 2), dtype=np.float64)
             last_valid = n_states - r  # last state index with r remaining actions
             self._valid_until[r] = last_valid
+            valid = max(last_valid + 1, 0)
             for qi in range(n_levels):
-                quality = self._qualities.level_at(qi)
-                exact_upper = np.array(
-                    [exact.bounds(i, quality, r)[1] for i in range(max(last_valid + 1, 0))]
-                )
-                exact_lower = np.array(
-                    [exact.bounds(i, quality, r)[0] for i in range(max(last_valid + 1, 0))]
-                )
+                exact_upper = exact.upper_bounds(r)[qi, :valid]
+                exact_lower = exact.lower_bounds(r)[qi, :valid]
                 if last_valid < 0 or exact_upper.size == 0:
                     upper[qi] = (0.0, -np.inf)
                     lower[qi] = (0.0, np.inf)

@@ -18,6 +18,7 @@ exactly the structure of the paper's 29-frame experiment.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -212,6 +213,11 @@ class FrameScenarioSampler:
     base times the per-level factor table :meth:`scenario_factors` exposes
     — bit-identical to ``count`` scalar
     :meth:`EncoderTimingModel.frame_matrix` calls.
+
+    The cursor is the sampler's only mutable state.  A copy (``copy.copy``
+    or ``copy.deepcopy``, which :meth:`ParameterizedSystem.fork
+    <repro.core.system.ParameterizedSystem.fork>` uses) shares the frame
+    list and the read-only base and level tables and owns its cursor.
     """
 
     #: every sample_base/sample_batch result is a freshly-allocated array the
@@ -238,6 +244,11 @@ class FrameScenarioSampler:
         self._quality_factors = model.action_quality_factors()
         self._frame_base.setflags(write=False)
         self._quality_factors.setflags(write=False)
+
+    def __deepcopy__(self, memo: dict) -> "FrameScenarioSampler":
+        twin = copy.copy(self)
+        memo[id(self)] = twin
+        return twin
 
     @property
     def frames(self) -> list[FrameContent]:

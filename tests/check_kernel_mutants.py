@@ -1,5 +1,5 @@
 """Mutation gate for the interval kernel, the metrics fold, the lockstep's
-overhead charge and the sweep fan-in.
+overhead charge, the sweep fan-in and the system fork.
 
 Usage, from the repository root::
 
@@ -9,9 +9,12 @@ Each text mutant below names the test file it must fail: the interval
 kernel's mutants the boundary probes (``tests/test_kernel_boundaries.py``),
 the fold's mutants the overhead-fold checks (``tests/test_overhead_fold.py``),
 the lockstep's mutants that drop the decided lanes' overhead charge the
-oracle-referenced fleet fuzz (``tests/test_fleet_differential.py``), and the
+oracle-referenced fleet fuzz (``tests/test_fleet_differential.py``), the
 runtime's mutants of how far a parallel sweep moves the shared frame
-sampler the cursor grid (``tests/test_sweep_cursor.py``).
+sampler the cursor grid (``tests/test_sweep_cursor.py``), a frame-sampler
+copy that shares its cursor the fleet's sampler contract
+(``tests/test_fleet.py``), and a clone that keeps its parent's cursor the
+facade's clone tests (``tests/test_api.py``).
 For each mutant the script copies ``src/`` and that test file (with the
 suite's ``conftest.py`` and ``helpers.py``) to a temporary directory,
 applies the mutant to the copy and runs the test file there.  Each test
@@ -37,10 +40,13 @@ STREAMING = "src/repro/core/streaming.py"
 SYSTEM = "src/repro/core/system.py"
 PLAN = "src/repro/runtime/plan.py"
 SESSION = "src/repro/api/session.py"
+TIMING_MODEL = "src/repro/media/timing_model.py"
 PROBES = "tests/test_kernel_boundaries.py"
 FOLD = "tests/test_overhead_fold.py"
 FUZZ = "tests/test_fleet_differential.py"
 CURSOR = "tests/test_sweep_cursor.py"
+FLEET = "tests/test_fleet.py"
+FACADE = "tests/test_api.py"
 SUPPORT_FILES = ("conftest.py", "helpers.py")
 
 #: (name, file, anchor, replacement, test file): one-token changes it must catch
@@ -121,6 +127,20 @@ MUTANTS = (
         'consumed = bool(getattr(error, "failures", ()))',
         "consumed = True",
         CURSOR,
+    ),
+    (
+        "sampler copy shares the frame cursor",
+        TIMING_MODEL,
+        "twin = copy.copy(self)",
+        "twin = self",
+        FLEET,
+    ),
+    (
+        "clone keeps the parent's cursor",
+        SESSION,
+        "fork.timing.scenario_sampler.seek(0)",
+        "pass",
+        FACADE,
     ),
 )
 

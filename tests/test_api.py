@@ -336,7 +336,7 @@ class TestSessionCompileCaching:
         assert session.compile() is first
 
     def test_clone_does_not_advance_the_callers_frame_sampler(self):
-        """A clone rebuilds workload systems: its runs must not consume the
+        """A clone forks workload systems: its runs must not consume the
         caller's (stateful) video sequence, and vice versa."""
         session = Session().system("small").seed(0)
         baseline = session.run(cycles=1).outcomes[0]
@@ -344,6 +344,19 @@ class TestSessionCompileCaching:
         fresh.clone().run(cycles=3)  # must not touch fresh's sampler
         replay = fresh.run(cycles=1).outcomes[0]
         np.testing.assert_array_equal(baseline.qualities, replay.qualities)
+
+    def test_clone_of_an_advanced_session_starts_at_frame_zero(self):
+        """The fork a clone takes is rewound: it replays a fresh session's
+        frames, and the parent's sampler stays where its runs left it."""
+        parent = Session().system("small").machine("ipod").seed(0)
+        parent.run(cycles=5)
+        cloned = parent.clone().run(cycles=3, seed=9).outcomes
+        fresh = Session().system("small").machine("ipod").seed(0).run(cycles=3, seed=9)
+        for column in ("qualities", "durations", "completion", "invoked", "invocation_overheads"):
+            assert np.array_equal(
+                getattr(cloned, column), getattr(fresh.outcomes, column)
+            ), column
+        assert parent.resolved_system().timing.scenario_sampler.cursor == 5
 
     def test_seed_change_rebuilds_named_workload(self):
         session = Session().system("small").seed(0)

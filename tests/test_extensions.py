@@ -11,6 +11,7 @@ from repro.core import (
     run_cycle,
     run_fixed_quality,
 )
+from repro.api import Session
 from repro.extensions import (
     DvfsTask,
     FrequencyScale,
@@ -22,6 +23,7 @@ from repro.extensions import (
     energy_of_outcome,
     per_task_quality,
 )
+from repro.extensions.linear_approx import _conservative_fit
 
 from helpers import make_deadline, make_synthetic_system
 
@@ -266,3 +268,30 @@ class TestLinearApproximation:
         _, _, _, linear = linear_setup
         with pytest.raises(KeyError):
             linear.bounds(0, 0, 999)
+
+
+def _per_state_lines(exact, quality, r):
+    """Reference upper and lower lines fitted to one ``exact.bounds`` call per state."""
+    valid = max(exact.n_states - r + 1, 0)
+    if valid == 0:
+        return (0.0, -np.inf), (0.0, np.inf)
+    states = np.arange(valid, dtype=np.float64)
+    upper = np.array([exact.bounds(i, quality, r)[1] for i in range(valid)])
+    lower = np.array([exact.bounds(i, quality, r)[0] for i in range(valid)])
+    upper_line = _conservative_fit(states, upper, kind="under")
+    if np.all(np.isneginf(lower)):
+        return upper_line, (0.0, -np.inf)
+    return upper_line, _conservative_fit(states, lower, kind="over")
+
+
+@pytest.mark.parametrize("workload", ("small", "paper"))
+def test_linear_coefficients_equal_the_per_state_fit(workload):
+    """Fitting the sliced bound arrays stores the very coefficients a fit
+    of per-state ``bounds()`` reads would: equal with no tolerance."""
+    exact = Session().system(workload).compile().relaxation.relaxation
+    linear = LinearRelaxationTable(exact)
+    for r in linear.steps:
+        for qi, quality in enumerate(exact.qualities):
+            upper, lower = _per_state_lines(exact, quality, r)
+            assert tuple(linear.upper_coefficients(r)[qi]) == upper, (r, quality)
+            assert tuple(linear.lower_coefficients(r)[qi]) == lower, (r, quality)

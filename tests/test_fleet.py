@@ -117,12 +117,15 @@ def opaque_member(key: str, label: str, **extra) -> FleetMember:
 
 class TestFleetMemberValidation:
     def test_cycles_floor(self):
-        with pytest.raises(FleetError, match="cycles >= 1"):
-            make_member("relaxation", "m", cycles=0)
+        # a fraction is not truncated and text is not parsed, as in the facade
+        for cycles in (0, 2.5, "3"):
+            with pytest.raises(FleetError, match="cycles >= 1"):
+                make_member("relaxation", "m", cycles=cycles)
 
     def test_chunk_floor(self):
-        with pytest.raises(FleetError, match="chunk_size >= 1"):
-            make_member("relaxation", "m", chunk_size=0)
+        for chunk in (0, 2.5, "3"):
+            with pytest.raises(FleetError, match="chunk_size >= 1"):
+                make_member("relaxation", "m", chunk_size=chunk)
 
     def test_scenario_length_mismatch(self):
         system = make_synthetic_system(8, 4)
@@ -423,22 +426,31 @@ class TestFleetApi:
             solo = clone.run(chunk_size=16)
             assert batch[label].summary.metrics() == solo.summary.metrics(), label
 
-    @staticmethod
-    def _encoder_clones():
+    @pytest.fixture(
+        params=[(None, "ipod"), (0.5, "fast-embedded")], ids=["plain", "rescaled"]
+    )
+    def encoder_clones(self, request):
         """Three clones sharing one encoder frame sampler, and that sampler.
 
         Clones of a bare system share it, and its sampler with it; 16
         frames outlast three 4-cycle members, so a fleet that advanced
-        the sampler would hand a second call different frames.
+        the sampler would hand a second call different frames.  The
+        rescaled system's sampler wraps the frame sampler, so each
+        member's fork copies through the wrapper, and the fast-embedded
+        deploy wraps the fork once more.
         """
         from repro.media import small_encoder
 
+        factor, machine = request.param
         workload = small_encoder(seed=0, n_frames=16)
+        system = workload.build_system()
+        if factor is not None:
+            system = system.rescaled(factor)
         base = (
             Session()
-            .system(workload.build_system())
+            .system(system)
             .deadlines(workload.deadlines())
-            .machine("ipod")
+            .machine(machine)
             .seed(0)
             .cycles(4)
         )
@@ -448,17 +460,32 @@ class TestFleetApi:
             assert clone.resolved_system().timing.scenario_sampler is sampler
         return clones, sampler
 
-    def test_fleet_leaves_the_shared_sampler_cursor(self):
-        """A fleet draws from snapshots; only a solo run moves the sampler."""
-        clones, sampler = self._encoder_clones()
+    def test_fleet_leaves_the_shared_sampler_cursor(self, encoder_clones):
+        """A fleet draws from forks; only a solo run moves the sampler."""
+        clones, sampler = encoder_clones
         assert sampler.cursor == 0
         Session.fleet(clones)
         assert sampler.cursor == 0
         clones["c0"].run()
         assert sampler.cursor == 4
 
-    def test_repeated_fleet_call_is_identical(self):
-        clones, _ = self._encoder_clones()
+    def test_fleet_from_an_advanced_shared_sampler(self, encoder_clones):
+        """Every member forks at the shared cursor, wherever it stands."""
+        clones, sampler = encoder_clones
+        clones["c0"].run(cycles=5)
+        batch = Session.fleet(clones)
+        assert sampler.cursor == 5
+        for label, clone in clones.items():
+            sampler.seek(5)
+            solo = clone.run(chunk_size=16)
+            assert batch[label].summary.metrics() == solo.summary.metrics(), label
+            assert (
+                batch[label].summary.quality_level_counts
+                == solo.summary.quality_level_counts
+            ), label
+
+    def test_repeated_fleet_call_is_identical(self, encoder_clones):
+        clones, _ = encoder_clones
         first = Session.fleet(clones)
         second = Session.fleet(clones)
         for label in clones:

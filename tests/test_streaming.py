@@ -75,14 +75,25 @@ class TestChunkParityGrid:
         manager = (
             Session().system(system).deadlines(deadlines).manager("constant").build()
         )
-        with pytest.raises(EngineError, match="chunk_size"):
-            run_cycles_batch(
-                system,
-                manager,
-                scenarios=scenarios,
-                deadlines=deadlines,
-                chunk_size=0,
-            )
+        # a fraction is not truncated and text is not parsed, as in the facade
+        for chunk in (0, 2.5, "3"):
+            with pytest.raises(EngineError, match="chunk_size"):
+                run_cycles_batch(
+                    system,
+                    manager,
+                    scenarios=scenarios,
+                    deadlines=deadlines,
+                    chunk_size=chunk,
+                )
+
+    @pytest.mark.parametrize("cycles", (2.5, "3"))
+    def test_cycles_validation(self, parity_setup, cycles):
+        system, deadlines, _ = parity_setup
+        manager = (
+            Session().system(system).deadlines(deadlines).manager("constant").build()
+        )
+        with pytest.raises(EngineError, match="cycles"):
+            run_cycles_batch(system, manager, cycles, rng=np.random.default_rng(0))
 
 
 class TestSamplerWrapAround:
