@@ -65,7 +65,7 @@ class ConstantQualityManager(QualityManager):
         else:
             remaining = (self._horizon - state_index) if self._horizon else 10**9
             steps = max(1, remaining)
-        work = ManagerWork(kind=self.name, comparisons=0, table_lookups=1)
+        work = ManagerWork(comparisons=0, table_lookups=1)
         return Decision(quality=self._level, steps=steps, work=work)
 
     def lower(self):
@@ -74,13 +74,12 @@ class ConstantQualityManager(QualityManager):
 
         return KernelSpec(
             op="constant",
-            kind=self.name,
             tables={
                 "row": self._qualities.index_of(self._level),
                 "consult": self._consult,
                 "horizon": self._horizon,
             },
-            work=ManagerWork(kind=self.name, comparisons=0, table_lookups=1),
+            work=ManagerWork(comparisons=0, table_lookups=1),
         )
 
     def memory_footprint(self) -> MemoryFootprint:

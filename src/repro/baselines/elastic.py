@@ -63,7 +63,7 @@ class ElasticQualityManager(QualityManager):
         else:
             level = self._qualities.level_at(int(eligible[-1]))
         n_levels = len(self._qualities)
-        work = ManagerWork(kind=self.name, comparisons=n_levels, table_lookups=n_levels)
+        work = ManagerWork(comparisons=n_levels, table_lookups=n_levels)
         return Decision(quality=level, steps=1, work=work)
 
     def lower(self):
@@ -76,10 +76,8 @@ class ElasticQualityManager(QualityManager):
         from repro.core.kernelspec import interval_spec
 
         n_levels = len(self._qualities)
-        work = ManagerWork(
-            kind=self.name, comparisons=n_levels, table_lookups=n_levels
-        )
-        return interval_spec(self.name, self._table, work)
+        work = ManagerWork(comparisons=n_levels, table_lookups=n_levels)
+        return interval_spec(self._table, work)
 
     def memory_footprint(self) -> MemoryFootprint:
         """One table entry per (state, level) pair."""

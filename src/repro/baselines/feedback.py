@@ -100,7 +100,7 @@ class FeedbackQualityManager(QualityManager):
         self._previous_error = error
         correction = self._kp * error + self._ki * self._integral + self._kd * derivative
         level = self._qualities.clamp(int(round(self._reference - correction)))
-        work = ManagerWork(kind=self.name, arithmetic_ops=12, comparisons=2, table_lookups=1)
+        work = ManagerWork(arithmetic_ops=12, comparisons=2, table_lookups=1)
         return Decision(quality=level, steps=1, work=work)
 
     def lower(self):
@@ -119,7 +119,6 @@ class FeedbackQualityManager(QualityManager):
         )
         return KernelSpec(
             op="feedback",
-            kind=self.name,
             tables={
                 "expected": expected,
                 "step_scale": self._step_scale,
@@ -130,9 +129,7 @@ class FeedbackQualityManager(QualityManager):
                 "minimum": self._qualities.minimum,
                 "maximum": self._qualities.maximum,
             },
-            work=ManagerWork(
-                kind=self.name, arithmetic_ops=12, comparisons=2, table_lookups=1
-            ),
+            work=ManagerWork(arithmetic_ops=12, comparisons=2, table_lookups=1),
         )
 
     def memory_footprint(self) -> MemoryFootprint:

@@ -91,7 +91,6 @@ class SkipQualityManager(QualityManager):
     def decide(self, state_index: int, time: float) -> Decision:
         remaining_deadlines = len(self._deadlines.remaining(state_index))
         work = ManagerWork(
-            kind=self.name,
             arithmetic_ops=2 * remaining_deadlines,
             comparisons=remaining_deadlines + 1,
             table_lookups=remaining_deadlines,
@@ -130,16 +129,10 @@ class SkipQualityManager(QualityManager):
                 deadlines[i, j] = deadline
             d = len(entries)
             work.append(
-                ManagerWork(
-                    kind=self.name,
-                    arithmetic_ops=2 * d,
-                    comparisons=d + 1,
-                    table_lookups=d,
-                )
+                ManagerWork(arithmetic_ops=2 * d, comparisons=d + 1, table_lookups=d)
             )
         return KernelSpec(
             op="skip",
-            kind=self.name,
             tables={
                 "nominal_row": self._qualities.index_of(self._nominal),
                 "window": self._window,

@@ -24,6 +24,7 @@ import numpy as np
 from .manager import ManagerWork, QualityManager
 from .system import CycleOutcome, ParameterizedSystem
 from .timing import ActualTimeScenario
+from .types import InvalidTimingError
 
 __all__ = [
     "OverheadModelProtocol",
@@ -33,11 +34,35 @@ __all__ = [
 
 
 class OverheadModelProtocol(Protocol):
-    """Anything that can convert abstract manager work into virtual seconds."""
+    """Anything that can convert abstract manager work into virtual seconds.
+
+    A model whose class sets ``deterministic_charges = True`` promises that
+    ``charge`` is a pure function of the work record: the same record
+    always costs the same float, and charging changes nothing.  The
+    vectorised engine then prices each distinct record once; any other
+    model runs the scalar :func:`run_cycle` loop, one ``charge`` per
+    invocation.  A charge is a time ``>= 0`` (``+inf`` included), else
+    :class:`~repro.core.types.InvalidTimingError`.
+    """
 
     def charge(self, work: ManagerWork) -> float:
         """Time (in the system's time unit) consumed by one manager invocation."""
         ...
+
+
+def checked_charge(model: OverheadModelProtocol, work: ManagerWork) -> float:
+    """``model.charge(work)``, or :class:`InvalidTimingError` if negative or NaN.
+
+    Such a charge would pull the cycle's completion times back under its
+    deadlines, and a run that missed would read as safe.
+    """
+    charge = model.charge(work)
+    if not charge >= 0.0:
+        raise InvalidTimingError(
+            f"overhead model {type(model).__name__} charged {charge!r} for one "
+            "invocation; a charge must be a time >= 0"
+        )
+    return charge
 
 
 def run_cycle(
@@ -65,6 +90,7 @@ def run_cycle(
     overhead_model:
         Optional model charging virtual time for each manager invocation.
         Without it management is free (the idealised semantics of Section 2).
+        A negative or NaN charge raises :class:`InvalidTimingError`.
     """
     if scenario is None:
         scenario = system.draw_scenario(rng if rng is not None else np.random.default_rng(0))
@@ -85,7 +111,7 @@ def run_cycle(
     completed = 0
     while completed < n:
         decision = manager.decide(completed, elapsed)
-        overhead = overhead_model.charge(decision.work) if overhead_model is not None else 0.0
+        overhead = 0.0 if overhead_model is None else checked_charge(overhead_model, decision.work)
         invocation_states.append(completed)
         invocation_overheads.append(overhead)
         elapsed += overhead

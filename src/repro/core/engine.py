@@ -16,8 +16,8 @@ The engine works in two parts, which the one run driver
   primitive op) via :meth:`~repro.core.manager.QualityManager.lower`; the
   spec's NumPy program (:func:`~repro.core.kernelspec.build_program`, one
   per primitive: ``constant``, ``interval``, ``skip``, ``feedback``)
-  answers the batch decisions, and the engine binds overhead charges and
-  invocation accounting around it (:class:`DecisionKernel`).
+  answers the batch decisions, and the engine binds overhead charges
+  around it (:class:`DecisionKernel`).
   The engine never branches on manager classes:
   every registered manager — numeric, the adaptive baselines (skip, elastic,
   feedback), the symbolic managers and the extensions (dvfs, multitask,
@@ -37,13 +37,10 @@ The engine works in two parts, which the one run driver
 Determinism contract: for any manager/overhead/scenario combination, the
 :class:`~repro.core.system.CycleOutcome` views of the columns returned by
 this module are bit-identical to a sequence of scalar
-:func:`~repro.core.controller.run_cycle` calls on the same scenarios.
-Overhead-model bookkeeping is preserved through a bulk hook: charges are
-pre-computed per distinct work record via ``cost_of`` instead of calling
-``charge`` once per invocation, and after the batch the exact invocation
-counts are replayed through ``charge_batch(work, count)`` when the model
-exposes it (the built-in models do); a model with neither hook simply does
-not see the individual calls.
+:func:`~repro.core.controller.run_cycle` calls on the same scenarios.  A
+model declaring ``deterministic_charges`` prices each distinct work record
+once through its pure ``charge``, which returns the float the scalar loop
+charges per invocation; any other model runs the scalar loop.
 """
 
 from __future__ import annotations
@@ -53,7 +50,7 @@ from typing import Callable, Iterable, Iterator, Protocol, Sequence, runtime_che
 
 import numpy as np
 
-from .controller import OverheadModelProtocol
+from .controller import OverheadModelProtocol, checked_charge
 from .kernelspec import KernelSpec, build_program
 from .manager import ManagerWork, QualityManager
 from .system import CycleOutcome, ParameterizedSystem
@@ -95,36 +92,29 @@ class DecisionKernel(Protocol):
 
 
 def overhead_model_vectorizable(model: OverheadModelProtocol | None) -> bool:
-    """True when charges can be pre-computed per distinct work record.
+    """True when charges can be priced once per distinct work record.
 
-    The engine calls ``cost_of(work)`` once per work record the kernel can
-    emit instead of ``charge(work)`` once per invocation; that is only valid
-    for models declaring ``deterministic_charges`` (a pure function of the
-    work record), e.g. :class:`~repro.platform.overhead.LinearOverheadModel`.
+    That is valid for models declaring ``deterministic_charges``, whose
+    ``charge`` is a pure function of the work record (e.g.
+    :class:`~repro.platform.overhead.LinearOverheadModel`).
     """
-    if model is None:
-        return True
-    return bool(getattr(model, "deterministic_charges", False)) and hasattr(
-        model, "cost_of"
-    )
+    return model is None or bool(getattr(model, "deterministic_charges", False))
 
 
 def _charge_for(model: OverheadModelProtocol | None, work: ManagerWork) -> float:
-    """The pre-computed cost of one invocation performing ``work``."""
+    """The charge of one invocation performing ``work``, priced once."""
     if model is None:
         return 0.0
-    return float(model.cost_of(work))  # type: ignore[attr-defined]
+    return float(checked_charge(model, work))
 
 
 class _SpecKernel:
-    """A spec's NumPy program bound to overhead charges and accounting.
+    """A spec's NumPy program bound to its overhead charges.
 
     The program answers the pure decisions ``(rows, steps, late)``; this
-    wrapper adds what the engine owes the overhead model: the pre-computed
-    charge of each invocation (per-state when the spec carries one work
-    record per state, late-split when the spec has a distinct late record,
-    fixed otherwise) and the exact invocation counts replayed through
-    ``charge_batch`` after the batch.
+    wrapper adds each invocation's charge, priced once per distinct work
+    record: per state when the spec carries one record per state, split
+    on ``late`` when the spec has a distinct late record, fixed otherwise.
     """
 
     def __init__(
@@ -136,61 +126,26 @@ class _SpecKernel:
         work = spec.work
         self._per_state = isinstance(work, tuple)
         if self._per_state:
-            self._works: tuple[ManagerWork, ...] = work
             self._charges = np.array(
                 [_charge_for(overhead_model, record) for record in work],
                 dtype=np.float64,
             )
-            self._counts = np.zeros(len(work), dtype=np.int64)
         else:
-            self._work: ManagerWork = work
             self._charge = _charge_for(overhead_model, work)
-            self._invocations = 0
-        self._late_work = spec.late_work
-        self._late_charge = (
-            _charge_for(overhead_model, spec.late_work)
-            if spec.late_work is not None
-            else 0.0
-        )
-        self._late_invocations = 0
-
-    def reset_accounting(self) -> None:
-        if self._per_state:
-            self._counts[:] = 0
-        else:
-            self._invocations = 0
-        self._late_invocations = 0
-
-    def accounting(self) -> list[tuple[ManagerWork, int]]:
-        """Invocation count per distinct work record since the last reset."""
-        if self._per_state:
-            return [
-                (record, int(count))
-                for record, count in zip(self._works, self._counts)
-            ]
-        if self._late_work is not None:
-            return [
-                (self._work, self._invocations),
-                (self._late_work, self._late_invocations),
-            ]
-        return [(self._work, self._invocations)]
+        self._late_split = spec.late_work is not None
+        if self._late_split:
+            self._late_charge = _charge_for(overhead_model, spec.late_work)
 
     def decide_batch(
         self, state_index: int, times: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         rows, steps, late = self._program.decide(state_index, times)
-        count = times.shape[0]
         if self._per_state:
-            self._counts[state_index] += count
-            overheads = np.full(count, self._charges[state_index], dtype=np.float64)
-        elif self._late_work is not None and late is not None:
-            n_late = int(np.count_nonzero(late))
-            self._late_invocations += n_late
-            self._invocations += count - n_late
+            overheads = np.full(times.shape[0], self._charges[state_index], dtype=np.float64)
+        elif self._late_split and late is not None:
             overheads = np.where(late, self._late_charge, self._charge)
         else:
-            self._invocations += count
-            overheads = np.full(count, self._charge, dtype=np.float64)
+            overheads = np.full(times.shape[0], self._charge, dtype=np.float64)
         return rows, steps, overheads
 
 
@@ -479,11 +434,7 @@ def run_cycles_vectorized(
                 "scalar fallback"
             )
     matrices = _lockstep_scenarios(system, scenarios)
-    return tuple(
-        CycleOutcomes(
-            *run_lockstep_arrays(system, manager, kernel, matrices, overhead_model)
-        )
-    )
+    return tuple(CycleOutcomes(*run_lockstep_arrays(system, manager, kernel, matrices)))
 
 
 def run_lockstep_arrays(
@@ -491,7 +442,6 @@ def run_lockstep_arrays(
     manager: QualityManager,
     kernel: DecisionKernel,
     matrices: np.ndarray | ScenarioBatch,
-    overhead_model: OverheadModelProtocol | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The lockstep executor over a scenario tensor or batch, outcome-free.
 
@@ -508,16 +458,12 @@ def run_lockstep_arrays(
     views of those buffers.
     The run driver (:func:`~repro.core.streaming.run_cycles_batch`) keeps
     each chunk's arrays as :class:`CycleOutcomes` columns and returns them,
-    or folds them into an accumulator chunk by chunk.  Overhead-model
-    accounting is replayed through ``charge_batch`` before returning, so a
-    model sees every chunk's invocations.
+    or folds them into an accumulator chunk by chunk.  The kernel's
+    decisions carry their overhead charges.
     """
     n_cycles = matrices.shape[0]
     n_actions = system.n_actions
     manager.reset()
-    reset_accounting = getattr(kernel, "reset_accounting", None)
-    if reset_accounting is not None:
-        reset_accounting()
 
     # quality rows until the loop ends; the level minimum is added in place
     qualities = np.empty((n_actions, n_cycles), dtype=np.int64)
@@ -560,15 +506,4 @@ def run_lockstep_arrays(
         qualities[i] = rows
         remaining -= 1
     qualities += system.qualities.minimum
-
-    if overhead_model is not None:
-        # replay the invocation accounting in bulk: models exposing the
-        # charge_batch hook see exact call counts per distinct work record
-        charge_batch = getattr(overhead_model, "charge_batch", None)
-        accounting = getattr(kernel, "accounting", None)
-        if charge_batch is not None and accounting is not None:
-            for work, count in accounting():
-                if count:
-                    charge_batch(work, count)
-
     return qualities.T, durations.T, completion.T, invoked, invocation_overheads

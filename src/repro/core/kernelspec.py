@@ -6,8 +6,7 @@ arrays plus the name of one *primitive operation* from a small closed set —
 via :meth:`~repro.core.manager.QualityManager.lower`.  The vectorised engine
 (:mod:`repro.core.engine`) never needs to know the manager class: it builds
 the primitive's NumPy program from the spec (:func:`build_program`, one
-program per primitive, defined below) and binds overhead charges and
-invocation accounting around it.
+program per primitive, defined below) and binds overhead charges around it.
 
 The primitive ops (:data:`PRIMITIVE_OPS`):
 
@@ -31,15 +30,14 @@ A spec's ``work`` is either one :class:`~repro.core.manager.ManagerWork`
 record (every invocation performs the same abstract work) or a tuple with
 one record per state (e.g. the numeric manager's scan shrinks as the cycle
 advances); ``late_work`` is the distinct record charged on the late path of
-the relaxation managers.  :meth:`KernelSpec.relabel` rewrites every record's
-``kind`` — delegating wrappers (dvfs, multitask) lower via their inner
-manager's spec and relabel it so overhead accounting stays keyed by the
-wrapper's reporting name.
+the relaxation managers.  The engine prices each distinct record once with
+the overhead model's ``charge``.  Delegating wrappers (dvfs, multitask)
+lower to their inner manager's spec as it is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -66,9 +64,6 @@ class KernelSpec:
     ----------
     op:
         Primitive operation name, one of :data:`PRIMITIVE_OPS`.
-    kind:
-        The manager's reporting name — the ``kind`` of every work record,
-        i.e. the key overhead models account charges under.
     tables:
         The op's pre-computed arrays and scalars (see the programs below
         for the exact keys each op consumes).
@@ -81,9 +76,8 @@ class KernelSpec:
     """
 
     op: str
-    kind: str
     tables: Mapping[str, Any] = field(default_factory=dict)
-    work: ManagerWork | tuple[ManagerWork, ...] = ManagerWork(kind="abstract")
+    work: ManagerWork | tuple[ManagerWork, ...] = ManagerWork()
     late_work: ManagerWork | None = None
 
     def __post_init__(self) -> None:
@@ -91,29 +85,6 @@ class KernelSpec:
             raise ValueError(
                 f"unknown kernel primitive {self.op!r}; expected one of {PRIMITIVE_OPS}"
             )
-
-    def relabel(self, kind: str) -> "KernelSpec":
-        """A copy whose every work record carries ``kind`` (wrapper managers).
-
-        The copy shares the tables, so a wrapper reads the cells its inner
-        manager has built.
-        """
-
-        def rekind(work: ManagerWork) -> ManagerWork:
-            return ManagerWork(
-                kind=kind,
-                arithmetic_ops=work.arithmetic_ops,
-                comparisons=work.comparisons,
-                table_lookups=work.table_lookups,
-            )
-
-        work = (
-            tuple(rekind(record) for record in self.work)
-            if isinstance(self.work, tuple)
-            else rekind(self.work)
-        )
-        late = rekind(self.late_work) if self.late_work is not None else None
-        return replace(self, kind=kind, work=work, late_work=late)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -203,7 +174,6 @@ class IntervalCells:
 
 
 def interval_spec(
-    kind: str,
     td_values: np.ndarray,
     work: ManagerWork | tuple[ManagerWork, ...],
     *,
@@ -227,7 +197,6 @@ def interval_spec(
     boundaries = np.ascontiguousarray(td_values[::-1].T)
     return KernelSpec(
         op="interval",
-        kind=kind,
         tables={"cells": IntervalCells(boundaries, relaxation)},
         work=work,
         late_work=late_work,

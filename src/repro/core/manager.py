@@ -45,11 +45,10 @@ __all__ = [
 class ManagerWork:
     """Abstract cost drivers of one Quality Manager invocation.
 
+    An overhead model prices the record with its pure ``charge``.
+
     Attributes
     ----------
-    kind:
-        Implementation family (``"numeric"``, ``"region"``, ``"relaxation"``,
-        ``"constant"`` ...).  Overhead models may apply per-family constants.
     arithmetic_ops:
         Number of floating-point additions/subtractions/multiplications the
         on-line implementation would perform.
@@ -59,7 +58,6 @@ class ManagerWork:
         Number of pre-computed table entries read.
     """
 
-    kind: str
     arithmetic_ops: int = 0
     comparisons: int = 0
     table_lookups: int = 0
@@ -67,7 +65,6 @@ class ManagerWork:
     def scaled(self, factor: int) -> "ManagerWork":
         """Multiply every counter by an integer factor (used for repeated scans)."""
         return ManagerWork(
-            kind=self.kind,
             arithmetic_ops=self.arithmetic_ops * factor,
             comparisons=self.comparisons * factor,
             table_lookups=self.table_lookups * factor,
@@ -212,7 +209,6 @@ class NumericQualityManager(QualityManager):
         remaining = self._table.n_states - state_index
         n_levels = self._table.n_levels
         work = ManagerWork(
-            kind=self.name,
             arithmetic_ops=remaining * n_levels * self._ops_per_action_level,
             comparisons=n_levels,
             table_lookups=0,
@@ -232,14 +228,13 @@ class NumericQualityManager(QualityManager):
         n_levels = self._table.n_levels
         work = tuple(
             ManagerWork(
-                kind=self.name,
                 arithmetic_ops=(n - i) * n_levels * self._ops_per_action_level,
                 comparisons=n_levels,
                 table_lookups=0,
             )
             for i in range(n)
         )
-        return interval_spec(self.name, self._table.values, work)
+        return interval_spec(self._table.values, work)
 
     def memory_footprint(self) -> MemoryFootprint:
         """The numeric manager stores only the raw timing tables it scans.

@@ -136,7 +136,6 @@ class RegionQualityManager(QualityManager):
         if quality is None:
             quality = self.qualities.minimum
         work = ManagerWork(
-            kind=self.name,
             arithmetic_ops=0,
             comparisons=n_levels,
             table_lookups=n_levels,
@@ -149,12 +148,11 @@ class RegionQualityManager(QualityManager):
 
         n_levels = len(self.qualities)
         work = ManagerWork(
-            kind=self.name,
             arithmetic_ops=0,
             comparisons=n_levels,
             table_lookups=n_levels,
         )
-        return interval_spec(self.name, self._regions.td_table.values, work)
+        return interval_spec(self._regions.td_table.values, work)
 
     def memory_footprint(self) -> MemoryFootprint:
         return self._regions.memory_footprint()

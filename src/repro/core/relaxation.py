@@ -298,16 +298,11 @@ class RelaxationQualityManager(QualityManager):
         quality = self._regions.region_of(state_index, time)
         if quality is None:
             # late state: best-effort minimal quality, no relaxation
-            work = ManagerWork(
-                kind=self.name,
-                comparisons=n_levels,
-                table_lookups=n_levels,
-            )
+            work = ManagerWork(comparisons=n_levels, table_lookups=n_levels)
             return Decision(quality=self.qualities.minimum, steps=1, work=work)
         steps = self._relaxation.max_relaxation(state_index, time, quality)
         n_rho = len(self._relaxation.steps)
         work = ManagerWork(
-            kind=self.name,
             comparisons=n_levels + 2 * n_rho,
             table_lookups=n_levels + 2 * n_rho,
         )
@@ -327,16 +322,12 @@ class RelaxationQualityManager(QualityManager):
         n_levels = len(self.qualities)
         n_rho = len(table.steps)
         return interval_spec(
-            self.name,
             table.td_table.values,
             ManagerWork(
-                kind=self.name,
                 comparisons=n_levels + 2 * n_rho,
                 table_lookups=n_levels + 2 * n_rho,
             ),
-            late_work=ManagerWork(
-                kind=self.name, comparisons=n_levels, table_lookups=n_levels
-            ),
+            late_work=ManagerWork(comparisons=n_levels, table_lookups=n_levels),
             relaxation=(
                 np.array(table.steps),
                 np.stack([table.lower_bounds(r).T for r in table.steps], axis=1),

@@ -48,9 +48,9 @@ Carry-over state threads across chunk boundaries naturally: the RNG
 generator and sampler cursor advance chunk by chunk exactly as they would
 cycle by cycle (the documented contract of
 :meth:`~repro.core.timing.TimingModel.sample_scenarios`), the kernel is
-compiled once and its invocation accounting replayed per chunk, and the
-managers themselves reset at every cycle boundary by the engine's own
-semantics — so no decision state survives a cycle, let alone a chunk.
+compiled once with its charges priced, and the managers themselves reset
+at every cycle boundary by the engine's own semantics — so no decision
+state survives a cycle, let alone a chunk.
 """
 
 from __future__ import annotations
@@ -534,9 +534,7 @@ def _execute_chunk(
     """One chunk's outcome columns: the lockstep kernel, else the oracle."""
     if kernel is not None:
         matrices = _lockstep_scenarios(system, batch)
-        return CycleOutcomes(
-            *run_lockstep_arrays(system, manager, kernel, matrices, overhead_model)
-        )
+        return CycleOutcomes(*run_lockstep_arrays(system, manager, kernel, matrices))
     return CycleOutcomes.of(
         run_cycle(system, manager, scenario=scenario, overhead_model=overhead_model)
         for scenario in batch

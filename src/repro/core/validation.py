@@ -11,6 +11,7 @@ any compiled controller.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,10 @@ class DeadlineViolation:
 
     @property
     def lateness(self) -> float:
-        """By how much the deadline was missed (always positive)."""
+        """By how much the deadline was missed (positive; ``inf`` when the
+        completion time is not finite and cannot be checked)."""
+        if not math.isfinite(self.completion_time):
+            return math.inf
         return self.completion_time - self.deadline
 
 
@@ -71,7 +75,9 @@ def audit_trace(outcome: CycleOutcome, deadlines: DeadlineFunction) -> TraceAudi
 
     Completion times include any charged management overhead, so the audit
     verifies the deadline property of the *implemented* controller, not of the
-    idealised model.
+    idealised model.  As in :meth:`~repro.core.streaming.StreamingMetrics.update_chunk`,
+    a completion time that is not finite (NaN included) is a violation: a
+    trace that cannot be checked never reads as safe.
     """
     violations: list[DeadlineViolation] = []
     checked = 0
@@ -80,7 +86,7 @@ def audit_trace(outcome: CycleOutcome, deadlines: DeadlineFunction) -> TraceAudi
             continue
         checked += 1
         completion = float(outcome.completion_times[action_index - 1])
-        if completion > deadline + 1e-9:
+        if not (math.isfinite(completion) and completion <= deadline + 1e-9):
             violations.append(
                 DeadlineViolation(
                     action_index=action_index,

@@ -236,12 +236,11 @@ class LinearRelaxationQualityManager(QualityManager):
         n_levels = len(self.qualities)
         quality = self._regions.region_of(state_index, time)
         if quality is None:
-            work = ManagerWork(kind=self.name, comparisons=n_levels, table_lookups=n_levels)
+            work = ManagerWork(comparisons=n_levels, table_lookups=n_levels)
             return Decision(quality=self.qualities.minimum, steps=1, work=work)
         steps = self._linear.max_relaxation(state_index, time, quality)
         n_rho = len(self._linear.steps)
         work = ManagerWork(
-            kind=self.name,
             arithmetic_ops=2 * n_rho,
             comparisons=n_levels + 2 * n_rho,
             table_lookups=n_levels + 4 * n_rho,
@@ -284,17 +283,13 @@ class LinearRelaxationQualityManager(QualityManager):
         upper_bounds = np.where(past, -np.inf, upper_bounds)
         lower_bounds = np.where(past, np.inf, lower_bounds)
         return interval_spec(
-            self.name,
             td_values,
             ManagerWork(
-                kind=self.name,
                 arithmetic_ops=2 * n_rho,
                 comparisons=n_levels + 2 * n_rho,
                 table_lookups=n_levels + 4 * n_rho,
             ),
-            late_work=ManagerWork(
-                kind=self.name, comparisons=n_levels, table_lookups=n_levels
-            ),
+            late_work=ManagerWork(comparisons=n_levels, table_lookups=n_levels),
             relaxation=(np.array(steps), lower_bounds, upper_bounds),
         )
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.deadlines import DeadlineFunction
-from repro.core.manager import Decision, ManagerWork, MemoryFootprint, QualityManager
+from repro.core.manager import Decision, MemoryFootprint, QualityManager
 from repro.core.system import CycleOutcome, ParameterizedSystem
 from repro.core.timing import TimingModel, TimingTable
 from repro.core.types import QualitySet, ScheduledSequence
@@ -243,19 +243,11 @@ class DvfsQualityManager(QualityManager):
         self._inner.reset()
 
     def decide(self, state_index: int, time: float) -> Decision:
-        decision = self._inner.decide(state_index, time)
-        work = ManagerWork(
-            kind=self.name,
-            arithmetic_ops=decision.work.arithmetic_ops,
-            comparisons=decision.work.comparisons,
-            table_lookups=decision.work.table_lookups,
-        )
-        return Decision(quality=decision.quality, steps=decision.steps, work=work)
+        return self._inner.decide(state_index, time)
 
     def lower(self):
-        """The inner manager's spec, relabelled to report under ``"dvfs"``."""
-        spec = self._inner.lower()
-        return None if spec is None else spec.relabel(self.name)
+        """The inner manager's spec, as it is."""
+        return self._inner.lower()
 
     def memory_footprint(self) -> MemoryFootprint:
         return self._inner.memory_footprint()

@@ -17,7 +17,6 @@ from .overhead import (
     FAST_EMBEDDED,
     IPOD_LIKE,
     LinearOverheadModel,
-    NullOverheadModel,
     OverheadParameters,
 )
 from .profiler import ProfileReport, Profiler
@@ -36,7 +35,6 @@ __all__ = [
     "desktop",
     "OverheadParameters",
     "LinearOverheadModel",
-    "NullOverheadModel",
     "IPOD_LIKE",
     "FAST_EMBEDDED",
     "DESKTOP_LIKE",

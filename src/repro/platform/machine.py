@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 from repro.core.system import ParameterizedSystem
 
-from .overhead import DESKTOP_LIKE, FAST_EMBEDDED, IPOD_LIKE, OverheadParameters
+from .overhead import DESKTOP_LIKE, FAST_EMBEDDED, IPOD_LIKE, OverheadParameters, check_cost
 
 __all__ = ["Machine", "ipod_video", "fast_embedded", "desktop"]
 
@@ -32,7 +32,8 @@ class Machine:
     overhead:
         Per-unit Quality Manager costs on this platform.
     clock_read_overhead:
-        Cost of one clock read, charged per manager invocation.
+        Cost of one clock read, charged per manager invocation (finite,
+        ``>= 0``).
     """
 
     name: str
@@ -43,6 +44,7 @@ class Machine:
     def __post_init__(self) -> None:
         if self.speed_factor <= 0.0:
             raise ValueError(f"speed factor must be > 0, got {self.speed_factor}")
+        check_cost(self.clock_read_overhead, "clock read overhead")
 
     def deploy(self, system: ParameterizedSystem) -> ParameterizedSystem:
         """The application's timing as observed on this platform.

@@ -15,6 +15,8 @@ by two mechanisms:
 
 :class:`LinearOverheadModel` charges exactly these two components from the
 :class:`~repro.core.manager.ManagerWork` record attached to each decision.
+A model is a price list: its ``charge`` is a pure function of the record,
+and every reported overhead is read from the run's own outcome columns.
 The :data:`IPOD_LIKE` parameter set is calibrated so that the paper's
 1,189-action encoder reproduces the ordering and rough magnitude of the
 reported overheads; the absolute values are indicative only, exactly as the
@@ -23,18 +25,28 @@ paper says of its own numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, fields
 
 from repro.core.manager import ManagerWork
 
 __all__ = [
     "OverheadParameters",
     "LinearOverheadModel",
-    "NullOverheadModel",
     "IPOD_LIKE",
     "FAST_EMBEDDED",
     "DESKTOP_LIKE",
 ]
+
+
+def check_cost(value: float, what: str) -> None:
+    """Reject a cost that is not a finite number of seconds ``>= 0``.
+
+    A negative or NaN charge would pull a cycle's completion times back
+    under its deadlines, so a run that missed would read as safe.
+    """
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{what} must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,12 +64,18 @@ class OverheadParameters:
         Cost of one scalar comparison against a stored bound.
     per_table_lookup:
         Cost of reading one pre-computed table entry.
+
+    Every cost must be finite and ``>= 0``, else :class:`ValueError`.
     """
 
     per_call: float = 0.0
     per_arithmetic_op: float = 0.0
     per_comparison: float = 0.0
     per_table_lookup: float = 0.0
+
+    def __post_init__(self) -> None:
+        for cost in fields(self):
+            check_cost(getattr(self, cost.name), f"overhead cost {cost.name}")
 
     def scaled(self, factor: float) -> "OverheadParameters":
         """All unit costs multiplied by ``factor`` (slower/faster platform)."""
@@ -88,63 +106,29 @@ FAST_EMBEDDED = IPOD_LIKE.scaled(0.1)
 DESKTOP_LIKE = IPOD_LIKE.scaled(0.001)
 
 
-@dataclass
-class _Accounting:
-    """Mutable overhead accounting shared by the models."""
-
-    calls: int = 0
-    total_seconds: float = 0.0
-    per_kind_seconds: dict[str, float] = field(default_factory=dict)
-    per_kind_calls: dict[str, int] = field(default_factory=dict)
-
-
 class LinearOverheadModel:
     """Charges ``per_call + ops*per_op + comparisons*per_cmp + lookups*per_lookup``.
 
-    The model keeps running totals so experiments can report the overhead
-    split per manager kind without re-instrumenting the executor.
+    A price list: :meth:`charge` is a pure function of the work record, so
+    a run leaves the model exactly as it found it, whatever runs it.  Every
+    reported overhead comes from the run's own outcome columns.
     """
 
-    #: ``cost_of`` is a pure function of the work record, which lets the
-    #: vectorised cycle engine (:mod:`repro.core.engine`) pre-compute one
-    #: charge per distinct record instead of calling ``charge`` per invocation
+    #: ``charge`` is a pure function of the work record, which lets the
+    #: vectorised cycle engine (:mod:`repro.core.engine`) price each distinct
+    #: record once instead of once per invocation
     deterministic_charges = True
 
     def __init__(self, parameters: OverheadParameters = IPOD_LIKE) -> None:
         self._parameters = parameters
-        self._accounting = _Accounting()
 
     @property
     def parameters(self) -> OverheadParameters:
         """The per-unit cost parameters."""
         return self._parameters
 
-    @property
-    def calls(self) -> int:
-        """Number of manager invocations charged so far."""
-        return self._accounting.calls
-
-    @property
-    def total_seconds(self) -> float:
-        """Total overhead charged so far."""
-        return self._accounting.total_seconds
-
-    def per_kind(self) -> dict[str, dict[str, float]]:
-        """Overhead split by manager kind: ``{kind: {"calls": .., "seconds": ..}}``."""
-        return {
-            kind: {
-                "calls": float(self._accounting.per_kind_calls.get(kind, 0)),
-                "seconds": seconds,
-            }
-            for kind, seconds in self._accounting.per_kind_seconds.items()
-        }
-
-    def reset(self) -> None:
-        """Clear the accumulated accounting."""
-        self._accounting = _Accounting()
-
-    def cost_of(self, work: ManagerWork) -> float:
-        """The cost of one invocation without recording it."""
+    def charge(self, work: ManagerWork) -> float:
+        """The time one invocation performing ``work`` consumes."""
         p = self._parameters
         return (
             p.per_call
@@ -152,67 +136,3 @@ class LinearOverheadModel:
             + work.comparisons * p.per_comparison
             + work.table_lookups * p.per_table_lookup
         )
-
-    def charge(self, work: ManagerWork) -> float:
-        """Charge one invocation and return the time it consumed."""
-        cost = self.cost_of(work)
-        acc = self._accounting
-        acc.calls += 1
-        acc.total_seconds += cost
-        acc.per_kind_seconds[work.kind] = acc.per_kind_seconds.get(work.kind, 0.0) + cost
-        acc.per_kind_calls[work.kind] = acc.per_kind_calls.get(work.kind, 0) + 1
-        return cost
-
-    def charge_batch(self, work: ManagerWork, count: int) -> float:
-        """Charge ``count`` identical invocations in one accounting update.
-
-        The bulk hook used by the vectorised cycle engine
-        (:mod:`repro.core.engine`), which pre-computes one cost per distinct
-        work record: call counts stay exact, while the accumulated seconds
-        are ``count * cost`` (one multiply instead of ``count`` additions —
-        equal to the scalar path up to float summation order).  Returns the
-        per-invocation cost.
-        """
-        count = int(count)
-        if count < 0:
-            raise ValueError(f"invocation count must be >= 0, got {count}")
-        cost = self.cost_of(work)
-        acc = self._accounting
-        acc.calls += count
-        acc.total_seconds += cost * count
-        acc.per_kind_seconds[work.kind] = (
-            acc.per_kind_seconds.get(work.kind, 0.0) + cost * count
-        )
-        acc.per_kind_calls[work.kind] = acc.per_kind_calls.get(work.kind, 0) + count
-        return cost
-
-
-class NullOverheadModel:
-    """An overhead model that charges nothing (the idealised semantics)."""
-
-    #: see :attr:`LinearOverheadModel.deterministic_charges`
-    deterministic_charges = True
-
-    def __init__(self) -> None:
-        self.calls = 0
-
-    def charge(self, work: ManagerWork) -> float:
-        """Record the call and charge zero time."""
-        self.calls += 1
-        return 0.0
-
-    def charge_batch(self, work: ManagerWork, count: int) -> float:
-        """Record ``count`` calls at once (see :meth:`LinearOverheadModel.charge_batch`)."""
-        count = int(count)
-        if count < 0:
-            raise ValueError(f"invocation count must be >= 0, got {count}")
-        self.calls += count
-        return 0.0
-
-    def cost_of(self, work: ManagerWork) -> float:
-        """Always zero."""
-        return 0.0
-
-    def reset(self) -> None:
-        """Clear the call counter."""
-        self.calls = 0

@@ -1,13 +1,15 @@
-"""Mutation gate for the interval kernel, the metrics fold, the lockstep's
-overhead charge, the sweep fan-in and the system fork.
+"""Mutation gate for the interval kernel, the kernel's charge binding, the
+metrics fold, the lockstep's overhead charge, the sweep fan-in and the
+system fork.
 
 Usage, from the repository root::
 
     python tests/check_kernel_mutants.py
 
 Each text mutant below names the test file it must fail: the interval
-kernel's mutants the boundary probes (``tests/test_kernel_boundaries.py``),
-the fold's mutants the overhead-fold checks (``tests/test_overhead_fold.py``),
+kernel's mutants and the charge binding's (a late decision charged the
+on-time record, a per-state charge read at state 0) the boundary probes
+(``tests/test_kernel_boundaries.py``), the fold's mutants the overhead-fold checks (``tests/test_overhead_fold.py``),
 the lockstep's mutants that drop the decided lanes' overhead charge the
 oracle-referenced fleet fuzz (``tests/test_fleet_differential.py``), the
 runtime's mutants of how far a parallel sweep moves the shared frame
@@ -77,6 +79,20 @@ MUTANTS = (
         KERNELSPEC,
         "at = np.append(x, np.inf)",
         "at = np.append(-np.inf, x)",
+        PROBES,
+    ),
+    (
+        "late decisions charged the on-time record",
+        ENGINE,
+        "np.where(late, self._late_charge, self._charge)",
+        "np.where(late, self._charge, self._charge)",
+        PROBES,
+    ),
+    (
+        "per-state charge read at state 0",
+        ENGINE,
+        "self._charges[state_index]",
+        "self._charges[0]",
         PROBES,
     ),
     (

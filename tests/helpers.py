@@ -24,11 +24,22 @@ __all__ = [
     "InlineWorker",
     "NoiseSampler",
     "TensorOnlySampler",
+    "ZeroCharge",
     "make_deadline",
     "make_seekless_system",
     "make_synthetic_system",
     "system_from_sampler",
 ]
+
+
+class ZeroCharge:
+    """A deterministic overhead model that charges nothing: every invocation
+    is charged, and every charge is zero."""
+
+    deterministic_charges = True
+
+    def charge(self, work) -> float:
+        return 0.0
 
 
 def make_synthetic_system(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from repro.api import (
     validate_spec,
 )
 from repro.core import CycleOutcome, DeadlineFunction, QualityManager, audit_trace
+from repro.platform import IPOD_LIKE, LinearOverheadModel
 
 #: a spool path no one can create: a count the facade let through would fail
 #: on the first write instead of leaving a directory behind
@@ -543,6 +546,23 @@ class TestRunLayer:
         )
         assert free.total_overhead_seconds == 0.0
         assert charged.total_overhead_seconds > 0.0
+
+    def test_runs_leave_the_overhead_model_as_they_found_it(self):
+        """A model is a price list: no run changes it, whatever the transport."""
+        model = LinearOverheadModel(IPOD_LIKE)
+        session = Session().system("small").seed(3).manager("region").overhead(model)
+        before = pickle.dumps(model)
+        session.run(cycles=3)
+        assert pickle.dumps(model) == before
+        serial = session.clone().run_many([1, 2, 3])
+        assert pickle.dumps(model) == before
+        pooled = session.clone().run_many([1, 2, 3], workers=2)
+        assert pickle.dumps(model) == before
+        assert {k: r.metrics for k, r in serial.runs.items()} == {
+            k: r.metrics for k, r in pooled.runs.items()
+        }
+        Session.fleet({"a": session.clone().cycles(3), "b": session.clone().cycles(2)})
+        assert pickle.dumps(model) == before
 
     def test_run_outcomes_stay_safe(self, system, deadlines):
         result = Session().system(system).deadlines(deadlines).seed(2).run(cycles=4)

@@ -32,9 +32,9 @@ from repro.core import (
 )
 from repro.core.regions import QualityRegionTable, RegionQualityManager
 from repro.core.relaxation import RelaxationQualityManager, RelaxationTable
-from repro.platform.overhead import IPOD_LIKE, LinearOverheadModel, NullOverheadModel
+from repro.platform.overhead import IPOD_LIKE, LinearOverheadModel
 
-from helpers import make_deadline, make_synthetic_system
+from helpers import ZeroCharge, make_deadline, make_synthetic_system
 
 _OUTCOME_FIELDS = (
     "qualities",
@@ -69,11 +69,8 @@ class PureCharge:
 
     deterministic_charges = True
 
-    def cost_of(self, work) -> float:
-        return 1e-4 + 1e-6 * (work.comparisons + work.table_lookups)
-
     def charge(self, work) -> float:
-        return self.cost_of(work)
+        return 1e-4 + 1e-6 * (work.comparisons + work.table_lookups)
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +82,7 @@ def setup():
 
 
 def _overhead_models():
-    return [None, LinearOverheadModel(IPOD_LIKE), NullOverheadModel(), PureCharge()]
+    return [None, LinearOverheadModel(IPOD_LIKE), ZeroCharge(), PureCharge()]
 
 
 #: cycles per parity case: chunk sizes 1, 2 and 7 leave a ragged last chunk
@@ -330,29 +327,6 @@ class TestKernelCompilation:
         # the kernel-only entry point refuses rather than misreading the rows
         with pytest.raises(EngineError):
             run_cycles_vectorized(system, manager, [wide])
-
-    def test_vectorized_path_preserves_overhead_accounting(self, setup):
-        """LinearOverheadModel call counts survive the batch via charge_batch."""
-        system, _, context = setup
-        manager = build_manager("relaxation", context)
-        scenarios = system.draw_scenarios(5, np.random.default_rng(2))
-        scalar_model, vector_model = (
-            LinearOverheadModel(IPOD_LIKE),
-            LinearOverheadModel(IPOD_LIKE),
-        )
-        for scenario in scenarios:
-            run_cycle(system, manager, scenario=scenario, overhead_model=scalar_model)
-        run_cycles_vectorized(
-            system, manager, scenarios, overhead_model=vector_model
-        )
-        assert vector_model.calls == scalar_model.calls
-        assert vector_model.per_kind().keys() == scalar_model.per_kind().keys()
-        for kind, split in scalar_model.per_kind().items():
-            assert vector_model.per_kind()[kind]["calls"] == split["calls"]
-            assert vector_model.per_kind()[kind]["seconds"] == pytest.approx(
-                split["seconds"]
-            )
-        assert vector_model.total_seconds == pytest.approx(scalar_model.total_seconds)
 
 
 class TestBatchedDraws:

@@ -25,7 +25,6 @@ from repro.core.fleet import (
 from repro.obs import enable as obs_enable
 from repro.obs import metrics as obs_metrics
 from repro.obs import reset_enabled as obs_reset
-from repro.platform.overhead import IPOD_LIKE, LinearOverheadModel
 
 from helpers import (
     BaseRowSampler,
@@ -283,32 +282,6 @@ class TestRunFleet:
             expected = solo_summary(member)
             assert summary.metrics() == expected.metrics(), member.label
             assert summary.quality_level_counts == expected.quality_level_counts
-
-    def test_overhead_model_accounting_excludes_padding(self):
-        model = LinearOverheadModel(IPOD_LIKE)
-        solo_model = LinearOverheadModel(IPOD_LIKE)
-        members = [
-            make_member(
-                "numeric", f"m{i}", cycles=c, seed=i, overhead_model=model
-            )
-            for i, c in enumerate((3, 17))
-        ]
-        run_fleet(members)
-        expected_calls = 0
-        for member in members:
-            clone = FleetMember(
-                label=member.label,
-                system=member.system,
-                manager=member.manager,
-                deadlines=member.deadlines,
-                cycles=member.cycles,
-                seed=member.seed,
-                overhead_model=solo_model,
-            )
-            solo_summary(clone)
-        expected_calls = solo_model.calls
-        assert model.calls == expected_calls
-        assert model.total_seconds == pytest.approx(solo_model.total_seconds)
 
     def test_mismatched_plan_rejected(self):
         members = [make_member("numeric", "a")]

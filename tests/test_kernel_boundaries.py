@@ -7,7 +7,7 @@ boundary ``t^D(s_i, q)`` (Proposition 2) and every relaxation or affine
 bound (Proposition 3), one ulp either side of each, at ``0.0`` and at seeded
 random times.  The kernel program's ``(rows, steps, late)`` must equal the
 scalar :meth:`~repro.core.manager.QualityManager.decide`, and the kernel's
-per-invocation overheads must equal ``cost_of(decision.work)``.
+per-invocation overheads must equal ``charge(decision.work)``.
 
 The stateful primitives (``skip``, ``feedback``) carry per-cycle state, so a
 state cannot be probed in isolation; the parity grids cover them.
@@ -28,9 +28,9 @@ from repro.core.regions import RegionQualityManager
 from repro.core.relaxation import RelaxationQualityManager
 from repro.extensions.linear_approx import LinearRelaxationQualityManager
 from repro.media import small_encoder
-from repro.platform.overhead import IPOD_LIKE, LinearOverheadModel, NullOverheadModel
+from repro.platform.overhead import IPOD_LIKE, LinearOverheadModel
 
-from helpers import make_deadline, make_synthetic_system
+from helpers import ZeroCharge, make_deadline, make_synthetic_system
 
 #: primitives whose programs keep per-cycle state between decisions, and
 #: the registry keys that lower to them
@@ -108,7 +108,7 @@ def _check_states(manager, states, rng: np.random.Generator) -> int:
     """Probe ``states`` of one manager; return the number of probes made."""
     spec = manager.lower()
     program = build_program(spec)
-    models = (NullOverheadModel(), LinearOverheadModel(IPOD_LIKE))
+    models = (ZeroCharge(), LinearOverheadModel(IPOD_LIKE))
     kernels = [compile_decision_kernel(manager, model) for model in models]
     probed = 0
     for state in states:
@@ -125,7 +125,7 @@ def _check_states(manager, states, rng: np.random.Generator) -> int:
             np.testing.assert_array_equal(got_late, late, err_msg=f"{where}: late")
         for model, kernel in zip(models, kernels):
             _, _, overheads = kernel.decide_batch(state, probes)
-            expected = np.array([model.cost_of(work) for work in works])
+            expected = np.array([model.charge(work) for work in works])
             np.testing.assert_array_equal(
                 overheads, expected, err_msg=f"{where}: {type(model).__name__} charges"
             )

@@ -23,18 +23,17 @@ def td():
 
 class TestManagerWork:
     def test_defaults(self):
-        work = ManagerWork(kind="numeric")
+        work = ManagerWork()
         assert work.arithmetic_ops == 0
         assert work.comparisons == 0
         assert work.table_lookups == 0
 
     def test_scaled(self):
-        work = ManagerWork(kind="x", arithmetic_ops=2, comparisons=3, table_lookups=4)
+        work = ManagerWork(arithmetic_ops=2, comparisons=3, table_lookups=4)
         scaled = work.scaled(5)
         assert scaled.arithmetic_ops == 10
         assert scaled.comparisons == 15
         assert scaled.table_lookups == 20
-        assert scaled.kind == "x"
 
 
 class TestMemoryFootprint:
@@ -51,10 +50,10 @@ class TestMemoryFootprint:
 class TestDecision:
     def test_requires_at_least_one_step(self):
         with pytest.raises(ValueError):
-            Decision(quality=1, steps=0, work=ManagerWork(kind="x"))
+            Decision(quality=1, steps=0, work=ManagerWork())
 
     def test_valid_decision(self):
-        decision = Decision(quality=2, steps=3, work=ManagerWork(kind="x"))
+        decision = Decision(quality=2, steps=3, work=ManagerWork())
         assert decision.quality == 2
         assert decision.steps == 3
 

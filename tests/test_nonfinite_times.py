@@ -185,9 +185,6 @@ class InfiniteCost:
 
     deterministic_charges = True
 
-    def cost_of(self, work) -> float:
-        return np.inf
-
     def charge(self, work) -> float:
         return np.inf
 
@@ -204,6 +201,30 @@ def test_infinite_makespans_answer_infinite_quantiles():
     assert result.metrics.deadline_misses == 4
     assert result.metrics.worst_lateness == np.inf
     assert result.summary.makespan_quantile(1.0) == np.inf
+
+
+class FixedCost:
+    """A deterministic custom overhead model charging ``cost`` per call."""
+
+    deterministic_charges = True
+
+    def __init__(self, cost: float) -> None:
+        self.cost = cost
+
+    def charge(self, work) -> float:
+        return self.cost
+
+
+@pytest.mark.parametrize("cost", [np.nan, -1.0], ids=["nan", "negative"])
+def test_invalid_charges_are_rejected_on_both_paths(cost):
+    """A NaN or negative charge would run a missed cycle back under its
+    deadline: the kernel rejects it when it prices the work record, the
+    scalar oracle at the invocation."""
+    session = Session().system("small").manager("constant:level=6").overhead(FixedCost(cost))
+    with pytest.raises(InvalidTimingError, match="charged"):
+        session.run(cycles=4)
+    with pytest.raises(InvalidTimingError, match="charged"):
+        list(session.oracle(4))
 
 
 def test_nonfinite_completion_folds_as_a_miss():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core import ManagerWork
@@ -11,7 +13,6 @@ from repro.platform import (
     IPOD_LIKE,
     LinearOverheadModel,
     Machine,
-    NullOverheadModel,
     OverheadParameters,
     desktop,
     fast_embedded,
@@ -36,47 +37,26 @@ class TestOverheadParameters:
     def test_presets_ordering(self):
         assert IPOD_LIKE.per_call > FAST_EMBEDDED.per_call > DESKTOP_LIKE.per_call
 
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+    def test_costs_must_be_finite_and_non_negative(self, value):
+        """A negative or NaN cost would run a missed cycle back under its deadline."""
+        for name in ("per_call", "per_arithmetic_op", "per_comparison", "per_table_lookup"):
+            with pytest.raises(ValueError, match=name):
+                OverheadParameters(**{name: value})
+
 
 class TestLinearOverheadModel:
     def test_cost_formula(self):
         params = OverheadParameters(per_call=1.0, per_arithmetic_op=0.01, per_comparison=0.1, per_table_lookup=0.2)
         model = LinearOverheadModel(params)
-        work = ManagerWork(kind="x", arithmetic_ops=10, comparisons=2, table_lookups=3)
-        assert model.cost_of(work) == pytest.approx(1.0 + 0.1 + 0.2 + 0.6)
-
-    def test_charge_accumulates(self):
-        model = LinearOverheadModel(OverheadParameters(per_call=0.5))
-        model.charge(ManagerWork(kind="a"))
-        model.charge(ManagerWork(kind="b"))
-        model.charge(ManagerWork(kind="a"))
-        assert model.calls == 3
-        assert model.total_seconds == pytest.approx(1.5)
-        per_kind = model.per_kind()
-        assert per_kind["a"]["calls"] == 2
-        assert per_kind["b"]["seconds"] == pytest.approx(0.5)
-
-    def test_reset(self):
-        model = LinearOverheadModel(OverheadParameters(per_call=0.5))
-        model.charge(ManagerWork(kind="a"))
-        model.reset()
-        assert model.calls == 0
-        assert model.total_seconds == 0.0
+        work = ManagerWork(arithmetic_ops=10, comparisons=2, table_lookups=3)
+        assert model.charge(work) == pytest.approx(1.0 + 0.1 + 0.2 + 0.6)
 
     def test_numeric_work_costs_more_than_lookup_work(self):
         model = LinearOverheadModel(IPOD_LIKE)
-        numeric_work = ManagerWork(kind="numeric", arithmetic_ops=1000 * 7 * 4, comparisons=7)
-        region_work = ManagerWork(kind="region", comparisons=7, table_lookups=7)
-        assert model.cost_of(numeric_work) > model.cost_of(region_work)
-
-
-class TestNullOverheadModel:
-    def test_charges_nothing(self):
-        model = NullOverheadModel()
-        assert model.charge(ManagerWork(kind="x")) == 0.0
-        assert model.cost_of(ManagerWork(kind="x")) == 0.0
-        assert model.calls == 1
-        model.reset()
-        assert model.calls == 0
+        numeric_work = ManagerWork(arithmetic_ops=1000 * 7 * 4, comparisons=7)
+        region_work = ManagerWork(comparisons=7, table_lookups=7)
+        assert model.charge(numeric_work) > model.charge(region_work)
 
 
 class TestMachine:
@@ -88,6 +68,11 @@ class TestMachine:
     def test_invalid_speed_factor(self):
         with pytest.raises(ValueError):
             Machine(name="bad", speed_factor=0.0)
+
+    @pytest.mark.parametrize("value", [-0.5, math.nan, math.inf], ids=["negative", "nan", "inf"])
+    def test_invalid_clock_read_overhead(self, value):
+        with pytest.raises(ValueError, match="clock read"):
+            Machine(name="bad", clock_read_overhead=value)
 
     def test_deploy_rescales_system(self):
         system = make_synthetic_system(n_actions=5)

@@ -12,12 +12,14 @@ from repro.core import (
     QualityManagerCompiler,
     QualityRegionTable,
     RelaxationTable,
+    StreamingMetrics,
     assert_trace_safe,
     audit_trace,
     check_relaxation_containment,
     check_td_structure,
     compute_td_table,
 )
+from repro.core.streaming import outcome_arrays
 
 from helpers import make_deadline, make_synthetic_system
 
@@ -51,6 +53,22 @@ class TestAuditTrace:
         violation = audit.violations[0]
         assert violation.action_index == 3
         assert violation.lateness == pytest.approx(0.5)
+
+    def test_nan_completion_is_a_violation(self):
+        """A completion that cannot be checked is a miss with infinite
+        lateness, exactly as the metrics fold counts the same cycle."""
+        outcome = make_outcome([1.0, 2.0, float("nan")])
+        deadlines = DeadlineFunction.single(3, 3.5)
+        audit = audit_trace(outcome, deadlines)
+        assert not audit.is_safe
+        assert audit.violations[0].lateness == float("inf")
+        assert audit.worst_lateness == float("inf")
+        with pytest.raises(DeadlineMissError):
+            assert_trace_safe(outcome, deadlines)
+        summary = StreamingMetrics(deadlines)
+        summary.update_chunk(*outcome_arrays([outcome]))
+        assert summary.metrics().deadline_misses == len(audit.violations)
+        assert summary.metrics().worst_lateness == audit.worst_lateness
 
     def test_multiple_deadlines(self):
         outcome = make_outcome([1.0, 2.5, 3.0])
