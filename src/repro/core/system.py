@@ -11,6 +11,7 @@ and the :meth:`ParameterizedSystem.rescaled` helper.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -323,10 +324,11 @@ class ParameterizedSystem:
         """A copy of the system whose execution times are all multiplied by ``factor``.
 
         Models porting the same application to a slower (``factor > 1``) or
-        faster (``factor < 1``) platform.
+        faster (``factor < 1``) platform.  A factor that is not finite and
+        ``> 0`` raises :class:`~repro.core.types.InvalidTimingError`.
         """
-        if factor <= 0.0:
-            raise InvalidTimingError(f"rescale factor must be > 0, got {factor}")
+        if not (math.isfinite(factor) and factor > 0.0):
+            raise InvalidTimingError(f"rescale factor must be finite and > 0, got {factor!r}")
         wc = TimingTable(self.qualities, self.worst_case.values * factor, name="Cwc")
         av = TimingTable(self.qualities, self.average.values * factor, name="Cav")
         sampler = self._timing.scenario_sampler

@@ -525,6 +525,40 @@ class ScenarioBatch:
             return scenarios
         return cls.from_scenarios(scenarios)
 
+    @classmethod
+    def concatenate(cls, batches: Sequence["ScenarioBatch"]) -> "ScenarioBatch":
+        """The cycles of ``batches``, in order, as one batch.
+
+        Factored batches sharing one set of level tables (``quality_factors``,
+        ``ceiling`` and ``scale``) join by their base rows and stay factored;
+        any other mix joins the tensors.  Every part is already checked, so
+        the join is not checked again.  Raises :class:`InvalidTimingError`
+        on an empty list or parts of different quality sets or action counts.
+        """
+        batches = tuple(batches)
+        if not batches:
+            raise InvalidTimingError("cannot concatenate an empty list of scenario batches")
+        first = batches[0]
+        for batch in batches[1:]:
+            if batch._qualities != first._qualities or batch.n_actions != first.n_actions:
+                raise InvalidTimingError(
+                    "concatenated scenario batches must share one quality set and action count"
+                )
+        factors = first._factors
+        if factors is not None and all(
+            batch._factors is not None
+            and batch._factors.scale == factors.scale
+            and np.array_equal(batch._factors.quality_factors, factors.quality_factors)
+            and np.array_equal(batch._factors.ceiling, factors.ceiling)
+            for batch in batches[1:]
+        ):
+            base = np.concatenate([batch._factors.base for batch in batches])
+            base.setflags(write=False)
+            return cls._adopt_factors(first._qualities, factors._replace(base=base))
+        tensor = np.concatenate([batch.tensor for batch in batches])
+        tensor.setflags(write=False)
+        return cls._adopt(first._qualities, tensor)
+
     # ------------------------------------------------------------------ #
     # accessors
     # ------------------------------------------------------------------ #

@@ -9,6 +9,7 @@ target and two faster reference points used in scaling studies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from repro.core.system import ParameterizedSystem
@@ -28,7 +29,7 @@ class Machine:
         Human-readable platform name.
     speed_factor:
         Multiplier applied to the application's nominal execution times
-        (``> 1`` means a slower platform).
+        (finite and ``> 0``; ``> 1`` means a slower platform).
     overhead:
         Per-unit Quality Manager costs on this platform.
     clock_read_overhead:
@@ -42,8 +43,8 @@ class Machine:
     clock_read_overhead: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.speed_factor <= 0.0:
-            raise ValueError(f"speed factor must be > 0, got {self.speed_factor}")
+        if not (math.isfinite(self.speed_factor) and self.speed_factor > 0.0):
+            raise ValueError(f"speed factor must be finite and > 0, got {self.speed_factor!r}")
         check_cost(self.clock_read_overhead, "clock read overhead")
 
     def deploy(self, system: ParameterizedSystem) -> ParameterizedSystem:

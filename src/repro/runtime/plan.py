@@ -32,6 +32,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.api.registry import ManagerSpec
+from repro.core.checks import whole_number
 from repro.core.deadlines import DeadlineFunction
 from repro.core.policy import QualityManagementPolicy
 from repro.core.system import ParameterizedSystem
@@ -127,6 +128,10 @@ class SweepUnit:
       pre-drawn batch is replayed as-is, shipped to the worker as one
       contiguous tensor (the ``compare`` ship-by-value setting: identical
       inputs for every manager, transport cost ∝ tensor size).
+
+    ``cycles`` (>= 1) and a set ``sampler_offset`` (>= 0) are whole
+    numbers, else :class:`PlanError`: a grouped lockstep slices its units'
+    columns by their cycle counts.
     """
 
     index: int
@@ -138,8 +143,17 @@ class SweepUnit:
     scenarios: ScenarioBatch | None = None
 
     def __post_init__(self) -> None:
-        if self.cycles < 1:
-            raise PlanError(f"unit {self.index}: cycles must be >= 1, got {self.cycles}")
+        object.__setattr__(
+            self, "cycles", whole_number(self.cycles, f"unit {self.index}: cycles", 1, PlanError)
+        )
+        if self.sampler_offset is not None:
+            object.__setattr__(
+                self,
+                "sampler_offset",
+                whole_number(
+                    self.sampler_offset, f"unit {self.index}: sampler_offset", 0, PlanError
+                ),
+            )
         if self.scenarios is not None:
             if not isinstance(self.scenarios, ScenarioBatch):
                 # legacy tuple/list of per-cycle scenarios: stack it once
@@ -235,12 +249,12 @@ def plan_run_many(
                 index=index,
                 label=final,
                 manager=spec,
-                cycles=int(cycles),
+                cycles=cycles,
                 seed=seed,
                 sampler_offset=offset if track else None,
             )
         )
-        offset += int(cycles)
+        offset += units[-1].cycles
     return SweepPlan(payload=payload, units=tuple(units), draws=offset if track else 0)
 
 
@@ -300,9 +314,7 @@ def plan_compare_redraw(
     ``Session.compare`` applies the same rule up front and ships such
     scenarios by value (:func:`plan_compare`) instead.
     """
-    cycles = int(cycles)
-    if cycles < 1:
-        raise PlanError(f"a compare plan needs cycles >= 1, got {cycles}")
+    cycles = whole_number(cycles, "a compare plan's cycles", 1, PlanError)
     sampler = payload.system.timing.scenario_sampler
     if sampler is not None and not supports_replay(sampler):
         raise PlanError(

@@ -13,6 +13,16 @@ and (b) seeks the (per-process copy of the) scenario sampler to the position
 the serial execution order would have left it in.  The executor only decides
 *where* units run, never *what* they compute.
 
+Short units share one lockstep.  A pool task, and a one-worker sweep, splits
+its units into groups of consecutive units of one manager spec that draw
+their own scenarios (:meth:`_WorkerRuntime.groups`).  Each group draws every
+unit's batch as a lone unit would, joins the batches and runs them as one
+lockstep, then slices each unit's columns back out, or folds them into the
+unit's own summary: the lanes of a lockstep never interact, so every unit's
+outcome stays bit-identical to its own run.  A group that raises re-runs its
+units one at a time, so every record still belongs to one unit.  Serial
+in-process sweeps and spool workers run one unit at a time.
+
 Failure handling captures per-unit exceptions (with tracebacks) instead of
 tearing down the pool: one infeasible scenario in a 10,000-unit sweep should
 cost one unit, not the sweep.  The executor re-raises them collectively after
@@ -28,7 +38,7 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,9 +50,10 @@ from repro.obs.state import enabled as obs_enabled
 from repro.core.checks import whole_number
 from repro.core.controller import OverheadModelProtocol
 from repro.core.deadlines import DeadlineFunction
-from repro.core.streaming import run_cycles_batch
+from repro.core.engine import CycleOutcomes
+from repro.core.streaming import StreamingMetrics, outcome_arrays, run_cycles_batch
 from repro.core.system import ParameterizedSystem
-from repro.core.timing import supports_replay
+from repro.core.timing import ScenarioBatch, supports_replay
 
 from .plan import ExecutionPayload, SweepPlan, SweepUnit
 
@@ -58,6 +69,15 @@ __all__ = [
 #: ``progress(completed_units, total_units, unit)`` — called from the parent
 #: process (never from a worker) each time a unit finishes
 ProgressCallback = Callable[[int, int, SweepUnit], None]
+
+#: the most cycles one group of units runs as one lockstep.  Most of a
+#: lockstep step's cost is fixed, so the cost per lane keeps falling up to
+#: about this width: one paper-encoder step (1,189 actions), decide
+#: included, costs 20-24 µs at 29 lanes, about 35 µs at 256 and 63-75 µs
+#: at 1,024 (region and relaxation, on a 2-vCPU Xeon).  At the cap a joined
+#: paper-encoder draw holds 9.7 MB of factored base rows.  A unit longer
+#: than the cap runs alone.
+GROUP_MAX_LANES = 1024
 
 
 @dataclass(frozen=True)
@@ -132,7 +152,10 @@ class _WorkerRuntime:
     Pool and spool workers :meth:`hydrate` it from a shipped
     :class:`ExecutionPayload`; a serial ``Session.compare`` or
     ``run_many`` builds it from the session's own compile cache, deployed
-    system and live sampler, and runs the same plan in-process.
+    system and live sampler, and runs the same plan in-process.  A pool
+    task and a one-worker sweep run each of its :meth:`groups` of
+    same-manager units as one lockstep (:meth:`execute_group`); serial
+    sweeps and spool workers run one unit at a time (:meth:`execute`).
     """
 
     def __init__(
@@ -151,6 +174,7 @@ class _WorkerRuntime:
         self._chunk_size = chunk_size
         self._sampler = base_system.timing.scenario_sampler
         self._base_cursor = getattr(self._sampler, "cursor", None)
+        self._replays = self._base_cursor is not None and supports_replay(self._sampler)
 
     @classmethod
     def hydrate(cls, payload: ExecutionPayload) -> "_WorkerRuntime":
@@ -215,13 +239,7 @@ class _WorkerRuntime:
         if unit.scenarios is not None:
             self._check_unit_scenarios(unit)
         else:
-            if (
-                unit.sampler_offset is not None
-                and self._base_cursor is not None
-                and supports_replay(self._sampler)
-            ):
-                self._sampler.seek(self._base_cursor + unit.sampler_offset)
-            rng = np.random.default_rng(unit.seed)
+            rng = self._unit_rng(unit)
         return manager.name, run_cycles_batch(
             self._exec_system,
             manager,
@@ -232,6 +250,98 @@ class _WorkerRuntime:
             chunk_size=self._chunk_size,
             deadlines=self._deadlines,
         )
+
+    def _unit_rng(self, unit: SweepUnit) -> np.random.Generator:
+        """Seek the sampler to the unit's offset when it replays; the unit's rng."""
+        if unit.sampler_offset is not None and self._replays:
+            self._sampler.seek(self._base_cursor + unit.sampler_offset)
+        return np.random.default_rng(unit.seed)
+
+    def _redraws(self, unit: SweepUnit) -> bool:
+        """True when the unit draws its own batch and can draw it again exactly."""
+        return unit.scenarios is None and (
+            self._sampler is None or (self._replays and unit.sampler_offset is not None)
+        )
+
+    def groups(self, units: Sequence[SweepUnit]) -> list[tuple[SweepUnit, ...]]:
+        """Split ``units`` into groups of consecutive units one lockstep runs.
+
+        A unit joins the group before it when both draw their own batches
+        from a sampler that is absent or seeks to their offsets (so a group
+        that fails can re-draw each unit exactly), they have equal manager
+        specs, and the group's cycles stay within :data:`GROUP_MAX_LANES`
+        and, for a streamed payload, within one ``chunk_size``.  Every other
+        unit is a group of its own.
+        """
+        cap = GROUP_MAX_LANES
+        if self._chunk_size is not None:
+            cap = min(cap, self._chunk_size)
+        groups: list[list[SweepUnit]] = []
+        lanes = 0
+        for unit in units:
+            if (
+                groups
+                and self._redraws(unit)
+                and self._redraws(groups[-1][0])
+                and unit.manager == groups[-1][0].manager
+                and lanes + unit.cycles <= cap
+            ):
+                groups[-1].append(unit)
+                lanes += unit.cycles
+            else:
+                groups.append([unit])
+                lanes = unit.cycles
+        return [tuple(group) for group in groups]
+
+    def execute_group(self, units: Sequence[SweepUnit]) -> tuple[str, CycleOutcomes]:
+        """Run one of :meth:`groups` as one lockstep.
+
+        Returns the manager's reporting name and the joined run's columns,
+        which :meth:`unit_result` slices back into each unit's result.  Each
+        unit's batch is drawn as :meth:`execute` draws it (seek to its
+        offset, then ``default_rng(seed)``), and the batches join in unit
+        order (:meth:`~repro.core.timing.ScenarioBatch.concatenate`).  The
+        lanes of one lockstep never interact, so each unit's slice is
+        bit-identical to its own run.
+        """
+        manager = build_manager(units[0].manager, self._context)
+        joined = ScenarioBatch.concatenate(
+            [
+                self._exec_system.draw_scenarios(unit.cycles, self._unit_rng(unit))
+                for unit in units
+            ]
+        )
+        columns = run_cycles_batch(
+            self._exec_system, manager, scenarios=joined, overhead_model=self._overhead_model
+        )
+        if self._chunk_size is not None and obs_enabled():
+            # the counts the units' own streamed runs would add: one chunk each
+            registry = obs_registry()
+            registry.inc("engine.cycles.streamed", len(joined))
+            registry.inc("engine.chunks", len(units))
+            registry.set("engine.peak_chunk_bytes", float(joined.nbytes()))
+        return manager.name, columns
+
+    def unit_result(self, columns: CycleOutcomes, start: int, stop: int) -> object:
+        """Cycles ``start:stop`` of a group's columns, as :meth:`execute` returns them.
+
+        That is the five columns, or with a ``chunk_size`` a
+        :class:`~repro.core.streaming.StreamingMetrics` summary folded from
+        them in one chunk, as the unit's own run folds it (a group never
+        exceeds one chunk).
+        """
+        part = CycleOutcomes(
+            columns.qualities[start:stop],
+            columns.durations[start:stop],
+            columns.completion[start:stop],
+            columns.invoked[:, start:stop],
+            columns.invocation_overheads[:, start:stop],
+        )
+        if self._chunk_size is None:
+            return part
+        summary = StreamingMetrics(self._deadlines)
+        summary.update_chunk(*outcome_arrays(part))
+        return summary
 
 
 _RUNTIME: _WorkerRuntime | None = None
@@ -246,11 +356,11 @@ def _init_worker(
     _TRACE = trace_ids
 
 
-def _execute_record(runtime: _WorkerRuntime, unit: SweepUnit) -> tuple:
-    """Run one unit under a span and return its result/failure record."""
+def _unit_record(unit: SweepUnit, run: Callable[[], tuple[str, object]]) -> tuple:
+    """``run()`` under the unit's span, as the unit's result or failure record."""
     try:
         with obs_trace.span("pool.unit", label=unit.label, index=unit.index):
-            name, outcomes = runtime.execute(unit)
+            name, outcomes = run()
     except Exception as error:  # noqa: BLE001 - captured and reported
         if obs_enabled():
             obs_registry().inc("pool.units.failed")
@@ -260,12 +370,46 @@ def _execute_record(runtime: _WorkerRuntime, unit: SweepUnit) -> tuple:
     return (unit.index, True, name, outcomes)
 
 
+def _execute_record(runtime: _WorkerRuntime, unit: SweepUnit) -> tuple:
+    """Run one unit alone and return its result/failure record."""
+    return _unit_record(unit, lambda: runtime.execute(unit))
+
+
+def _group_records(runtime: _WorkerRuntime, group: tuple[SweepUnit, ...]) -> list[tuple]:
+    """The records of one group, in unit order: one lockstep for the group,
+    or one unit at a time when it holds one unit or its lockstep raises."""
+    if obs_enabled():
+        obs_registry().inc("pool.groups")
+    if len(group) > 1:
+        try:
+            with obs_trace.span("pool.group", units=len(group)):
+                name, columns = runtime.execute_group(group)
+        except Exception:  # noqa: BLE001 - each unit re-runs alone for its own record
+            pass
+        else:
+            records, start = [], 0
+            for unit in group:
+                stop = start + unit.cycles
+                records.append(
+                    _unit_record(unit, lambda: (name, runtime.unit_result(columns, start, stop)))
+                )
+                start = stop
+            return records
+    return [_execute_record(runtime, unit) for unit in group]
+
+
+def _unit_records(runtime: _WorkerRuntime, units: Sequence[SweepUnit]) -> Iterator[tuple]:
+    """Every unit's record, in unit order, group by group."""
+    for group in runtime.groups(units):
+        yield from _group_records(runtime, group)
+
+
 def _run_chunk(units: tuple[SweepUnit, ...]) -> list[tuple]:
     """Execute a chunk in the worker; exceptions become per-unit records."""
     assert _RUNTIME is not None, "worker used before initialisation"
     # adopt the parent's trace context so unit spans join the sweep's tree
     with obs_trace.attach_ids(_TRACE):
-        records = [_execute_record(_RUNTIME, unit) for unit in units]
+        records = list(_unit_records(_RUNTIME, units))
     obs_export.flush()
     return records
 
@@ -369,10 +513,10 @@ class SweepExecutor:
         # the parent's sampler/caches are never touched by plan execution
         runtime = _WorkerRuntime.hydrate(pickle.loads(payload_bytes))
         records: list[tuple] = []
-        for done, unit in enumerate(plan.units, start=1):
-            records.append(_execute_record(runtime, unit))
+        for record in _unit_records(runtime, plan.units):
+            records.append(record)
             if progress is not None:
-                progress(done, len(plan.units), unit)
+                progress(len(records), len(plan.units), plan.units[record[0]])
         return records
 
     def _run_pool(self, plan: SweepPlan, progress: ProgressCallback | None) -> list[tuple]:

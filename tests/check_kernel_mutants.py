@@ -1,6 +1,6 @@
 """Mutation gate for the interval kernel, the kernel's charge binding, the
-metrics fold, the lockstep's overhead charge, the sweep fan-in and the
-system fork.
+metrics fold, the lockstep's overhead charge, the sweep fan-in, the system
+fork and the grouped sweep units.
 
 Usage, from the repository root::
 
@@ -15,8 +15,11 @@ oracle-referenced fleet fuzz (``tests/test_fleet_differential.py``), the
 runtime's mutants of how far a parallel sweep moves the shared frame
 sampler the cursor grid (``tests/test_sweep_cursor.py``), a frame-sampler
 copy that shares its cursor the fleet's sampler contract
-(``tests/test_fleet.py``), and a clone that keeps its parent's cursor the
-facade's clone tests (``tests/test_api.py``).
+(``tests/test_fleet.py``), a clone that keeps its parent's cursor the
+facade's clone tests (``tests/test_api.py``), and the grouped runner's
+mutants (a unit's columns sliced at the wrong offset, a join that ignores
+the manager spec) the grouped units' solo-run checks
+(``tests/test_grouped_units.py``).
 For each mutant the script copies ``src/`` and that test file (with the
 suite's ``conftest.py`` and ``helpers.py``) to a temporary directory,
 applies the mutant to the copy and runs the test file there.  Each test
@@ -43,12 +46,14 @@ SYSTEM = "src/repro/core/system.py"
 PLAN = "src/repro/runtime/plan.py"
 SESSION = "src/repro/api/session.py"
 TIMING_MODEL = "src/repro/media/timing_model.py"
+POOL = "src/repro/runtime/pool.py"
 PROBES = "tests/test_kernel_boundaries.py"
 FOLD = "tests/test_overhead_fold.py"
 FUZZ = "tests/test_fleet_differential.py"
 CURSOR = "tests/test_sweep_cursor.py"
 FLEET = "tests/test_fleet.py"
 FACADE = "tests/test_api.py"
+GROUPED = "tests/test_grouped_units.py"
 SUPPORT_FILES = ("conftest.py", "helpers.py")
 
 #: (name, file, anchor, replacement, test file): one-token changes it must catch
@@ -157,6 +162,20 @@ MUTANTS = (
         "fork.timing.scenario_sampler.seek(0)",
         "pass",
         FACADE,
+    ),
+    (
+        "grouped unit's columns sliced at the wrong offset",
+        POOL,
+        "runtime.unit_result(columns, start, stop)",
+        "runtime.unit_result(columns, 0, stop - start)",
+        GROUPED,
+    ),
+    (
+        "group join ignores the manager spec",
+        POOL,
+        "and unit.manager == groups[-1][0].manager",
+        "and True",
+        GROUPED,
     ),
 )
 

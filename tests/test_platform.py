@@ -69,6 +69,11 @@ class TestMachine:
         with pytest.raises(ValueError):
             Machine(name="bad", speed_factor=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_speed_factor(self, value):
+        with pytest.raises(ValueError, match="speed factor must be finite"):
+            Machine(name="bad", speed_factor=value)
+
     @pytest.mark.parametrize("value", [-0.5, math.nan, math.inf], ids=["negative", "nan", "inf"])
     def test_invalid_clock_read_overhead(self, value):
         with pytest.raises(ValueError, match="clock read"):

@@ -28,6 +28,7 @@ from repro.runtime.plan import (
     PlanError,
     SweepUnit,
     plan_compare,
+    plan_compare_redraw,
     plan_run_many,
 )
 
@@ -368,11 +369,26 @@ class TestPlans:
         with pytest.raises(PlanError):
             plan.chunked(0)
 
-    def test_unit_validation(self):
+    def test_unit_validation(self, encoder_inputs):
         from repro.api import ManagerSpec
 
-        with pytest.raises(PlanError):
-            SweepUnit(index=0, label="x", manager=ManagerSpec("numeric"), cycles=0)
+        spec = ManagerSpec("numeric")
+        # a count int() would truncate or parse is rejected, never rounded
+        for fields in (
+            {"cycles": 0},
+            {"cycles": 2.5},
+            {"cycles": "3"},
+            {"cycles": 2, "sampler_offset": -3},
+            {"cycles": 2, "sampler_offset": 1.5},
+        ):
+            with pytest.raises(PlanError):
+                SweepUnit(index=0, label="x", manager=spec, **fields)
+        payload = _payload(*encoder_inputs)
+        for cycles in (2.5, "3"):
+            with pytest.raises(PlanError, match="cycles"):
+                plan_compare_redraw(payload, [spec], cycles, 3)
+            with pytest.raises(PlanError, match="cycles"):
+                plan_run_many(payload, [("x", spec, cycles, 0)])
 
 
 # --------------------------------------------------------------------------- #

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,12 @@ class TestDerivedSystems:
         system = make_synthetic_system(n_actions=3)
         with pytest.raises(InvalidTimingError):
             system.rescaled(0.0)
+
+    @pytest.mark.parametrize("factor", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rescaled_rejects_non_finite(self, factor):
+        system = make_synthetic_system(n_actions=3)
+        with pytest.raises(InvalidTimingError, match="rescale factor must be finite"):
+            system.rescaled(factor)
 
     def test_truncated(self):
         system = make_synthetic_system(n_actions=10)
